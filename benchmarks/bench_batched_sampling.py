@@ -160,7 +160,7 @@ def serve_workload() -> list:
 
 def drain(weights, requests, max_batch_size: int):
     engine = build_batched_engine(
-        weights, max_batch_size=max_batch_size, paged=True,
+        weights, max_batch_size=max_batch_size,
     )
     scheduler = ContinuousBatchingScheduler(engine)
     for request in requests:

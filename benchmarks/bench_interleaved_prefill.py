@@ -99,7 +99,7 @@ def drain_interleaved(weights, residents, long_request, step_budget):
     """Decode the residents, submit the long prompt mid-run, drain."""
     engine = build_batched_engine(
         weights, max_batch_size=MAX_BATCH, max_seq_len=MAX_SEQ_LEN,
-        paged=True, page_size=PAGE_SIZE, n_pages=N_PAGES,
+        page_size=PAGE_SIZE, n_pages=N_PAGES,
         prefill_chunk=PREFILL_CHUNK,
     )
     scheduler = ContinuousBatchingScheduler(engine, step_budget=step_budget)

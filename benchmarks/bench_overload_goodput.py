@@ -86,7 +86,7 @@ def bench_config() -> ModelConfig:
 
 def make_scheduler(weights, predictor, admission):
     engine = BatchedEngine(
-        weights, predictor=predictor, paged=True,
+        weights, predictor=predictor,
         max_batch_size=MAX_BATCH, page_size=PAGE_SIZE, n_pages=N_PAGES,
     )
     return ContinuousBatchingScheduler(engine, admission=admission)

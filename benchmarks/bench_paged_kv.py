@@ -1,14 +1,15 @@
-"""Paged vs fixed-slot KV cache at an equal memory budget.
+"""Paged vs fixed-slot KV geometry at an equal memory budget.
 
-The fixed :class:`BatchedKVCache` sizes every slot for the worst case,
-so a KV memory budget of ``N * max_seq_len`` positions admits exactly
-``N`` concurrent sequences no matter how short they are.  The paged
-cache spends the *same* budget page-by-page, so a mixed short/long
-workload packs many short sequences around each long one.
+A fixed-slot store sizes every slot for the worst case -- the paged
+cache's degenerate geometry ``page_size=max_seq_len, n_pages=n_slots``,
+one page per slot -- so a KV memory budget of ``N * max_seq_len``
+positions admits exactly ``N`` concurrent sequences no matter how short
+they are.  Small pages spend the *same* budget page-by-page, so a mixed
+short/long workload packs many short sequences around each long one.
 
-This benchmark builds one fixed engine and one paged engine whose KV
-arenas are byte-identical in size, drains the same short/long workload
-through both, and checks:
+This benchmark builds one fixed-geometry engine and one paged engine
+whose KV arenas are byte-identical in size, drains the same short/long
+workload through both, and checks:
 
 1. the paged engine's peak concurrent batch is >= 2x the fixed one's
    (it is bounded by pages, not worst-case slots);
@@ -16,7 +17,7 @@ through both, and checks:
    *where* K/V lives, never *what* is decoded);
 3. for the same co-resident request set, paged KV bytes are <= half the
    fixed-slot bytes (:func:`repro.eval.memusage.compare_kv_footprint`);
-4. batch=1 paged decode is bit-identical to
+4. batch=1 paged serving is token-identical to
    :func:`repro.core.engine.build_engine`.
 
 Run:  python benchmarks/bench_paged_kv.py
@@ -103,11 +104,12 @@ def run_comparison():
     requests = build_workload(config.vocab_size)
 
     fixed_engine = build_batched_engine(
-        weights, max_batch_size=FIXED_SLOTS, max_seq_len=MAX_SEQ_LEN
+        weights, max_batch_size=FIXED_SLOTS, max_seq_len=MAX_SEQ_LEN,
+        page_size=MAX_SEQ_LEN, n_pages=FIXED_SLOTS,
     )
     paged_engine = build_batched_engine(
         weights, max_batch_size=PAGED_MAX_BATCH, max_seq_len=MAX_SEQ_LEN,
-        paged=True, page_size=PAGE_SIZE, n_pages=N_PAGES,
+        page_size=PAGE_SIZE, n_pages=N_PAGES,
     )
     assert paged_engine.cache.kv_bytes == fixed_engine.cache.kv_bytes, \
         "engines must share one KV memory budget"
@@ -156,12 +158,12 @@ def check_comparison(requests, fixed_report, paged_report, footprint) -> None:
     assert paged_report.peak_pages_in_use <= paged_report.n_pages
 
 
-def check_batch1_bit_identical(config, weights) -> None:
+def check_batch1_token_identical(config, weights) -> None:
     """Paged batch=1 serving emits exactly build_engine's tokens."""
     reference = build_engine(weights)
     engine = build_batched_engine(
         weights, max_batch_size=1, max_seq_len=MAX_SEQ_LEN,
-        paged=True, page_size=PAGE_SIZE,
+        page_size=PAGE_SIZE,
     )
     scheduler = ContinuousBatchingScheduler(engine)
     rng = np.random.default_rng(17)
@@ -219,9 +221,9 @@ def main() -> int:
     text = format_report(fixed_report, paged_report, footprint)
     print(text)
     check_comparison(requests, fixed_report, paged_report, footprint)
-    check_batch1_bit_identical(config, weights)
+    check_batch1_token_identical(config, weights)
     print("\nall paged-KV checks passed (>= 2x concurrency and <= 0.5x "
-          "bytes at equal budget; batch=1 bit-identical to build_engine)")
+          "bytes at equal budget; batch=1 token-identical to build_engine)")
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "paged_kv.txt").write_text(text + "\n")
     return 0
@@ -233,7 +235,7 @@ def test_paged_kv_smoke():
     config, weights, requests, fixed_report, paged_report, footprint = \
         run_comparison()
     check_comparison(requests, fixed_report, paged_report, footprint)
-    check_batch1_bit_identical(config, weights)
+    check_batch1_token_identical(config, weights)
 
 
 if __name__ == "__main__":

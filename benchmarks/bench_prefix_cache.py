@@ -101,7 +101,7 @@ def drain_bursty(weights, requests, cache_pages):
     """
     engine = build_batched_engine(
         weights, max_batch_size=MAX_BATCH, max_seq_len=MAX_SEQ_LEN,
-        paged=True, page_size=PAGE_SIZE, n_pages=BUDGET_PAGES,
+        page_size=PAGE_SIZE, n_pages=BUDGET_PAGES,
         prefix_sharing=True, cache_pages=cache_pages,
     )
     scheduler = ContinuousBatchingScheduler(engine)

@@ -113,7 +113,7 @@ def build_uncorrelated_control(requests, vocab_size: int,
 def drain(weights, requests, n_pages, prefix_sharing, reorder_window=0):
     engine = build_batched_engine(
         weights, max_batch_size=MAX_BATCH, max_seq_len=MAX_SEQ_LEN,
-        paged=True, page_size=PAGE_SIZE, n_pages=n_pages,
+        page_size=PAGE_SIZE, n_pages=n_pages,
         prefix_sharing=prefix_sharing,
     )
     scheduler = ContinuousBatchingScheduler(
@@ -203,7 +203,7 @@ def check_batch1_bit_identical(config, weights, requests) -> None:
     reference = build_engine(weights)
     engine = build_batched_engine(
         weights, max_batch_size=1, max_seq_len=MAX_SEQ_LEN,
-        paged=True, page_size=PAGE_SIZE, prefix_sharing=True,
+        page_size=PAGE_SIZE, prefix_sharing=True,
     )
     scheduler = ContinuousBatchingScheduler(engine, reorder_window=4)
     for request in requests[:3]:

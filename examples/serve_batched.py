@@ -2,7 +2,7 @@
 
 Builds a small ReLU-fied model, submits a mixed-length request workload,
 and drains it three ways: the classic one-request-at-a-time engine, a
-batch=1 serving engine (bit-identical to the classic one), and a batched
+batch=1 serving engine (token-identical to the classic one), and a batched
 engine exploiting the cross-sequence intersection of predicted skip sets.
 Prints per-request completions and the throughput / intersection-decay
 table.
@@ -102,15 +102,16 @@ def main() -> None:
     print("\nthroughput sweep (tokens/sec, end-to-end):")
     print(format_serving_sweep(baseline, points, analytic))
 
-    # Same workload through a paged KV cache at half the fixed engine's
-    # memory budget: short requests only hold the pages they touch, so
-    # the batch still fills and the tokens are identical.
+    # Same workload at half the default KV page budget (the default
+    # covers every slot's worst case at once): short requests only hold
+    # the pages they touch, so the batch still fills and the tokens are
+    # identical.
     page_size = 16
-    fixed_pages = 4 * -(-config.max_seq_len // page_size)
+    worst_case_pages = 4 * -(-config.max_seq_len // page_size)
     paged = build_batched_engine(weights, settings, predictor=predictor,
-                                 max_batch_size=4, paged=True,
+                                 max_batch_size=4,
                                  page_size=page_size,
-                                 n_pages=fixed_pages // 2)
+                                 n_pages=worst_case_pages // 2)
     paged_scheduler = ContinuousBatchingScheduler(paged)
     for request in requests:
         paged_scheduler.submit(request)
@@ -124,7 +125,7 @@ def main() -> None:
     print(f"\npaged KV at half budget ({paged.cache.n_pages} pages of "
           f"{page_size}): peak {paged_report.peak_pages_in_use} pages in "
           f"use ({paged_report.mean_page_utilisation:.0%} mean "
-          f"utilisation), tokens identical to fixed slots: {same}")
+          f"utilisation), tokens identical to the full budget: {same}")
 
     # Few-shot style workload: every prompt carries the same solved
     # exemplars, so prefix sharing forks the resident prefix pages
@@ -140,7 +141,7 @@ def main() -> None:
         for i, s in enumerate(shots)
     ]
     sharing = build_batched_engine(weights, settings, predictor=predictor,
-                                   max_batch_size=4, paged=True,
+                                   max_batch_size=4,
                                    page_size=page_size,
                                    prefix_sharing=True)
     sharing_scheduler = ContinuousBatchingScheduler(sharing,
@@ -158,34 +159,13 @@ def main() -> None:
           f"skip {sharing_report.intersection_skip:.3f} vs skip^B "
           f"{sharing_report.expected_uncorrelated_skip:.3f}")
 
-    # Batched attention + chunked prefill: the same workload with the
-    # two hot scalar loops vectorised -- decode attention runs as one
-    # padded masked-softmax matmul per layer (length-bucketed) and
-    # prompt prefill advances in causal 16-token chunks instead of
-    # token by token.  Tokens stay identical; the report additionally
-    # carries padding-waste / bucket telemetry.
-    fast = build_batched_engine(weights, settings, predictor=predictor,
-                                max_batch_size=4, paged=True,
-                                page_size=page_size,
-                                prefix_sharing=True,
-                                batched_attention=True,
-                                prefill_chunk=16)
-    fast_scheduler = ContinuousBatchingScheduler(fast, reorder_window=4)
-    for request in shared_requests:
-        fast_scheduler.submit(request)
-    fast_report = fast_scheduler.run()
-    same_fast = all(
-        a.generated_ids == b.generated_ids
-        for a, b in zip(sorted(sharing_report.completions,
-                               key=lambda c: c.request_id),
-                        sorted(fast_report.completions,
-                               key=lambda c: c.request_id))
-    )
-    print(f"\nbatched attention + chunked prefill (prefill_chunk=16): "
-          f"{fast_report.attn_batched_steps} batched decode steps, "
-          f"{fast_report.mean_attn_buckets:.2f} length buckets/step, "
-          f"{fast_report.attn_padding_waste:.0%} padding masked off; "
-          f"tokens identical to the scalar loops: {same_fast}")
+    # Decode attention runs as one padded masked-softmax matmul per
+    # layer (length-bucketed), so the report also carries padding-waste
+    # / bucket telemetry.
+    print(f"\nbatched decode attention: "
+          f"{sharing_report.attn_batched_steps} batched decode steps, "
+          f"{sharing_report.mean_attn_buckets:.2f} length buckets/step, "
+          f"{sharing_report.attn_padding_waste:.0%} padding masked off")
 
     # Cross-request prefix cache: the same few-shot workload, but
     # *bursty* -- each request fully drains before the next arrives, so
@@ -196,7 +176,7 @@ def main() -> None:
     def drain_bursty(cache_pages):
         engine = build_batched_engine(weights, settings,
                                       predictor=predictor,
-                                      max_batch_size=4, paged=True,
+                                      max_batch_size=4,
                                       page_size=page_size,
                                       prefix_sharing=True,
                                       cache_pages=cache_pages)
@@ -244,7 +224,7 @@ def main() -> None:
         engine = build_batched_engine(weights, settings,
                                       predictor=predictor,
                                       max_batch_size=max_batch_size,
-                                      paged=True, page_size=page_size,
+                                      page_size=page_size,
                                       prefix_sharing=True, cache_pages=8,
                                       prefill_chunk=16)
         scheduler = ContinuousBatchingScheduler(
@@ -294,7 +274,7 @@ def main() -> None:
         engine = build_batched_engine(weights, settings,
                                       predictor=predictor,
                                       max_batch_size=max_batch_size,
-                                      paged=True, page_size=page_size)
+                                      page_size=page_size)
         streamed = []
         scheduler = ContinuousBatchingScheduler(
             engine,
@@ -332,7 +312,7 @@ def main() -> None:
     def drain_spec(speculation):
         engine = build_batched_engine(weights, settings,
                                       predictor=predictor,
-                                      max_batch_size=4, paged=True,
+                                      max_batch_size=4,
                                       page_size=page_size,
                                       speculation=speculation)
         scheduler = ContinuousBatchingScheduler(engine)
@@ -384,7 +364,7 @@ def main() -> None:
     def drain_traffic(admission):
         engine = build_batched_engine(weights, settings,
                                       predictor=predictor,
-                                      max_batch_size=4, paged=True,
+                                      max_batch_size=4,
                                       page_size=page_size)
         scheduler = ContinuousBatchingScheduler(engine, admission=admission)
         trace = LoadGenerator(PoissonProcess(rate=1.2), chat_factory,

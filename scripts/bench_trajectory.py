@@ -37,17 +37,6 @@ def _speculative(payload: dict) -> tuple[str, str]:
     )
 
 
-def _batched_attention(payload: dict) -> tuple[str, str]:
-    best = max(payload["decode"], key=lambda p: p["speedup"])
-    kind = "paged" if best["paged"] else "fixed"
-    prefill = payload["prefill"]
-    return (
-        f"{best['speedup']:.2f}x decode step",
-        f"batch={best['batch']} ({kind}); chunked prefill "
-        f"{prefill['speedup']:.2f}x",
-    )
-
-
 def _batched_sampling(payload: dict) -> tuple[str, str]:
     best = max(payload["kernel"]["points"], key=lambda p: p["speedup"])
     return (
@@ -102,7 +91,6 @@ def _goodput(payload: dict) -> tuple[str, str]:
 
 EXTRACTORS = {
     "speculative": _speculative,
-    "batched_attention": _batched_attention,
     "batched_sampling": _batched_sampling,
     "interleaved_prefill": _interleaved_prefill,
     "prefix_cache": _prefix_cache,

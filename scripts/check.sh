@@ -29,13 +29,11 @@ if [ "$#" -eq 0 ]; then
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.analysis
 fi
 # Slow smokes of the paged-KV benchmark (equal-budget >= 2x concurrency
-# and batch=1 bit-identity), the prefix-sharing benchmark (>= 1.5x
+# and batch=1 token-identity), the prefix-sharing benchmark (>= 1.5x
 # concurrency from forked admission, intersection decays slower than
 # skip^B), the prefix-cache benchmark (>= 50% of prompt tokens revived
 # on bursty non-overlapping traffic, tokens identical to cold prefill),
-# the batched-attention benchmark (best-point decode-step win,
-# >= 2x chunked-prefill win, tokens identical), the
-# interleaved-prefill benchmark (budgeted ticks bound the worst tick
+# the interleaved-prefill benchmark (budgeted ticks bound the worst tick
 # feed to step_budget and shave the residents' max inter-token stall,
 # tokens identical to inline prefill), and the batched-sampling
 # benchmark (one vectorised sampler call beats the per-row scalar loop
@@ -52,7 +50,6 @@ if [ "${CHECK_SLOW:-0}" = "1" ]; then
         -m slow -p no:cacheprovider benchmarks/bench_paged_kv.py \
         benchmarks/bench_prefix_sharing.py \
         benchmarks/bench_prefix_cache.py \
-        benchmarks/bench_batched_attention.py \
         benchmarks/bench_interleaved_prefill.py \
         benchmarks/bench_batched_sampling.py \
         benchmarks/bench_speculative.py \

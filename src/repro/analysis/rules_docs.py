@@ -2,7 +2,7 @@
 
 Successor to the fragile heredoc that used to live in
 ``scripts/check.sh``: every parameter of
-``repro.core.engine.build_batched_engine`` and of
+``repro.serving.engine.BatchedEngine.__init__`` and of
 ``repro.serving.scheduler.ContinuousBatchingScheduler.__init__`` must
 appear backticked in the ``docs/serving.md`` knob tables, so a knob
 added (or renamed) without documentation fails the tier-1 gate.
@@ -23,7 +23,7 @@ DOCS_PATH = "docs/serving.md"
 
 #: (relpath, qualname) signatures whose parameters the docs must cover.
 KNOB_SOURCES: Tuple[Tuple[str, str], ...] = (
-    ("src/repro/core/engine.py", "build_batched_engine"),
+    ("src/repro/serving/engine.py", "BatchedEngine.__init__"),
     ("src/repro/serving/scheduler.py",
      "ContinuousBatchingScheduler.__init__"),
 )
@@ -60,7 +60,7 @@ class DocsKnobsRule(Rule):
 
     rule_id = "docs-knobs"
     description = (
-        "every build_batched_engine and ContinuousBatchingScheduler "
+        "every BatchedEngine and ContinuousBatchingScheduler "
         "knob must appear in the docs/serving.md knob tables"
     )
 

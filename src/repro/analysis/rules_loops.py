@@ -15,10 +15,10 @@ trivial bookkeeping (currently just ``slot.advance()``).  List/set/dict
 comprehensions are not flagged: they build per-sequence *metadata*
 (slot lists, rope tables), not per-sequence model compute.
 
-Intentional scalar loops stay, visibly: the bit-identity contract paths
-(token-by-token prefill, the ``attend_single`` fallback) carry inline
-``# repro: ignore[scalar-loop]`` markers, and accepted-but-unfixed
-loops live in the baseline with a justification.
+Intentional scalar loops stay, visibly: they carry inline
+``# repro: ignore[scalar-loop]`` markers (today only the scheduler's
+ragged verify loop), and accepted-but-unfixed loops would live in the
+baseline with a justification (today there are none).
 """
 
 from __future__ import annotations
@@ -36,18 +36,22 @@ HOT_FUNCTIONS: Dict[Tuple[str, str], FrozenSet[str]] = {
         frozenset({"slots", "token_ids"}),
     ("src/repro/serving/engine.py", "BatchedEngine.prefill"):
         frozenset({"prompt_ids"}),
+    # The one layer loop and its two attention strategies: rows are a
+    # chunk of one slot's positions (`_forward_chunk`: prefill, verify)
+    # or one token per slot (`_forward_batch`: decode, draft).  A `for`
+    # statement over these identifiers would mean per-token or
+    # per-sequence model compute crept back in.
+    ("src/repro/serving/engine.py", "BatchedEngine._forward_rows"):
+        frozenset({"token_ids", "x"}),
     ("src/repro/serving/engine.py", "BatchedEngine._forward_chunk"):
         frozenset({"token_ids", "n_tokens"}),
-    # Speculative self-drafting (PR 9): the shared decode body, the
-    # aggressive-alpha draft step, the chunked verify pass, and the
-    # scheduler's draft/verify driver must all stay batched -- a `for`
-    # statement over these identifiers would mean per-sequence model
-    # compute crept back into the speculation hot path.  KV rollback
-    # (`truncate`) is page-table bookkeeping; looping it per position
-    # or per dropped page with real work would defeat its O(pages)
-    # contract.
     ("src/repro/serving/engine.py", "BatchedEngine._forward_batch"):
         frozenset({"slots", "token_ids"}),
+    # Speculative self-drafting (PR 9): the aggressive-alpha draft
+    # step, the chunked verify pass, and the scheduler's draft/verify
+    # driver must all stay batched.  KV rollback (`truncate`) is
+    # page-table bookkeeping; looping it per position or per dropped
+    # page with real work would defeat its O(pages) contract.
     ("src/repro/serving/engine.py", "BatchedEngine.draft_step"):
         frozenset({"slots", "token_ids"}),
     ("src/repro/serving/engine.py", "BatchedEngine.verify_chunk"):

@@ -47,8 +47,8 @@ ACQUIRE_METHODS = frozenset({
 RELEASE_METHODS = frozenset({"release", "release_slot"})
 #: Engine/model entry points assumed to raise (shape/validation errors).
 COMPUTE_METHODS = frozenset({
-    "prefill", "decode_step", "generate", "_forward_single",
-    "_forward_chunk",
+    "prefill", "decode_step", "generate", "_forward_chunk",
+    "_forward_batch",
 })
 DEFAULT_SCOPE = ("src/repro/serving/",)
 

@@ -93,65 +93,20 @@ def build_batched_engine(
     weights: ModelWeights,
     settings: Optional[SparseInferSettings] = None,
     predictor: Optional[SparseInferPredictor] = None,
-    max_batch_size: int = 8,
-    max_seq_len: int = 0,
-    paged: bool = False,
-    page_size: int = 16,
-    n_pages: int = 0,
-    prefix_sharing: bool = False,
-    cache_pages: int = 0,
-    batched_attention: bool = False,
-    attn_bucket_min_fill: float = 0.5,
-    prefill_chunk: int = 0,
-    sampling=None,
-    speculation=None,
+    **engine_knobs,
 ):
     """A serving-grade batched SparseInfer engine.
 
-    Same knobs as :func:`build_engine` plus the slot pool size and the
-    paged-KV geometry (``paged=True`` backs the slots with a shared
-    page arena -- see :mod:`repro.model.paged_kvcache`; ``n_pages``
-    caps the total KV memory budget; ``prefix_sharing=True`` lets
-    admissions fork a resident sequence's refcounted pages instead of
-    re-prefilling a shared prompt prefix, and ``cache_pages > 0``
-    additionally keeps up to that many *retired* prompt-prefix pages in
-    an LRU :class:`~repro.model.paged_kvcache.PrefixCache` so bursty
-    same-prefix traffic whose requests never overlap in time can still
-    revive them -- cached pages stay reclaimable, so reservations and
-    admission guarantees are unchanged).  ``batched_attention=True``
-    computes decode attention once for the whole batch (padded K/V
-    stack + length mask, bucketed by ``attn_bucket_min_fill`` -- see
-    :mod:`repro.model.batch_attention`), and ``prefill_chunk > 0``
-    vectorises prompt prefill into causal chunks of that many tokens;
-    both are token-identical to the scalar loops they replace.
-    ``sampling`` sets the engine-default
-    :class:`~repro.model.sampler.SamplerConfig` for requests that carry
-    no per-request config (``None`` = greedy argmax, the pre-sampling
-    behaviour), and ``speculation`` the engine-default
-    :class:`~repro.serving.speculative.SpecConfig` for speculative
-    self-drafting (``None`` = plain decode; the scheduler can still
-    enable speculation on its own).  Returns
-    a :class:`repro.serving.engine.BatchedEngine`: per-sequence KV
-    slots, dense per-sequence prefill, batched sparse decode exploiting
-    the cross-sequence intersection of predicted skip sets (imported
-    lazily -- :mod:`repro.serving` builds on this module).
+    Returns a :class:`repro.serving.engine.BatchedEngine` (imported
+    lazily -- :mod:`repro.serving` builds on this module): paged
+    per-sequence KV slots, chunked dense prefill, batched sparse decode
+    exploiting the cross-sequence intersection of predicted skip sets.
+    ``engine_knobs`` are passed through to its constructor, which
+    documents them (and raises ``TypeError`` for an unknown one); the
+    knob table is in ``docs/serving.md``.
     """
     from ..serving.engine import BatchedEngine
 
     return BatchedEngine(
-        weights,
-        settings=settings,
-        predictor=predictor,
-        max_batch_size=max_batch_size,
-        max_seq_len=max_seq_len,
-        paged=paged,
-        page_size=page_size,
-        n_pages=n_pages,
-        prefix_sharing=prefix_sharing,
-        cache_pages=cache_pages,
-        batched_attention=batched_attention,
-        attn_bucket_min_fill=attn_bucket_min_fill,
-        prefill_chunk=prefill_chunk,
-        sampling=sampling,
-        speculation=speculation,
+        weights, settings=settings, predictor=predictor, **engine_knobs
     )

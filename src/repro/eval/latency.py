@@ -36,6 +36,7 @@ from ..gpu.pipeline import (
 )
 from ..model.config import ModelConfig
 from ..model.synthetic import SyntheticActivationModel
+from ..serving.engine import DEFAULT_PREFILL_CHUNK
 
 POWERINFER_REALIZED_SKIP = 0.84
 PAPER_ALPHA_GRID = (1.00, 1.01, 1.02, 1.03)
@@ -190,9 +191,9 @@ class ServingMeasurement:
     revived_tokens: int = 0
     cache_evictions: int = 0
     peak_occupancy: int = 0
-    # Non-zero only when the engine ran batched_attention=True: the
-    # fraction of gathered K/V cells the length masks discarded, and
-    # the mean length-bucket count per batched decode step.
+    # Non-zero once a decode step ran at batch > 1: the fraction of
+    # gathered K/V cells the length masks discarded, and the mean
+    # length-bucket count per batched decode step.
     attn_padding_waste: float = 0.0
     mean_attn_buckets: float = 0.0
     # Budgeted-tick / preemption telemetry (scheduler step_budget /
@@ -273,15 +274,12 @@ def measure_batched_serving(
     max_batch_size: int,
     settings=None,
     predictor=None,
-    paged: bool = False,
     page_size: int = 16,
     n_pages: int = 0,
     prefix_sharing: bool = False,
     cache_pages: int = 0,
     reorder_window: int = 0,
-    batched_attention: bool = False,
-    attn_bucket_min_fill: float = 0.5,
-    prefill_chunk: int = 0,
+    prefill_chunk: int = DEFAULT_PREFILL_CHUNK,
     step_budget: int = 0,
     preemption: bool = False,
     sampling=None,
@@ -293,9 +291,9 @@ def measure_batched_serving(
 
     ``requests`` is a sequence of :class:`repro.serving.Request`; a fresh
     engine/scheduler pair is built per call so measurements are
-    independent.  The paged/prefix-sharing/batched-attention/chunked-
-    prefill knobs mirror :func:`repro.core.engine.build_batched_engine`
-    and the scheduler's ``reorder_window`` (correlation-aware
+    independent.  The page-geometry/prefix-sharing/prefill-chunk knobs
+    mirror :class:`repro.serving.engine.BatchedEngine` and the
+    scheduler's ``reorder_window`` (correlation-aware
     admission), ``step_budget`` (per-tick prefill piggybacking) and
     ``preemption`` (priority eviction) knobs.  ``sampling`` sets the
     engine-default :class:`repro.model.sampler.SamplerConfig` for
@@ -311,10 +309,8 @@ def measure_batched_serving(
     engine = build_batched_engine(
         weights, settings=settings, predictor=predictor,
         max_batch_size=max_batch_size,
-        paged=paged, page_size=page_size, n_pages=n_pages,
+        page_size=page_size, n_pages=n_pages,
         prefix_sharing=prefix_sharing, cache_pages=cache_pages,
-        batched_attention=batched_attention,
-        attn_bucket_min_fill=attn_bucket_min_fill,
         prefill_chunk=prefill_chunk,
         sampling=sampling,
         speculation=speculation,
@@ -333,9 +329,7 @@ def measure_batched_serving(
         label += "+prefix"
     if cache_pages:
         label += f"+cache{cache_pages}"
-    if batched_attention:
-        label += "+battn"
-    if prefill_chunk:
+    if prefill_chunk != DEFAULT_PREFILL_CHUNK:
         label += f"+chunk{prefill_chunk}"
     if step_budget:
         label += f"+budget{step_budget}"

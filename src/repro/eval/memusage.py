@@ -71,10 +71,11 @@ def format_comparison(cmp: PredictorMemoryComparison) -> str:
 
 def fixed_slot_kv_bytes(config: ModelConfig, n_slots: int,
                         max_seq_len: int = 0) -> float:
-    """Resident KV bytes of a fixed :class:`BatchedKVCache` pool.
+    """Resident KV bytes of a fixed pool: one full slot per sequence.
 
     Every slot holds the full ``max_seq_len`` regardless of what its
-    request uses, so the footprint scales with the worst case.
+    request uses, so the footprint scales with the worst case -- the
+    baseline the paged arena is compared against.
     """
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1, got {n_slots}")

@@ -9,7 +9,7 @@ from .config import (
 )
 from .batch_attention import AttentionTelemetry, BatchedAttention, length_buckets
 from .inference import InferenceModel, MLPTrace
-from .kvcache import BatchedKVCache, KVCache
+from .kvcache import KVCache
 from .mlp import DenseMLP, MLPStats
 from .paged_kvcache import (
     PagedKVCache,

@@ -1,9 +1,7 @@
 """Batched decode attention: pad-and-stack K/V with length masking.
 
-:func:`~repro.model.inference.attend_single` is exact but scalar -- the
-serving engine used to call it ``B x n_layers`` times per decode step.
-This module computes the same attention for a whole decode batch at
-once:
+:func:`~repro.model.inference.attend_single` is exact but scalar; this
+module computes the same attention for a whole decode batch at once:
 
 1. RoPE is applied to the step's ``(B, d)`` Q/K projections in one shot,
    with per-position ``(cos, sin)`` tables drawn from the shared memo
@@ -25,14 +23,13 @@ sharing makes equal-length groups common, so bucketing is usually
 free).  Singleton buckets fall back to :func:`attend_single`, which
 keeps its zero-copy / contiguous-run view paths.
 
-Numerics: the batched einsums may round differently from the scalar
+Numerics: the batched matmuls may round differently from the scalar
 GEMVs, so batch > 1 output is *token-identical*, not bit-identical, to
-the per-sequence loop -- same contract as the batched MLP.  The engine
-keeps batch = 1 on the scalar path, which stays bit-identical to
-:func:`repro.core.engine.build_engine`.  These guarantees hold across
-the whole fixed / paged / prefix-shared / prefix-cached KV matrix --
-see ``docs/serving.md`` for the architecture walkthrough and the full
-knob / telemetry reference.
+:func:`repro.core.engine.build_engine` -- same contract as the batched
+MLP.  The engine dispatches batch = 1 to the scalar path, which stays
+bit-identical.  These guarantees hold with and without prefix sharing
+and the prefix cache -- see ``docs/serving.md`` for the architecture
+walkthrough and the full knob / telemetry reference.
 """
 
 from __future__ import annotations
@@ -244,9 +241,8 @@ class BatchedAttention:
     The engine calls :meth:`plan_step` once per decode step (bucketing,
     RoPE/mask precompute, telemetry) and the returned
     :class:`StepPlan`'s ``attend_layer`` once per layer.  ``cache`` is
-    anything with a ``view_batch(slots, lengths)`` method --
-    :class:`~repro.model.kvcache.BatchedKVCache` or
-    :class:`~repro.model.paged_kvcache.PagedKVCache`.
+    the :class:`~repro.model.paged_kvcache.PagedKVCache` the slots
+    belong to (its ``view_batch(slots, lengths)`` builds the gather).
     """
 
     def __init__(self, config: ModelConfig,

@@ -39,8 +39,8 @@ def attend_single(
 
     ``q``/``k``/``v`` are the raw ``(d_model,)`` projections; ``cache`` is
     anything with the :class:`~repro.model.kvcache.KVCache` interface (a
-    standalone cache or one :class:`~repro.model.kvcache.KVSlot` of a
-    serving batch).  Returns the pre-``Wo`` context vector.  Both the
+    standalone cache or one
+    :class:`~repro.model.paged_kvcache.PagedKVSlot` of a serving batch).  Returns the pre-``Wo`` context vector.  Both the
     single-sequence and the batched engines funnel through this function,
     which is what makes their outputs bit-identical.
 

@@ -1,13 +1,12 @@
-"""Per-layer key/value caches for autoregressive decoding.
+"""Per-layer key/value cache for single-sequence decoding.
 
-:class:`KVCache` backs single-sequence decoding.  :class:`BatchedKVCache`
-pre-allocates a fixed number of per-sequence *slots* for the serving
-engine: each admitted request owns one slot for its lifetime, and slots
-are recycled as requests finish (continuous batching).  A :class:`KVSlot`
-exposes the same ``append``/``view``/``advance`` interface as
-:class:`KVCache`, so attention code is agnostic to which one it runs on.
-:mod:`repro.model.paged_kvcache` provides a page-granular drop-in for
-:class:`BatchedKVCache` when slots must share a memory budget.
+:class:`KVCache` backs :class:`~repro.model.inference.InferenceModel`,
+the scalar engine the serving stack is tested against.  The serving
+engine's one KV store is the page arena of
+:mod:`repro.model.paged_kvcache`, whose
+:class:`~repro.model.paged_kvcache.PagedKVSlot` exposes the same
+``append``/``view``/``advance`` interface, so
+:func:`~repro.model.inference.attend_single` runs on either.
 """
 
 from __future__ import annotations
@@ -54,174 +53,3 @@ class KVCache:
 
     def reset(self) -> None:
         self.length = 0
-
-
-class KVSlot:
-    """One sequence's K/V storage inside a :class:`BatchedKVCache`.
-
-    Presents the :class:`KVCache` interface over views into the pooled
-    arrays, so the single-token attention path runs unchanged whether it
-    decodes a standalone sequence or one slot of a serving batch.
-    """
-
-    def __init__(self, pool: "BatchedKVCache", index: int):
-        self._pool = pool
-        self.index = index
-        self.keys = pool.keys[index]      # (n_layers, max_seq, d_model) view
-        self.values = pool.values[index]
-        self.length = 0
-
-    @property
-    def max_seq_len(self) -> int:
-        return self._pool.max_seq_len
-
-    def append(self, layer: int, k: np.ndarray, v: np.ndarray,
-               position: int) -> None:
-        if position >= self.max_seq_len:
-            raise ValueError(
-                f"position {position} exceeds slot capacity {self.max_seq_len}"
-            )
-        self.keys[layer, position] = k
-        self.values[layer, position] = v
-
-    def view(self, layer: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.keys[layer, :length], self.values[layer, :length]
-
-    def advance(self) -> None:
-        self.length += 1
-        if self.length > self.max_seq_len:
-            raise ValueError("KV slot overflow")
-
-    def truncate(self, n_positions: int) -> None:
-        """Roll the slot back to ``n_positions`` filled positions.
-
-        Speculative decoding appends draft-quality K/V past the committed
-        length and rewinds on rejection.  Fixed slots keep their arena
-        contents; re-appending simply overwrites the stale tail.
-        """
-        if not 0 <= n_positions <= self.length:
-            raise ValueError(
-                f"cannot truncate slot of length {self.length} "
-                f"to {n_positions}"
-            )
-        self.length = n_positions
-
-    def reset(self) -> None:
-        self.length = 0
-
-
-class FixedBatchView:
-    """Padded batched K/V gather over a :class:`BatchedKVCache`.
-
-    ``gather(layer)`` returns ``(keys, values)`` of shape
-    ``(B, l_max, d_model)`` -- each row is one slot's K/V, rows shorter
-    than ``l_max`` padded with whatever the arena holds past their
-    length (callers mask by :attr:`lengths`).  When the batch occupies
-    a consecutive run of slot indices (the common case: allocation
-    always pops the lowest free index) the gather is a **zero-copy
-    basic slice** of the pooled array; scattered slots fall back to one
-    fancy index on the slot axis.
-    """
-
-    def __init__(self, cache: "BatchedKVCache", slots, lengths):
-        self._cache = cache
-        indices = [slot.index for slot in slots]
-        self._indices = np.asarray(indices)
-        self.lengths = np.asarray(lengths)
-        self.l_max = int(self.lengths.max())
-        self._run_start = None
-        if indices == list(range(indices[0], indices[0] + len(indices))):
-            self._run_start = indices[0]
-
-    def gather(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        cache, l_max = self._cache, self.l_max
-        if self._run_start is not None:
-            start = self._run_start
-            stop = start + len(self._indices)
-            return (cache.keys[start:stop, layer, :l_max],
-                    cache.values[start:stop, layer, :l_max])
-        idx = self._indices
-        return (cache.keys[idx, layer, :l_max],
-                cache.values[idx, layer, :l_max])
-
-
-class BatchedKVCache:
-    """Fixed pool of per-sequence KV slots for batched decoding.
-
-    Storage is ``(n_slots, n_layers, max_seq, d_model)``; one slot is one
-    sequence's cache.  ``allocate``/``release`` recycle slots as the
-    scheduler admits and retires requests.
-    """
-
-    def __init__(self, config: ModelConfig, n_slots: int,
-                 max_seq_len: int = 0):
-        if n_slots < 1:
-            raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-        self.config = config
-        self.n_slots = n_slots
-        self.max_seq_len = max_seq_len or config.max_seq_len
-        shape = (n_slots, config.n_layers, self.max_seq_len, config.d_model)
-        self.keys = np.zeros(shape, dtype=np.float32)
-        self.values = np.zeros(shape, dtype=np.float32)
-        self._slots = [KVSlot(self, i) for i in range(n_slots)]
-        self._free = list(range(n_slots - 1, -1, -1))   # pop() -> lowest index
-        self._free_set = set(range(n_slots))            # O(1) membership
-
-    @property
-    def n_free(self) -> int:
-        return len(self._free)
-
-    @property
-    def max_request_positions(self) -> int:
-        """Longest sequence any single request could ever store."""
-        return self.max_seq_len
-
-    @property
-    def n_shared_pages(self) -> int:
-        """Interface parity with :class:`PagedKVCache`: fixed slots are
-        exclusively owned, so nothing is ever shared."""
-        return 0
-
-    @property
-    def kv_bytes(self) -> int:
-        """Resident bytes of both arrays (the fixed engine's KV footprint)."""
-        return self.keys.nbytes + self.values.nbytes
-
-    def can_admit(self, n_positions: int) -> bool:
-        """Whether a worst-case ``n_positions`` request fits right now.
-
-        Fixed slots hold ``max_seq_len`` positions regardless of the
-        request, so a free slot is the only requirement (size limits are
-        the caller's capacity check).
-        """
-        return bool(self._free)
-
-    def view_batch(self, slots, lengths) -> FixedBatchView:
-        """Padded ``(B, l_max, d_model)`` K/V gather for a decode batch."""
-        return FixedBatchView(self, slots, lengths)
-
-    def allocate(self, max_positions: int = 0) -> KVSlot:
-        """Claim a free slot (reset to length 0).
-
-        ``max_positions`` is accepted for interface parity with
-        :class:`~repro.model.paged_kvcache.PagedKVCache`; a fixed slot
-        always holds the full ``max_seq_len``, so there is nothing to
-        reserve.
-        """
-        if not self._free:
-            raise RuntimeError("no free KV slots")
-        index = self._free.pop()
-        self._free_set.discard(index)
-        slot = self._slots[index]
-        slot.reset()
-        return slot
-
-    def release(self, slot: KVSlot) -> None:
-        """Return a slot to the free pool (O(1) double-release check)."""
-        if slot._pool is not self:
-            raise ValueError("slot belongs to a different cache")
-        if slot.index in self._free_set:
-            raise ValueError(f"slot {slot.index} released twice")
-        slot.reset()
-        self._free.append(slot.index)
-        self._free_set.add(slot.index)

@@ -1,10 +1,12 @@
 """Page-granular KV cache for the serving engine (vLLM-style paging).
 
-The fixed :class:`~repro.model.kvcache.BatchedKVCache` pre-allocates a
-full ``max_seq_len x n_layers x d_model`` array per slot, so a 10-token
-request holds the same memory as the longest request the engine accepts
-and the concurrent-sequence ceiling is ``budget / worst_case``.  This
-module replaces that with a shared page arena:
+The serving engine's one KV store.  A fixed per-slot store would hold a
+full ``max_seq_len x n_layers x d_model`` array per sequence, so a
+10-token request would cost the same memory as the longest request the
+engine accepts and the concurrent-sequence ceiling would be
+``budget / worst_case`` (that store is this one's degenerate geometry,
+``page_size=max_seq_len, n_pages=n_slots``).  This module shares a page
+arena instead:
 
 * :class:`PagePool` owns the storage -- two ``(n_pages, n_layers,
   page_size, d_model)`` arenas (keys and values) plus a free-page stack.
@@ -24,8 +26,8 @@ module replaces that with a shared page arena:
   zero-copy arena view; a page table that happens to be one consecutive
   arena run is rebuilt with a basic slice + reshape (no index array);
   scattered pages use a fancy-index gather.  All three produce the same
-  float values, so attention output -- and therefore decode output -- is
-  bit-identical to the fixed-slot cache.
+  float values, so attention output -- and therefore decode output --
+  does not depend on how a sequence's pages are laid out.
 
 Admission safety uses **worst-case reservation**: the scheduler reserves
 ``ceil(needed_positions / page_size)`` pages when it admits a request
@@ -92,15 +94,16 @@ prefixes alive:
   bit-identical to no cache at all.  The pool-level invariant becomes
   ``free + in_use + cached == n_pages``.
 
-Every path preserves the serving engine's equivalence guarantees: decode
-at batch 1 over this cache is **bit-identical** to the fixed-slot cache
-and to ``build_engine``; batch > 1 is **token-identical** (see
-``docs/serving.md`` for the architecture walkthrough and the full knob /
-telemetry reference).
+Every path preserves the serving engine's equivalence guarantees: a
+batch-1 decode step over this cache is **bit-identical** to
+``build_engine``'s on the same KV contents, and served tokens are
+**identical** at any batch size (see ``docs/serving.md`` for the
+architecture walkthrough and the full knob / telemetry reference).
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -484,11 +487,11 @@ class PrefixCache:
 class PagedKVSlot:
     """One sequence's K/V storage: a page table over a :class:`PagePool`.
 
-    Exposes the same ``append`` / ``view`` / ``advance`` / ``reset``
-    interface as :class:`~repro.model.kvcache.KVSlot`, so
-    :func:`repro.model.inference.attend_single` and the batched engine
-    run unchanged on either cache.  Pages are claimed lazily: the table
-    grows the first time ``append`` touches a position in a new page.
+    Exposes the ``append`` / ``view`` / ``advance`` / ``reset``
+    interface of :class:`~repro.model.kvcache.KVCache`, so
+    :func:`repro.model.inference.attend_single` runs unchanged on one
+    slot of a serving batch.  Pages are claimed lazily: the table
+    grows the first time a write touches a position in a new page.
     """
 
     def __init__(self, pool: PagePool, index: int, max_seq_len: int):
@@ -546,21 +549,54 @@ class PagedKVSlot:
         self.generation += 1
         return new
 
+    def _writable_page(self, table_index: int) -> int:
+        """The exclusively-owned arena page behind ``table_index``.
+
+        Claims pages up to ``table_index`` and breaks sharing
+        (copy-on-write) first, so the caller may write into it.
+        """
+        self._ensure_page(table_index)
+        page = self.page_table[table_index]
+        if self._pool._refcount[page] > 1:
+            page = self._materialise_page(table_index)
+        return page
+
     def append(self, layer: int, k: np.ndarray, v: np.ndarray,
                position: int) -> None:
         if position >= self.max_seq_len:
             raise ValueError(
                 f"position {position} exceeds slot capacity {self.max_seq_len}"
             )
-        page_size = self._pool.page_size
-        table_index = position // page_size
-        self._ensure_page(table_index)
-        page = self.page_table[table_index]
-        if self._pool._refcount[page] > 1:
-            page = self._materialise_page(table_index)
-        offset = position % page_size
+        table_index, offset = divmod(position, self._pool.page_size)
+        page = self._writable_page(table_index)
         self._pool.keys[page, layer, offset] = k
         self._pool.values[page, layer, offset] = v
+
+    def append_rows(self, layer: int, k_rows: np.ndarray,
+                    v_rows: np.ndarray, start: int) -> None:
+        """Store ``(T, d_model)`` K/V rows at positions ``start..start+T``.
+
+        The block form of :meth:`append` for chunked prefill / verify:
+        one page claim, copy-on-write check and slice assignment per
+        *page* touched rather than per position.
+        """
+        n_rows = len(k_rows)
+        if start + n_rows > self.max_seq_len:
+            raise ValueError(
+                f"position {start + n_rows - 1} exceeds slot capacity "
+                f"{self.max_seq_len}"
+            )
+        page_size = self._pool.page_size
+        row = 0
+        while row < n_rows:
+            table_index, offset = divmod(start + row, page_size)
+            n = min(page_size - offset, n_rows - row)
+            page = self._writable_page(table_index)
+            self._pool.keys[page, layer, offset:offset + n] = \
+                k_rows[row:row + n]
+            self._pool.values[page, layer, offset:offset + n] = \
+                v_rows[row:row + n]
+            row += n
 
     def view(self, layer: int, length: int) -> tuple[np.ndarray, np.ndarray]:
         """K/V for the first ``length`` positions of ``layer``.
@@ -593,8 +629,9 @@ class PagedKVSlot:
         return (keys.reshape(n_pages * page_size, d_model)[:length],
                 values.reshape(n_pages * page_size, d_model)[:length])
 
-    def advance(self) -> None:
-        self.length += 1
+    def advance(self, n: int = 1) -> None:
+        """Mark ``n`` more positions as filled (after all layers appended)."""
+        self.length += n
         if self.length > self.max_seq_len:
             raise ValueError("KV slot overflow")
 
@@ -736,11 +773,11 @@ class PagedBatchView:
 
 
 class PagedKVCache:
-    """Drop-in paged replacement for :class:`~repro.model.kvcache.BatchedKVCache`.
+    """The serving engine's KV store: slot handles over one page arena.
 
-    Same ``allocate`` / ``release`` / ``n_free`` surface over a fixed set
-    of slot handles, but storage comes from a shared :class:`PagePool`
-    sized by ``n_pages`` (default: the fixed cache's worst case,
+    ``allocate`` / ``release`` / ``n_free`` manage a fixed set of slot
+    handles; storage comes from a shared :class:`PagePool` sized by
+    ``n_pages`` (default: every slot's worst case at once,
     ``n_slots * ceil(max_seq_len / page_size)``).  Pass a smaller
     ``n_pages`` to run under a memory budget: short sequences then leave
     pages for extra concurrent sequences instead of padding out unused
@@ -763,7 +800,12 @@ class PagedKVCache:
         self.prefix_cache = (
             PrefixCache(self.pool, cache_pages) if cache_pages else None
         )
-        self.pool.prefix_cache = self.prefix_cache
+        if self.prefix_cache is not None:
+            # Weak back-reference (the pool only needs it to evict on
+            # demand): a strong one closes a pool <-> cache cycle that
+            # keeps both K/V arenas of a dropped cache alive until the
+            # next full garbage collection.
+            self.pool.prefix_cache = weakref.proxy(self.prefix_cache)
         self._slots = [PagedKVSlot(self.pool, i, self.max_seq_len)
                        for i in range(n_slots)]
         self._free = list(range(n_slots - 1, -1, -1))   # pop() -> lowest index

@@ -24,10 +24,9 @@ Pieces:
   sign-pack + popcount pass predicts all sequences, rows outside the
   intersection run as a batched GEMM, and per-sequence masks re-zero rows
   a sequence predicted sparse so outputs match single-sequence decode.
-* :mod:`repro.serving.engine`   -- :class:`BatchedEngine` over per-request
-  KV slots: fixed arrays (:class:`repro.model.kvcache.BatchedKVCache`)
-  or, with ``paged=True``, a shared page arena
-  (:class:`repro.model.paged_kvcache.PagedKVCache`) where short requests
+* :mod:`repro.serving.engine`   -- :class:`BatchedEngine`: one layer
+  loop over per-request KV slots of a shared page arena
+  (:class:`repro.model.paged_kvcache.PagedKVCache`), where short requests
   hold only the pages they touch and admission is gated on worst-case
   page demand.
 * :mod:`repro.model.sampler` (re-exported here) -- per-request decode
@@ -38,7 +37,7 @@ Pieces:
   drawing from per-request RNG streams keyed by ``(seed, request_id)``
   so tokens reproduce regardless of batch composition or preemption.
 * :mod:`repro.serving.scheduler` -- continuous batching: admit from the
-  queue the moment a slot (and, when paged, its pages) frees, retire
+  queue the moment a slot (and its worst-case pages) frees, retire
   finished sequences, never starve.  With ``prefix_sharing=True`` on the
   engine and a ``reorder_window`` on the scheduler, admission prefers
   queued requests sharing a live prompt prefix: they are forked onto the

@@ -1,22 +1,29 @@
-"""The batched decode engine: per-slot prefill + batched sparse decode.
+"""The batched decode engine: chunked prefill + batched sparse decode.
 
-Mirrors :class:`repro.model.inference.InferenceModel` over a pool of KV
-slots.  Prefill runs per sequence with the dense executor (sparsity is a
-decode-phase optimisation, paper Section V-C); decode steps run all
-active sequences at once -- batched RMSNorm/QKV/output projections and
-the batch-aware sparse MLP, with only the cached-attention inner step
-looping per sequence (each slot has its own length and positions).
+Mirrors :class:`repro.model.inference.InferenceModel` over a pool of
+paged KV slots (:class:`repro.model.paged_kvcache.PagedKVCache`, the one
+serving store).  There is **one** transformer layer loop,
+:meth:`BatchedEngine._forward_rows`, over ``(rows, d)`` activations; its
+callers differ only in what the rows are and which attention strategy
+and row-MLP they hand it:
 
-Every per-sequence op funnels through the same helpers as the
-single-sequence engine (:func:`repro.model.inference.attend_single`,
-:meth:`repro.core.sparse_mlp.SparseInferMLP.run_with_skip`), and this
-BLAS computes ``x @ W`` and ``(x[None] @ W)[0]`` identically, so a batch
-of one is bit-identical to :func:`repro.core.engine.build_engine` output.
+* :meth:`~BatchedEngine.prefill` / :meth:`~BatchedEngine.verify_chunk`
+  -- rows are consecutive positions of *one* slot, attended causally
+  against that slot's cache.  Prefill runs the dense executor (sparsity
+  is a decode-phase optimisation, paper Section V-C); verify runs the
+  serving-alpha sparse executor.
+* :meth:`~BatchedEngine.decode_step` / :meth:`~BatchedEngine.draft_step`
+  -- rows are the next token of *each* slot, attended through the
+  length-bucketed :class:`~repro.model.batch_attention.BatchedAttention`
+  and the batch-aware sparse MLP.  A batch of one is dispatched to the
+  scalar :func:`~repro.model.inference.forward_token_single` instead
+  (measurably faster at that size, and what makes it bit-identical to
+  the single-sequence engine).
 
-With ``paged=True`` and ``prefix_sharing=True`` the engine additionally
-keeps a :class:`PrefixIndex` over resident sequences' prompts: a new
-request whose prompt shares a prefix with a resident one can be admitted
-by **forking** the donor's KV pages
+With ``prefix_sharing=True`` the engine additionally keeps a
+:class:`PrefixIndex` over resident sequences' prompts: a new request
+whose prompt shares a prefix with a resident one can be admitted by
+**forking** the donor's KV pages
 (:meth:`repro.model.paged_kvcache.PagedKVCache.fork`) instead of
 re-running prefill over the shared positions.  Causal attention makes the
 shared positions' K/V a pure function of the shared tokens, so the forked
@@ -32,13 +39,13 @@ can *revive* them -- re-pin the pages into its slot and prefill only the
 suffix.  Admission lookup order is resident-donor fork -> prefix-cache
 revive -> cold prefill.
 
-Equivalence guarantees (unchanged by every knob above): a batch of one
-decodes **bit-identical** to :func:`repro.core.engine.build_engine`, and
-batch > 1 / chunked prefill are **token-identical** across the
-fixed/paged/prefix-shared/prefix-cached cache matrix.  See
-``docs/serving.md`` for the architecture walkthrough, the full
-``build_batched_engine`` knob table, and the ``ServeReport`` telemetry
-glossary.
+Equivalence guarantees (unchanged by every knob above): served tokens
+are identical to :func:`repro.core.engine.build_engine` ``.generate`` at
+any batch size; a batch-1 :meth:`~BatchedEngine.decode_step` is
+**bit-identical** to ``forward_token`` given the same KV contents;
+prefill logits agree to ``rtol=1e-5`` (chunked-GEMM rounding).  See
+``docs/serving.md`` for the architecture walkthrough, the full knob
+table, and the ``ServeReport`` telemetry glossary.
 """
 
 from __future__ import annotations
@@ -50,16 +57,12 @@ import numpy as np
 from ..core.alpha import AlphaSchedule
 from ..core.engine import SparseInferSettings
 from ..core.predictor import SparseInferPredictor
-from ..model.batch_attention import (
-    DEFAULT_BUCKET_MIN_FILL,
-    AttentionTelemetry,
-    BatchedAttention,
-)
-from ..model.inference import attend_single, forward_token_single
-from ..model.kvcache import BatchedKVCache, KVSlot
+from ..model.batch_attention import AttentionTelemetry, BatchedAttention
+from ..model.inference import forward_token_single
 from ..model.paged_kvcache import (
     DEFAULT_PAGE_SIZE,
     PagedKVCache,
+    PagedKVSlot,
     chained_prefix_keys,
 )
 from ..model.mlp import DenseMLP, MLPExecutor
@@ -69,6 +72,8 @@ from ..model.sampler import BatchedSampler, SamplerConfig
 from ..model.weights import ModelWeights
 from .batch_mlp import BatchedSparseInferMLP
 from .speculative import SpecConfig
+
+DEFAULT_PREFILL_CHUNK = 32
 
 
 class PrefixIndex:
@@ -101,15 +106,6 @@ class PrefixIndex:
     def __len__(self) -> int:
         return len(self._prompts)
 
-    def _aligned_keys(self, prompt: tuple) -> list:
-        """Chained bucket keys, ``keys[i]`` covering ``prompt[:(i+1)*ps]``.
-
-        The same key scheme indexes the cross-request
-        :class:`~repro.model.paged_kvcache.PrefixCache`, so a prefix
-        retired from this index is findable there under identical keys.
-        """
-        return chained_prefix_keys(prompt, self.page_size)
-
     def prompt_of(self, slot_index: int):
         """The registered prompt tuple of ``slot_index``, or None."""
         return self._prompts.get(slot_index)
@@ -119,14 +115,14 @@ class PrefixIndex:
             raise ValueError(f"slot {slot_index} already indexed")
         prompt = tuple(int(t) for t in prompt_ids)
         self._prompts[slot_index] = prompt
-        for key in self._aligned_keys(prompt):
+        for key in chained_prefix_keys(prompt, self.page_size):
             self._buckets.setdefault(key, set()).add(slot_index)
 
     def remove(self, slot_index: int) -> None:
         prompt = self._prompts.pop(slot_index, None)
         if prompt is None:
             return
-        for key in self._aligned_keys(prompt):
+        for key in chained_prefix_keys(prompt, self.page_size):
             bucket = self._buckets.get(key)
             if bucket is not None:
                 bucket.discard(slot_index)
@@ -143,7 +139,8 @@ class PrefixIndex:
         """
         prompt = tuple(int(t) for t in prompt_ids)
         cap = len(prompt) - 1
-        keys = self._aligned_keys(prompt)[:cap // self.page_size]
+        keys = chained_prefix_keys(prompt, self.page_size)
+        keys = keys[:cap // self.page_size]
         for i in range(len(keys) - 1, -1, -1):
             end = (i + 1) * self.page_size
             bucket = self._buckets.get(keys[i])
@@ -182,21 +179,16 @@ class BatchedEngine:
         Number of KV slots, i.e. the concurrent-sequence ceiling.
     max_seq_len:
         Per-slot capacity; defaults to the model's ``max_seq_len``.
-    paged:
-        Back the slots with a shared page arena
-        (:class:`~repro.model.paged_kvcache.PagedKVCache`) instead of a
-        fixed ``max_seq_len`` array per slot; short requests then hold
-        only the pages they touch, so more sequences fit one memory
-        budget.  Decode output is bit-identical either way.
     page_size / n_pages:
-        Paged-cache geometry: positions per page, and the total page
-        budget (default: the fixed cache's worst case, so ``paged=True``
-        alone never admits less).
+        KV-arena geometry: positions per page, and the total page
+        budget shared by all slots (default
+        ``max_batch_size * ceil(max_seq_len / page_size)``, every slot's
+        worst case at once).  Short requests hold only the pages they
+        touch, so a smaller budget still co-schedules many of them.
     prefix_sharing:
         Keep a :class:`PrefixIndex` over resident prompts and allow
         admissions to fork a resident sequence's KV pages
         (copy-on-write) instead of re-prefilling a shared prefix.
-        Requires ``paged=True``.
     cache_pages:
         When > 0, keep up to this many retired prompt-prefix pages
         alive in an LRU :class:`~repro.model.paged_kvcache.PrefixCache`
@@ -208,24 +200,10 @@ class BatchedEngine:
         admission guarantees are unchanged.  Requires
         ``prefix_sharing=True``; 0 (the default) is bit-identical to no
         cache.
-    batched_attention:
-        Compute decode attention for the whole batch at once
-        (:class:`~repro.model.batch_attention.BatchedAttention`: padded
-        K/V stack + length mask, length-bucketed) instead of looping
-        :func:`attend_single` per sequence.  Token-identical at any
-        batch size; batch = 1 always takes the scalar path, which stays
-        bit-identical to :func:`repro.core.engine.build_engine`.
-    attn_bucket_min_fill:
-        Bucketing knob for batched attention: sequences join a length
-        bucket while their length is at least this fraction of the
-        bucket maximum (0 = one bucket, 1 = equal lengths only).
     prefill_chunk:
-        When > 0, run prompt prefill through each layer as causal
-        ``(chunk, d)`` passes (one GEMM per projection) instead of
-        token-by-token scalar passes -- admission cost drops from
-        ``T`` sequential token steps to ``ceil(T / chunk)`` matrix
-        steps.  0 keeps the scalar loop (bit-identical to the
-        single-sequence engine); chunked prefill is token-identical.
+        Prompt positions per prefill pass: a ``T``-token prompt runs
+        through the layer loop as ``ceil(T / prefill_chunk)`` causal
+        ``(chunk, d)`` passes (one GEMM per projection).  Must be >= 1.
     sampling:
         Default :class:`~repro.model.sampler.SamplerConfig` for
         requests that do not carry their own ``Request.sampling``.
@@ -253,14 +231,11 @@ class BatchedEngine:
         predictor: Optional[SparseInferPredictor] = None,
         max_batch_size: int = 8,
         max_seq_len: int = 0,
-        paged: bool = False,
         page_size: int = DEFAULT_PAGE_SIZE,
         n_pages: int = 0,
         prefix_sharing: bool = False,
         cache_pages: int = 0,
-        batched_attention: bool = False,
-        attn_bucket_min_fill: float = DEFAULT_BUCKET_MIN_FILL,
-        prefill_chunk: int = 0,
+        prefill_chunk: int = DEFAULT_PREFILL_CHUNK,
         sampling: Optional[SamplerConfig] = None,
         speculation: Optional[SpecConfig] = None,
     ):
@@ -285,32 +260,23 @@ class BatchedEngine:
             else DenseMLP(weights)
         )
         self.max_batch_size = max_batch_size
-        self.paged = paged
-        if prefix_sharing and not paged:
-            raise ValueError("prefix_sharing requires paged=True")
         if cache_pages and not prefix_sharing:
             raise ValueError("cache_pages requires prefix_sharing=True")
+        if prefill_chunk < 1:
+            raise ValueError(
+                f"prefill_chunk must be >= 1, got {prefill_chunk}"
+            )
         self.prefix_sharing = prefix_sharing
         self.cache_pages = cache_pages
-        if paged:
-            self.cache = PagedKVCache(
-                self.config, max_batch_size, max_seq_len,
-                page_size=page_size, n_pages=n_pages,
-                cache_pages=cache_pages,
-            )
-        else:
-            self.cache = BatchedKVCache(
-                self.config, max_batch_size, max_seq_len
-            )
+        self.prefill_chunk = prefill_chunk
+        self.cache = PagedKVCache(
+            self.config, max_batch_size, max_seq_len,
+            page_size=page_size, n_pages=n_pages, cache_pages=cache_pages,
+        )
         self._prefix_index = (
-            PrefixIndex(self.cache.page_size) if prefix_sharing else None
+            PrefixIndex(page_size) if prefix_sharing else None
         )
         self._resident: dict = {}          # slot index -> live slot handle
-        if prefill_chunk < 0:
-            raise ValueError(
-                f"prefill_chunk must be >= 0, got {prefill_chunk}"
-            )
-        self.prefill_chunk = prefill_chunk
         self.sampling = sampling if sampling is not None else SamplerConfig()
         self.sampler = BatchedSampler(self.sampling)
         self.speculation = speculation
@@ -320,15 +286,12 @@ class BatchedEngine:
         # (the skip-intersection telemetry the scheduler reports)
         # strictly about committed decode steps.
         self._draft_mlps: dict = {}
-        self._verify_view = None
-        self.batched_attention = batched_attention
-        self.attention = BatchedAttention(
-            self.config, bucket_min_fill=attn_bucket_min_fill
-        )
+        self._verify_mlp = None
+        self.attention = BatchedAttention(self.config)
 
     @property
     def attn_telemetry(self) -> AttentionTelemetry:
-        """Padding-waste / bucketing counters of the batched-attention path."""
+        """Padding-waste / bucketing counters of batched decode attention."""
         return self.attention.telemetry
 
     # -- slot management ---------------------------------------------------
@@ -341,11 +304,11 @@ class BatchedEngine:
         """Whether a worst-case ``n_positions`` request fits right now."""
         return self.cache.can_admit(n_positions)
 
-    def allocate_slot(self, max_positions: int = 0) -> KVSlot:
-        """Claim a slot; paged caches reserve ``max_positions`` of pages."""
+    def allocate_slot(self, max_positions: int = 0) -> PagedKVSlot:
+        """Claim a slot, reserving ``max_positions`` worth of pages."""
         return self.cache.allocate(max_positions)
 
-    def release_slot(self, slot: KVSlot, parked_ids=None) -> None:
+    def release_slot(self, slot: PagedKVSlot, parked_ids=None) -> None:
         """Retire a sequence; with a prefix cache, park its prefix pages.
 
         The retiring sequence's prompt (as registered by
@@ -391,15 +354,15 @@ class BatchedEngine:
             return None, 0
         return self._resident[slot_index], shared
 
-    def can_fork(self, donor: KVSlot, shared_positions: int,
+    def can_fork(self, donor: PagedKVSlot, shared_positions: int,
                  max_positions: int = 0) -> bool:
         """Whether forking ``donor`` at ``shared_positions`` fits now."""
         if not self.prefix_sharing:
             return False
         return self.cache.can_fork(donor, shared_positions, max_positions)
 
-    def fork_slot(self, donor: KVSlot, shared_positions: int,
-                  max_positions: int = 0) -> KVSlot:
+    def fork_slot(self, donor: PagedKVSlot, shared_positions: int,
+                  max_positions: int = 0) -> PagedKVSlot:
         """Claim a slot whose first ``shared_positions`` alias the donor.
 
         The new slot starts at ``length == shared_positions``; callers
@@ -413,7 +376,7 @@ class BatchedEngine:
             )
         return self.cache.fork(donor, shared_positions, max_positions)
 
-    def register_prefix(self, slot: KVSlot, prompt_ids) -> None:
+    def register_prefix(self, slot: PagedKVSlot, prompt_ids) -> None:
         """Make a just-prefilled sequence's prompt visible as a donor."""
         if self._prefix_index is None:
             return
@@ -425,7 +388,7 @@ class BatchedEngine:
     @property
     def prefix_cache(self):
         """The cross-request :class:`PrefixCache`, or None."""
-        return getattr(self.cache, "prefix_cache", None)
+        return self.cache.prefix_cache
 
     def find_cached_prefix(self, prompt_ids) -> tuple:
         """``(pages, positions)`` of the longest revivable cached prefix.
@@ -444,7 +407,7 @@ class BatchedEngine:
             return False
         return self.cache.can_revive(len(pages), max_positions)
 
-    def revive_slot(self, pages, max_positions: int = 0) -> KVSlot:
+    def revive_slot(self, pages, max_positions: int = 0) -> PagedKVSlot:
         """Claim a slot whose prefix comes from the cached chain.
 
         The new slot starts at ``length == len(pages) * page_size``;
@@ -459,62 +422,39 @@ class BatchedEngine:
 
     # -- forward passes ----------------------------------------------------
 
-    def _forward_single(
-        self, token_id: int, slot: KVSlot, mlp: MLPExecutor
-    ) -> np.ndarray:
-        """One token through one sequence -- the InferenceModel op sequence."""
-        cfg = self.config
-        position = slot.length
-        rope = rope_for_position(position, cfg.head_dim, cfg.rope_theta)
-        logits = forward_token_single(
-            self.weights, token_id, position, slot, mlp, rope=rope,
-        )
-        slot.advance()
-        return logits
+    def _forward_rows(self, token_ids, attend, mlp_rows,
+                      last_only: bool = False) -> np.ndarray:
+        """The transformer layer loop over ``(rows, d)`` activations.
 
-    def prefill(self, slot: KVSlot, prompt_ids: Sequence[int]) -> np.ndarray:
-        """Run a prompt into a slot; returns last-position logits.
-
-        With ``prefill_chunk > 0`` the prompt advances in vectorised
-        causal chunks (token-identical); otherwise token by token
-        through the exact single-sequence op sequence (bit-identical).
+        ``attend(layer, q, k, v)`` takes the raw ``(rows, d)``
+        projections, applies RoPE, appends K/V to the cache and returns
+        the pre-``Wo`` context rows; ``mlp_rows(layer, x)`` runs one
+        layer's MLP over the normed rows.  Returns ``(rows, vocab)``
+        logits, or only the last row's with ``last_only``.
         """
-        # len(), not truthiness: a numpy-array prompt satisfies the
-        # Sequence[int] annotation but raises on bool().
-        if len(prompt_ids) == 0:
-            raise ValueError("prefill needs at least one token")
-        if self.prefill_chunk > 0:
-            chunk = self.prefill_chunk
-            ids = [int(tok) for tok in prompt_ids]
-            logits = None
-            for start in range(0, len(ids), chunk):
-                logits = self._forward_chunk(ids[start:start + chunk], slot)
-            return logits
-        logits = None
-        # prefill_chunk=0 is the contract path: token-by-token is what
-        # "bit-identical to build_engine" means; the vectorised
-        # alternative is _forward_chunk.
-        # repro: ignore[scalar-loop] -- bit-identity contract path
-        for tok in prompt_ids:
-            logits = self._forward_single(int(tok), slot, self.prefill_mlp)
-        return logits
+        cfg = self.config
+        x = self.weights.tok_embed[token_ids].astype(np.float32)
+        for layer in range(cfg.n_layers):
+            lw = self.weights.layers[layer]
+            attn_in = rmsnorm(x, lw.attn_norm, cfg.norm_eps)
+            ctx = attend(
+                layer, attn_in @ lw.wq, attn_in @ lw.wk, attn_in @ lw.wv
+            )
+            x = x + ctx @ lw.wo
+            x = x + mlp_rows(layer, rmsnorm(x, lw.mlp_norm, cfg.norm_eps))
+        if last_only:
+            x = x[-1]
+        final = rmsnorm(x, self.weights.final_norm, cfg.norm_eps)
+        return final @ self.weights.lm_head
 
-    def _forward_chunk(self, token_ids: list, slot: KVSlot,
-                       mlp: Optional[MLPExecutor] = None,
-                       return_all: bool = False) -> np.ndarray:
-        """One causal ``(T, d)`` pass over a token chunk.
+    def _forward_chunk(self, slot: PagedKVSlot, token_ids: list, mlp_rows,
+                       last_only: bool = False) -> np.ndarray:
+        """One causal pass of consecutive positions of one slot.
 
-        Runs every layer as whole-chunk GEMMs: QKV/output projections
-        over the ``(T, d)`` chunk, causal-masked attention of the chunk
-        queries against the growing cache (prior positions plus the
-        chunk itself), and the chunk-capable MLP executor when the
-        executor provides one (executors without ``run_tokens`` fall
-        back to a per-row loop -- the GEMM-heavy attention path still
-        dominates the win).  ``mlp`` overrides the prefill executor --
-        :meth:`verify_chunk` passes the serving-alpha sparse executor
-        so decode-phase positions get decode-faithful K/V and hidden
-        states.  Returns last-position logits, or all ``(T, vocab)``
-        rows with ``return_all=True``.
+        The attention strategy of :meth:`prefill` and
+        :meth:`verify_chunk`: the chunk's ``(T, d)`` queries attend,
+        causally masked, against the slot's cache -- prior positions
+        plus the chunk itself, block-written per layer.
         """
         cfg = self.config
         n_heads, head_dim = cfg.n_heads, cfg.head_dim
@@ -523,16 +463,9 @@ class BatchedEngine:
         total = base + n_tokens
         positions = np.arange(base, total)
         cos, sin = rope_tables(positions, head_dim, cfg.rope_theta)
-        if mlp is None:
-            mlp = self.prefill_mlp
-        run_tokens = getattr(mlp, "run_tokens", None)
-        x = self.weights.tok_embed[token_ids].astype(np.float32)
-        for layer in range(cfg.n_layers):
-            lw = self.weights.layers[layer]
-            attn_in = rmsnorm(x, lw.attn_norm, cfg.norm_eps)
-            q = attn_in @ lw.wq
-            k = attn_in @ lw.wk
-            v = attn_in @ lw.wv
+        causal = np.arange(total)[None, :] <= positions[:, None]
+
+        def attend(layer, q, k, v):
             qh = apply_rope(
                 q.reshape(n_tokens, n_heads, head_dim).transpose(1, 0, 2),
                 cos, sin,
@@ -541,111 +474,105 @@ class BatchedEngine:
                 k.reshape(n_tokens, n_heads, head_dim).transpose(1, 0, 2),
                 cos, sin,
             )
-            k_flat = kh.transpose(1, 0, 2).reshape(n_tokens, cfg.d_model)
-            for i in range(n_tokens):
-                slot.append(layer, k_flat[i], v[i], base + i)
+            slot.append_rows(
+                layer, kh.transpose(1, 0, 2).reshape(n_tokens, cfg.d_model),
+                v, base,
+            )
             keys, values = slot.view(layer, total)       # (L, d)
             ck = keys.reshape(total, n_heads, head_dim).transpose(1, 0, 2)
             cv = values.reshape(total, n_heads, head_dim).transpose(1, 0, 2)
             scores = np.einsum("hqd,htd->hqt", qh, ck) / np.float32(
                 np.sqrt(head_dim))           # float32 scale, see inference.py
-            causal = np.arange(total)[None, :] <= positions[:, None]
             scores = np.where(causal[None, :, :], scores, -np.inf)
             scores -= scores.max(axis=-1, keepdims=True)
             probs = np.exp(scores)
             probs /= probs.sum(axis=-1, keepdims=True)
             ctx = np.einsum("hqt,htd->qhd", probs, cv)
-            x = x + ctx.reshape(n_tokens, cfg.d_model) @ lw.wo
-            mlp_in = rmsnorm(x, lw.mlp_norm, cfg.norm_eps)
-            if run_tokens is not None:
-                x = x + run_tokens(layer, mlp_in)
-            else:
-                x = x + np.stack(
-                    [mlp.run(layer, row) for row in mlp_in]
-                )
-        for _ in range(n_tokens):
-            slot.advance()
-        if return_all:
-            final = rmsnorm(x, self.weights.final_norm, cfg.norm_eps)
+            return ctx.reshape(n_tokens, cfg.d_model)
+
+        logits = self._forward_rows(token_ids, attend, mlp_rows, last_only)
+        slot.advance(n_tokens)
+        return logits
+
+    def _forward_batch(
+        self, slots: Sequence[PagedKVSlot], token_ids: Sequence[int],
+        sparse: BatchedSparseInferMLP,
+    ) -> np.ndarray:
+        """One token per slot through ``sparse``; ``(B, vocab)`` logits.
+
+        The attention strategy of :meth:`decode_step` (serving-alpha
+        executor) and :meth:`draft_step` (aggressive-alpha executor).
+        """
+        if len(slots) != len(token_ids):
+            raise ValueError("slots and token_ids must align")
+        if not slots:
+            raise ValueError("decode_step needs at least one sequence")
+        cfg = self.config
+        if len(slots) == 1:
+            # Size dispatch, measured: at batch 1 the scalar op sequence
+            # beats the plan path (benchmark workload decode_b1 vs
+            # decode_b8), and it is what keeps a batch-1 step
+            # bit-identical to InferenceModel.forward_token.
+            slot = slots[0]
+            logits = forward_token_single(
+                self.weights, int(token_ids[0]), slot.length, slot,
+                _SingleView(sparse),
+                rope=rope_for_position(
+                    slot.length, cfg.head_dim, cfg.rope_theta
+                ),
+            )[None, :]
         else:
-            final = rmsnorm(x[-1], self.weights.final_norm, cfg.norm_eps)
-        return final @ self.weights.lm_head
+            plan = self.attention.plan_step(
+                [slot.length for slot in slots], slots
+            )
+            logits = self._forward_rows(
+                list(token_ids),
+                lambda layer, q, k, v: plan.attend_layer(
+                    layer, q, k, v, self.cache
+                ),
+                sparse.run_batch,
+            )
+        for slot in slots:
+            slot.advance()
+        return logits
+
+    def prefill(
+        self, slot: PagedKVSlot, prompt_ids: Sequence[int]
+    ) -> np.ndarray:
+        """Run a prompt into a slot; returns last-position logits.
+
+        The prompt advances in causal chunks of ``prefill_chunk``
+        positions through the prefill executor (dense unless
+        ``settings.sparse_prefill``).
+        """
+        # len(), not truthiness: a numpy-array prompt satisfies the
+        # Sequence[int] annotation but raises on bool().
+        if len(prompt_ids) == 0:
+            raise ValueError("prefill needs at least one token")
+        mlp = self.prefill_mlp
+        # Executors without a chunk entry point (sparse prefill) run
+        # the chunk row by row; the projections and attention are still
+        # whole-chunk GEMMs.
+        mlp_rows = getattr(mlp, "run_tokens", None) or (
+            lambda layer, xs: np.stack([mlp.run(layer, row) for row in xs])
+        )
+        ids = [int(tok) for tok in prompt_ids]
+        logits = None
+        for start in range(0, len(ids), self.prefill_chunk):
+            logits = self._forward_chunk(
+                slot, ids[start:start + self.prefill_chunk], mlp_rows,
+                last_only=True,
+            )
+        return logits
 
     def decode_step(
-        self, slots: Sequence[KVSlot], token_ids: Sequence[int]
+        self, slots: Sequence[PagedKVSlot], token_ids: Sequence[int]
     ) -> np.ndarray:
         """One batched decode step; returns ``(B, vocab)`` logits.
 
         ``token_ids[i]`` is fed to ``slots[i]`` at its current length.
         """
         return self._forward_batch(slots, token_ids, self.sparse)
-
-    def _forward_batch(
-        self, slots: Sequence[KVSlot], token_ids: Sequence[int],
-        sparse: BatchedSparseInferMLP,
-    ) -> np.ndarray:
-        """One batched forward step through ``sparse``; ``(B, vocab)``.
-
-        Shared body of :meth:`decode_step` (the serving-alpha executor)
-        and :meth:`draft_step` (an aggressive-alpha draft executor) --
-        the attention, projection, and advance machinery is identical;
-        only the MLP executor differs.
-        """
-        if len(slots) != len(token_ids):
-            raise ValueError("slots and token_ids must align")
-        if not slots:
-            raise ValueError("decode_step needs at least one sequence")
-        if len(slots) == 1:
-            logits = self._forward_single(
-                int(token_ids[0]), slots[0], _SingleView(sparse)
-            )
-            return logits[None, :]
-
-        cfg = self.config
-        positions = [slot.length for slot in slots]
-        plan = (
-            self.attention.plan_step(positions, slots)
-            if self.batched_attention else None
-        )
-        # Memoized per-position tables: sequences at the same length
-        # (co-scheduled prefix sharers, the common case) share one table
-        # object instead of B identical rebuilds.
-        ropes = None if plan is not None else [
-            rope_for_position(p, cfg.head_dim, cfg.rope_theta)
-            for p in positions
-        ]
-        x = self.weights.tok_embed[list(token_ids)].astype(np.float32)
-        for layer in range(cfg.n_layers):
-            lw = self.weights.layers[layer]
-            attn_in = rmsnorm(x, lw.attn_norm, cfg.norm_eps)
-            q = attn_in @ lw.wq
-            k = attn_in @ lw.wk
-            v = attn_in @ lw.wv
-            if plan is not None:
-                ctx = plan.attend_layer(layer, q, k, v, self.cache)
-            else:
-                ctx = np.empty_like(x)
-                # Deliberate scalar fallback when
-                # batched_attention=False; it anchors the
-                # token-identity equivalence sweep of the batched path.
-                # repro: ignore[scalar-loop] -- equivalence anchor
-                for i, slot in enumerate(slots):
-                    ctx[i] = attend_single(
-                        cfg, q[i], k[i], v[i], positions[i], slot, layer,
-                        rope=ropes[i],
-                    )
-            x = x + ctx @ lw.wo
-            mlp_in = rmsnorm(x, lw.mlp_norm, cfg.norm_eps)
-            x = x + sparse.run_batch(layer, mlp_in)
-        for slot in slots:
-            slot.advance()
-        final = rmsnorm(x, self.weights.final_norm, cfg.norm_eps)
-        return final @ self.weights.lm_head
-
-    @property
-    def _decode_mlp_single(self) -> MLPExecutor:
-        """Single-sequence view of the batched sparse executor."""
-        return _SingleView(self.sparse)
 
     # -- speculative self-drafting -----------------------------------------
 
@@ -668,7 +595,7 @@ class BatchedEngine:
         return mlp
 
     def draft_step(
-        self, slots: Sequence[KVSlot], token_ids: Sequence[int],
+        self, slots: Sequence[PagedKVSlot], token_ids: Sequence[int],
         draft_alpha: Optional[float] = None,
     ) -> np.ndarray:
         """One *draft* decode step; returns ``(B, vocab)`` logits.
@@ -676,9 +603,9 @@ class BatchedEngine:
         Identical to :meth:`decode_step` except the MLP runs through
         the aggressive-alpha sparse executor, so the logits are cheap
         approximations.  The K/V it appends is draft-quality: callers
-        must :meth:`~repro.model.kvcache.KVSlot.truncate` back before
-        committing anything (the verify pass re-appends exact K/V).
-        ``draft_alpha`` defaults to the engine's
+        must :meth:`~repro.model.paged_kvcache.PagedKVSlot.truncate`
+        back before committing anything (the verify pass re-appends
+        exact K/V).  ``draft_alpha`` defaults to the engine's
         ``speculation.draft_alpha``.
         """
         if draft_alpha is None:
@@ -693,35 +620,34 @@ class BatchedEngine:
         )
 
     def verify_chunk(
-        self, slot: KVSlot, token_ids: Sequence[int]
+        self, slot: PagedKVSlot, token_ids: Sequence[int]
     ) -> np.ndarray:
         """Verify a committed token plus drafts in one causal GEMM pass.
 
         ``token_ids`` is ``[committed_token, draft_1, ..., draft_k]``;
         the slot must be rewound to the committed length first.  Runs
         the chunked-prefill machinery with the **serving-alpha** sparse
-        executor (per-row skip masks keep every row decode-faithful),
-        so accepted positions leave behind exactly the K/V a decode
-        step would have appended -- up to GEMM rounding, the chunked
-        prefill equivalence.  Returns all ``(k + 1, vocab)`` logit
-        rows: row ``i`` is the serving engine's prediction *after*
-        chunk token ``i``.
+        executor: ``run_batch`` re-zeroes each row by its own predicted
+        skip mask, so every row stays decode-faithful while the up/down
+        projections run as one GEMM -- accepted positions leave behind
+        exactly the K/V a decode step would have appended, up to GEMM
+        rounding.  Returns all ``(k + 1, vocab)`` logit rows: row ``i``
+        is the serving engine's prediction *after* chunk token ``i``.
         """
-        if self._verify_view is None:
+        if self._verify_mlp is None:
             # gather_threshold=1.0: a verify chunk is a handful of
             # highly correlated rows, so the row-gather strategy's
             # submatrix copies (3 fancy-indexed weight reads per layer)
             # cost more than the thin dense GEMM they would avoid --
             # always take run_batch's dense re-zero path instead.
-            self._verify_view = _ChunkView(BatchedSparseInferMLP(
+            self._verify_mlp = BatchedSparseInferMLP(
                 weights=self.weights,
                 predictor=self.sparse.predictor,
                 use_actual_sparsity=self.settings.use_actual_sparsity,
                 gather_threshold=1.0,
-            ))
+            )
         return self._forward_chunk(
-            [int(tok) for tok in token_ids], slot,
-            mlp=self._verify_view, return_all=True,
+            slot, [int(tok) for tok in token_ids], self._verify_mlp.run_batch,
         )
 
 
@@ -733,23 +659,3 @@ class _SingleView:
 
     def run(self, layer: int, x: np.ndarray) -> np.ndarray:
         return self._batched.run_batch(layer, x[None, :])[0]
-
-
-class _ChunkView:
-    """Adapts :class:`BatchedSparseInferMLP` to the chunk executor protocol.
-
-    ``run_batch`` re-zeroes each row by its own predicted skip mask, so
-    feeding a verify chunk's ``(T, d)`` rows through it keeps every
-    row's values decode-faithful while the up/down projections run as
-    one GEMM over the union of kept rows -- exactly the verifier shape
-    speculation needs.
-    """
-
-    def __init__(self, batched: BatchedSparseInferMLP):
-        self._batched = batched
-
-    def run(self, layer: int, x: np.ndarray) -> np.ndarray:
-        return self._batched.run_batch(layer, x[None, :])[0]
-
-    def run_tokens(self, layer: int, xs: np.ndarray) -> np.ndarray:
-        return self._batched.run_batch(layer, xs)

@@ -5,8 +5,8 @@ Each scheduler tick:
 1. retire sequences that finished last tick, freeing their KV slots;
 2. admit queued requests (FIFO) into free slots -- admission prefills the
    prompt and samples the first token, exactly like the single-sequence
-   ``generate`` loop samples from the prefill logits.  On a paged KV
-   cache, admission additionally gates on the request's *worst-case*
+   ``generate`` loop samples from the prefill logits.  Admission
+   additionally gates on the request's *worst-case*
    page demand (``ceil((prompt + max_new - 1) / page_size)`` pages must
    be reservable), so an admitted sequence can never starve for pages
    mid-decode; zero-token requests complete immediately without a slot
@@ -62,9 +62,8 @@ token is sampled.  A tick with pending prefill always advances it by at
 least one token, so admissions finish even when residents alone exceed
 the budget.  Residents' inter-token stall per tick is therefore bounded
 by the budget, not by the longest queued prompt.  Splitting prefill at
-scheduler-chosen boundaries reuses the engine's existing guarantees:
-``prefill_chunk=0`` pieces run the exact scalar op sequence
-(bit-identical), chunked pieces are token-identical -- so any budget
+scheduler-chosen boundaries reuses the engine's chunked-prefill
+guarantee (token-identical at any chunk boundaries) -- so any budget
 produces the same tokens per request as ``step_budget=0``.
 
 **Preemption.**  With ``preemption=True``, a page- or slot-starved
@@ -176,7 +175,7 @@ class _ActiveSequence:
     """
 
     request: Request
-    slot: object                       # KVSlot
+    slot: object                       # PagedKVSlot
     generated_ids: list
     admitted_step: int
     decode_steps: int = 0
@@ -206,8 +205,8 @@ class _ActiveSequence:
 class ServeReport:
     """Outcome and telemetry of draining a workload.
 
-    The ``page_*`` fields are populated only when the engine runs a
-    paged KV cache (``n_pages > 0``): ``page_occupancy_sum`` sums the
+    The ``page_*`` fields describe the engine's KV page arena
+    (``n_pages`` is its budget): ``page_occupancy_sum`` sums the
     arena pages in use at each decode tick, so
     :attr:`mean_page_occupancy` / :attr:`mean_page_utilisation` say how
     full the shared page budget actually ran, and
@@ -291,7 +290,7 @@ class ServeReport:
     decode_seconds: float = 0.0
     occupancy_sum: int = 0             # sum of batch sizes over decode steps
     peak_occupancy: int = 0            # largest decode batch observed
-    n_pages: int = 0                   # page budget (0 = fixed-slot cache)
+    n_pages: int = 0                   # KV page-arena budget
     page_occupancy_sum: int = 0        # sum of pages in use over decode steps
     peak_pages_in_use: int = 0
     forked_admissions: int = 0         # admissions served by a KV fork
@@ -307,8 +306,8 @@ class ServeReport:
     intersection_skip: float = 0.0     # realised cross-sequence skip
     mean_sequence_skip: float = 0.0    # per-sequence (batch=1) ceiling
     expected_uncorrelated_skip: float = 0.0   # skip^B at mean occupancy
-    # Batched-attention telemetry (engine runs batched_attention=True):
-    # padded vs useful K/V cells gathered and length-bucket counts, so
+    # Batched-attention telemetry (decode steps of batch > 1): padded
+    # vs useful K/V cells gathered and length-bucket counts, so
     # the padding the length masks threw away is visible per run.
     attn_batched_steps: int = 0        # decode steps on the batched path
     attn_buckets_sum: int = 0          # length buckets over those steps
@@ -354,12 +353,12 @@ class ServeReport:
 
     @property
     def mean_page_occupancy(self) -> float:
-        """Mean arena pages in use per decode tick (paged cache only)."""
+        """Mean arena pages in use per decode tick."""
         return self.page_occupancy_sum / self.decode_steps if self.decode_steps else 0.0
 
     @property
     def mean_page_utilisation(self) -> float:
-        """Mean fraction of the page budget in use (paged cache only)."""
+        """Mean fraction of the page budget in use."""
         return self.mean_page_occupancy / self.n_pages if self.n_pages else 0.0
 
     @property
@@ -626,8 +625,7 @@ class ContinuousBatchingScheduler:
         self.admission = admission
         self.deadline_window = deadline_window
         self.speculation = (
-            speculation if speculation is not None
-            else getattr(engine, "speculation", None)
+            speculation if speculation is not None else engine.speculation
         )
         self.active: List[_ActiveSequence] = []
         self.step_count = 0
@@ -637,15 +635,15 @@ class ContinuousBatchingScheduler:
         self._resume_state = {}    # request_id -> progress of an evictee
         self._tick_prefill_tokens = 0   # prefill+replay tokens fed this tick
         self.report = ServeReport(
-            n_pages=getattr(engine.cache, "n_pages", 0),
-            cache_pages=getattr(engine, "cache_pages", 0),
+            n_pages=engine.cache.n_pages,
+            cache_pages=engine.cache_pages,
             step_budget=step_budget,
             admission=admission,
         )
         # The prefix cache's eviction counter is cumulative across the
         # engine's lifetime; snapshot it so a reused engine still yields
         # per-run telemetry.
-        prefix_cache = getattr(engine, "prefix_cache", None)
+        prefix_cache = engine.prefix_cache
         self._evictions_baseline = (
             prefix_cache.evictions if prefix_cache is not None else 0
         )
@@ -675,9 +673,9 @@ class ContinuousBatchingScheduler:
         """Why ``request`` can never fit the KV cache, or None if it can.
 
         Checks against :attr:`max_request_positions` -- the per-slot cap
-        for the fixed cache, and additionally the whole page budget for a
-        paged cache (a request bigger than the entire arena could never
-        be admitted no matter how empty the system is).
+        and the whole page budget (a request bigger than the entire
+        arena could never be admitted no matter how empty the system
+        is).
         """
         needed = self._worst_case_positions(request)
         capacity = self.engine.cache.max_request_positions
@@ -690,15 +688,32 @@ class ContinuousBatchingScheduler:
         )
 
     def submit(self, request: Request) -> None:
-        """Queue a request, rejecting oversized ones up front.
+        """Queue a request, rejecting malformed ones up front.
 
         Admission re-checks capacity (the queue is injectable), but
         failing fast here gives the caller the error as an exception
-        instead of an errored :class:`Completion`.
+        instead of an errored :class:`Completion`.  Also rejected: a
+        ``request_id`` that is still queued or resident (submit stamps,
+        resume state and sampler RNG streams are keyed by it; a
+        completed id may be reused), and prompt ids outside the
+        vocabulary (they would index past the embedding table mid-tick
+        and take the whole batch down).
         """
         reason = self._capacity_error(request)
         if reason is not None:
             raise ValueError(reason)
+        if request.request_id in self._submit_steps:
+            raise ValueError(
+                f"request_id {request.request_id!r} is already queued or "
+                f"resident"
+            )
+        vocab_size = self.engine.config.vocab_size
+        if min(request.prompt_ids) < 0 or \
+                max(request.prompt_ids) >= vocab_size:
+            raise ValueError(
+                f"request {request.request_id} has prompt ids outside "
+                f"[0, {vocab_size})"
+            )
         self._submit_times[request.request_id] = time.perf_counter()
         self._submit_steps[request.request_id] = self.step_count
         self.queue.submit(request)
@@ -1033,7 +1048,7 @@ class ContinuousBatchingScheduler:
             reason = self._capacity_error(head)
             if reason is not None:
                 # Queued without going through submit(); reject instead
-                # of letting KVSlot.append blow up the whole batch.
+                # of letting PagedKVSlot.append blow up the whole batch.
                 # Rejection consumes no slot, so a full batch never
                 # delays it.
                 self.queue.pop_at(cand_index)
@@ -1224,9 +1239,7 @@ class ContinuousBatchingScheduler:
         self._tick_prefill_tokens += len(tokens)
 
     def _sample_page_peaks(self) -> None:
-        """Refresh the arena high-water marks (paged cache only)."""
-        if not self.report.n_pages:
-            return
+        """Refresh the arena high-water marks."""
         self.report.peak_pages_in_use = max(
             self.report.peak_pages_in_use,
             self.engine.cache.n_pages_in_use,
@@ -1421,28 +1434,24 @@ class ContinuousBatchingScheduler:
         self.report.peak_occupancy = max(
             self.report.peak_occupancy, len(decoding)
         )
-        if self.report.n_pages:
-            in_use = self.engine.cache.n_pages_in_use
-            self.report.page_occupancy_sum += in_use
-            self.report.peak_pages_in_use = max(
-                self.report.peak_pages_in_use, in_use
-            )
-            shared = self.engine.cache.n_shared_pages
-            self.report.shared_pages_sum += shared
-            self.report.peak_shared_pages = max(
-                self.report.peak_shared_pages, shared
-            )
-            self._sample_cache_telemetry(tick=True)
+        in_use = self.engine.cache.n_pages_in_use
+        self.report.page_occupancy_sum += in_use
+        self.report.peak_pages_in_use = max(
+            self.report.peak_pages_in_use, in_use
+        )
+        shared = self.engine.cache.n_shared_pages
+        self.report.shared_pages_sum += shared
+        self.report.peak_shared_pages = max(
+            self.report.peak_shared_pages, shared
+        )
+        self._sample_cache_telemetry(tick=True)
 
-        if self.engine.batched_attention:
-            attn = self.engine.attn_telemetry
-            base = self._attn_baseline
-            self.report.attn_batched_steps = attn.batched_steps - base[0]
-            self.report.attn_buckets_sum = attn.buckets_sum - base[1]
-            self.report.attn_useful_positions = \
-                attn.useful_positions - base[2]
-            self.report.attn_padded_positions = \
-                attn.padded_positions - base[3]
+        attn = self.engine.attn_telemetry
+        base = self._attn_baseline
+        self.report.attn_batched_steps = attn.batched_steps - base[0]
+        self.report.attn_buckets_sum = attn.buckets_sum - base[1]
+        self.report.attn_useful_positions = attn.useful_positions - base[2]
+        self.report.attn_padded_positions = attn.padded_positions - base[3]
 
         if plain:
             next_tokens = self._sample_tokens(plain, logits)

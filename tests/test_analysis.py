@@ -331,14 +331,15 @@ class TestTelemetryDocsRule:
 
 
 class TestDocsKnobsRule:
-    SOURCES = (("src/repro/core/engine.py", "build_batched_engine"),)
+    SOURCES = (("src/repro/serving/engine.py", "BatchedEngine.__init__"),)
 
     def test_must_fire_on_undocumented_knob(self, tmp_path):
         root = make_tree(tmp_path, {
-            "src/repro/core/engine.py": """
-                def build_batched_engine(weights, page_size=16,
-                                         new_knob=False):
-                    pass
+            "src/repro/serving/engine.py": """
+                class BatchedEngine:
+                    def __init__(self, weights, page_size=16,
+                                 new_knob=False):
+                        pass
             """,
             "docs/serving.md": "`weights` and `page_size` are documented.\n",
         })
@@ -349,7 +350,7 @@ class TestDocsKnobsRule:
 
     def test_renamed_function_is_a_finding(self, tmp_path):
         root = make_tree(tmp_path, {
-            "src/repro/core/engine.py": "def something_else():\n    pass\n",
+            "src/repro/serving/engine.py": "def something_else():\n    pass\n",
             "docs/serving.md": "",
         })
         report = run_analysis(root, [DocsKnobsRule(sources=self.SOURCES)])
@@ -524,7 +525,7 @@ class TestRepoAcceptance:
     def _doc_edit_tree(self, tmp_path):
         """A minimal copy of the checkout the docs rules read."""
         for rel in (
-            "src/repro/core/engine.py",
+            "src/repro/serving/engine.py",
             "src/repro/serving/scheduler.py",
             "src/repro/eval/reporting.py",
             "docs/serving.md",
@@ -584,24 +585,12 @@ class TestRepoAcceptance:
         assert "python -m repro.analysis" in script
         assert "inspect.signature" not in script
 
-    def test_baseline_entries_all_match_current_findings(self):
-        """No stale baseline entries on this checkout, and every entry
-        carries a human justification (no TODO markers)."""
+    def test_baseline_is_empty_and_not_stale(self):
+        """The last accepted finding (the per-token KV append loop of
+        chunked prefill) was fixed by ``PagedKVSlot.append_rows``, not
+        re-fingerprinted: the baseline holds no entries."""
         baseline = Baseline.load(REPO_ROOT / "analysis_baseline.txt")
-        assert baseline.entries, "expected the accepted _forward_chunk entry"
-        for fingerprint, justification in baseline.entries.items():
-            assert justification and "TODO" not in justification, fingerprint
+        assert baseline.entries == {}
         report = run_analysis(REPO_ROOT, default_rules(), baseline=baseline)
         assert report.stale_baseline == []
-        # ROADMAP item 5's per-sequence argmax loop was *fixed* in PR 8
-        # (batched sampling), not suppressed: its baseline entry must
-        # stay deleted.  Re-adding it would mean the scalar loop grew
-        # back and someone baselined it instead of vectorising.
-        roadmap_entries = [
-            fp for fp in baseline.entries
-            if "ContinuousBatchingScheduler.step" in fp
-        ]
-        assert not roadmap_entries, (
-            "the scheduler argmax scalar-loop was fixed in PR 8; "
-            "vectorise the regression instead of re-baselining it"
-        )
+        assert len(report.suppressed) == 1     # the ragged verify loop

@@ -1,10 +1,10 @@
 """Batched decode attention + chunked prefill: equivalence and masking.
 
-The contract under test: ``batched_attention=True`` and
-``prefill_chunk > 0`` change *how fast* the engine computes, never *what*
-it decodes -- token-identical to the scalar per-sequence loops across
-the serving/paged/prefix-sharing matrix, with batch=1 staying
-bit-identical to ``build_engine``.  Plus the supporting pieces: the
+The contract under test: the serving engine's batched attention and
+chunked prefill decode exactly the tokens the scalar oracle
+(``build_engine(...).generate``) does, at any batch size, page size and
+prefix-sharing configuration; a batch-1 ``decode_step`` is bit-identical
+to ``forward_token`` on identical KV.  Plus the supporting pieces: the
 shared RoPE memo, length bucketing, the padded-gather plans, and the
 padding-mask property (garbage in padded K/V cells can never reach a
 logit).
@@ -29,8 +29,14 @@ from repro.model.kvcache import KVCache
 from repro.model.rope import rope_for_position, rope_tables
 from repro.serving import ContinuousBatchingScheduler, Request
 
-# 17 tokens: spans at least one full page at every page_size in the
-# sweep (1, 3, 16), so the prefix index can always match it.
+from helpers import (
+    assert_batch1_decode_bit_identical,
+    assert_prefill_logits_match,
+    oracle_tokens,
+)
+
+# 17 tokens: spans at least one full page at every page_size <= 16 in
+# the sweep, so the prefix index can match it.
 SHARED_PREFIX = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2)
 MIXED_PROMPTS = [
     (2, 7, 1),
@@ -138,100 +144,98 @@ class TestLengthBuckets:
             length_buckets([1], min_fill=-0.1)
 
 
-class TestBatchedDecodeEquivalence:
-    """The issue's sweep: batch {2,4,8} x page_size {1,3,16} x mixed
-    lengths including a just-forked prefix sharer, token-identical."""
+SHARING_MODES = {
+    "plain": dict(),
+    "prefix_sharing": dict(prefix_sharing=True, reorder_window=4),
+    "prefix_sharing+cache": dict(prefix_sharing=True, reorder_window=4,
+                                 cache_pages=8),
+}
 
-    @pytest.mark.parametrize("batch_size", [2, 4, 8])
-    @pytest.mark.parametrize("page_size", [1, 3, 16])
-    def test_paged_prefix_sharing_sweep(self, micro_weights, batch_size,
-                                        page_size):
+
+class TestOracleEquivalence:
+    """The serving contract in one sweep: batch x sharing mode x page
+    size, mixed lengths including prefix sharers -> the tokens
+    ``build_engine(...).generate`` produces.  ``page_size=64`` is the
+    micro model's ``max_seq_len``: one page per slot, the geometry of a
+    fixed per-slot store."""
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 4, 8])
+    @pytest.mark.parametrize("mode", sorted(SHARING_MODES))
+    @pytest.mark.parametrize("page_size", [1, 3, 16, 64])
+    def test_tokens_equal_oracle(self, micro_weights, batch_size, mode,
+                                 page_size):
         requests = make_requests()
-        scalar, scalar_report = drain(
+        served, report = drain(
             micro_weights, requests, max_batch_size=batch_size,
-            paged=True, page_size=page_size, prefix_sharing=True,
-            reorder_window=4,
+            page_size=page_size, **SHARING_MODES[mode],
         )
-        batched, report = drain(
-            micro_weights, requests, max_batch_size=batch_size,
-            paged=True, page_size=page_size, prefix_sharing=True,
-            reorder_window=4, batched_attention=True,
-        )
-        assert scalar_report.forked_admissions > 0   # sharers really fork
-        assert batched == scalar
-        assert report.attn_batched_steps > 0
+        assert served == oracle_tokens(micro_weights, requests)
+        if batch_size > 1:
+            assert report.attn_batched_steps > 0
+        if mode != "plain" and batch_size > 1 and page_size <= 16:
+            assert report.forked_admissions > 0   # sharers really fork
 
-    @pytest.mark.parametrize("batch_size", [2, 4, 8])
-    def test_fixed_cache_sweep(self, micro_weights, batch_size):
+    @pytest.mark.parametrize("min_fill", [0.0, 1.0])
+    def test_bucketing_extremes_agree_with_oracle(self, micro_weights,
+                                                  min_fill):
+        """One bucket (pure pad-and-stack) and equal-lengths-only."""
         requests = make_requests()
-        scalar, _ = drain(micro_weights, requests,
-                          max_batch_size=batch_size)
-        batched, report = drain(micro_weights, requests,
-                                max_batch_size=batch_size,
-                                batched_attention=True)
-        assert batched == scalar
-        assert report.attn_batched_steps > 0
-
-    def test_single_bucket_and_equal_length_paths(self, micro_weights):
-        """bucket_min_fill extremes agree with the scalar loop too."""
-        requests = make_requests()
-        scalar, _ = drain(micro_weights, requests, max_batch_size=4)
-        for min_fill in (0.0, 1.0):
-            batched, _ = drain(micro_weights, requests, max_batch_size=4,
-                               batched_attention=True,
-                               attn_bucket_min_fill=min_fill)
-            assert batched == scalar
+        engine = build_batched_engine(micro_weights, max_batch_size=4)
+        engine.attention = BatchedAttention(engine.config,
+                                            bucket_min_fill=min_fill)
+        scheduler = ContinuousBatchingScheduler(engine)
+        for request in requests:
+            scheduler.submit(request)
+        report = scheduler.run()
+        served = {c.request_id: c.generated_ids for c in report.completions}
+        assert served == oracle_tokens(micro_weights, requests)
+        if min_fill == 1.0:
+            assert report.attn_padding_waste == 0.0   # equal lengths only
 
     def test_just_forked_sharer_in_decode_batch(self, micro_weights):
-        """Donor + fresh fork decode together, scalar vs batched."""
-        prompt_a = SHARED_PREFIX + (8, 2)
-        suffix = (1, 7)
+        """Donor + fresh fork decode together: each row matches the
+        oracle fed the same tokens."""
+        prompts = [SHARED_PREFIX + (8, 2), SHARED_PREFIX + (1, 7)]
+        engine = build_batched_engine(
+            micro_weights, max_batch_size=2, page_size=3,
+            prefix_sharing=True,
+        )
+        slot_a = engine.allocate_slot()
+        logits_a = engine.prefill(slot_a, prompts[0])
+        slot_b = engine.fork_slot(slot_a, len(SHARED_PREFIX))
+        logits_b = engine.prefill(slot_b, prompts[1][len(SHARED_PREFIX):])
 
-        def build(batched_attention):
-            engine = build_batched_engine(
-                micro_weights, max_batch_size=2, paged=True, page_size=3,
-                prefix_sharing=True, batched_attention=batched_attention,
-            )
-            slot_a = engine.allocate_slot()
-            logits_a = engine.prefill(slot_a, prompt_a)
-            slot_b = engine.fork_slot(slot_a, len(SHARED_PREFIX))
-            logits_b = engine.prefill(slot_b, suffix)
-            return engine, (slot_a, slot_b), (logits_a, logits_b)
+        oracles = [build_engine(micro_weights) for _ in prompts]
+        for oracle, prompt, logits in zip(oracles, prompts,
+                                          (logits_a, logits_b)):
+            oracle.reset()
+            assert_prefill_logits_match(logits, oracle.prefill(prompt))
 
-        scalar_engine, scalar_slots, scalar_logits = build(False)
-        batched_engine, batched_slots, batched_logits = build(True)
-        np.testing.assert_array_equal(scalar_logits[0], batched_logits[0])
-        np.testing.assert_array_equal(scalar_logits[1], batched_logits[1])
-
-        tokens = [int(np.argmax(l)) for l in scalar_logits]
+        tokens = [int(np.argmax(l)) for l in (logits_a, logits_b)]
         for _ in range(4):
-            scalar_step = scalar_engine.decode_step(scalar_slots, tokens)
-            batched_step = batched_engine.decode_step(batched_slots, tokens)
-            np.testing.assert_allclose(batched_step, scalar_step,
+            step = engine.decode_step([slot_a, slot_b], tokens)
+            ref = [o.forward_token(t, o.cache.length)
+                   for o, t in zip(oracles, tokens)]
+            np.testing.assert_allclose(step, np.stack(ref),
                                        rtol=1e-5, atol=1e-5)
-            assert [int(np.argmax(row)) for row in batched_step] == \
-                [int(np.argmax(row)) for row in scalar_step]
-            tokens = [int(np.argmax(row)) for row in scalar_step]
+            tokens = [int(np.argmax(row)) for row in ref]
+            assert [int(np.argmax(row)) for row in step] == tokens
 
-    def test_batch1_stays_bit_identical_to_build_engine(self, micro_weights):
-        """batched_attention=True must not touch the batch=1 path."""
+    def test_batch1_decode_bit_identical_on_identical_kv(self,
+                                                         micro_weights):
+        """The contract that still holds bit for bit: a batch-1
+        ``decode_step`` is the scalar op sequence, never the plan path."""
         prompt = MIXED_PROMPTS[1]
         reference = build_engine(micro_weights)
         reference.reset()
         ref_logits = reference.prefill(prompt)
 
-        engine = build_batched_engine(micro_weights, max_batch_size=1,
-                                      batched_attention=True)
+        engine = build_batched_engine(micro_weights, max_batch_size=1)
         slot = engine.allocate_slot()
-        logits = engine.prefill(slot, prompt)
-        np.testing.assert_array_equal(logits, ref_logits)
-        token = int(np.argmax(ref_logits))
-        for _ in range(4):
-            step = engine.decode_step([slot], [token])
-            ref_step = reference.forward_token(token,
-                                               reference.cache.length)
-            np.testing.assert_array_equal(step[0], ref_step)
-            token = int(np.argmax(ref_step))
+        assert_prefill_logits_match(engine.prefill(slot, prompt), ref_logits)
+        assert_batch1_decode_bit_identical(
+            engine, slot, reference, int(np.argmax(ref_logits))
+        )
         assert engine.attn_telemetry.batched_steps == 0
 
 
@@ -264,8 +268,7 @@ class TestPaddingMaskProperty:
 
         def build():
             engine = build_batched_engine(
-                micro_weights, max_batch_size=4, paged=True,
-                page_size=page_size, batched_attention=True,
+                micro_weights, max_batch_size=4, page_size=page_size,
             )
             slots, tokens = [], []
             for prompt in prompts:
@@ -286,40 +289,11 @@ class TestPaddingMaskProperty:
             np.testing.assert_array_equal(clean, dirty)
             tokens = [int(np.argmax(row)) for row in clean]
 
-    def test_fixed_cache_padding_immune(self, micro_weights, rng):
-        """Same property on the fixed-slot cache: garbage past each
-        slot's length is masked out of the padded stack."""
-        prompts = [MIXED_PROMPTS[0], MIXED_PROMPTS[5]]
-
-        def build():
-            engine = build_batched_engine(micro_weights, max_batch_size=2,
-                                          batched_attention=True)
-            slots, tokens = [], []
-            for prompt in prompts:
-                slot = engine.allocate_slot()
-                logits = engine.prefill(slot, prompt)
-                slots.append(slot)
-                tokens.append(int(np.argmax(logits)))
-            return engine, slots, tokens
-
-        clean_engine, clean_slots, tokens = build()
-        dirty_engine, dirty_slots, _ = build()
-        cache = dirty_engine.cache
-        for slot in dirty_slots:
-            cache.keys[slot.index, :, slot.length:] = 1e3 * rng.standard_normal(
-                cache.keys[slot.index, :, slot.length:].shape
-            ).astype(np.float32)
-            cache.values[slot.index, :, slot.length:] = -1e3
-        clean = clean_engine.decode_step(clean_slots, tokens)
-        dirty = dirty_engine.decode_step(dirty_slots, tokens)
-        np.testing.assert_array_equal(clean, dirty)
-
 
 class TestGatherPlans:
     def test_plan_extends_append_only_between_steps(self, micro_weights):
         engine = build_batched_engine(micro_weights, max_batch_size=2,
-                                      paged=True, page_size=2,
-                                      batched_attention=True)
+                                      page_size=2)
         slots = []
         tokens = []
         for prompt in (MIXED_PROMPTS[1], MIXED_PROMPTS[5]):
@@ -421,63 +395,51 @@ class TestChunkedPrefill:
     @pytest.mark.parametrize("chunk", [1, 2, 5, 64])
     def test_token_identical_generation(self, micro_weights, chunk):
         requests = make_requests()
-        scalar, _ = drain(micro_weights, requests, max_batch_size=4)
         chunked, _ = drain(micro_weights, requests, max_batch_size=4,
                            prefill_chunk=chunk)
-        assert chunked == scalar
+        assert chunked == oracle_tokens(micro_weights, requests)
 
     def test_prefill_logits_close_and_same_argmax(self, micro_weights):
         prompt = MIXED_PROMPTS[5]
-        scalar_engine = build_batched_engine(micro_weights,
-                                             max_batch_size=1)
-        scalar_slot = scalar_engine.allocate_slot()
-        scalar_logits = scalar_engine.prefill(scalar_slot, prompt)
-
-        chunked_engine = build_batched_engine(micro_weights,
-                                              max_batch_size=1,
-                                              prefill_chunk=4)
-        chunked_slot = chunked_engine.allocate_slot()
-        chunked_logits = chunked_engine.prefill(chunked_slot, prompt)
-        assert chunked_slot.length == len(prompt)
-        np.testing.assert_allclose(chunked_logits, scalar_logits,
-                                   rtol=1e-4, atol=1e-4)
-        assert int(np.argmax(chunked_logits)) == int(np.argmax(scalar_logits))
+        oracle = build_engine(micro_weights)
+        oracle.reset()
+        engine = build_batched_engine(micro_weights, max_batch_size=1,
+                                      prefill_chunk=4)
+        slot = engine.allocate_slot()
+        logits = engine.prefill(slot, prompt)
+        assert slot.length == len(prompt)
+        assert_prefill_logits_match(logits, oracle.prefill(prompt))
 
     @pytest.mark.parametrize("page_size", [1, 3, 16])
     def test_chunked_prefill_on_forked_slot(self, micro_weights, page_size):
-        """Forked admission prefills only the suffix -- chunked or not,
-        the decoded tokens match."""
+        """Forked admission prefills only the suffix, in chunks that
+        straddle page boundaries -- the decoded tokens match."""
         requests = [
             Request(request_id=i,
                     prompt_ids=SHARED_PREFIX + (7 + i, 2, i + 1),
                     max_new_tokens=6)
             for i in range(4)
         ]
-        scalar, ref_report = drain(
-            micro_weights, requests, max_batch_size=4, paged=True,
-            page_size=page_size, prefix_sharing=True, reorder_window=4,
-        )
         chunked, report = drain(
-            micro_weights, requests, max_batch_size=4, paged=True,
+            micro_weights, requests, max_batch_size=4,
             page_size=page_size, prefix_sharing=True, reorder_window=4,
-            prefill_chunk=3, batched_attention=True,
+            prefill_chunk=3,
         )
-        assert report.forked_admissions == ref_report.forked_admissions > 0
-        assert chunked == scalar
+        assert report.forked_admissions > 0
+        assert chunked == oracle_tokens(micro_weights, requests)
 
     def test_sparse_prefill_executor_fallback(self, micro_weights):
         """Executors without run_tokens (sparse prefill) still work."""
         settings = SparseInferSettings(sparse_prefill=True)
         requests = make_requests(max_new=4)
-        scalar, _ = drain(micro_weights, requests, max_batch_size=2,
-                          settings=settings)
         chunked, _ = drain(micro_weights, requests, max_batch_size=2,
                            settings=settings, prefill_chunk=4)
-        assert chunked == scalar
+        assert chunked == oracle_tokens(micro_weights, requests, settings)
 
     def test_validation(self, micro_weights):
-        with pytest.raises(ValueError):
-            build_batched_engine(micro_weights, prefill_chunk=-1)
+        for chunk in (0, -1):
+            with pytest.raises(ValueError, match="prefill_chunk"):
+                build_batched_engine(micro_weights, prefill_chunk=chunk)
         engine = build_batched_engine(micro_weights, prefill_chunk=4)
         slot = engine.allocate_slot()
         with pytest.raises(ValueError):
@@ -485,45 +447,27 @@ class TestChunkedPrefill:
 
 
 class TestTelemetry:
-    def test_report_populated_only_when_batched(self, micro_weights):
+    def test_report_populated_by_batched_steps(self, micro_weights):
         requests = make_requests()
-        _, scalar_report = drain(micro_weights, requests, max_batch_size=4)
-        assert scalar_report.attn_batched_steps == 0
-        assert scalar_report.attn_padding_waste == 0.0
-        assert scalar_report.mean_attn_buckets == 0.0
-
-        _, report = drain(micro_weights, requests, max_batch_size=4,
-                          batched_attention=True)
+        _, report = drain(micro_weights, requests, max_batch_size=4)
         assert report.attn_batched_steps > 0
         assert 0.0 <= report.attn_padding_waste < 1.0
         assert report.mean_attn_buckets >= 1.0
         assert report.attn_useful_positions <= report.attn_padded_positions
 
-    def test_bucket_knob_bounds_waste(self, micro_weights):
-        requests = make_requests()
-        _, loose = drain(micro_weights, requests, max_batch_size=4,
-                         batched_attention=True, attn_bucket_min_fill=0.0)
-        _, tight = drain(micro_weights, requests, max_batch_size=4,
-                         batched_attention=True, attn_bucket_min_fill=1.0)
-        assert tight.attn_padding_waste == 0.0   # equal lengths only
-        assert tight.mean_attn_buckets >= loose.mean_attn_buckets
-        assert loose.attn_padding_waste >= tight.attn_padding_waste
-
     def test_measurement_carries_attention_fields(self, micro_weights):
         requests = make_requests(max_new=4)
         point = measure_batched_serving(
-            micro_weights, requests, 4,
-            batched_attention=True, prefill_chunk=4,
+            micro_weights, requests, 4, prefill_chunk=4,
         )
-        assert "+battn" in point.label and "+chunk4" in point.label
+        assert "+chunk4" in point.label
         assert 0.0 <= point.attn_padding_waste < 1.0
         assert point.mean_attn_buckets >= 1.0
 
     def test_reused_engine_reports_per_run_telemetry(self, micro_weights):
         """A second scheduler on the same engine must not inherit the
         first run's attention counters."""
-        engine = build_batched_engine(micro_weights, max_batch_size=4,
-                                      batched_attention=True)
+        engine = build_batched_engine(micro_weights, max_batch_size=4)
         first = ContinuousBatchingScheduler(engine)
         for request in make_requests():
             first.submit(request)
@@ -560,7 +504,6 @@ class TestTelemetry:
         assert attention.telemetry.padded_positions == 2 * 8
         assert attention.telemetry.useful_positions == 8 + 6
 
-    def test_invalid_bucket_min_fill_rejected(self, micro_weights):
+    def test_invalid_bucket_min_fill_rejected(self, micro_config):
         with pytest.raises(ValueError):
-            build_batched_engine(micro_weights, batched_attention=True,
-                                 attn_bucket_min_fill=2.0)
+            BatchedAttention(micro_config, bucket_min_fill=2.0)

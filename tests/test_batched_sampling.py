@@ -216,17 +216,16 @@ class TestScalarBatchedEquivalence:
         assert not np.array_equal(a, c)
 
 
-# The serving knob matrix of the acceptance sweep: every cache/sharing/
-# preemption shape the scheduler supports.  (paged, sharing, cache_pages,
-# step_budget, preemption) -- sharing requires paged, cache requires
-# sharing, preemption wants a budget-free tick for determinism here.
+# The serving knob matrix of the acceptance sweep: every sharing/
+# preemption shape the scheduler supports.  (sharing, cache_pages,
+# step_budget, preemption) -- cache requires sharing, preemption wants
+# a budget-free tick for determinism here.
 MATRIX = [
     dict(),
-    dict(paged=True),
-    dict(paged=True, prefix_sharing=True),
-    dict(paged=True, prefix_sharing=True, cache_pages=8),
-    dict(paged=True, prefix_sharing=True, cache_pages=8, step_budget=4),
-    dict(paged=True, prefix_sharing=True, cache_pages=8, preemption=True),
+    dict(prefix_sharing=True),
+    dict(prefix_sharing=True, cache_pages=8),
+    dict(prefix_sharing=True, cache_pages=8, step_budget=4),
+    dict(prefix_sharing=True, cache_pages=8, preemption=True),
 ]
 
 
@@ -271,12 +270,12 @@ PROMPTS = [[1, 4, 2], [3, 5], [6, 7, 8, 9], [2, 2, 1], [10, 3], [4, 4, 4]]
 
 class TestServingGreedyMatrix:
     """Default (greedy) serving output is unchanged by the sampler
-    refactor: bit-identical to ``build_engine`` at batch 1 and
-    token-identical at batch > 1, across the whole knob matrix."""
+    refactor: token-identical to ``build_engine`` at every batch size,
+    across the whole knob matrix."""
 
     @pytest.mark.parametrize("batch", [1, 2, 4, 8])
     @pytest.mark.parametrize("knobs", MATRIX,
-                             ids=lambda k: "+".join(k) or "fixed")
+                             ids=lambda k: "+".join(k) or "plain")
     def test_greedy_matches_reference(self, micro_weights, batch, knobs):
         requests = [
             Request(request_id=i, prompt_ids=tuple(p), max_new_tokens=6)
@@ -303,7 +302,7 @@ class TestServingGreedyMatrix:
             Request(request_id=1, prompt_ids=tuple(PROMPTS[2]),
                     max_new_tokens=3),
         ]
-        generated, _ = run_scheduler(micro_weights, requests, 4, paged=True)
+        generated, _ = run_scheduler(micro_weights, requests, 4)
         assert generated[0] == list(full[:2])
         expected = reference.generate(PROMPTS[2], max_new_tokens=3).generated_ids
         assert generated[1] == list(expected)
@@ -337,11 +336,11 @@ class TestServingSampling:
 
     @pytest.mark.parametrize("batch", [2, 4, 8])
     @pytest.mark.parametrize("knobs", MATRIX,
-                             ids=lambda k: "+".join(k) or "fixed")
+                             ids=lambda k: "+".join(k) or "plain")
     def test_seeded_tokens_invariant_to_batch_and_knobs(
             self, micro_weights, batch, knobs):
         # Fixed per-request streams: tokens must not depend on batch
-        # size, cache backend, sharing, budget, or preemption.  (Logit
+        # size, sharing, budget, or preemption.  (Logit
         # rows at batch > 1 can differ from solo by ~1e-8, so this is
         # token equality with astronomically-unlikely flips, not float
         # bit-identity -- the seeds below are fixed.)
@@ -355,9 +354,9 @@ class TestServingSampling:
 
     def test_tokens_invariant_to_admission_order(self, micro_weights):
         requests = self._requests(n=4)
-        forward, _ = run_scheduler(micro_weights, requests, 2, paged=True)
+        forward, _ = run_scheduler(micro_weights, requests, 2)
         backward, _ = run_scheduler(
-            micro_weights, list(reversed(requests)), 2, paged=True
+            micro_weights, list(reversed(requests)), 2
         )
         assert forward == backward
 
@@ -386,7 +385,7 @@ class TestServingSampling:
         greedy = Request(request_id=1, prompt_ids=tuple(PROMPTS[2]),
                          max_new_tokens=5)
         generated, report = run_scheduler(
-            micro_weights, [sampled, greedy], 2, paged=True
+            micro_weights, [sampled, greedy], 2
         )
         reference = build_engine(micro_weights)
         expected = reference.generate(PROMPTS[2], max_new_tokens=5).generated_ids
@@ -422,7 +421,7 @@ class TestServingSampling:
         vip = Request(request_id=1, prompt_ids=(9, 10, 11, 12, 13, 14, 15, 16),
                       max_new_tokens=8, priority=5, sampling=self.CFG)
         engine = build_batched_engine(
-            micro_weights, max_batch_size=2, paged=True, page_size=4,
+            micro_weights, max_batch_size=2, page_size=4,
             n_pages=6, prefix_sharing=True, cache_pages=4,
         )
         scheduler = ContinuousBatchingScheduler(engine, preemption=True)
@@ -449,7 +448,7 @@ class TestServingSampling:
     def test_streams_dropped_at_completion_kept_across_preemption(
             self, micro_weights):
         engine = build_batched_engine(
-            micro_weights, max_batch_size=2, paged=True, page_size=4,
+            micro_weights, max_batch_size=2, page_size=4,
             n_pages=6, prefix_sharing=True, cache_pages=4,
         )
         scheduler = ContinuousBatchingScheduler(engine, preemption=True)
@@ -485,7 +484,7 @@ class TestOnTokenCallback:
             for i in range(4)
         ]
         generated, _ = run_scheduler(
-            micro_weights, requests, 2, paged=True,
+            micro_weights, requests, 2,
             on_token=lambda rid, tok, step: events.append((rid, tok, step)),
         )
         streamed = {}

@@ -284,7 +284,7 @@ def _scenario_engine(max_batch_size=4):
         weights.gate_matrices()
     )
     return BatchedEngine(
-        weights, predictor=predictor, paged=True,
+        weights, predictor=predictor,
         max_batch_size=max_batch_size, n_pages=96, page_size=16,
     )
 

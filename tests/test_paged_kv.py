@@ -11,9 +11,15 @@ from repro.eval.memusage import (
     paged_kv_bytes,
     pages_for_lengths,
 )
-from repro.model.kvcache import BatchedKVCache, KVCache
+from repro.model.kvcache import KVCache
 from repro.model.paged_kvcache import PagedKVCache, PagePool
 from repro.serving import ContinuousBatchingScheduler, Request
+
+from helpers import (
+    assert_batch1_decode_bit_identical,
+    assert_prefill_logits_match,
+    oracle_tokens,
+)
 
 PROMPTS = [[1, 4, 2], [3, 5], [6, 7, 8, 9], [2, 2, 1], [10, 3], [4, 4, 4]]
 
@@ -123,6 +129,53 @@ class TestPagedKVSlot:
                 np.testing.assert_array_equal(pk, sk)
                 np.testing.assert_array_equal(pv, sv)
 
+    @pytest.mark.parametrize("page_size", [1, 3, 4, 16])
+    def test_append_rows_matches_per_position_append(self, micro_config,
+                                                     rng, page_size):
+        """The block write lands every row where ``append`` would, for
+        chunks that start mid-page and straddle page boundaries."""
+        d = micro_config.d_model
+        caches = [PagedKVCache(micro_config, n_slots=1, max_seq_len=16,
+                               page_size=page_size) for _ in range(2)]
+        by_row, by_block = (cache.allocate() for cache in caches)
+        start = 0
+        for n in (2, 5, 1, 6):
+            for layer in range(micro_config.n_layers):
+                k = rng.standard_normal((n, d)).astype(np.float32)
+                v = rng.standard_normal((n, d)).astype(np.float32)
+                for i in range(n):
+                    by_row.append(layer, k[i], v[i], start + i)
+                by_block.append_rows(layer, k, v, start)
+            for _ in range(n):
+                by_row.advance()
+            by_block.advance(n)
+            start += n
+        assert by_block.length == by_row.length == 14
+        assert by_block.n_pages == by_row.n_pages
+        for layer in range(micro_config.n_layers):
+            for got, want in zip(by_block.view(layer, 14),
+                                 by_row.view(layer, 14)):
+                np.testing.assert_array_equal(got, want)
+        with pytest.raises(ValueError, match="exceeds slot capacity"):
+            by_block.append_rows(0, np.zeros((3, d)), np.zeros((3, d)), 14)
+
+    def test_append_rows_copies_a_shared_page_before_writing(
+        self, micro_config
+    ):
+        d = micro_config.d_model
+        cache = PagedKVCache(micro_config, n_slots=2, max_seq_len=16,
+                             page_size=4)
+        donor = cache.allocate()
+        donor.append_rows(0, np.ones((8, d)), np.ones((8, d)), 0)
+        donor.advance(8)
+        fork = cache.fork(donor, 8)               # both pages shared
+        fork.append_rows(0, np.full((6, d), 7.0), np.full((6, d), 7.0), 2)
+        assert fork.page_table[0] != donor.page_table[0]   # COW, per page
+        assert fork.page_table[1] != donor.page_table[1]
+        assert (donor.view(0, 8)[0] == 1.0).all()          # donor untouched
+        keys, _ = fork.view(0, 8)
+        assert (keys[:2] == 1.0).all() and (keys[2:] == 7.0).all()
+
     def test_capacity_and_exhaustion_errors(self, micro_config):
         cache = PagedKVCache(micro_config, n_slots=1, max_seq_len=8,
                              page_size=4, n_pages=1)
@@ -160,9 +213,9 @@ class TestPagedKVSlot:
         assert not cache.can_admit(1)
 
 
-class TestFixedCacheRelease:
+class TestSlotRecycling:
     def test_double_release_still_caught_with_set_tracking(self, micro_config):
-        cache = BatchedKVCache(micro_config, n_slots=3, max_seq_len=8)
+        cache = PagedKVCache(micro_config, n_slots=3, max_seq_len=8)
         a = cache.allocate()
         cache.release(a)
         with pytest.raises(ValueError, match="released twice"):
@@ -176,6 +229,25 @@ class TestFixedCacheRelease:
         assert sorted(cache._free) == sorted(cache._free_set)
 
 
+    def test_dropped_cache_frees_its_arenas_without_a_gc_pass(
+        self, micro_config
+    ):
+        """No pool <-> prefix-cache cycle: an engine rebuilt per run must
+        not strand its K/V arenas until the next full collection."""
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            cache = PagedKVCache(micro_config, n_slots=2, max_seq_len=8,
+                                 cache_pages=2)
+            pool = weakref.ref(cache.pool)
+            del cache
+            assert pool() is None
+        finally:
+            gc.enable()
+
+
 class TestPagedEngineEquivalence:
     def test_batch1_decode_bit_identical_to_build_engine(self, micro_weights):
         prompt = [1, 4, 2, 7, 3, 5, 6]      # crosses page boundaries at 4
@@ -183,50 +255,42 @@ class TestPagedEngineEquivalence:
         ref.reset()
         ref_logits = ref.prefill(prompt)
         engine = build_batched_engine(micro_weights, max_batch_size=1,
-                                      paged=True, page_size=4)
+                                      page_size=4)
         slot = engine.allocate_slot()
-        logits = engine.prefill(slot, prompt)
-        np.testing.assert_array_equal(logits, ref_logits)
-        token = int(np.argmax(ref_logits))
-        for _ in range(6):
-            step = engine.decode_step([slot], [token])
-            ref_step = ref.forward_token(token, ref.cache.length)
-            np.testing.assert_array_equal(step[0], ref_step)
-            token = int(np.argmax(ref_step))
+        assert_prefill_logits_match(engine.prefill(slot, prompt), ref_logits)
+        assert_batch1_decode_bit_identical(
+            engine, slot, ref, int(np.argmax(ref_logits)), n_steps=6
+        )
 
-    def test_paged_vs_fixed_mixed_length_batch_token_identical(
+    def test_mixed_length_batch_token_identical_to_oracle(
         self, micro_weights
     ):
         lengths = [3, 9, 2, 7, 4, 11]
-        requests = lambda: make_requests(lengths)  # noqa: E731
-        fixed = build_batched_engine(micro_weights, max_batch_size=3)
-        paged = build_batched_engine(micro_weights, max_batch_size=3,
-                                     paged=True, page_size=4)
-        outs = []
-        for engine in (fixed, paged):
-            scheduler = ContinuousBatchingScheduler(engine)
-            for request in requests():
-                scheduler.submit(request)
-            report = scheduler.run()
-            outs.append({c.request_id: c.generated_ids
-                         for c in report.completions})
-        assert outs[0] == outs[1]
-        assert all(len(outs[0][i]) == lengths[i] for i in range(len(lengths)))
+        requests = make_requests(lengths)
+        engine = build_batched_engine(micro_weights, max_batch_size=3,
+                                      page_size=4)
+        scheduler = ContinuousBatchingScheduler(engine)
+        for request in requests:
+            scheduler.submit(request)
+        report = scheduler.run()
+        served = {c.request_id: c.generated_ids for c in report.completions}
+        assert served == oracle_tokens(micro_weights, requests)
+        assert all(len(served[i]) == lengths[i] for i in range(len(lengths)))
 
-    def test_default_page_budget_matches_fixed_worst_case(self, micro_weights):
+    def test_default_page_budget_is_every_slots_worst_case(
+        self, micro_weights
+    ):
         engine = build_batched_engine(micro_weights, max_batch_size=2,
-                                      max_seq_len=64, paged=True,
+                                      max_seq_len=64,
                                       page_size=16)
         assert engine.cache.n_pages == 2 * 4
         assert engine.cache.kv_bytes == \
-            build_batched_engine(micro_weights, max_batch_size=2,
-                                 max_seq_len=64).cache.kv_bytes
+            fixed_slot_kv_bytes(micro_weights.config, 2, 64)
 
 
 class TestPrefixSharingEquivalence:
-    """Forked decode must be bit-identical to unshared paged decode and
-    to ``build_engine``, wherever the shared prefix lands on the page
-    grid."""
+    """Forked decode must match unshared decode and ``build_engine``,
+    wherever the shared prefix lands on the page grid."""
 
     PROMPT_A = [1, 4, 2, 7, 3, 5, 6, 2, 9, 1, 3, 8]      # 12 tokens
     SUFFIX = [9, 2, 5]
@@ -236,63 +300,55 @@ class TestPrefixSharingEquivalence:
     CASES = {1: [3, 12], 3: [6, 7, 11, 12], 16: [5, 11, 12]}
 
     @pytest.mark.parametrize("page_size", [1, 3, 16])
-    def test_forked_prefill_and_decode_bit_identical(self, micro_weights,
-                                                     page_size):
+    def test_forked_prefill_and_decode_match_oracle(self, micro_weights,
+                                                    page_size):
         for shared in self.CASES[page_size]:
             prompt_b = self.PROMPT_A[:shared] + self.SUFFIX
             worst = len(prompt_b) + 8
 
             forked = build_batched_engine(micro_weights, max_batch_size=2,
-                                          paged=True, page_size=page_size,
+                                          page_size=page_size,
                                           prefix_sharing=True)
             slot_a = forked.allocate_slot()
             logits_a = forked.prefill(slot_a, self.PROMPT_A)
             slot_b = forked.fork_slot(slot_a, shared, worst)
             assert slot_b.length == shared
+            # The shared positions are the donor's K/V, bit for bit.
+            for layer in range(micro_weights.config.n_layers):
+                for mine, donors in zip(slot_b.view(layer, shared),
+                                        slot_a.view(layer, shared)):
+                    np.testing.assert_array_equal(mine, donors)
             logits_b = forked.prefill(slot_b, self.SUFFIX)
 
-            plain = build_batched_engine(micro_weights, max_batch_size=2,
-                                         paged=True, page_size=page_size)
-            ref_a = plain.allocate_slot()
-            plain.prefill(ref_a, self.PROMPT_A)
-            ref_b = plain.allocate_slot()
-            ref_logits_b = plain.prefill(ref_b, prompt_b)
+            single_a, single_b = (build_engine(micro_weights)
+                                  for _ in range(2))
+            single_a.reset()
+            single_b.reset()
+            assert_prefill_logits_match(logits_a,
+                                        single_a.prefill(self.PROMPT_A))
+            assert_prefill_logits_match(logits_b, single_b.prefill(prompt_b))
 
-            single = build_engine(micro_weights)
-            single.reset()
-            single_logits = single.prefill(prompt_b)
-
-            np.testing.assert_array_equal(logits_b, ref_logits_b)
-            np.testing.assert_array_equal(logits_b, single_logits)
-
-            # Decode the forked sequence alone: batch=1 stays
-            # bit-identical across all three engines.
-            token = int(np.argmax(logits_b))
+            # Decode donor and fork together: each row follows its
+            # oracle fed the same tokens.
+            tokens = [int(np.argmax(logits_a)), int(np.argmax(logits_b))]
             for _ in range(3):
-                step = forked.decode_step([slot_b], [token])
-                ref_step = plain.decode_step([ref_b], [token])
-                single_step = single.forward_token(
-                    token, single.cache.length
-                )
-                np.testing.assert_array_equal(step[0], ref_step[0])
-                np.testing.assert_array_equal(step[0], single_step)
-                token = int(np.argmax(single_step))
+                step = forked.decode_step([slot_a, slot_b], tokens)
+                ref = [o.forward_token(t, o.cache.length)
+                       for o, t in zip((single_a, single_b), tokens)]
+                np.testing.assert_allclose(step, np.stack(ref),
+                                           rtol=1e-5, atol=1e-5)
+                tokens = [int(np.argmax(row)) for row in ref]
+                assert [int(np.argmax(row)) for row in step] == tokens
 
-            # Decode donor and fork together: the batched path sees
-            # identical inputs on both engines, bit for bit.
-            token_a = int(np.argmax(logits_a))
-            for _ in range(3):
-                step = forked.decode_step([slot_a, slot_b],
-                                          [token_a, token])
-                ref_step = plain.decode_step([ref_a, ref_b],
-                                             [token_a, token])
-                np.testing.assert_array_equal(step, ref_step)
-                token_a = int(np.argmax(step[0]))
-                token = int(np.argmax(step[1]))
+            # Decode the forked sequence alone: batch=1 is bit-identical
+            # to the oracle once both hold the same KV.
+            assert_batch1_decode_bit_identical(
+                forked, slot_b, single_b, tokens[1], n_steps=3
+            )
 
     def test_fork_shares_and_cow_isolates_through_engine(self, micro_weights):
         engine = build_batched_engine(micro_weights, max_batch_size=2,
-                                      paged=True, page_size=4,
+                                      page_size=4,
                                       prefix_sharing=True)
         slot_a = engine.allocate_slot()
         engine.prefill(slot_a, self.PROMPT_A)
@@ -305,12 +361,6 @@ class TestPrefixSharingEquivalence:
         assert engine.cache.n_shared_pages == 0
         keys_a, _ = slot_a.view(0, 12)                # donor K/V intact
         assert keys_a.any()
-
-    def test_prefix_sharing_requires_paged(self, micro_weights):
-        from repro.serving import BatchedEngine
-        with pytest.raises(ValueError, match="requires paged"):
-            BatchedEngine(micro_weights, max_batch_size=2,
-                          prefix_sharing=True)
 
 
 class TestSharedPrefixFootprint:
@@ -362,7 +412,7 @@ class TestPagedScheduler:
         # 6 slots but only 4 pages of 4 positions: page demand, not slot
         # count, is the binding constraint.
         engine = build_batched_engine(micro_weights, max_batch_size=6,
-                                      paged=True, page_size=4, n_pages=4)
+                                      page_size=4, n_pages=4)
         scheduler = ContinuousBatchingScheduler(engine)
         for request in make_requests(6):
             scheduler.submit(request)
@@ -381,7 +431,7 @@ class TestPagedScheduler:
     ):
         # Pool holds 8 positions total; a 12-position request can never fit.
         engine = build_batched_engine(micro_weights, max_batch_size=2,
-                                      max_seq_len=32, paged=True,
+                                      max_seq_len=32,
                                       page_size=4, n_pages=2)
         scheduler = ContinuousBatchingScheduler(engine)
         with pytest.raises(ValueError, match="KV positions"):
@@ -401,7 +451,7 @@ class TestPagedScheduler:
         ref = build_engine(micro_weights)
         first = ref.generate([1, 2, 3, 4, 5], 1).generated_ids[0]
         engine = build_batched_engine(micro_weights, max_batch_size=1,
-                                      paged=True, page_size=2)
+                                      page_size=2)
         scheduler = ContinuousBatchingScheduler(engine)
         scheduler.submit(Request(request_id=0, prompt_ids=(1, 2, 3, 4, 5),
                                  max_new_tokens=8,
@@ -412,23 +462,18 @@ class TestPagedScheduler:
         assert report.peak_pages_in_use >= 3     # 5 prompt positions, 2/page
         assert engine.cache.n_pages_in_use == 0  # and returned afterwards
 
-    def test_page_telemetry_populated_only_when_paged(self, micro_weights):
-        for paged in (False, True):
-            engine = build_batched_engine(micro_weights, max_batch_size=2,
-                                          paged=paged, page_size=4)
-            scheduler = ContinuousBatchingScheduler(engine)
-            for request in make_requests(4, PROMPTS[:3]):
-                scheduler.submit(request)
-            report = scheduler.run()
-            if paged:
-                assert report.n_pages > 0
-                assert report.peak_pages_in_use > 0
-                assert 0.0 < report.mean_page_utilisation <= 1.0
-                assert report.mean_page_occupancy <= report.peak_pages_in_use
-            else:
-                assert report.n_pages == 0
-                assert report.page_occupancy_sum == 0
-                assert report.mean_page_utilisation == 0.0
+    def test_page_telemetry_populated(self, micro_weights):
+        engine = build_batched_engine(micro_weights, max_batch_size=2,
+                                      page_size=4)
+        scheduler = ContinuousBatchingScheduler(engine)
+        for request in make_requests(4, PROMPTS[:3]):
+            scheduler.submit(request)
+        report = scheduler.run()
+        assert report.n_pages == engine.cache.n_pages
+        assert report.peak_pages_in_use > 0
+        assert report.page_occupancy_sum >= report.decode_steps > 0
+        assert 0.0 < report.mean_page_utilisation <= 1.0
+        assert report.mean_page_occupancy <= report.peak_pages_in_use
         assert report.peak_occupancy == 2
 
 
@@ -464,7 +509,9 @@ class TestKVFootprintAccounting:
         assert "pages of 16" in text and "x less" in text
 
     def test_footprint_matches_live_arenas(self, micro_config):
-        fixed = BatchedKVCache(micro_config, n_slots=3, max_seq_len=64)
+        # A fixed per-slot store is the one-page-per-slot geometry.
+        fixed = PagedKVCache(micro_config, n_slots=3, max_seq_len=64,
+                             page_size=64, n_pages=3)
         paged = PagedKVCache(micro_config, n_slots=3, max_seq_len=64,
                              page_size=16, n_pages=6)
         assert fixed.kv_bytes == fixed_slot_kv_bytes(micro_config, 3, 64)

@@ -122,7 +122,7 @@ def draw_geometry(rng, schedule) -> dict:
         n_pages=n_pages,
         prefix_sharing=prefix_sharing,
         cache_pages=cache_pages,
-        prefill_chunk=int(rng.choice([0, 3])),
+        prefill_chunk=int(rng.choice([3, 32])),
     )
 
 
@@ -130,7 +130,7 @@ def drive(weights, predictor, schedule, geometry,
           step_budget, preemption, check_pool=True):
     """Drain one schedule tick-by-tick, checking pool state each tick."""
     engine = BatchedEngine(
-        weights, predictor=predictor, paged=True, **geometry
+        weights, predictor=predictor, **geometry
     )
     scheduler = ContinuousBatchingScheduler(
         engine, step_budget=step_budget, preemption=preemption,
@@ -241,7 +241,7 @@ def test_preemption_spares_shared_donor_pages(
                   max_new_tokens=10, priority=5)
     schedule = [(0, sharer_a), (0, sharer_b), (4, vip)]
     geometry = dict(max_batch_size=3, page_size=4, n_pages=9,
-                    prefix_sharing=True, cache_pages=4, prefill_chunk=0)
+                    prefix_sharing=True, cache_pages=4)
     reference = drive(micro_weights, packed_predictor, schedule, geometry,
                       step_budget=0, preemption=False)
     report = drive(micro_weights, packed_predictor, schedule, geometry,
@@ -271,7 +271,7 @@ def test_blocked_head_keeps_queue_priority(micro_weights, packed_predictor):
                   max_new_tokens=12, priority=3)
     schedule = [(0, holder), (0, victim), (3, big)]
     geometry = dict(max_batch_size=3, page_size=4, n_pages=11,
-                    prefix_sharing=False, cache_pages=0, prefill_chunk=0)
+                    prefix_sharing=False, cache_pages=0)
     reference = drive(micro_weights, packed_predictor, schedule, geometry,
                       step_budget=0, preemption=False)
     report = drive(micro_weights, packed_predictor, schedule, geometry,

@@ -15,7 +15,6 @@ from repro.eval.latency import (
     measure_sequential_serving,
 )
 from repro.eval.reporting import format_serving_sweep, format_tail_latency
-from repro.model.kvcache import BatchedKVCache
 from repro.serving import (
     BatchedEngine,
     ContinuousBatchingScheduler,
@@ -23,6 +22,11 @@ from repro.serving import (
     PrefixIndex,
     Request,
     RequestQueue,
+)
+
+from helpers import (
+    assert_batch1_decode_bit_identical,
+    assert_prefill_logits_match,
 )
 
 PROMPTS = [[1, 4, 2], [3, 5], [6, 7, 8, 9], [2, 2, 1], [10, 3], [4, 4, 4]]
@@ -84,38 +88,10 @@ class TestBatchPrediction:
         np.testing.assert_array_equal(batched.intersection_skip, single.skip)
 
 
-class TestBatchedKVCache:
-    def test_slots_are_recycled(self, micro_config):
-        cache = BatchedKVCache(micro_config, n_slots=2, max_seq_len=8)
-        a = cache.allocate()
-        b = cache.allocate()
-        assert cache.n_free == 0
-        with pytest.raises(RuntimeError):
-            cache.allocate()
-        a.append(0, np.ones(micro_config.d_model),
-                 np.ones(micro_config.d_model), 0)
-        a.advance()
-        assert a.length == 1
-        cache.release(a)
-        assert cache.n_free == 1
-        c = cache.allocate()
-        assert c.length == 0           # reset on reuse
-        with pytest.raises(ValueError):
-            cache.release(b) or cache.release(b)
-
-    def test_slot_views_are_independent(self, micro_config):
-        cache = BatchedKVCache(micro_config, n_slots=2, max_seq_len=4)
-        a, b = cache.allocate(), cache.allocate()
-        a.append(0, np.full(micro_config.d_model, 2.0),
-                 np.full(micro_config.d_model, 3.0), 0)
-        keys_b, _ = b.view(0, 1)
-        assert not keys_b.any()
-        keys_a, values_a = a.view(0, 1)
-        assert (keys_a == 2.0).all() and (values_a == 3.0).all()
-
-
 class TestBatchedEngineEquivalence:
-    def test_batch1_bit_identical_logits(self, micro_weights):
+    def test_batch1_logits_match_oracle(self, micro_weights):
+        """Prefill agrees to rounding; a batch-1 decode step is
+        bit-identical to ``forward_token`` on identical KV."""
         sequential = build_engine(micro_weights)
         sequential.reset()
         ref_logits = sequential.prefill(PROMPTS[0])
@@ -123,12 +99,35 @@ class TestBatchedEngineEquivalence:
         engine = build_batched_engine(micro_weights, max_batch_size=1)
         slot = engine.allocate_slot()
         logits = engine.prefill(slot, PROMPTS[0])
-        np.testing.assert_array_equal(logits, ref_logits)
+        assert_prefill_logits_match(logits, ref_logits)
 
-        token = int(np.argmax(ref_logits))
-        step = engine.decode_step([slot], [token])
-        ref_step = sequential.forward_token(token, sequential.cache.length)
-        np.testing.assert_array_equal(step[0], ref_step)
+        assert_batch1_decode_bit_identical(
+            engine, slot, sequential, int(np.argmax(ref_logits))
+        )
+
+    def test_every_forward_path_stays_float32(self, micro_weights):
+        """One float64 scalar in the layer loop silently doubles every
+        downstream GEMM (PR 9); all four callers share that loop."""
+        engine = build_batched_engine(micro_weights, max_batch_size=4)
+        slots = [engine.allocate_slot() for _ in range(4)]
+        outputs = {
+            f"prefill[{i}]": engine.prefill(slot, PROMPTS[i])
+            for i, slot in enumerate(slots)
+        }
+        tokens = [int(np.argmax(outputs[f"prefill[{i}]"])) for i in range(4)]
+        outputs["decode_step B=1"] = engine.decode_step(slots[:1], tokens[:1])
+        outputs["decode_step B=4"] = engine.decode_step(slots, tokens)
+        outputs["draft_step B=1"] = engine.draft_step(
+            slots[:1], tokens[:1], draft_alpha=0.8
+        )
+        outputs["draft_step B=4"] = engine.draft_step(
+            slots, tokens, draft_alpha=0.8
+        )
+        outputs["verify_chunk"] = engine.verify_chunk(slots[0], tokens[:3])
+        for name, logits in outputs.items():
+            assert logits.dtype == np.float32, name
+        pool = engine.cache.pool
+        assert pool.keys.dtype == pool.values.dtype == np.float32
 
     def test_batch1_serving_token_identical(self, micro_weights):
         ref = reference_generations(micro_weights, PROMPTS, 6)
@@ -229,7 +228,7 @@ class TestScheduler:
         logits = engine.prefill(slot, np.array(PROMPTS[0]))
         ref = build_engine(micro_weights)
         ref.reset()
-        np.testing.assert_array_equal(logits, ref.prefill(PROMPTS[0]))
+        assert_prefill_logits_match(logits, ref.prefill(PROMPTS[0]))
         engine.release_slot(slot)
         with pytest.raises(ValueError, match="at least one token"):
             slot2 = engine.allocate_slot()
@@ -340,6 +339,40 @@ class TestScheduler:
         report = scheduler.run()
         assert report.completions[0].n_generated == 6
         assert report.completions[0].ok
+
+    def test_duplicate_live_request_id_rejected_at_submit(self, micro_weights):
+        """Submit stamps, resume state and RNG streams are keyed by
+        request_id: a second live one must not silently collide."""
+        engine = build_batched_engine(micro_weights, max_batch_size=1)
+        scheduler = ContinuousBatchingScheduler(engine)
+        first = Request(request_id=7, prompt_ids=(1, 2, 3), max_new_tokens=3)
+        queued = Request(request_id=8, prompt_ids=(4, 5), max_new_tokens=2)
+        scheduler.submit(first)
+        scheduler.submit(queued)
+        scheduler.step()                  # 7 resident, 8 still queued
+        for live_id in (7, 8):
+            with pytest.raises(ValueError, match="already queued or resident"):
+                scheduler.submit(Request(request_id=live_id,
+                                         prompt_ids=(6,), max_new_tokens=1))
+        report = scheduler.run()
+        assert [c.request_id for c in report.completions] == [7, 8]
+        # A completed id may be reused, and serves the same tokens.
+        scheduler.submit(first)
+        rerun = scheduler.run().completions[-1]
+        assert rerun.request_id == 7
+        assert rerun.generated_ids == report.completions[0].generated_ids
+
+    def test_out_of_vocab_prompt_rejected_at_submit(self, micro_weights):
+        engine = build_batched_engine(micro_weights, max_batch_size=2)
+        scheduler = ContinuousBatchingScheduler(engine)
+        vocab = micro_weights.config.vocab_size
+        for bad in ((1, vocab), (-1, 2)):
+            with pytest.raises(ValueError, match="outside"):
+                scheduler.submit(Request(request_id=0, prompt_ids=bad,
+                                         max_new_tokens=2))
+        scheduler.submit(Request(request_id=0, prompt_ids=(vocab - 1, 0),
+                                 max_new_tokens=2))
+        assert scheduler.run().completions[0].ok
 
     def test_oversized_request_via_raw_queue_is_rejected_not_fatal(
         self, micro_weights
@@ -505,7 +538,7 @@ class TestCorrelationAwareScheduler:
         outs = []
         for sharing, window in ((False, 0), (True, 4)):
             engine = build_batched_engine(
-                micro_weights, max_batch_size=3, paged=True, page_size=4,
+                micro_weights, max_batch_size=3, page_size=4,
                 prefix_sharing=sharing,
             )
             scheduler = ContinuousBatchingScheduler(
@@ -539,7 +572,7 @@ class TestCorrelationAwareScheduler:
         sharers = shared_prefix_requests(self.BASE, 5, 8, max_new_tokens=8,
                                          start_id=2)      # forks: 2 pages
         engine = build_batched_engine(
-            micro_weights, max_batch_size=8, max_seq_len=32, paged=True,
+            micro_weights, max_batch_size=8, max_seq_len=32,
             page_size=4, n_pages=8, prefix_sharing=True,
         )
         scheduler = ContinuousBatchingScheduler(engine,
@@ -562,7 +595,7 @@ class TestCorrelationAwareScheduler:
     def test_strict_fifo_when_window_disabled(self, micro_weights):
         requests = shared_prefix_requests(self.BASE, 6, 8, max_new_tokens=6)
         engine = build_batched_engine(
-            micro_weights, max_batch_size=2, paged=True, page_size=4,
+            micro_weights, max_batch_size=2, page_size=4,
             prefix_sharing=True,
         )
         scheduler = ContinuousBatchingScheduler(engine)   # window = 0
@@ -580,7 +613,7 @@ class TestCorrelationAwareScheduler:
         requests = shared_prefix_requests(self.BASE, 8, 8, suffix_len=3,
                                           max_new_tokens=7)
         engine = build_batched_engine(
-            micro_weights, max_batch_size=4, max_seq_len=32, paged=True,
+            micro_weights, max_batch_size=4, max_seq_len=32,
             page_size=4, n_pages=10, prefix_sharing=True,
         )
         scheduler = ContinuousBatchingScheduler(engine, reorder_window=4)
@@ -602,7 +635,7 @@ class TestCorrelationAwareScheduler:
 
     def test_released_donor_is_no_longer_matched(self, micro_weights):
         engine = build_batched_engine(
-            micro_weights, max_batch_size=2, paged=True, page_size=4,
+            micro_weights, max_batch_size=2, page_size=4,
             prefix_sharing=True,
         )
         slot = engine.allocate_slot()
@@ -648,9 +681,8 @@ class TestServeReportTelemetryContract:
 
     def test_sum_counters_and_wall_clock_split(self, micro_weights):
         engine = build_batched_engine(
-            micro_weights, max_batch_size=2, paged=True, page_size=4,
+            micro_weights, max_batch_size=2, page_size=4,
             n_pages=12, prefix_sharing=True, cache_pages=4,
-            batched_attention=True,
         )
         scheduler = ContinuousBatchingScheduler(
             engine, step_budget=2, preemption=True,
@@ -734,7 +766,7 @@ class TestBudgetedScheduling:
         single tick the report must agree with the live engine stats.
         """
         engine = build_batched_engine(
-            micro_weights, max_batch_size=2, paged=True, page_size=4,
+            micro_weights, max_batch_size=2, page_size=4,
             n_pages=10, prefix_sharing=True, cache_pages=4,
         )
         scheduler = ContinuousBatchingScheduler(
@@ -794,7 +826,7 @@ class TestBudgetedScheduling:
         """Interleaving submit() with step() mid-run keeps every
         ServeReport/Completion cross-sum consistent."""
         engine = build_batched_engine(
-            micro_weights, max_batch_size=2, paged=True, page_size=4,
+            micro_weights, max_batch_size=2, page_size=4,
             n_pages=40,
         )
         scheduler = ContinuousBatchingScheduler(engine, step_budget=3)
@@ -832,7 +864,7 @@ class TestBudgetedScheduling:
     def test_measure_batched_serving_budget_knobs(self, micro_weights):
         requests = make_requests(3)
         point = measure_batched_serving(
-            micro_weights, requests, 2, paged=True, page_size=4,
+            micro_weights, requests, 2, page_size=4,
             step_budget=4, preemption=True,
         )
         assert "+budget4" in point.label and "+preempt" in point.label
@@ -868,13 +900,13 @@ class TestPrefixCache:
     def _engine(self, weights, cache_pages, max_batch_size=2, n_pages=16):
         return build_batched_engine(
             weights, max_batch_size=max_batch_size, max_seq_len=32,
-            paged=True, page_size=4, n_pages=n_pages,
+            page_size=4, n_pages=n_pages,
             prefix_sharing=True, cache_pages=cache_pages,
         )
 
     def test_cache_pages_requires_prefix_sharing(self, micro_weights):
         with pytest.raises(ValueError, match="requires prefix_sharing"):
-            build_batched_engine(micro_weights, paged=True, cache_pages=4)
+            build_batched_engine(micro_weights, cache_pages=4)
 
     def test_bursty_revive_matches_cold_prefill(self, micro_weights):
         """Non-overlapping same-prefix bursts: the cache (and only the
@@ -981,7 +1013,7 @@ class TestPrefixCache:
         requests = shared_prefix_requests(self.BASE, 3, 8, suffix_len=2,
                                           max_new_tokens=3)
         point = measure_batched_serving(
-            micro_weights, requests, 2, paged=True, page_size=4,
+            micro_weights, requests, 2, page_size=4,
             n_pages=16, prefix_sharing=True, cache_pages=8,
         )
         assert "+cache8" in point.label

@@ -95,7 +95,7 @@ def draw_geometry(rng, schedule) -> dict:
         n_pages=n_pages,
         prefix_sharing=bool(rng.random() < 0.5),
         cache_pages=0,
-        prefill_chunk=int(rng.choice([0, 3])),
+        prefill_chunk=int(rng.choice([3, 32])),
     )
 
 
@@ -103,7 +103,7 @@ def drive(weights, predictor, schedule, geometry, admission="fifo",
           deadline_window=4, step_budget=0, preemption=False,
           check_pool=True):
     engine = BatchedEngine(
-        weights, predictor=predictor, paged=True, **geometry
+        weights, predictor=predictor, **geometry
     )
     scheduler = ContinuousBatchingScheduler(
         engine, step_budget=step_budget, preemption=preemption,
@@ -283,7 +283,7 @@ def test_bounded_bypass_prevents_starvation(
             slo=SLOSpec("interactive", ttft_steps=2),
         )))
     geometry = dict(max_batch_size=1, page_size=4, n_pages=2,
-                    prefix_sharing=False, cache_pages=0, prefill_chunk=0)
+                    prefix_sharing=False, cache_pages=0)
     report = drive(micro_weights, packed_predictor, schedule, geometry,
                    admission="deadline", deadline_window=window,
                    check_pool=False)
@@ -308,7 +308,7 @@ def test_priority_breaks_deadline_ties(micro_weights, packed_predictor):
     high = Request(request_id=1, prompt_ids=(4, 5, 6), max_new_tokens=2,
                    priority=5, slo=slo)
     geometry = dict(max_batch_size=1, page_size=4, n_pages=2,
-                    prefix_sharing=False, cache_pages=0, prefill_chunk=0)
+                    prefix_sharing=False, cache_pages=0)
     report = drive(micro_weights, packed_predictor,
                    [(0, low), (0, high)], geometry,
                    admission="deadline", check_pool=False)
@@ -350,7 +350,7 @@ def test_deadline_beats_fifo_goodput_under_overload(
         for i in range(6, 9)
     ]
     geometry = dict(max_batch_size=1, page_size=4, n_pages=2,
-                    prefix_sharing=False, cache_pages=0, prefill_chunk=0)
+                    prefix_sharing=False, cache_pages=0)
     fifo = drive(micro_weights, packed_predictor, schedule, geometry,
                  admission="fifo", check_pool=False)
     edf = drive(micro_weights, packed_predictor, schedule, geometry,

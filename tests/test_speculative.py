@@ -1,10 +1,9 @@
 """Speculative self-drafting (PR 9).
 
-Covers the `SpecConfig` knob surface, KV rollback (`truncate`) on both
-cache backends, the engine's draft/verify primitives, and the serving
-contract: speculation-on output is token-identical to
-``speculation=None`` across the batch x cache/sharing/budget/preemption
-matrix for greedy and seeded-sampled requests, adaptive draft depth
+Covers the `SpecConfig` knob surface, KV rollback (`truncate`), the
+engine's draft/verify primitives, and the serving contract:
+speculation-on output is token-identical to ``speculation=None`` across
+the batch x sharing/budget/preemption matrix for greedy and seeded-sampled requests, adaptive draft depth
 reacts to the acceptance EMA, and the `ServeReport` speculation
 telemetry (``drafted_tokens`` / ``accepted_tokens`` /
 ``acceptance_rate`` / ``draft_seconds`` / ``verify_seconds``) adds up.
@@ -16,7 +15,6 @@ import pytest
 from repro.core.engine import build_batched_engine, build_engine
 from repro.eval.latency import measure_batched_serving
 from repro.eval.reporting import format_speculation
-from repro.model.kvcache import BatchedKVCache
 from repro.model.paged_kvcache import PagedKVCache
 from repro.model.sampler import SamplerConfig
 from repro.serving import ContinuousBatchingScheduler, Request, SpecConfig
@@ -26,14 +24,13 @@ CFG = SamplerConfig(temperature=0.9, top_k=8, top_p=0.95, seed=17)
 PROMPTS = [[1, 4, 2], [3, 5], [6, 7, 8, 9], [2, 2, 1], [10, 3], [4, 4, 4]]
 
 # Same serving knob matrix as the sampling acceptance sweep: every
-# cache/sharing/budget/preemption shape the scheduler supports.
+# sharing/budget/preemption shape the scheduler supports.
 MATRIX = [
     dict(),
-    dict(paged=True),
-    dict(paged=True, prefix_sharing=True),
-    dict(paged=True, prefix_sharing=True, cache_pages=8),
-    dict(paged=True, prefix_sharing=True, cache_pages=8, step_budget=4),
-    dict(paged=True, prefix_sharing=True, cache_pages=8, preemption=True),
+    dict(prefix_sharing=True),
+    dict(prefix_sharing=True, cache_pages=8),
+    dict(prefix_sharing=True, cache_pages=8, step_budget=4),
+    dict(prefix_sharing=True, cache_pages=8, preemption=True),
 ]
 
 
@@ -90,10 +87,10 @@ class TestSpecConfig:
 
 
 class TestTruncate:
-    """KV rollback on both cache backends (the speculation primitive)."""
+    """KV rollback (the speculation primitive)."""
 
-    def test_fixed_slot_truncate_and_reappend(self, micro_config):
-        cache = BatchedKVCache(micro_config, n_slots=1)
+    def test_truncate_within_a_page_and_reappend(self, micro_config):
+        cache = PagedKVCache(micro_config, n_slots=1)
         slot = cache.allocate()
         d = micro_config.d_model
         for pos in range(5):
@@ -113,8 +110,8 @@ class TestTruncate:
         assert keys[3, 0] == 103.0        # rewritten tail
         cache.release(slot)
 
-    def test_fixed_slot_truncate_validates(self, micro_config):
-        cache = BatchedKVCache(micro_config, n_slots=1)
+    def test_truncate_validates(self, micro_config):
+        cache = PagedKVCache(micro_config, n_slots=1)
         slot = cache.allocate()
         with pytest.raises(ValueError, match="truncate"):
             slot.truncate(1)              # beyond current length
@@ -220,7 +217,7 @@ class TestTokenIdentityMatrix:
 
     @pytest.mark.parametrize("batch", [1, 2, 4, 8])
     @pytest.mark.parametrize("knobs", MATRIX,
-                             ids=lambda k: "+".join(k) or "fixed")
+                             ids=lambda k: "+".join(k) or "plain")
     def test_greedy_identical_to_plain(self, micro_weights, batch, knobs):
         requests = make_requests()
         plain, _ = run_scheduler(micro_weights, requests, batch, **knobs)
@@ -232,7 +229,7 @@ class TestTokenIdentityMatrix:
 
     @pytest.mark.parametrize("batch", [1, 2, 4, 8])
     @pytest.mark.parametrize("knobs", MATRIX,
-                             ids=lambda k: "+".join(k) or "fixed")
+                             ids=lambda k: "+".join(k) or "plain")
     def test_sampled_identical_to_plain(self, micro_weights, batch, knobs):
         requests = make_requests(max_new=5, sampling=CFG)
         plain, _ = run_scheduler(micro_weights, requests, batch, **knobs)
@@ -246,7 +243,7 @@ class TestTokenIdentityMatrix:
         # Transitively: speculation == plain == build_engine.generate.
         requests = make_requests()
         spec, _ = run_scheduler(
-            micro_weights, requests, 4, paged=True, speculation=SPEC,
+            micro_weights, requests, 4, speculation=SPEC,
         )
         reference = build_engine(micro_weights)
         for i, prompt in enumerate(PROMPTS):
@@ -260,9 +257,9 @@ class TestTokenIdentityMatrix:
             Request(request_id=1, prompt_ids=tuple(PROMPTS[2]),
                     max_new_tokens=6),
         ]
-        plain, _ = run_scheduler(micro_weights, requests, 2, paged=True)
+        plain, _ = run_scheduler(micro_weights, requests, 2)
         spec, _ = run_scheduler(
-            micro_weights, requests, 2, paged=True, speculation=SPEC,
+            micro_weights, requests, 2, speculation=SPEC,
         )
         assert spec == plain
 
@@ -304,7 +301,7 @@ class TestTokenIdentityMatrix:
 class TestTelemetryAndAdaptivity:
     def test_report_accounting_adds_up(self, micro_weights):
         _, report = run_scheduler(
-            micro_weights, make_requests(), 4, paged=True, speculation=SPEC,
+            micro_weights, make_requests(), 4, speculation=SPEC,
         )
         assert 0 < report.accepted_tokens <= report.drafted_tokens
         assert report.acceptance_rate == pytest.approx(
@@ -317,7 +314,7 @@ class TestTelemetryAndAdaptivity:
         )
         # Speculation emits >= 1 token per drafter tick, so it can only
         # shrink the tick count relative to one-token-per-tick decode.
-        _, plain = run_scheduler(micro_weights, make_requests(), 4, paged=True)
+        _, plain = run_scheduler(micro_weights, make_requests(), 4)
         assert report.decode_steps < plain.decode_steps
         assert report.tokens_generated == plain.tokens_generated
 
@@ -371,7 +368,7 @@ class TestTelemetryAndAdaptivity:
         vip = Request(request_id=1, prompt_ids=(9, 10, 11, 12, 13, 14, 15, 16),
                       max_new_tokens=8, priority=5, sampling=CFG)
         engine = build_batched_engine(
-            micro_weights, max_batch_size=2, paged=True, page_size=4,
+            micro_weights, max_batch_size=2, page_size=4,
             n_pages=6, prefix_sharing=True, cache_pages=4, speculation=spec,
         )
         scheduler = ContinuousBatchingScheduler(engine, preemption=True)
@@ -399,7 +396,7 @@ class TestTelemetryAndAdaptivity:
     def test_measurement_knob_and_label(self, micro_weights):
         requests = make_requests(n=4, max_new=5)
         point = measure_batched_serving(
-            micro_weights, requests, max_batch_size=2, paged=True,
+            micro_weights, requests, max_batch_size=2,
             speculation=SPEC,
         )
         assert "+spec(a=0.8,k=3)" in point.label
@@ -412,7 +409,7 @@ class TestTelemetryAndAdaptivity:
         table = format_speculation([point])
         assert str(point.drafted_tokens) in table
         plain = measure_batched_serving(
-            micro_weights, requests, max_batch_size=2, paged=True,
+            micro_weights, requests, max_batch_size=2,
         )
         assert "+spec" not in plain.label
         assert plain.drafted_tokens == 0
