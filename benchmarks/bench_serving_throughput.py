@@ -26,7 +26,11 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import numpy as np
 
-from repro.core.engine import SparseInferSettings, build_predictor
+from repro.core.engine import (
+    SparseInferSettings,
+    build_batched_engine,
+    build_predictor,
+)
 from repro.eval.latency import (
     measure_batched_serving,
     measure_sequential_serving,
@@ -35,7 +39,7 @@ from repro.eval.reporting import format_serving_sweep
 from repro.gpu.batching import batch_skip_fraction
 from repro.model.config import ModelConfig
 from repro.model.weights import random_weights
-from repro.serving import Request
+from repro.serving import ContinuousBatchingScheduler, Request
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 BATCH_SIZES = (1, 2, 4, 8)
@@ -85,24 +89,29 @@ def run_sweep(repeats: int = 2):
     # every measurement instead of re-packing per engine build.
     predictor = build_predictor(weights, SparseInferSettings())
     best = lambda measurements: max(  # noqa: E731
-        measurements, key=lambda m: m.tokens_per_second
+        measurements, key=lambda m: m.report.tokens_per_second
     )
     baseline = best([
         measure_sequential_serving(weights, requests, predictor=predictor)
         for _ in range(repeats)
     ])
+
+    def fresh_scheduler(batch_size):
+        return ContinuousBatchingScheduler(build_batched_engine(
+            weights, predictor=predictor, max_batch_size=batch_size,
+        ))
+
     points = [
         best([
-            measure_batched_serving(weights, requests, batch_size,
-                                    predictor=predictor)
+            measure_batched_serving(fresh_scheduler(batch_size), requests)
             for _ in range(repeats)
         ])
         for batch_size in BATCH_SIZES
     ]
     analytic = [
         batch_skip_fraction(
-            baseline.sequence_skip,
-            max(1, round(point.mean_batch_occupancy)),
+            baseline.report.mean_sequence_skip,
+            max(1, round(point.report.mean_batch_occupancy)),
         )
         for point in points
     ]
@@ -111,19 +120,20 @@ def run_sweep(repeats: int = 2):
 
 def check_sweep(baseline, points, analytic) -> None:
     """The acceptance properties of the sweep."""
-    by_batch = {p.max_batch_size: p for p in points}
+    by_batch = dict(zip(BATCH_SIZES, points))
+    sequence_skip = baseline.report.mean_sequence_skip
     # Batch 1 serving realises the full per-sequence skip...
     np.testing.assert_allclose(
-        by_batch[1].intersection_skip, baseline.sequence_skip, atol=0.02
+        by_batch[1].report.intersection_skip, sequence_skip, atol=0.02
     )
     # ...and the intersection decays monotonically with batch size,
     # tracking the analytical skip^B curve.
-    skips = [p.intersection_skip for p in points]
+    skips = [p.report.intersection_skip for p in points]
     assert skips == sorted(skips, reverse=True), skips
     for point, expected in zip(points, analytic):
-        if point.mean_batch_occupancy >= 1.5:
-            assert point.intersection_skip < baseline.sequence_skip
-        assert abs(point.intersection_skip - expected) < 0.15
+        if point.report.mean_batch_occupancy >= 1.5:
+            assert point.report.intersection_skip < sequence_skip
+        assert abs(point.report.intersection_skip - expected) < 0.15
     # Throughput: batching beats sequential decode.  The sequential
     # baseline used to run its post-attention residual (and so every
     # MLP GEMM) in float64 -- promoted by a float64 attention scale --
@@ -140,16 +150,16 @@ def check_sweep(baseline, points, analytic) -> None:
 
 def _measurement_json(m) -> dict:
     """ServingMeasurement -> plain dict for the machine-readable dump."""
+    report = m.report
     return {
         "label": m.label,
-        "max_batch_size": m.max_batch_size,
-        "tokens_generated": m.tokens_generated,
-        "prefill_seconds": m.prefill_seconds,
-        "decode_seconds": m.decode_seconds,
-        "tokens_per_second": m.tokens_per_second,
-        "mean_batch_occupancy": m.mean_batch_occupancy,
-        "intersection_skip": m.intersection_skip,
-        "sequence_skip": m.sequence_skip,
+        "tokens_generated": report.tokens_generated,
+        "prefill_seconds": report.prefill_seconds,
+        "decode_seconds": report.decode_seconds,
+        "tokens_per_second": report.tokens_per_second,
+        "mean_batch_occupancy": report.mean_batch_occupancy,
+        "intersection_skip": report.intersection_skip,
+        "sequence_skip": report.mean_sequence_skip,
     }
 
 
@@ -181,7 +191,8 @@ def main() -> int:
         "",
         format_serving_sweep(baseline, points, analytic),
         "",
-        f"per-sequence predicted skip: {baseline.sequence_skip:.1%} "
+        f"per-sequence predicted skip: "
+        f"{baseline.report.mean_sequence_skip:.1%} "
         "(the batch=1 ceiling the intersection decays from)",
     ]
     text = "\n".join(lines)

@@ -17,6 +17,7 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from repro import (
     SparseInferSettings,
+    build_batched_engine,
     build_predictor,
     random_weights,
     tiny_7b_role,
@@ -28,7 +29,7 @@ from repro.eval.latency import (
 from repro.eval.reporting import format_serving_sweep
 from repro.gpu.batching import batch_skip_fraction
 from repro.model.tokenizer import CharTokenizer
-from repro.serving import Request
+from repro.serving import ContinuousBatchingScheduler, Request
 from repro.workloads import gsm8k_like
 
 
@@ -67,22 +68,23 @@ def main() -> None:
     baseline = measure_sequential_serving(weights, requests, settings,
                                           predictor=predictor)
     points = [
-        measure_batched_serving(weights, requests, bsz, settings,
-                                predictor=predictor)
+        measure_batched_serving(
+            ContinuousBatchingScheduler(build_batched_engine(
+                weights, settings, predictor=predictor, max_batch_size=bsz,
+            )),
+            requests,
+        )
         for bsz in (1, 4)
     ]
     analytic = [
-        batch_skip_fraction(baseline.sequence_skip,
-                            max(1, round(p.mean_batch_occupancy)))
+        batch_skip_fraction(baseline.report.mean_sequence_skip,
+                            max(1, round(p.report.mean_batch_occupancy)))
         for p in points
     ]
 
     # Show a few completions from the batched run (same tokens as the
     # sequential engine produces -- the scheduler only changes *when* a
     # sequence decodes, not *what* it decodes).
-    from repro.core.engine import build_batched_engine
-    from repro.serving import ContinuousBatchingScheduler
-
     engine = build_batched_engine(weights, settings, predictor=predictor,
                                   max_batch_size=4)
     scheduler = ContinuousBatchingScheduler(engine)
@@ -163,9 +165,9 @@ def main() -> None:
     # layer (length-bucketed), so the report also carries padding-waste
     # / bucket telemetry.
     print(f"\nbatched decode attention: "
-          f"{sharing_report.attn_batched_steps} batched decode steps, "
-          f"{sharing_report.mean_attn_buckets:.2f} length buckets/step, "
-          f"{sharing_report.attn_padding_waste:.0%} padding masked off")
+          f"{sharing_report.attention.batched_steps} batched decode steps, "
+          f"{sharing_report.attention.mean_buckets_per_step:.2f} length buckets/step, "
+          f"{sharing_report.attention.padding_waste_fraction:.0%} padding masked off")
 
     # Cross-request prefix cache: the same few-shot workload, but
     # *bursty* -- each request fully drains before the next arrives, so
@@ -344,8 +346,7 @@ def main() -> None:
     # admission="deadline" (EDF over the queue window) hopeless requests
     # are shed and the freed capacity serves still-feasible arrivals --
     # same trace, strictly more goodput.
-    from types import SimpleNamespace
-
+    from repro.eval.latency import ServingMeasurement
     from repro.eval.reporting import format_goodput
     from repro.serving import (LoadGenerator, PoissonProcess, SLOSpec,
                                run_trace)
@@ -376,10 +377,8 @@ def main() -> None:
     print(f"\noverloaded Poisson traffic (24 requests, tight interactive "
           f"SLO), fifo vs deadline admission:")
     print(format_goodput([
-        SimpleNamespace(label="fifo",
-                        class_stats=fifo_report.class_telemetry()),
-        SimpleNamespace(label="deadline",
-                        class_stats=edf_report.class_telemetry()),
+        ServingMeasurement("fifo", fifo_report),
+        ServingMeasurement("deadline", edf_report),
     ]))
     print(f"goodput {fifo_report.goodput_tokens} -> "
           f"{edf_report.goodput_tokens} tokens "

@@ -75,9 +75,9 @@ def format_serving_sweep(baseline, points, analytic_skips=None) -> str:
     headers = ["engine", "tok/s", "speedup", "occupancy",
                "skip (measured)", "skip (skip^B)"]
     rows = [[
-        baseline.label, f"{baseline.tokens_per_second:.1f}", "1.00x",
-        f"{baseline.mean_batch_occupancy:.2f}",
-        f"{baseline.intersection_skip:.1%}", "-",
+        baseline.label, f"{baseline.report.tokens_per_second:.1f}", "1.00x",
+        f"{baseline.report.mean_batch_occupancy:.2f}",
+        f"{baseline.report.intersection_skip:.1%}", "-",
     ]]
     for i, point in enumerate(points):
         analytic = (
@@ -85,10 +85,10 @@ def format_serving_sweep(baseline, points, analytic_skips=None) -> str:
         )
         rows.append([
             point.label,
-            f"{point.tokens_per_second:.1f}",
+            f"{point.report.tokens_per_second:.1f}",
             f"{point.speedup_over(baseline):.2f}x",
-            f"{point.mean_batch_occupancy:.2f}",
-            f"{point.intersection_skip:.1%}",
+            f"{point.report.mean_batch_occupancy:.2f}",
+            f"{point.report.intersection_skip:.1%}",
             analytic,
         ])
     return markdown_table(headers, rows)
@@ -108,15 +108,16 @@ def format_sampling(points) -> str:
                "sampler share", "tok/s"]
     rows = []
     for point in points:
-        share = (point.sampler_seconds / point.wall_seconds
-                 if point.wall_seconds else 0.0)
+        report = point.report
+        share = (report.sampler_seconds / report.wall_seconds
+                 if report.wall_seconds else 0.0)
         rows.append([
             point.label,
-            str(point.greedy_tokens),
-            str(point.sampled_tokens),
-            f"{point.sampler_seconds * 1e3:.2f}",
+            str(report.greedy_tokens),
+            str(report.sampled_tokens),
+            f"{report.sampler_seconds * 1e3:.2f}",
             f"{share:.1%}",
-            f"{point.tokens_per_second:.1f}",
+            f"{report.tokens_per_second:.1f}",
         ])
     return markdown_table(headers, rows)
 
@@ -137,17 +138,18 @@ def format_speculation(points) -> str:
                "draft (ms)", "verify (ms)", "tok/step", "tok/s"]
     rows = []
     for point in points:
-        per_step = (point.tokens_generated / point.decode_steps
-                    if point.decode_steps else 0.0)
+        report = point.report
+        per_step = (report.tokens_generated / report.decode_steps
+                    if report.decode_steps else 0.0)
         rows.append([
             point.label,
-            str(point.drafted_tokens),
-            str(point.accepted_tokens),
-            f"{point.acceptance_rate:.1%}",
-            f"{point.draft_seconds * 1e3:.2f}",
-            f"{point.verify_seconds * 1e3:.2f}",
+            str(report.drafted_tokens),
+            str(report.accepted_tokens),
+            f"{report.acceptance_rate:.1%}",
+            f"{report.draft_seconds * 1e3:.2f}",
+            f"{report.verify_seconds * 1e3:.2f}",
             f"{per_step:.2f}",
-            f"{point.tokens_per_second:.1f}",
+            f"{report.tokens_per_second:.1f}",
         ])
     return markdown_table(headers, rows)
 
@@ -167,15 +169,16 @@ def format_tail_latency(points) -> str:
                "peak tick prefill", "preempt/resume"]
     rows = []
     for point in points:
+        report = point.report
         rows.append([
             point.label,
-            f"{point.ttft_p50_seconds * 1e3:.2f}",
-            f"{point.ttft_p99_seconds * 1e3:.2f}",
-            f"{point.itl_p50_seconds * 1e3:.2f}",
-            f"{point.itl_p99_seconds * 1e3:.2f}",
-            f"{point.max_itl_seconds * 1e3:.2f}",
-            str(point.peak_tick_prefill_tokens),
-            f"{point.preemptions}/{point.resumed_admissions}",
+            f"{report.ttft_seconds_percentile(50) * 1e3:.2f}",
+            f"{report.ttft_seconds_percentile(99) * 1e3:.2f}",
+            f"{report.itl_seconds_percentile(50) * 1e3:.2f}",
+            f"{report.itl_seconds_percentile(99) * 1e3:.2f}",
+            f"{report.max_itl_seconds * 1e3:.2f}",
+            str(report.peak_tick_prefill_tokens),
+            f"{report.preemptions}/{report.resumed_admissions}",
         ])
     return markdown_table(headers, rows)
 
@@ -185,7 +188,7 @@ def format_goodput(points) -> str:
 
     ``points`` are :class:`repro.eval.latency.ServingMeasurement`
     objects whose requests carried SLO contracts: one row per
-    ``(engine, slo_class)`` from ``class_stats``, splitting each class's
+    ``(engine, slo_class)`` from ``class_telemetry()``, splitting each class's
     requests into SLO-met / missed / shed, its ``goodput_tokens`` (the
     SLO-met subset of its tokens), and its deterministic tick-based
     TTFT/ITL p99.  The interesting read is the same overloaded trace
@@ -198,7 +201,7 @@ def format_goodput(points) -> str:
                "ITL p99 (ticks)"]
     rows = []
     for point in points:
-        for tag, stats in sorted(point.class_stats.items()):
+        for tag, stats in point.report.class_telemetry().items():
             fraction = (stats["goodput_tokens"] / stats["tokens"]
                         if stats["tokens"] else 0.0)
             rows.append([

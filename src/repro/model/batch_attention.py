@@ -75,6 +75,15 @@ class AttentionTelemetry:
     def mean_buckets_per_step(self) -> float:
         return self.buckets_sum / self.batched_steps if self.batched_steps else 0.0
 
+    def since(self, baseline: "AttentionTelemetry") -> "AttentionTelemetry":
+        """The counters accumulated after ``baseline`` was snapshotted."""
+        return AttentionTelemetry(
+            batched_steps=self.batched_steps - baseline.batched_steps,
+            buckets_sum=self.buckets_sum - baseline.buckets_sum,
+            useful_positions=self.useful_positions - baseline.useful_positions,
+            padded_positions=self.padded_positions - baseline.padded_positions,
+        )
+
 
 def length_buckets(
     lengths: Sequence[int], min_fill: float = DEFAULT_BUCKET_MIN_FILL

@@ -3,10 +3,11 @@
 Each scheduler tick:
 
 1. retire sequences that finished last tick, freeing their KV slots;
-2. admit queued requests (FIFO) into free slots -- admission prefills the
-   prompt and samples the first token, exactly like the single-sequence
-   ``generate`` loop samples from the prefill logits.  Admission
-   additionally gates on the request's *worst-case*
+2. admit queued requests (FIFO) into free slots -- candidate selection
+   -> plan -> seat, repeated until the queue is empty or the candidate
+   is blocked; seating prefills the prompt and samples the first token,
+   exactly like the single-sequence ``generate`` loop samples from the
+   prefill logits.  The plan gates on the request's *worst-case*
    page demand (``ceil((prompt + max_new - 1) / page_size)`` pages must
    be reservable), so an admitted sequence can never starve for pages
    mid-decode; zero-token requests complete immediately without a slot
@@ -71,15 +72,16 @@ admission whose head outranks a resident (strictly greater
 :attr:`~repro.serving.request.Request.priority`) evicts the
 lowest-priority resident: the victim's KV pages are released (its
 *prefilled prompt prefix* is parked in the engine's prefix cache when
-one is configured, so restoration is usually a revive) and the victim
-is re-enqueued **ahead of FIFO order** via
-:meth:`~repro.serving.queue.RequestQueue.push_front`.  Resume restores
-the prompt through the normal fork -> revive -> cold-prefill cascade
-and then *replays* the already-generated tokens through the decode
-path (the sparse executor -- recomputing them with the dense prefill
-path would change their K/V values, not just their rounding), so the
-resumed sequence continues token-identically.  Already-emitted tokens
-are kept, never resampled.  Equal priorities never preempt each other,
+one is configured, so restoration is usually a revive), its sequence
+record is parked slot-less, and the request is re-enqueued **ahead of
+FIFO order** via :meth:`~repro.serving.queue.RequestQueue.push_front`.
+Resume re-seats that same record: it restores the prompt through the
+normal fork -> revive -> cold-prefill cascade and then *replays* the
+already-generated tokens through the decode path (the sparse executor
+-- recomputing them with the dense prefill path would change their K/V
+values, not just their rounding), so the resumed sequence continues
+token-identically.  Already-emitted tokens are kept, never resampled.
+Equal priorities never preempt each other,
 which rules out eviction ping-pong; every preemption chain strictly
 descends in priority, so it is finite.
 
@@ -140,49 +142,56 @@ propagate, not read as "queue empty".
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
 
+from ..model.batch_attention import AttentionTelemetry
 from .engine import BatchedEngine
 from .queue import EmptyQueueError, RequestQueue
 from .request import Completion, Request
 from .speculative import SpecConfig
+
+#: Submit stamp ``(perf_counter, tick)`` of a request that was enqueued
+#: without :meth:`ContinuousBatchingScheduler.submit` (injected queue).
+_UNSTAMPED = (None, 0)
 
 
 @dataclass
 class _ActiveSequence:
     """Scheduler-side state of one admitted, unfinished request.
 
-    Under a step budget a sequence holds its slot before its prompt is
-    fully in KV: ``pending_prefill`` is the un-prefilled prompt suffix
-    still to feed through the prefill path, and ``pending_replay`` the
+    A sequence holds its slot before its prompt is fully in KV:
+    ``pending_prefill`` is the un-prefilled prompt suffix still to feed
+    through the prefill path, and ``pending_replay`` the
     already-emitted tokens a resumed (preempted) sequence must re-feed
     through the *decode* path before it can continue.  While either is
     non-empty the sequence is :attr:`restoring` and sits out the decode
-    batch.  ``emit_times`` records one wall-clock stamp per emitted
-    token (TTFT / inter-token gaps) and ``emit_steps`` the tick count
-    of the same emissions (the deterministic clock SLO deadlines are
-    judged against); ``preemptions`` counts evictions survived so far.
+    batch (inline admission drains both before seating it).
+    ``emit_times`` records one wall-clock stamp per emitted token (TTFT
+    / inter-token gaps) and ``emit_steps`` the tick count of the same
+    emissions (the deterministic clock SLO deadlines are judged
+    against); ``preemptions`` counts evictions survived so far.
 
     Speculation state: ``spec_k`` is this sequence's current draft
     depth (0 = never drafts; set to the config's ``k`` at admission
     when speculation is on), ``spec_ema`` its rolling acceptance-rate
     EMA -- an adaptive config moves ``spec_k`` between 1 and the
-    config ceiling as the EMA crosses the thresholds.  Both survive
-    preemption.
+    config ceiling as the EMA crosses the thresholds.
+
+    Preemption parks the object itself (``slot=None``) until the
+    request is re-admitted, so everything above survives eviction.
     """
 
     request: Request
-    slot: object                       # PagedKVSlot
+    slot: object                       # PagedKVSlot; None while parked
     generated_ids: list
     admitted_step: int
     decode_steps: int = 0
     pending_prefill: tuple = ()
     pending_replay: tuple = ()
     preemptions: int = 0
-    first_token_step: int = -1
     emit_times: list = field(default_factory=list)
     emit_steps: list = field(default_factory=list)
     spec_k: int = 0
@@ -306,13 +315,10 @@ class ServeReport:
     intersection_skip: float = 0.0     # realised cross-sequence skip
     mean_sequence_skip: float = 0.0    # per-sequence (batch=1) ceiling
     expected_uncorrelated_skip: float = 0.0   # skip^B at mean occupancy
-    # Batched-attention telemetry (decode steps of batch > 1): padded
-    # vs useful K/V cells gathered and length-bucket counts, so
+    # Batched-attention counters of this run (decode steps of batch >
+    # 1): length buckets and padded vs useful K/V cells gathered, so
     # the padding the length masks threw away is visible per run.
-    attn_batched_steps: int = 0        # decode steps on the batched path
-    attn_buckets_sum: int = 0          # length buckets over those steps
-    attn_useful_positions: int = 0     # gathered cells inside a length
-    attn_padded_positions: int = 0     # all gathered cells incl. padding
+    attention: AttentionTelemetry = field(default_factory=AttentionTelemetry)
     step_budget: int = 0               # scheduler knob (0 = inline prefill)
     piggybacked_chunks: int = 0        # prefill pieces run inside ticks
     piggybacked_tokens: int = 0        # tokens those pieces fed
@@ -373,12 +379,6 @@ class ServeReport:
                 + self.revived_tokens)
 
     @property
-    def prefill_sharing_fraction(self) -> float:
-        """Fraction of prompt positions served from a resident fork."""
-        total = self.total_prompt_tokens
-        return self.prefill_tokens_saved / total if total else 0.0
-
-    @property
     def prefill_cache_fraction(self) -> float:
         """Fraction of prompt positions revived from the prefix cache."""
         total = self.total_prompt_tokens
@@ -395,11 +395,6 @@ class ServeReport:
     def mean_cached_pages(self) -> float:
         """Mean prefix-cache pages held per decode tick."""
         return self.cached_pages_sum / self.decode_steps if self.decode_steps else 0.0
-
-    @property
-    def skip_retained_vs_uncorrelated(self) -> float:
-        """Realised intersection skip minus the independent ``skip^B``."""
-        return self.intersection_skip - self.expected_uncorrelated_skip
 
     @property
     def ttft_values(self) -> list:
@@ -498,28 +493,6 @@ class ServeReport:
             merged[tag]["itl_p99_steps"] = self.itl_steps_percentile(99, tag)
         return merged
 
-    def _attn_telemetry(self):
-        """This run's counters as an AttentionTelemetry (one source of
-        truth for the derived fractions)."""
-        from ..model.batch_attention import AttentionTelemetry
-
-        return AttentionTelemetry(
-            batched_steps=self.attn_batched_steps,
-            buckets_sum=self.attn_buckets_sum,
-            useful_positions=self.attn_useful_positions,
-            padded_positions=self.attn_padded_positions,
-        )
-
-    @property
-    def attn_padding_waste(self) -> float:
-        """Fraction of gathered K/V cells that were padding."""
-        return self._attn_telemetry().padding_waste_fraction
-
-    @property
-    def mean_attn_buckets(self) -> float:
-        """Mean length buckets per batched-attention decode step."""
-        return self._attn_telemetry().mean_buckets_per_step
-
     @property
     def decode_tokens_per_second(self) -> float:
         return self.tokens_generated / self.decode_seconds if self.decode_seconds else 0.0
@@ -533,46 +506,24 @@ class ServeReport:
 class ContinuousBatchingScheduler:
     """Drains a request queue through a :class:`BatchedEngine`.
 
-    ``reorder_window`` enables correlation-aware admission (see module
-    docstring): values <= 1 mean strict FIFO; a window of ``w`` lets a
-    request sharing a live prefix jump at most ``w - 1`` positions, and
-    the head is never bypassed more than ``w - 1`` admissions in a row.
-
-    ``step_budget`` bounds the model-fed tokens per tick: 0 (default)
-    keeps the historical run-prefill-inline admission, ``b > 0`` defers
-    admitted prompts into per-tick prefill chunks that ride alongside
-    decode (see module docstring).  ``preemption`` enables
-    priority-based eviction of residents for a starved higher-priority
-    head; with every request at the default priority it never fires.
+    The tick and every policy behind a knob -- correlation-aware
+    admission (``reorder_window``), budgeted ticks (``step_budget``),
+    ``preemption``, ``speculation`` (``None`` falls back to the
+    engine's), deadline ``admission`` over ``deadline_window`` -- are
+    described once, in the module docstring; defaults and constraints
+    are tabulated in ``docs/serving.md``.  ``admission="deadline"`` and
+    ``reorder_window > 1`` both rearbitrate the same queue window, so
+    they are mutually exclusive.
 
     ``on_token`` is an optional streaming callback, invoked as
     ``on_token(request_id, token_id, step)`` for every *emitted* token
     the instant the emission path records it -- stop tokens are never
     reported (they are never emitted), and a resumed sequence's replayed
     tokens are not re-reported.  The callback runs synchronously inside
-    the tick; an exception it raises propagates out of :meth:`step`.
-
-    ``speculation`` enables speculative self-drafting: each decoding
-    sequence with draft budget runs up to ``spec_k`` cheap
-    aggressive-alpha draft steps per tick, one chunked causal GEMM
-    verifies all drafts plus the bonus token at the serving alpha, and
-    rejected draft K/V is rolled back with ``truncate``.  Accepted
-    tokens are re-drawn from the per-request sampler stream against the
-    *verifier's* logits (greedy rows compare argmax), so output is
-    token-identical to ``speculation=None``.  ``None`` (the default)
-    falls back to the engine's own ``speculation`` knob; drafted
-    positions never exceed the worst case already reserved at
-    admission, so page math is unchanged.
-
-    ``admission`` selects the arbitration policy: ``"fifo"`` (default)
-    is the historical queue-order admission, ``"deadline"`` replaces it
-    with earliest-TTFT-deadline-first over the first ``deadline_window``
-    queued requests plus load shedding of requests whose deadline has
-    already passed (see module docstring).  Deadline admission and
-    ``reorder_window > 1`` both rearbitrate the same window, so they are
-    mutually exclusive; ``deadline_window`` bounds both the EDF scan and
-    the head-bypass streak (the head is forced through after
-    ``deadline_window - 1`` consecutive bypasses).
+    the tick; an ``Exception`` it raises is contained to the request it
+    was called for, which completes error-typed (``"on_token raised
+    ..."``) with the tokens emitted so far -- its batch-mates are
+    untouched and nothing propagates out of :meth:`step`.
     """
 
     def __init__(
@@ -630,9 +581,8 @@ class ContinuousBatchingScheduler:
         self.active: List[_ActiveSequence] = []
         self.step_count = 0
         self._head_skips = 0       # consecutive admissions that bypassed head
-        self._submit_times = {}    # request_id -> perf_counter at submit()
-        self._submit_steps = {}    # request_id -> step_count at submit()
-        self._resume_state = {}    # request_id -> progress of an evictee
+        self._submitted = {}       # request_id -> (perf_counter, tick) at submit()
+        self._resume_state = {}    # request_id -> parked (preempted) sequence
         self._tick_prefill_tokens = 0   # prefill+replay tokens fed this tick
         self.report = ServeReport(
             n_pages=engine.cache.n_pages,
@@ -647,14 +597,8 @@ class ContinuousBatchingScheduler:
         self._evictions_baseline = (
             prefix_cache.evictions if prefix_cache is not None else 0
         )
-        # Engine attention counters are cumulative across its lifetime;
-        # snapshot them so a reused (or pre-warmed) engine still yields
-        # per-run telemetry, like every other ServeReport counter.
-        attn = engine.attn_telemetry
-        self._attn_baseline = (
-            attn.batched_steps, attn.buckets_sum,
-            attn.useful_positions, attn.padded_positions,
-        )
+        # So are its attention counters (a reused or pre-warmed engine).
+        self._attention_baseline = replace(engine.attn_telemetry)
 
     @staticmethod
     def _worst_case_positions(request: Request) -> int:
@@ -702,7 +646,7 @@ class ContinuousBatchingScheduler:
         reason = self._capacity_error(request)
         if reason is not None:
             raise ValueError(reason)
-        if request.request_id in self._submit_steps:
+        if request.request_id in self._submitted:
             raise ValueError(
                 f"request_id {request.request_id!r} is already queued or "
                 f"resident"
@@ -714,8 +658,9 @@ class ContinuousBatchingScheduler:
                 f"request {request.request_id} has prompt ids outside "
                 f"[0, {vocab_size})"
             )
-        self._submit_times[request.request_id] = time.perf_counter()
-        self._submit_steps[request.request_id] = self.step_count
+        self._submitted[request.request_id] = (
+            time.perf_counter(), self.step_count
+        )
         self.queue.submit(request)
 
     @property
@@ -763,32 +708,44 @@ class ContinuousBatchingScheduler:
         decode-step tokens alike: the per-request stop-id check (a stop
         token is never emitted), the first-token/inter-token telemetry
         stamps, the streaming ``on_token`` callback, and completion on
-        budget exhaustion.
+        budget exhaustion.  A callback that raises fails *its* request
+        only: the sequence completes error-typed here, with the tokens
+        emitted so far, so the rest of the tick's batch -- whose KV the
+        decode step has already advanced -- still commits its tokens.
         """
         request = seq.request
         if request.stop_ids and token_id in request.stop_ids:
             finished.append(self._complete(seq))
             return False
         seq.generated_ids.append(token_id)
-        if seq.first_token_step < 0:
-            seq.first_token_step = self.step_count
         seq.emit_times.append(emit_time)
         seq.emit_steps.append(self.step_count)
         self.report.tokens_generated += 1
         if self.on_token is not None:
-            self.on_token(request.request_id, token_id, self.step_count)
+            try:
+                self.on_token(request.request_id, token_id, self.step_count)
+            except Exception as exc:
+                finished.append(
+                    self._complete(seq, error=f"on_token raised {exc!r}")
+                )
+                return False
         if seq.wants_more():
             return True
         finished.append(self._complete(seq))
         return False
 
-    def _complete(self, seq: _ActiveSequence) -> Completion:
+    def _complete(
+        self, seq: _ActiveSequence, error: Optional[str] = None
+    ) -> Completion:
+        """Retire ``seq``: free its slot and sampler stream, account it."""
         self.engine.sampler.drop_stream(seq.request.request_id)
         self.engine.release_slot(seq.slot)
         # Retirement is the moment pages get parked; sample here so the
         # cached-page peak sees a burst's tail, not just decode ticks.
-        self._sample_cache_telemetry(tick=False)
-        submit_t = self._submit_times.pop(seq.request.request_id, None)
+        self._sample_gauges(tick=False)
+        submit_t, submitted_step = self._submitted.pop(
+            seq.request.request_id, _UNSTAMPED
+        )
         ttft = None
         if seq.emit_times and submit_t is not None:
             ttft = seq.emit_times[0] - submit_t
@@ -801,13 +758,12 @@ class ContinuousBatchingScheduler:
             admitted_step=seq.admitted_step,
             finished_step=self.step_count,
             decode_steps=seq.decode_steps,
-            first_token_step=seq.first_token_step,
+            error=error,
+            first_token_step=seq.emit_steps[0] if seq.emit_steps else -1,
             preemptions=seq.preemptions,
             ttft_seconds=ttft,
             itl_seconds=itl,
-            submitted_step=self._submit_steps.pop(
-                seq.request.request_id, 0
-            ),
+            submitted_step=submitted_step,
             emit_steps=list(seq.emit_steps),
         )
         self._account(completion)
@@ -877,22 +833,25 @@ class ContinuousBatchingScheduler:
                 return None, revived, pages, needed, True
         return None, 0, None, needed, self.engine.can_admit(needed)
 
-    def _choose_admission(self, head: Request) -> Optional[tuple]:
-        """The next admission: the head, or a bounded-window jump.
+    def _choose_admission(self, index: int, head: Request) -> Optional[tuple]:
+        """The next admission: the candidate, or a bounded-window jump.
 
-        Returns ``(queue_index, request, donor, shared, pages, needed)``
-        or ``None`` when nothing can be admitted this tick.  A request
-        later in the window is chosen only when it shares a live prefix
-        *longer* than whatever the head's plan already skips (fork or
-        revive), its fork fits, and the head has not yet been bypassed
-        ``reorder_window - 1`` times in a row -- after that the head is
-        guaranteed to be the next admission, bounding starvation.
-        Window jumps stay donor-based: their point is co-scheduling
-        correlated sign patterns with a *live* sharer, which a cached
-        (retired) prefix cannot offer.
+        ``head`` is the candidate at queue ``index`` (the FIFO head, or
+        the EDF pick under deadline admission).  Returns ``(queue_index,
+        request, donor, shared, pages, needed)`` or ``None`` when
+        nothing can be admitted this tick.  With ``reorder_window > 1``
+        (never under deadline admission -- the two are mutually
+        exclusive) a request later in the window is chosen only when it
+        shares a live prefix *longer* than whatever the head's plan
+        already skips (fork or revive), its fork fits, and the head has
+        not yet been bypassed ``reorder_window - 1`` times in a row --
+        after that the head is guaranteed to be the next admission,
+        bounding starvation.  Window jumps stay donor-based: their
+        point is co-scheduling correlated sign patterns with a *live*
+        sharer, which a cached (retired) prefix cannot offer.
         """
         donor, shared, pages, needed, fits = self._admission_plan(head)
-        best = (0, head, donor, shared, pages, needed) if fits else None
+        best = (index, head, donor, shared, pages, needed) if fits else None
         best_shared = shared if fits else 0
         if self.reorder_window > 1 and self.engine.prefix_sharing and \
                 self._head_skips < self.reorder_window - 1:
@@ -914,66 +873,55 @@ class ContinuousBatchingScheduler:
                 best_shared = c_shared
         return best
 
-    # -- deadline admission (admission="deadline") -------------------------
+    # -- deadlines (admission="deadline") ----------------------------------
 
-    def _queue_deadline(self, request: Request) -> float:
-        """The tick by which ``request`` next owes a token, from the queue.
+    def _next_deadline(self, request: Request, emit_steps) -> float:
+        """The tick by which ``request`` next owes a token.
 
-        A fresh request owes its first token by ``submitted_step +
-        slo.ttft_steps``; a preempted evictee that already emitted owes
-        its next token one ITL deadline after its last emission (its
-        TTFT contract is settled and survives in ``_resume_state``).
-        Requests with no SLO -- or none bounding the owed token -- rank
-        last at ``+inf``.
+        ``emit_steps`` is what it has emitted so far: a request that has
+        emitted nothing owes its first token by ``submitted tick +
+        slo.ttft_steps``, one that has owes the next a full ITL deadline
+        after its last emission.  Requests with no SLO -- or none
+        bounding the owed token -- rank last at ``+inf``.
         """
         slo = request.slo
         if slo is None:
             return float("inf")
-        resume = self._resume_state.get(request.request_id)
-        if resume is not None and resume["emit_steps"]:
+        if emit_steps:
             if slo.itl_steps is None:
                 return float("inf")
-            return resume["emit_steps"][-1] + slo.itl_steps
+            return emit_steps[-1] + slo.itl_steps
         if slo.ttft_steps is None:
             return float("inf")
-        return self._submit_steps.get(request.request_id, 0) + slo.ttft_steps
+        submitted = self._submitted.get(request.request_id, _UNSTAMPED)[1]
+        return submitted + slo.ttft_steps
 
-    def _resident_deadline(self, seq: _ActiveSequence) -> float:
-        """The tick by which resident ``seq`` next owes a token."""
-        slo = seq.request.slo
-        if slo is None:
-            return float("inf")
-        if seq.emit_steps:
-            if slo.itl_steps is None:
-                return float("inf")
-            return seq.emit_steps[-1] + slo.itl_steps
-        if slo.ttft_steps is None:
-            return float("inf")
-        return (
-            self._submit_steps.get(seq.request.request_id, 0)
-            + slo.ttft_steps
-        )
+    def _queued_emit_steps(self, request: Request):
+        """Emission ticks of a queued request (non-empty only for a
+        preempted evictee that emitted before it was parked)."""
+        parked = self._resume_state.get(request.request_id)
+        return parked.emit_steps if parked is not None else ()
 
-    def _choose_deadline_candidate(self) -> tuple:
+    def _earliest_deadline(self) -> tuple:
         """``(queue_index, request)`` for the next deadline admission.
 
         Earliest deadline first over the first ``deadline_window``
         queued requests; ``priority`` breaks deadline ties (higher
-        first) and the strict ``<`` comparison keeps the first-seen --
-        i.e. FIFO-earliest -- winner on full ties.  Once the head has
-        been bypassed ``deadline_window - 1`` times in a row it is
-        forced through regardless of deadlines (the same bounded-bypass
-        rule ``reorder_window`` uses), so no feasible request starves.
+        first) and ``min`` keeps the first-seen -- i.e. FIFO-earliest --
+        winner on full ties.  Once the head has been bypassed
+        ``deadline_window - 1`` times in a row it is forced through
+        regardless of deadlines (the same bounded-bypass rule
+        ``reorder_window`` uses), so no feasible request starves.
         """
         window = self.queue.window(self.deadline_window)
         if self._head_skips >= self.deadline_window - 1:
             return 0, window[0]
-        best_index, best_rank = 0, None
-        for i, request in enumerate(window):
-            rank = (self._queue_deadline(request), -request.priority)
-            if best_rank is None or rank < best_rank:
-                best_index, best_rank = i, rank
-        return best_index, window[best_index]
+        ranks = [
+            (self._next_deadline(r, self._queued_emit_steps(r)), -r.priority)
+            for r in window
+        ]
+        best = ranks.index(min(ranks))
+        return best, window[best]
 
     def _shed_hopeless(self, finished: List[Completion]) -> None:
         """Drop queued requests whose TTFT deadline has already passed.
@@ -988,200 +936,109 @@ class ContinuousBatchingScheduler:
         generated tokens must not be discarded.
         """
         while True:
-            victim_index = None
             for i, request in enumerate(self.queue.window(self.deadline_window)):
-                slo = request.slo
-                if slo is None or slo.ttft_steps is None:
+                if self._queued_emit_steps(request):
                     continue
-                resume = self._resume_state.get(request.request_id)
-                if resume is not None and resume["emit_steps"]:
-                    continue
-                deadline = (
-                    self._submit_steps.get(request.request_id, 0)
-                    + slo.ttft_steps
-                )
+                deadline = self._next_deadline(request, ())
                 if self.step_count > deadline:
-                    victim_index = i
+                    ttft_steps = request.slo.ttft_steps
+                    submitted = deadline - ttft_steps
+                    self._finish_unadmitted(i, finished, shed=True, error=(
+                        f"shed: request {request.request_id} missed its "
+                        f"TTFT deadline (submitted tick {submitted} + "
+                        f"{ttft_steps} < tick {self.step_count})"
+                    ))
                     break
-            if victim_index is None:
+            else:
                 return
-            request = self.queue.pop_at(victim_index)
-            if victim_index == 0:
-                self._head_skips = 0
-            self._submit_times.pop(request.request_id, None)
-            submitted = self._submit_steps.pop(request.request_id, 0)
-            self._resume_state.pop(request.request_id, None)
-            completion = Completion(
-                request=request, generated_ids=[],
-                admitted_step=self.step_count,
-                finished_step=self.step_count,
-                error=(
-                    f"shed: request {request.request_id} missed its TTFT "
-                    f"deadline (submitted tick {submitted} + "
-                    f"{request.slo.ttft_steps} < tick {self.step_count})"
-                ),
-                shed=True,
-                submitted_step=submitted,
-            )
-            self._account(completion)
-            finished.append(completion)
+
+    # -- admission ---------------------------------------------------------
+
+    def _finish_unadmitted(
+        self, index: int, finished: List[Completion],
+        error: Optional[str] = None, shed: bool = False,
+    ) -> None:
+        """Complete the queued request at ``index`` without seating it.
+
+        The one exit for requests that never hold a slot: capacity
+        rejects (``error``), zero-token requests (neither) and shed ones
+        (both).  None of them needs a seat, so a full batch never delays
+        them.  Popping the head resets the bypass streak; popping past
+        it counts as a bypass unless the request was shed (a shed
+        request was never an admission).
+        """
+        request = self.queue.pop_at(index)
+        if index == 0:
+            self._head_skips = 0
+        elif not shed:
+            self._head_skips += 1
+        self._resume_state.pop(request.request_id, None)
+        completion = Completion(
+            request=request, generated_ids=[],
+            admitted_step=self.step_count, finished_step=self.step_count,
+            error=error, shed=shed,
+            submitted_step=self._submitted.pop(
+                request.request_id, _UNSTAMPED
+            )[1],
+        )
+        self._account(completion)
+        finished.append(completion)
+
+    def _next_candidate(self, finished: List[Completion]) -> Optional[tuple]:
+        """``(queue_index, request)`` to try admitting next; None = empty.
+
+        The one place the two arbitration policies differ: FIFO offers
+        the queue head, deadline admission sheds first (hopeless
+        requests' already-passed deadlines would otherwise rank them
+        ahead of every savable request) and offers the EDF pick.
+        """
+        if self.admission == "deadline":
+            self._shed_hopeless(finished)
+            return self._earliest_deadline() if self.queue else None
+        try:
+            return 0, self.queue.peek()
+        except EmptyQueueError:
+            return None
 
     def _admit(self, finished: List[Completion]) -> None:
+        """Candidate selection -> plan -> seat, until blocked or empty."""
         evicted: List[Request] = []
         head_blocked = False
-        deadline_mode = self.admission == "deadline"
         while True:
-            if deadline_mode:
-                # Shed-first keeps hopeless requests from ever winning
-                # the EDF scan: their (already passed) deadlines would
-                # otherwise rank them ahead of every savable request.
-                self._shed_hopeless(finished)
-                if not self.queue:
-                    break
-                cand_index, head = self._choose_deadline_candidate()
-            else:
-                try:
-                    head = self.queue.peek()
-                except EmptyQueueError:
-                    break
-                cand_index = 0
-            reason = self._capacity_error(head)
-            if reason is not None:
-                # Queued without going through submit(); reject instead
-                # of letting PagedKVSlot.append blow up the whole batch.
-                # Rejection consumes no slot, so a full batch never
-                # delays it.
-                self.queue.pop_at(cand_index)
-                self._head_skips = (
-                    0 if cand_index == 0 else self._head_skips + 1
-                )
-                self._submit_times.pop(head.request_id, None)
-                completion = Completion(
-                    request=head, generated_ids=[],
-                    admitted_step=self.step_count,
-                    finished_step=self.step_count, error=reason,
-                    submitted_step=self._submit_steps.pop(
-                        head.request_id, 0
-                    ),
-                )
-                self._account(completion)
-                finished.append(completion)
-                continue
-            if head.max_new_tokens == 0:
-                # Nothing to decode: complete empty without burning a KV
-                # slot, a decode-batch seat, or a prefill the output can
-                # never use.
-                self.queue.pop_at(cand_index)
-                self._head_skips = (
-                    0 if cand_index == 0 else self._head_skips + 1
-                )
-                self._submit_times.pop(head.request_id, None)
-                completion = Completion(
-                    request=head, generated_ids=[],
-                    admitted_step=self.step_count,
-                    finished_step=self.step_count,
-                    submitted_step=self._submit_steps.pop(
-                        head.request_id, 0
-                    ),
-                )
-                self._account(completion)
-                finished.append(completion)
-                continue
-            if len(self.active) >= self.max_batch_size:
-                if self._maybe_preempt(head, evicted):
-                    continue   # a seat was freed; retry the head
-                head_blocked = bool(evicted)
+            candidate = self._next_candidate(finished)
+            if candidate is None:
                 break
-            if deadline_mode:
-                donor, shared, pages, needed, fits = \
-                    self._admission_plan(head)
-                choice = (
-                    (cand_index, head, donor, shared, pages, needed)
-                    if fits else None
-                )
-            else:
-                choice = self._choose_admission(head)
+            index, head = candidate
+            reason = self._capacity_error(head)
+            if reason is not None or head.max_new_tokens == 0:
+                # Can never fit (queued without going through submit();
+                # rejected instead of letting PagedKVSlot.append blow up
+                # the whole batch), or nothing to decode: complete
+                # without burning a KV slot, a decode-batch seat, or a
+                # prefill the output can never use.
+                self._finish_unadmitted(index, finished, error=reason)
+                continue
+            choice = None
+            if len(self.active) < self.max_batch_size:
+                choice = self._choose_admission(index, head)
             if choice is None:
-                # The head waits for a seat and slots/pages, and no
+                # The candidate waits for a seat and slots/pages, and no
                 # in-window prefix-sharer can take its place -- unless
                 # preemption can evict a lower-priority resident.
-                if self._maybe_preempt(head, evicted):
-                    continue   # pages were freed; retry the head
-                head_blocked = bool(evicted)
-                break
+                victim = (
+                    self._pick_victim(head.priority)
+                    if self.preemption else None
+                )
+                if victim is None:
+                    head_blocked = bool(evicted)
+                    break
+                self._preempt(victim)
+                evicted.append(victim.request)
+                continue   # a seat or pages were freed; retry
             index, request, donor, shared, pages, needed = choice
             self.queue.pop_at(index)
-            if index == 0:
-                self._head_skips = 0
-            else:
-                self._head_skips += 1
-            if donor is not None:
-                # Fork: shared prefix K/V comes from the donor's pages;
-                # only the unshared suffix is prefilled and only the
-                # unshared worst case is reserved.
-                slot = self.engine.fork_slot(donor, shared, needed)
-                prompt_suffix = request.prompt_ids[shared:]
-                self.report.forked_admissions += 1
-                self.report.prefill_tokens_saved += shared
-            elif pages:
-                # Revive: the prefix K/V is re-pinned from the cross-
-                # request cache -- same prefill saving as a fork, but
-                # the donor retired long ago.  A preempted sequence's
-                # parked prompt usually resumes through this path.
-                slot = self.engine.revive_slot(pages, needed)
-                prompt_suffix = request.prompt_ids[shared:]
-                self.report.revived_admissions += 1
-                self.report.revived_tokens += shared
-            else:
-                slot = self.engine.allocate_slot(needed)
-                prompt_suffix = request.prompt_ids
-            seq = _ActiveSequence(
-                request=request, slot=slot, generated_ids=[],
-                admitted_step=self.step_count,
-            )
-            if self.speculation is not None:
-                seq.spec_k = self.speculation.k
-            resume = self._resume_state.pop(request.request_id, None)
-            if resume is not None:
-                # Restoring an evictee: keep every already-emitted token
-                # and its telemetry; only the KV state is rebuilt.
-                seq.generated_ids = list(resume["generated"])
-                seq.decode_steps = resume["decode_steps"]
-                seq.admitted_step = resume["admitted_step"]
-                seq.preemptions = resume["preemptions"]
-                seq.first_token_step = resume["first_token_step"]
-                seq.emit_times = list(resume["emit_times"])
-                seq.emit_steps = list(resume["emit_steps"])
-                seq.spec_k = resume.get("spec_k", seq.spec_k)
-                seq.spec_ema = resume.get("spec_ema", seq.spec_ema)
-                self.report.resumed_admissions += 1
-            # The last emitted token is never replayed: the next decode
-            # tick feeds it, exactly as it would have without eviction.
-            replay = tuple(seq.generated_ids[:-1])
-            if self.step_budget > 0:
-                # Budgeted tick: the prompt suffix (and any replay) runs
-                # as per-tick chunks in _run_restoration, not inline.
-                seq.pending_prefill = tuple(prompt_suffix)
-                seq.pending_replay = replay
-                self.active.append(seq)
-                continue
-            t0 = time.perf_counter()
-            try:
-                logits = self.engine.prefill(slot, prompt_suffix)
-            except BaseException:
-                # A crashing prefill must not leak the admission's slot
-                # and reserved pages: the request is already popped, so
-                # nothing else holds a handle that could release them.
-                self.engine.release_slot(slot)
-                raise
-            self.report.prefill_seconds += time.perf_counter() - t0
-            self.report.prefill_tokens += len(prompt_suffix)
-            self._tick_prefill_tokens += len(prompt_suffix)
-            if not self._finish_prompt(seq, logits, finished):
-                continue
-            if replay:
-                self._replay_tokens(seq, replay)
-            self.active.append(seq)
+            self._head_skips = 0 if index == 0 else self._head_skips + 1
+            self._seat(request, donor, shared, pages, needed, finished)
         if evicted:
             # Victims resume ahead of FIFO order -- but never ahead of a
             # head that is still blocked after the eviction, or the
@@ -1193,12 +1050,88 @@ class ContinuousBatchingScheduler:
             # chains strictly descend in priority).
             held = (
                 self.queue.pop()
-                if head_blocked and not deadline_mode else None
+                if head_blocked and self.admission != "deadline" else None
             )
             for request in reversed(evicted):
                 self.queue.push_front(request)
             if held is not None:
                 self.queue.push_front(held)
+
+    def _seat(
+        self, request: Request, donor, shared: int, pages, needed: int,
+        finished: List[Completion],
+    ) -> None:
+        """Give ``request`` a slot per its admission plan and start it.
+
+        A preempted request resumes as the very sequence object that
+        was parked (tokens, telemetry stamps and speculation state ride
+        along; only the KV state is rebuilt).  What the slot still
+        lacks becomes the sequence's pending work: the unshared prompt
+        suffix, and for a resumed sequence the replay of its emitted
+        tokens -- all but the last, which the next decode tick feeds
+        exactly as it would have without eviction.  Under a step budget
+        that work runs as per-tick chunks in :meth:`_run_restoration`;
+        inline (``step_budget=0``) it runs here, so the prompt is
+        registered for prefix sharing before the next admission plans.
+        """
+        if donor is not None:
+            # Fork: shared prefix K/V comes from the donor's pages;
+            # only the unshared suffix is prefilled and only the
+            # unshared worst case is reserved.
+            slot = self.engine.fork_slot(donor, shared, needed)
+            self.report.forked_admissions += 1
+            self.report.prefill_tokens_saved += shared
+        elif pages:
+            # Revive: the prefix K/V is re-pinned from the cross-
+            # request cache -- same prefill saving as a fork, but the
+            # donor retired long ago.  A preempted sequence's parked
+            # prompt usually resumes through this path.
+            slot = self.engine.revive_slot(pages, needed)
+            self.report.revived_admissions += 1
+            self.report.revived_tokens += shared
+        else:
+            slot = self.engine.allocate_slot(needed)
+        seq = self._resume_state.pop(request.request_id, None)
+        if seq is None:
+            seq = _ActiveSequence(
+                request=request, slot=slot, generated_ids=[],
+                admitted_step=self.step_count,
+                spec_k=self.speculation.k if self.speculation is not None else 0,
+            )
+        else:
+            seq.slot = slot
+            self.report.resumed_admissions += 1
+        seq.pending_prefill = tuple(request.prompt_ids[shared:])
+        seq.pending_replay = tuple(seq.generated_ids[:-1])
+        if self.step_budget == 0:
+            try:
+                logits = self._feed_prefill(seq, len(seq.pending_prefill))
+            except BaseException:
+                # A crashing prefill must not leak the admission's slot
+                # and reserved pages: the request is already popped, so
+                # nothing else holds a handle that could release them.
+                self.engine.release_slot(seq.slot)
+                raise
+            if not self._finish_prompt(seq, logits, finished):
+                return
+            self._replay_tokens(seq, len(seq.pending_replay))
+        self.active.append(seq)
+
+    def _feed_prefill(self, seq: _ActiveSequence, take: int) -> np.ndarray:
+        """Prefill the next ``take`` pending prompt tokens of ``seq``.
+
+        The only ``engine.prefill`` call site: inline admission passes
+        the whole suffix, budgeted restoration what the tick can afford.
+        Returns the last fed position's logits.
+        """
+        piece = seq.pending_prefill[:take]
+        seq.pending_prefill = seq.pending_prefill[take:]
+        t0 = time.perf_counter()
+        logits = self.engine.prefill(seq.slot, piece)
+        self.report.prefill_seconds += time.perf_counter() - t0
+        self.report.prefill_tokens += take
+        self._tick_prefill_tokens += take
+        return logits
 
     def _finish_prompt(
         self, seq: _ActiveSequence, logits: np.ndarray,
@@ -1214,14 +1147,14 @@ class ContinuousBatchingScheduler:
         first token before eviction; it is kept, never resampled.
         """
         self.engine.register_prefix(seq.slot, seq.request.prompt_ids)
-        self._sample_page_peaks()
+        self._sample_gauges(tick=False)
         if seq.generated_ids:
             return True
         first = int(self._sample_tokens([seq], logits[None, :])[0])
         return self._emit_token(seq, first, time.perf_counter(), finished)
 
-    def _replay_tokens(self, seq: _ActiveSequence, tokens) -> None:
-        """Re-feed already-emitted tokens through the *decode* path.
+    def _replay_tokens(self, seq: _ActiveSequence, take: int) -> None:
+        """Re-feed ``take`` pending replay tokens through the *decode* path.
 
         Generated-position K/V is a product of the sparse decode
         executor; recomputing it with the dense prefill path would
@@ -1231,101 +1164,68 @@ class ContinuousBatchingScheduler:
         state.  The logits are discarded: every replayed token was
         already emitted.
         """
+        if not take:
+            return
+        tokens = seq.pending_replay[:take]
+        seq.pending_replay = seq.pending_replay[take:]
         t0 = time.perf_counter()
         for tok in tokens:
             self.engine.decode_step([seq.slot], [int(tok)])
         self.report.replay_seconds += time.perf_counter() - t0
-        self.report.replayed_tokens += len(tokens)
-        self._tick_prefill_tokens += len(tokens)
+        self.report.replayed_tokens += take
+        self._tick_prefill_tokens += take
 
-    def _sample_page_peaks(self) -> None:
-        """Refresh the arena high-water marks."""
-        self.report.peak_pages_in_use = max(
-            self.report.peak_pages_in_use,
-            self.engine.cache.n_pages_in_use,
-        )
-        self.report.peak_shared_pages = max(
-            self.report.peak_shared_pages,
-            self.engine.cache.n_shared_pages,
-        )
-        self._sample_cache_telemetry(tick=False)
-
-    def _maybe_preempt(
-        self, head: Request, evicted: List[Request]
-    ) -> bool:
-        """Evict one resident for ``head`` if allowed; True on eviction."""
-        if not self.preemption:
-            return False
-        victim = self._pick_victim(head.priority)
-        if victim is None:
-            return False
-        self._preempt(victim)
-        evicted.append(victim.request)
-        return True
+    # -- preemption --------------------------------------------------------
 
     def _pick_victim(self, priority: int) -> Optional[_ActiveSequence]:
-        """The lowest-priority resident strictly below ``priority``.
+        """The resident to evict for a head of ``priority``, or None.
 
-        Strict inequality is the anti-livelock rule: equal priorities
-        never evict each other, so every preemption chain descends in
-        priority and is finite.  Among equals the latest-admitted loses
-        (it has the least sunk decode work to replay).
-
-        Under ``admission="deadline"`` victim selection is
-        deadline-aware: among the strictly-lower-priority residents the
-        one with the *most* deadline slack (latest next-owed-token tick)
-        loses -- evicting the most urgent resident would just convert
-        one SLO miss into another.  Priority still gates who is
-        evictable at all, so the anti-livelock rule is untouched.
+        Only residents of *strictly* lower priority are evictable --
+        the anti-livelock rule: equal priorities never evict each
+        other, so every preemption chain descends in priority and is
+        finite.  Among those the lowest priority loses, and among
+        equals the latest-admitted (it has the least sunk decode work
+        to replay).  Under ``admission="deadline"`` deadline slack
+        ranks first: the resident with the *latest* next-owed-token
+        tick loses -- evicting the most urgent one would just convert
+        one SLO miss into another.
         """
-        victim = None
-        if self.admission == "deadline":
-            victim_rank = None
-            for seq in self.active:
-                if seq.request.priority >= priority:
-                    continue
-                rank = (self._resident_deadline(seq), -seq.request.priority)
-                if victim is None or rank >= victim_rank:
-                    victim, victim_rank = seq, rank
-            return victim
+        deadline_aware = self.admission == "deadline"
+        victim, victim_rank = None, None
         for seq in self.active:
             if seq.request.priority >= priority:
                 continue
-            if victim is None or \
-                    seq.request.priority <= victim.request.priority:
-                victim = seq
+            slack = (
+                self._next_deadline(seq.request, seq.emit_steps)
+                if deadline_aware else 0
+            )
+            rank = (slack, -seq.request.priority)
+            if victim is None or rank >= victim_rank:
+                victim, victim_rank = seq, rank
         return victim
 
     def _preempt(self, seq: _ActiveSequence) -> None:
-        """Evict ``seq``: release its pages, remember its progress.
+        """Evict ``seq``: release its pages, park the sequence itself.
 
         Only the *prefilled prompt prefix* (``prompt_ids[:slot.length]``
         -- the whole prompt for a decoding resident, a prefix for one
         caught mid-restoration) is offered for parking: generated
         positions carry decode-path K/V that must never be shared or
         revived through prompt hashing.  The request itself goes back to
-        the queue via the caller; emitted tokens and latency telemetry
-        survive in ``_resume_state``.  The request's sampler RNG stream
-        is deliberately **kept**: restoration replays recorded tokens
-        without sampling, so on resume the stream sits exactly one draw
-        past each emitted token -- eviction never changes what a seeded
-        request generates.
+        the queue via the caller; the slot-less sequence waits in
+        ``_resume_state`` with its emitted tokens and telemetry.  The
+        request's sampler RNG stream is deliberately **kept**:
+        restoration replays recorded tokens without sampling, so on
+        resume the stream sits exactly one draw past each emitted token
+        -- eviction never changes what a seeded request generates.
         """
         self.active.remove(seq)
         parked = seq.request.prompt_ids[:seq.slot.length]
         self.engine.release_slot(seq.slot, parked_ids=parked)
-        self._sample_cache_telemetry(tick=False)
-        self._resume_state[seq.request.request_id] = {
-            "generated": list(seq.generated_ids),
-            "decode_steps": seq.decode_steps,
-            "admitted_step": seq.admitted_step,
-            "preemptions": seq.preemptions + 1,
-            "first_token_step": seq.first_token_step,
-            "emit_times": list(seq.emit_times),
-            "emit_steps": list(seq.emit_steps),
-            "spec_k": seq.spec_k,
-            "spec_ema": seq.spec_ema,
-        }
+        self._sample_gauges(tick=False)
+        seq.slot = None
+        seq.preemptions += 1
+        self._resume_state[seq.request.request_id] = seq
         self.report.preemptions += 1
 
     def _run_restoration(self, finished: List[Completion]) -> None:
@@ -1339,8 +1239,6 @@ class ContinuousBatchingScheduler:
         its first token from the final chunk's logits and, once any
         replay drains, joins the same tick's decode batch.
         """
-        if self.step_budget == 0:
-            return
         if not any(seq.restoring for seq in self.active):
             return
         n_decoding = sum(1 for seq in self.active if not seq.restoring)
@@ -1351,42 +1249,42 @@ class ContinuousBatchingScheduler:
                 break
             if seq.pending_prefill:
                 take = min(len(seq.pending_prefill), budget - spent)
-                piece = list(seq.pending_prefill[:take])
-                seq.pending_prefill = seq.pending_prefill[take:]
-                t0 = time.perf_counter()
-                logits = self.engine.prefill(seq.slot, piece)
-                self.report.prefill_seconds += time.perf_counter() - t0
-                self.report.prefill_tokens += take
+                logits = self._feed_prefill(seq, take)
                 self.report.piggybacked_chunks += 1
                 self.report.piggybacked_tokens += take
-                self._tick_prefill_tokens += take
                 spent += take
                 if seq.pending_prefill:
                     continue
                 if not self._finish_prompt(seq, logits, finished):
                     self.active.remove(seq)
                     continue
-            if seq.pending_replay and spent < budget:
-                take = min(len(seq.pending_replay), budget - spent)
-                self._replay_tokens(seq, seq.pending_replay[:take])
-                seq.pending_replay = seq.pending_replay[take:]
-                spent += take
+            take = min(len(seq.pending_replay), budget - spent)
+            self._replay_tokens(seq, take)
+            spent += take
 
-    def _sample_cache_telemetry(self, tick: bool) -> None:
-        """Refresh prefix-cache gauges; ``tick`` adds to per-step sums.
+    def _sample_gauges(self, tick: bool) -> None:
+        """Refresh the arena and prefix-cache gauges.
 
-        Called at admission (pages may be parked/evicted by the prefill
-        claims of the admission itself) and once per decode step.
+        High-water marks always; ``tick`` (once per decode step) also
+        adds to the per-step sums.  Called without ``tick`` wherever
+        pages change hands between decode steps: a finished prompt
+        (prefill claims may park or evict pages), a retirement, an
+        eviction.
         """
-        if not self.report.cache_pages:
-            return
-        cached = self.engine.cache.n_cached_pages
+        report, cache = self.report, self.engine.cache
+        in_use, shared = cache.n_pages_in_use, cache.n_shared_pages
+        report.peak_pages_in_use = max(report.peak_pages_in_use, in_use)
+        report.peak_shared_pages = max(report.peak_shared_pages, shared)
         if tick:
-            self.report.cached_pages_sum += cached
-        self.report.peak_cached_pages = max(
-            self.report.peak_cached_pages, cached
-        )
-        self.report.cache_evictions = (
+            report.page_occupancy_sum += in_use
+            report.shared_pages_sum += shared
+        if not report.cache_pages:
+            return
+        cached = cache.n_cached_pages
+        report.peak_cached_pages = max(report.peak_cached_pages, cached)
+        if tick:
+            report.cached_pages_sum += cached
+        report.cache_evictions = (
             self.engine.prefix_cache.evictions - self._evictions_baseline
         )
 
@@ -1434,24 +1332,10 @@ class ContinuousBatchingScheduler:
         self.report.peak_occupancy = max(
             self.report.peak_occupancy, len(decoding)
         )
-        in_use = self.engine.cache.n_pages_in_use
-        self.report.page_occupancy_sum += in_use
-        self.report.peak_pages_in_use = max(
-            self.report.peak_pages_in_use, in_use
+        self._sample_gauges(tick=True)
+        self.report.attention = self.engine.attn_telemetry.since(
+            self._attention_baseline
         )
-        shared = self.engine.cache.n_shared_pages
-        self.report.shared_pages_sum += shared
-        self.report.peak_shared_pages = max(
-            self.report.peak_shared_pages, shared
-        )
-        self._sample_cache_telemetry(tick=True)
-
-        attn = self.engine.attn_telemetry
-        base = self._attn_baseline
-        self.report.attn_batched_steps = attn.batched_steps - base[0]
-        self.report.attn_buckets_sum = attn.buckets_sum - base[1]
-        self.report.attn_useful_positions = attn.useful_positions - base[2]
-        self.report.attn_padded_positions = attn.padded_positions - base[3]
 
         if plain:
             next_tokens = self._sample_tokens(plain, logits)

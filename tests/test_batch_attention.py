@@ -171,7 +171,7 @@ class TestOracleEquivalence:
         )
         assert served == oracle_tokens(micro_weights, requests)
         if batch_size > 1:
-            assert report.attn_batched_steps > 0
+            assert report.attention.batched_steps > 0
         if mode != "plain" and batch_size > 1 and page_size <= 16:
             assert report.forked_admissions > 0   # sharers really fork
 
@@ -190,7 +190,8 @@ class TestOracleEquivalence:
         served = {c.request_id: c.generated_ids for c in report.completions}
         assert served == oracle_tokens(micro_weights, requests)
         if min_fill == 1.0:
-            assert report.attn_padding_waste == 0.0   # equal lengths only
+            # equal lengths only
+            assert report.attention.padding_waste_fraction == 0.0
 
     def test_just_forked_sharer_in_decode_batch(self, micro_weights):
         """Donor + fresh fork decode together: each row matches the
@@ -450,19 +451,23 @@ class TestTelemetry:
     def test_report_populated_by_batched_steps(self, micro_weights):
         requests = make_requests()
         _, report = drain(micro_weights, requests, max_batch_size=4)
-        assert report.attn_batched_steps > 0
-        assert 0.0 <= report.attn_padding_waste < 1.0
-        assert report.mean_attn_buckets >= 1.0
-        assert report.attn_useful_positions <= report.attn_padded_positions
+        assert report.attention.batched_steps > 0
+        assert 0.0 <= report.attention.padding_waste_fraction < 1.0
+        assert report.attention.mean_buckets_per_step >= 1.0
+        assert report.attention.useful_positions <= \
+            report.attention.padded_positions
 
     def test_measurement_carries_attention_fields(self, micro_weights):
         requests = make_requests(max_new=4)
+        engine = build_batched_engine(
+            micro_weights, max_batch_size=4, prefill_chunk=4,
+        )
         point = measure_batched_serving(
-            micro_weights, requests, 4, prefill_chunk=4,
+            ContinuousBatchingScheduler(engine), requests,
         )
         assert "+chunk4" in point.label
-        assert 0.0 <= point.attn_padding_waste < 1.0
-        assert point.mean_attn_buckets >= 1.0
+        assert 0.0 <= point.report.attention.padding_waste_fraction < 1.0
+        assert point.report.attention.mean_buckets_per_step >= 1.0
 
     def test_reused_engine_reports_per_run_telemetry(self, micro_weights):
         """A second scheduler on the same engine must not inherit the
@@ -472,17 +477,17 @@ class TestTelemetry:
         for request in make_requests():
             first.submit(request)
         first_report = first.run()
-        assert first_report.attn_batched_steps > 0
+        assert first_report.attention.batched_steps > 0
 
         second = ContinuousBatchingScheduler(engine)
         for request in make_requests(max_new=3):
             second.submit(request)
         second_report = second.run()
-        assert 0 < second_report.attn_batched_steps < \
+        assert 0 < second_report.attention.batched_steps < \
             engine.attn_telemetry.batched_steps
-        assert second_report.attn_padded_positions < \
+        assert second_report.attention.padded_positions < \
             engine.attn_telemetry.padded_positions
-        assert 0.0 <= second_report.attn_padding_waste < 1.0
+        assert 0.0 <= second_report.attention.padding_waste_fraction < 1.0
 
     def test_telemetry_dataclass_edges(self):
         t = AttentionTelemetry()

@@ -23,7 +23,7 @@ from repro.model.sampler import (
     filtered_probs,
     sample_rows,
 )
-from repro.serving import ContinuousBatchingScheduler, Request
+from repro.serving import ContinuousBatchingScheduler, Request, SpecConfig
 
 VOCAB_19 = 19   # micro_config's vocab size (tests/conftest.py)
 
@@ -515,6 +515,53 @@ class TestOnTokenCallback:
         with pytest.raises(ValueError, match="on_token"):
             ContinuousBatchingScheduler(engine, on_token=42)
 
+    @pytest.mark.parametrize("knobs, raise_at", [
+        ({}, 1),                                    # inline first token
+        ({"step_budget": 2}, 1),                    # restoration first token
+        ({}, 3),                                    # decode commit
+        ({"speculation": SpecConfig(k=3, draft_alpha=0.8)}, 3),   # verify
+    ], ids=["inline-first", "restored-first", "decode", "spec-verify"])
+    def test_raising_callback_fails_only_its_request(
+            self, micro_weights, knobs, raise_at):
+        """A hostile callback is contained at every emission site: by the
+        time it runs, the tick has already advanced every row's KV, so
+        an escaping exception would desynchronise the batch-mates."""
+        config = SamplerConfig(temperature=0.8, seed=2)
+        requests = [
+            Request(request_id=i, prompt_ids=tuple(PROMPTS[i]),
+                    max_new_tokens=8, sampling=config)
+            for i in range(3)
+        ]
+        calls = []
+
+        def on_token(request_id, token_id, step):
+            if request_id == 0:
+                calls.append(token_id)
+                if len(calls) == raise_at:
+                    raise RuntimeError("boom")
+
+        engine = build_batched_engine(
+            micro_weights, max_batch_size=3, page_size=4,
+        )
+        scheduler = ContinuousBatchingScheduler(
+            engine, on_token=on_token, **knobs,
+        )
+        for request in requests:
+            scheduler.submit(request)
+        done = {c.request_id: c for c in scheduler.run().completions}
+        expected = [
+            scalar_reference(micro_weights, r, config) for r in requests
+        ]
+        assert not done[0].ok
+        assert done[0].error.startswith("on_token raised")
+        assert "boom" in done[0].error
+        assert done[0].generated_ids == expected[0][:raise_at]
+        for i in (1, 2):
+            assert done[i].ok and done[i].generated_ids == expected[i]
+        assert engine.n_free_slots == engine.max_batch_size
+        assert engine.cache.n_pages_in_use == 0
+        assert engine.sampler.n_streams == 0
+
 
 class TestRequestSamplingField:
     def test_rejects_non_config(self):
@@ -536,18 +583,26 @@ class TestSamplingMeasurement:
         ]
         cfg = SamplerConfig(temperature=0.7, seed=5)
         point = measure_batched_serving(
-            micro_weights, requests, max_batch_size=2, sampling=cfg,
+            ContinuousBatchingScheduler(build_batched_engine(
+                micro_weights, max_batch_size=2, sampling=cfg,
+            )),
+            requests,
         )
-        assert point.sampled_tokens == point.tokens_generated > 0
-        assert point.greedy_tokens == 0
-        assert point.sampler_seconds > 0.0
+        report = point.report
+        assert report.sampled_tokens == report.tokens_generated > 0
+        assert report.greedy_tokens == 0
+        assert report.sampler_seconds > 0.0
         assert "+sampled(T=0.7)" in point.label
-        assert point.wall_seconds >= point.sampler_seconds
+        assert report.wall_seconds >= report.sampler_seconds
         table = format_sampling([point])
-        assert str(point.sampled_tokens) in table
+        assert str(report.sampled_tokens) in table
         greedy_point = measure_batched_serving(
-            micro_weights, requests, max_batch_size=2,
+            ContinuousBatchingScheduler(build_batched_engine(
+                micro_weights, max_batch_size=2,
+            )),
+            requests,
         )
-        assert greedy_point.greedy_tokens == greedy_point.tokens_generated
-        assert greedy_point.sampled_tokens == 0
+        assert greedy_point.report.greedy_tokens == \
+            greedy_point.report.tokens_generated
+        assert greedy_point.report.sampled_tokens == 0
         assert "+sampled" not in greedy_point.label

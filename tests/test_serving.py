@@ -1,5 +1,8 @@
 """Tests for the batched sparse-decode serving subsystem."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from repro.core.engine import (
 from repro.core.predictor import SparseInferPredictor
 from repro.core.signpack import pack_signs, xor_popcount
 from repro.eval.latency import (
+    ServingMeasurement,
     measure_batched_serving,
     measure_sequential_serving,
 )
@@ -664,13 +668,28 @@ class TestServingMetrics:
     def test_measurements_and_sweep_table(self, micro_weights):
         requests = make_requests(4)
         baseline = measure_sequential_serving(micro_weights, requests)
-        point = measure_batched_serving(micro_weights, requests, 3)
-        assert baseline.tokens_generated == point.tokens_generated
-        assert point.mean_batch_occupancy > 1.0
-        assert point.intersection_skip <= point.sequence_skip + 1e-9
+        engine = build_batched_engine(micro_weights, max_batch_size=3)
+        point = measure_batched_serving(
+            ContinuousBatchingScheduler(engine), requests,
+        )
+        assert point.label == "batched(B<=3)"
+        assert baseline.report.tokens_generated == \
+            point.report.tokens_generated
+        assert baseline.report.mean_batch_occupancy == 1.0
+        assert point.report.mean_batch_occupancy > 1.0
+        assert point.report.intersection_skip <= \
+            point.report.mean_sequence_skip + 1e-9
         table = format_serving_sweep(baseline, [point], [0.5])
         assert "speedup" in table and "sequential" in table
         assert "50.0%" in table
+
+    def test_measurement_is_label_plus_report(self):
+        # The measurement must not grow back into a mirror of the
+        # report: every number lives on ServeReport, once.
+        assert {f.name for f in dataclasses.fields(ServingMeasurement)} == \
+            {"label", "report"}
+        parameters = inspect.signature(measure_batched_serving).parameters
+        assert list(parameters) == ["scheduler", "requests"]
 
 
 class TestServeReportTelemetryContract:
@@ -743,10 +762,10 @@ class TestServeReportTelemetryContract:
         )
         # Batched attention ran, and its bucket counter is consistent
         # with the derived per-step mean (at least one bucket per step).
-        assert report.attn_batched_steps > 0
-        assert report.attn_buckets_sum >= report.attn_batched_steps
-        assert report.mean_attn_buckets == pytest.approx(
-            report.attn_buckets_sum / report.attn_batched_steps
+        assert report.attention.batched_steps > 0
+        assert report.attention.buckets_sum >= report.attention.batched_steps
+        assert report.attention.mean_buckets_per_step == pytest.approx(
+            report.attention.buckets_sum / report.attention.batched_steps
         )
 
 
@@ -863,17 +882,24 @@ class TestBudgetedScheduling:
 
     def test_measure_batched_serving_budget_knobs(self, micro_weights):
         requests = make_requests(3)
-        point = measure_batched_serving(
-            micro_weights, requests, 2, page_size=4,
-            step_budget=4, preemption=True,
+        engine = build_batched_engine(
+            micro_weights, max_batch_size=2, page_size=4,
         )
+        point = measure_batched_serving(
+            ContinuousBatchingScheduler(
+                engine, step_budget=4, preemption=True,
+            ),
+            requests,
+        )
+        report = point.report
         assert "+budget4" in point.label and "+preempt" in point.label
-        assert point.step_budget == 4
-        assert point.peak_tick_prefill_tokens <= 4
-        assert point.piggybacked_tokens == sum(
+        assert report.step_budget == 4
+        assert report.peak_tick_prefill_tokens <= 4
+        assert report.piggybacked_tokens == sum(
             len(r.prompt_ids) for r in requests
         )
-        assert point.max_itl_seconds >= point.itl_p99_seconds >= 0.0
+        assert report.max_itl_seconds >= \
+            report.itl_seconds_percentile(99) >= 0.0
         table = format_tail_latency([point])
         assert "max ITL" in table and point.label in table
 
@@ -1012,11 +1038,15 @@ class TestPrefixCache:
     ):
         requests = shared_prefix_requests(self.BASE, 3, 8, suffix_len=2,
                                           max_new_tokens=3)
-        point = measure_batched_serving(
-            micro_weights, requests, 2, page_size=4,
+        engine = build_batched_engine(
+            micro_weights, max_batch_size=2, page_size=4,
             n_pages=16, prefix_sharing=True, cache_pages=8,
         )
-        assert "+cache8" in point.label
-        assert point.revived_admissions >= 0
-        assert point.revived_tokens >= 0
-        assert point.cache_evictions >= 0
+        point = measure_batched_serving(
+            ContinuousBatchingScheduler(engine), requests,
+        )
+        assert "+prefix+cache8" in point.label
+        assert point.report.cache_pages == 8
+        assert point.report.revived_admissions >= 0
+        assert point.report.revived_tokens >= 0
+        assert point.report.cache_evictions >= 0

@@ -31,6 +31,8 @@ import numpy as np
 import pytest
 
 from repro.core.predictor import SparseInferPredictor
+from repro.eval.latency import ServingMeasurement
+from repro.eval.reporting import format_goodput
 from repro.serving.engine import BatchedEngine
 from repro.serving.request import Request, SLOSpec
 from repro.serving.scheduler import ContinuousBatchingScheduler
@@ -379,6 +381,10 @@ def test_class_telemetry_merges_percentiles(
     # Percentile helpers filter by class and tolerate empty classes.
     assert report.ttft_steps_percentile(50, slo_class="no-such-class") \
         == 0.0
+    # The goodput table renders one row per class of that digest.
+    table = format_goodput([ServingMeasurement("edf", report)])
+    assert len(table.splitlines()) == 2 + len(telemetry)
+    assert all(f"| edf | {tag} |" in table for tag in telemetry)
 
 
 def test_validation():

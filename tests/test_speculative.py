@@ -374,19 +374,28 @@ class TestTelemetryAndAdaptivity:
         scheduler = ContinuousBatchingScheduler(engine, preemption=True)
         scheduler.submit(low)
         ticks = 0
-        saved = {}
+        parked = None
+        resumed = False
         while not scheduler.idle:
             scheduler.step()
             ticks += 1
             assert ticks < 300
             if ticks == 3:
                 scheduler.submit(vip)
-            if 0 in scheduler._resume_state and not saved:
-                state = scheduler._resume_state[0]
-                saved = {"spec_k": state["spec_k"],
-                         "spec_ema": state["spec_ema"]}
-        assert scheduler.report.preemptions > 0
-        assert saved and saved["spec_k"] >= 1
+            if parked is None:
+                parked = scheduler._resume_state.get(0)
+                if parked is not None:
+                    # The parked value is the sequence itself, slot-less.
+                    assert parked.slot is None and parked.preemptions == 1
+                    assert parked.spec_k >= 1
+                    emitted = list(parked.emit_steps)
+            elif not resumed and any(s is parked for s in scheduler.active):
+                # ...and the very same object resumes, so spec_k /
+                # spec_ema / emit_steps ride along by identity.
+                resumed = True
+                assert parked.slot is not None
+                assert parked.emit_steps[:len(emitted)] == emitted
+        assert scheduler.report.preemptions > 0 and resumed
         report = scheduler.report
         interrupted = {c.request_id: list(c.generated_ids)
                        for c in report.completions}
@@ -396,21 +405,28 @@ class TestTelemetryAndAdaptivity:
     def test_measurement_knob_and_label(self, micro_weights):
         requests = make_requests(n=4, max_new=5)
         point = measure_batched_serving(
-            micro_weights, requests, max_batch_size=2,
-            speculation=SPEC,
+            ContinuousBatchingScheduler(build_batched_engine(
+                micro_weights, max_batch_size=2, speculation=SPEC,
+            )),
+            requests,
         )
+        report = point.report
         assert "+spec(a=0.8,k=3)" in point.label
-        assert 0 < point.accepted_tokens <= point.drafted_tokens
-        assert point.acceptance_rate == pytest.approx(
-            point.accepted_tokens / point.drafted_tokens
+        assert 0 < report.accepted_tokens <= report.drafted_tokens
+        assert report.acceptance_rate == pytest.approx(
+            report.accepted_tokens / report.drafted_tokens
         )
-        assert point.draft_seconds > 0.0 and point.verify_seconds > 0.0
-        assert point.wall_seconds >= point.draft_seconds + point.verify_seconds
+        assert report.draft_seconds > 0.0 and report.verify_seconds > 0.0
+        assert report.wall_seconds >= \
+            report.draft_seconds + report.verify_seconds
         table = format_speculation([point])
-        assert str(point.drafted_tokens) in table
+        assert str(report.drafted_tokens) in table
         plain = measure_batched_serving(
-            micro_weights, requests, max_batch_size=2,
+            ContinuousBatchingScheduler(build_batched_engine(
+                micro_weights, max_batch_size=2,
+            )),
+            requests,
         )
         assert "+spec" not in plain.label
-        assert plain.drafted_tokens == 0
-        assert point.tokens_generated == plain.tokens_generated
+        assert plain.report.drafted_tokens == 0
+        assert report.tokens_generated == plain.report.tokens_generated
