@@ -3,10 +3,9 @@
 The page-pool invariant ``free + in_use + cached == n_pages`` is
 enforced at runtime by the property suites, but the *source-level* rule
 that keeps it true is ownership discipline in the serving layer: every
-``allocate``/``fork``/``revive`` (and their ``*_slot`` engine wrappers)
-hands back an owned slot that must end in exactly one
-``release``/``release_slot`` -- on the normal path *and* when a compute
-call in between raises.  This rule machine-checks that discipline with
+``seat`` (and the ``allocate``/``fork``/``revive`` it dispatches to)
+hands back an owned slot that must end in exactly one ``release`` -- on
+the normal path *and* when a compute call in between raises.  This rule machine-checks that discipline with
 a small flow-sensitive abstract interpreter per function:
 
 * an **acquisition** creates an owned value; assigning it, storing it
@@ -40,11 +39,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .core import Finding, Project, Rule
 
-ACQUIRE_METHODS = frozenset({
-    "allocate", "allocate_slot", "fork", "fork_slot", "revive",
-    "revive_slot",
-})
-RELEASE_METHODS = frozenset({"release", "release_slot"})
+ACQUIRE_METHODS = frozenset({"allocate", "fork", "revive", "seat"})
+RELEASE_METHODS = frozenset({"release"})
 #: Engine/model entry points assumed to raise (shape/validation errors).
 COMPUTE_METHODS = frozenset({
     "prefill", "decode_step", "generate", "_forward_chunk",
@@ -154,7 +150,7 @@ class _FuncAnalysis:
                 self._emit(
                     owner.line, "leak",
                     f"slot from {owner.label}() (line {owner.line}) may "
-                    f"reach {reason} without release/release_slot",
+                    f"reach {reason} without release",
                     owner.label,
                 )
                 owner.statuses.discard(OWNED)   # report each owner once
@@ -389,11 +385,11 @@ class _FuncAnalysis:
 
 
 class SlotPairingRule(Rule):
-    """Flow-sensitive allocate/fork/revive vs release pairing."""
+    """Flow-sensitive seat/allocate/fork/revive vs release pairing."""
 
     rule_id = "slot-pairing"
     description = (
-        "every PagePool/cache allocate/fork/revive in serving code must "
+        "every cache seat/allocate/fork/revive in serving code must "
         "reach a release on normal and exception paths; double releases "
         "are flagged"
     )

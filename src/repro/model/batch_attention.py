@@ -9,10 +9,10 @@ module computes the same attention for a whole decode batch at once:
    sequences at the same length share one table instead of B copies.
 2. Each sequence's K/V pages are gathered into a padded
    ``(B, l_max, n_heads, head_dim)`` stack via the cache's
-   ``view_batch`` path (one arena index per layer, plans cached between
-   steps), and a length mask zeroes the padded positions **exactly** --
-   masked scores are ``-inf`` before the softmax, so padded K/V can
-   hold arbitrary garbage without perturbing a single output bit.
+   ``view_batch`` path (one arena index per layer), and a length mask
+   zeroes the padded positions **exactly** -- masked scores are
+   ``-inf`` before the softmax, so padded K/V can hold arbitrary
+   garbage without perturbing a single output bit.
 3. Scores and context reduce as one einsum per layer instead of B.
 
 **Length bucketing.**  Padding waste is ``l_max - l_i`` per row; a batch
@@ -20,8 +20,8 @@ mixing a 500-token sequence with 10-token ones would gather mostly
 padding.  :func:`length_buckets` splits the batch into groups whose
 lengths are within ``bucket_min_fill`` of the group maximum (prefix
 sharing makes equal-length groups common, so bucketing is usually
-free).  Singleton buckets fall back to :func:`attend_single`, which
-keeps its zero-copy / contiguous-run view paths.
+free).  Singleton buckets fall back to :func:`attend_single`, whose
+single-page ``view`` is zero-copy.
 
 Numerics: the batched matmuls may round differently from the scalar
 GEMVs, so batch > 1 output is *token-identical*, not bit-identical, to
@@ -201,8 +201,8 @@ class StepPlan:
         n_heads, head_dim = cfg.n_heads, cfg.head_dim
         batch = q.shape[0]
         if batch == 1:
-            # Scalar fallback keeps the zero-copy single-sequence view
-            # paths; singleton buckets are common under heavy bucketing.
+            # Scalar fallback keeps the zero-copy single-page view;
+            # singleton buckets are common under heavy bucketing.
             position = bucket.positions[0]
             rope = rope_for_position(position, head_dim, cfg.rope_theta)
             ctx = attend_single(cfg, q[0], k[0], v[0], position,

@@ -20,14 +20,17 @@ arena instead:
   ``append`` touches new positions.  Logical position ``p`` lives at
   ``arena[page_table[p // page_size], layer, p % page_size]``.
 
-* ``view(layer, length)`` gathers the sequence's pages back into a
-  contiguous ``(length, d_model)`` K/V for the attention kernel.  Three
-  paths, fastest first: a sequence within a single page returns a
-  zero-copy arena view; a page table that happens to be one consecutive
-  arena run is rebuilt with a basic slice + reshape (no index array);
-  scattered pages use a fancy-index gather.  All three produce the same
-  float values, so attention output -- and therefore decode output --
-  does not depend on how a sequence's pages are laid out.
+* ``view(layer, length)`` hands the attention kernel a contiguous
+  ``(length, d_model)`` K/V.  Two cases, because the layer axis sits
+  between the page and position axes: positions within **one page**
+  are already contiguous in the arena, so the result is a zero-copy
+  view (start pointer and strides -- and the whole story for the
+  ``page_size = max_seq_len`` fixed-store geometry); anything longer
+  must be materialised, and is, by **one** fancy-index gather of the
+  slot's pages.  :class:`PagedBatchView` is the same gather over a
+  padded ``(B, p_max)`` page matrix.  How a sequence's pages are laid
+  out in the arena never changes a float, so fork / COW / revive /
+  truncate manipulate page tables and never touch the kernel side.
 
 Admission safety uses **worst-case reservation**: the scheduler reserves
 ``ceil(needed_positions / page_size)`` pages when it admits a request
@@ -76,10 +79,10 @@ prefixes alive:
   (:meth:`PagedKVCache.release` with ``prompt_ids``), its page-aligned
   prompt-prefix pages whose refcount would drop to 0 are *parked* --
   refcount 0, off the free list, indexed by the same chained per-page
-  hash :class:`repro.serving.engine.PrefixIndex` uses
-  (:func:`chained_prefix_keys`).  Causal attention makes a full page's
-  K/V a pure function of the tokens up to its end, so a parked page is
-  valid for *any* future prompt sharing those tokens.
+  hash :class:`PrefixIndex` uses (:func:`chained_prefix_keys`).  Causal
+  attention makes a full page's K/V a pure function of the tokens up to
+  its end, so a parked page is valid for *any* future prompt sharing
+  those tokens.
 
 * A later request *revives* the longest cached chain of its prompt's
   aligned prefix pages (:meth:`PagedKVCache.revive`): the pages are
@@ -94,6 +97,20 @@ prefixes alive:
   bit-identical to no cache at all.  The pool-level invariant becomes
   ``free + in_use + cached == n_pages``.
 
+**Seating (plan -> seat -> register -> release).**  Where a new
+sequence's prefix K/V comes from is decided here, once:
+:meth:`PagedKVCache.plan` walks **resident-donor fork -> prefix-cache
+revive -> cold allocation** (a live donor is cheapest: no pinning, and
+the :class:`PrefixIndex` matches past page alignment; a cached chain
+still skips its prefill) and returns a :class:`SeatPlan` saying how many
+prompt positions the seat will already hold and whether the pool can
+back the rest; :meth:`PagedKVCache.seat` turns a plan into a slot with
+exactly one ``fork`` / ``revive`` / ``allocate``.  Once the caller has
+prefilled the prompt, :meth:`PagedKVCache.register` makes it findable
+as a donor (``prefix_sharing=True`` only), and
+:meth:`PagedKVCache.release` retires it -- parking its prompt-prefix
+pages when a prefix cache is configured.
+
 Every path preserves the serving engine's equivalence guarantees: a
 batch-1 decode step over this cache is **bit-identical** to
 ``build_engine``'s on the same KV contents, and served tokens are
@@ -105,6 +122,7 @@ from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -119,11 +137,10 @@ def chained_prefix_keys(prompt: tuple, page_size: int) -> list:
     ``keys[i]`` covers ``prompt[:(i + 1) * page_size]`` and is computed
     as ``hash((keys[i - 1], page_tokens))`` -- vLLM block-hash style, so
     all of a prompt's keys come from one O(len) pass.  This is the
-    shared key scheme of the resident
-    :class:`repro.serving.engine.PrefixIndex` and the retired-page
-    :class:`PrefixCache`: a prefix parked by one is found by the other's
-    walk.  Keys can collide, so users must verify token equality on a
-    hit.
+    shared key scheme of the resident :class:`PrefixIndex` and the
+    retired-page :class:`PrefixCache`: a prefix parked by one is found
+    by the other's walk.  Keys can collide, so users must verify token
+    equality on a hit.
     """
     keys = []
     key = 0
@@ -484,6 +501,89 @@ class PrefixCache:
         return page
 
 
+class PrefixIndex:
+    """Hash index from page-aligned prompt prefixes to resident slots.
+
+    For every resident sequence the index stores one bucket per
+    page-aligned prefix of its prompt (``prompt[:k * page_size]``),
+    keyed by a **chained** per-page hash -- ``hash((prev_key,
+    page_tokens))``, vLLM block-hash style -- so all of a prompt's
+    bucket keys are computed in one O(len) pass rather than re-hashing
+    each prefix slice from scratch.  Lookup walks a new prompt's aligned
+    prefixes longest-first, verifies token equality on a hit (hashes can
+    collide), and then extends the match token by token past the last
+    aligned boundary -- the eager partial-page copy in
+    :meth:`PagedKVCache.fork` makes non-aligned share lengths safe.
+
+    Prompts shorter than one page are never matched: there is no aligned
+    prefix to bucket, and sub-page sharing would save neither a page nor
+    enough prefill to matter.
+    """
+
+    def __init__(self, page_size: int):
+        if page_size < 1:
+            raise ValueError(f"page_size must be >= 1, got {page_size}")
+        self.page_size = page_size
+        self._prompts: dict = {}    # slot index -> prompt tuple
+        self._buckets: dict = {}    # hash(aligned prefix) -> set of slots
+
+    def __len__(self) -> int:
+        return len(self._prompts)
+
+    def insert(self, slot_index: int, prompt_ids) -> None:
+        if slot_index in self._prompts:
+            raise ValueError(f"slot {slot_index} already indexed")
+        prompt = tuple(int(t) for t in prompt_ids)
+        self._prompts[slot_index] = prompt
+        for key in chained_prefix_keys(prompt, self.page_size):
+            self._buckets.setdefault(key, set()).add(slot_index)
+
+    def remove(self, slot_index: int):
+        """Forget ``slot_index``; returns its prompt tuple (None if absent)."""
+        prompt = self._prompts.pop(slot_index, None)
+        if prompt is None:
+            return None
+        for key in chained_prefix_keys(prompt, self.page_size):
+            bucket = self._buckets.get(key)
+            if bucket is not None:
+                bucket.discard(slot_index)
+                if not bucket:
+                    del self._buckets[key]
+        return prompt
+
+    def lookup(self, prompt_ids) -> tuple:
+        """``(slot_index, shared_len)`` of the longest shareable prefix.
+
+        ``shared_len`` is capped at ``len(prompt) - 1``: at least one
+        prompt token must be prefilled so the admission has last-position
+        logits to sample from.  Returns ``(None, 0)`` when no resident
+        prompt shares at least one full page.
+        """
+        prompt = tuple(int(t) for t in prompt_ids)
+        cap = len(prompt) - 1
+        keys = chained_prefix_keys(prompt, self.page_size)
+        keys = keys[:cap // self.page_size]
+        for i in range(len(keys) - 1, -1, -1):
+            end = (i + 1) * self.page_size
+            bucket = self._buckets.get(keys[i])
+            if not bucket:
+                continue
+            best_slot, best_shared = None, 0
+            for slot_index in bucket:
+                donor = self._prompts[slot_index]
+                if donor[:end] != prompt[:end]:     # hash-collision guard
+                    continue
+                shared = end
+                limit = min(cap, len(donor))
+                while shared < limit and donor[shared] == prompt[shared]:
+                    shared += 1
+                if shared > best_shared:
+                    best_slot, best_shared = slot_index, shared
+            if best_slot is not None:
+                return best_slot, best_shared
+        return None, 0
+
+
 class PagedKVSlot:
     """One sequence's K/V storage: a page table over a :class:`PagePool`.
 
@@ -492,6 +592,9 @@ class PagedKVSlot:
     :func:`repro.model.inference.attend_single` runs unchanged on one
     slot of a serving batch.  Pages are claimed lazily: the table
     grows the first time a write touches a position in a new page.
+    ``view`` is the only way its K/V reaches a kernel -- a zero-copy
+    arena view within one page, one gather of the page table beyond --
+    so everything else here edits the table and never the kernel side.
     """
 
     def __init__(self, pool: PagePool, index: int, max_seq_len: int):
@@ -501,11 +604,6 @@ class PagedKVSlot:
         self.page_table: list = []
         self.length = 0
         self._reservation_left = 0
-        # Bumped whenever an *existing* page-table entry can change
-        # (reset, copy-on-write retarget).  Pure appends leave it alone,
-        # which is what lets batched-gather plans extend incrementally
-        # instead of re-reading the table every decode step.
-        self.generation = 0
 
     @property
     def n_pages(self) -> int:
@@ -546,7 +644,6 @@ class PagedKVSlot:
         pool.values[new] = pool.values[old]
         pool._release_pages([old])
         self.page_table[table_index] = new
-        self.generation += 1
         return new
 
     def _writable_page(self, table_index: int) -> int:
@@ -601,9 +698,8 @@ class PagedKVSlot:
     def view(self, layer: int, length: int) -> tuple[np.ndarray, np.ndarray]:
         """K/V for the first ``length`` positions of ``layer``.
 
-        Zero-copy when the positions fit one page; basic-slice rebuild
-        when the page table is one consecutive arena run; fancy-index
-        gather otherwise.
+        A zero-copy arena view when the positions fit one page; one
+        fancy-index gather of the slot's pages otherwise.
         """
         pool = self._pool
         page_size = pool.page_size
@@ -618,14 +714,9 @@ class PagedKVSlot:
             return (pool.keys[page, layer, :length],
                     pool.values[page, layer, :length])
         pages = self.page_table[:n_pages]
-        first, last = pages[0], pages[-1]
         d_model = pool.config.d_model
-        if last - first == n_pages - 1 and pages == list(range(first, last + 1)):
-            keys = pool.keys[first:last + 1, layer]
-            values = pool.values[first:last + 1, layer]
-        else:
-            keys = pool.keys[pages, layer]
-            values = pool.values[pages, layer]
+        keys = pool.keys[pages, layer]                  # (n_pages, ps, d)
+        values = pool.values[pages, layer]
         return (keys.reshape(n_pages * page_size, d_model)[:length],
                 values.reshape(n_pages * page_size, d_model)[:length])
 
@@ -665,7 +756,6 @@ class PagedKVSlot:
                 # cannot fail; the credit keeps admission math exact.
                 self._pool._reserve(freed)
                 self._reservation_left += freed
-            self.generation += 1
         self.length = n_positions
 
     def reset(self) -> None:
@@ -677,99 +767,62 @@ class PagedKVSlot:
             self._pool._cancel_reservation(self._reservation_left)
             self._reservation_left = 0
         self.length = 0
-        self.generation += 1
-
-
-class _SlotGatherPlan:
-    """Cached page-index array for one slot, extended append-only.
-
-    A decode step only ever *appends* positions, so between steps a
-    slot's page table changes by at most one trailing entry; the plan
-    keeps a numpy copy of the table and syncs just the new tail.  The
-    slot's :attr:`~PagedKVSlot.generation` counter guards the cases
-    where existing entries *can* change (reset, copy-on-write): a bump
-    rebuilds the plan from scratch.
-    """
-
-    __slots__ = ("generation", "n_pages", "pages")
-
-    def __init__(self):
-        self.generation = -1
-        self.n_pages = 0
-        self.pages = np.empty(4, dtype=np.intp)
-
-    def sync(self, slot: "PagedKVSlot", needed: int) -> np.ndarray:
-        """The slot's first ``needed`` page indices as an array view."""
-        if needed > len(slot.page_table):
-            raise ValueError(
-                f"gather of {needed} pages but only "
-                f"{len(slot.page_table)} pages appended"
-            )
-        if self.generation != slot.generation:
-            self.generation = slot.generation
-            self.n_pages = 0
-        if needed > self.n_pages:
-            if needed > len(self.pages):
-                grown = np.empty(max(needed, 2 * len(self.pages)),
-                                 dtype=np.intp)
-                grown[:self.n_pages] = self.pages[:self.n_pages]
-                self.pages = grown
-            self.pages[self.n_pages:needed] = \
-                slot.page_table[self.n_pages:needed]
-            self.n_pages = needed
-        return self.pages[:needed]
 
 
 class PagedBatchView:
     """Padded batched K/V gather over a :class:`PagePool`.
 
-    Built from per-slot gather plans: a ``(B, p_max)`` page-index
-    matrix, rows padded with page 0 (padded positions land at or past
+    The batch form of :meth:`PagedKVSlot.view`'s gather case: a
+    ``(B, p_max)`` page-index matrix read straight from the slots' page
+    tables, rows padded with page 0 (padded positions land at or past
     each row's length, so callers' length masks hide them -- whatever
     data page 0 holds never contributes).  ``gather(layer)`` turns it
     into ``(B, l_max, d_model)`` K/V with **one** arena index per layer
-    instead of B page-table walks.
-
-    Reuses :meth:`PagedKVSlot.view`'s contiguous-run detection at batch
-    granularity: when the padded matrix happens to enumerate one
-    consecutive arena run row-major (common early in a drain, when
-    equal-length sequences claimed consecutive pages), the gather uses
-    a basic slice instead of a fancy index.  Both paths copy -- the
-    layer axis sits between the page and position axes, so the reshape
-    must materialise -- but the slice path skips the index-array
-    machinery (~10% faster at decode shapes), same as the run path of
-    the single-sequence ``view``.
+    instead of B page-table walks.  Build it after the decode step's
+    first appends have claimed any new page; the matrix is then valid
+    for every layer of the step.
     """
 
-    def __init__(self, pool: PagePool, rows, lengths):
+    def __init__(self, pool: PagePool, slots, lengths):
         self._pool = pool
         self.lengths = np.asarray(lengths)
         self.l_max = int(self.lengths.max())
-        p_max = max(len(row) for row in rows)
-        mat = np.zeros((len(rows), p_max), dtype=np.intp)
-        for i, row in enumerate(rows):
-            mat[i, :len(row)] = row
+        mat = np.zeros((len(slots), pool.pages_for(self.l_max)),
+                       dtype=np.intp)
+        for i, (slot, length) in enumerate(zip(slots, lengths)):
+            needed = pool.pages_for(int(length))
+            if needed > len(slot.page_table):
+                raise ValueError(
+                    f"gather of {needed} pages but only "
+                    f"{len(slot.page_table)} pages appended"
+                )
+            mat[i, :needed] = slot.page_table[:needed]
         self._mat = mat
-        flat = mat.ravel()
-        self._contig_start = None
-        if flat[-1] - flat[0] == flat.size - 1 and \
-                np.array_equal(flat, np.arange(flat[0], flat[-1] + 1)):
-            self._contig_start = int(flat[0])
 
     def gather(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         pool = self._pool
         B, p_max = self._mat.shape
         width = p_max * pool.page_size
         d_model = pool.config.d_model
-        if self._contig_start is not None:
-            start, stop = self._contig_start, self._contig_start + B * p_max
-            keys = pool.keys[start:stop, layer]
-            values = pool.values[start:stop, layer]
-        else:
-            keys = pool.keys[self._mat, layer]      # (B, p_max, ps, d)
-            values = pool.values[self._mat, layer]
+        keys = pool.keys[self._mat, layer]              # (B, p_max, ps, d)
+        values = pool.values[self._mat, layer]
         return (keys.reshape(B, width, d_model)[:, :self.l_max],
                 values.reshape(B, width, d_model)[:, :self.l_max])
+
+
+class SeatPlan(NamedTuple):
+    """Where a new sequence's prefix K/V will come from.
+
+    Built by :meth:`PagedKVCache.plan` / :meth:`PagedKVCache.fork_plan`
+    and consumed by :meth:`PagedKVCache.seat` in the same admission (a
+    revive plan's ``pages`` leave the prefix cache when seated).
+    """
+
+    needed: int                   # worst-case positions the seat must back
+    fits: bool                    # whether ``seat`` would succeed right now
+    shared: int = 0               # prompt positions the seat already holds
+    donor: Optional[PagedKVSlot] = None    # resident slot to fork
+    pages: Sequence[int] = ()     # cached page chain to revive
 
 
 class PagedKVCache:
@@ -781,12 +834,15 @@ class PagedKVCache:
     ``n_slots * ceil(max_seq_len / page_size)``).  Pass a smaller
     ``n_pages`` to run under a memory budget: short sequences then leave
     pages for extra concurrent sequences instead of padding out unused
-    slot tails.
+    slot tails.  ``prefix_sharing`` keeps a :class:`PrefixIndex` over
+    :meth:`register`-ed prompts so :meth:`plan` can find fork donors;
+    ``cache_pages`` sizes the :class:`PrefixCache` it can revive from.
     """
 
     def __init__(self, config: ModelConfig, n_slots: int,
                  max_seq_len: int = 0, page_size: int = DEFAULT_PAGE_SIZE,
-                 n_pages: int = 0, cache_pages: int = 0):
+                 n_pages: int = 0, cache_pages: int = 0,
+                 prefix_sharing: bool = False):
         if n_slots < 1:
             raise ValueError(f"n_slots must be >= 1, got {n_slots}")
         if cache_pages < 0:
@@ -797,6 +853,7 @@ class PagedKVCache:
         worst_case = -(-self.max_seq_len // page_size)
         self.pool = PagePool(config, n_pages or n_slots * worst_case,
                              page_size)
+        self.prefix_index = PrefixIndex(page_size) if prefix_sharing else None
         self.prefix_cache = (
             PrefixCache(self.pool, cache_pages) if cache_pages else None
         )
@@ -810,7 +867,6 @@ class PagedKVCache:
                        for i in range(n_slots)]
         self._free = list(range(n_slots - 1, -1, -1))   # pop() -> lowest index
         self._free_set = set(range(n_slots))
-        self._gather_plans = [_SlotGatherPlan() for _ in range(n_slots)]
 
     # -- pool passthroughs -------------------------------------------------
 
@@ -854,31 +910,114 @@ class PagedKVCache:
         """Longest sequence any single request could ever store."""
         return min(self.max_seq_len, self.pool.n_pages * self.page_size)
 
+    def view_batch(self, slots, lengths) -> PagedBatchView:
+        """Padded ``(B, l_max, d_model)`` K/V gather for a decode batch."""
+        return PagedBatchView(self.pool, slots, lengths)
+
+    # -- seat preconditions (each list written once) -----------------------
+
+    def unshared_page_demand(self, shared_positions: int,
+                             max_positions: int) -> int:
+        """Pages a seat must be able to claim or reserve right now.
+
+        The full pages of a shared prefix come free -- a fork maps the
+        donor's by reference, a revive's are already resident in the
+        cache -- so everything else (the eager copy of a fork's partial
+        trailing page plus the unshared worst case) must be backed by
+        available pages.
+        """
+        full_shared = shared_positions // self.page_size
+        total = min(max_positions or shared_positions, self.max_seq_len)
+        return max(self.pool.pages_for(total) - full_shared, 0)
+
+    def _seat_error(self, max_positions: int, available: int,
+                    shared_positions: int = 0, kind: str = "shared"):
+        """Why a sequence holding ``shared_positions`` cannot be seated now.
+
+        The preconditions all three seats share (a cold seat shares 0
+        positions); returns the exception to raise, or None.
+        """
+        if max_positions and max_positions < shared_positions:
+            return ValueError(
+                f"max_positions {max_positions} is below the {kind} "
+                f"prefix length {shared_positions}"
+            )
+        if not self._free:
+            return RuntimeError("no free KV slots")
+        demand = self.unshared_page_demand(shared_positions, max_positions)
+        if demand > available:
+            return RuntimeError(
+                f"cannot seat a {max_positions or shared_positions}-position "
+                f"sequence: needs {demand} pages beyond its "
+                f"{shared_positions} {kind} positions, {available} "
+                f"available of {self.pool.n_pages}"
+            )
+        return None
+
+    def _fork_error(self, donor: PagedKVSlot, shared_positions: int,
+                    max_positions: int):
+        if donor._pool is not self.pool:
+            return ValueError("donor slot belongs to a different cache")
+        if donor.index in self._free_set:
+            return ValueError(f"donor slot {donor.index} is not allocated")
+        if not 0 < shared_positions <= donor.length:
+            return ValueError(
+                f"shared_positions must be in [1, {donor.length}] "
+                f"(donor length), got {shared_positions}"
+            )
+        return self._seat_error(max_positions, self.pool.n_available_pages,
+                                shared_positions)
+
+    def _revive_error(self, n_cached_pages: int, max_positions: int):
+        if self.prefix_cache is None:
+            return RuntimeError(
+                "cache built without cache_pages > 0 cannot revive"
+            )
+        if n_cached_pages < 1:
+            return ValueError("revive needs at least one cached page")
+        revived = n_cached_pages * self.page_size
+        if revived > self.max_seq_len:
+            return ValueError(
+                f"revived prefix length {revived} exceeds max_seq_len "
+                f"{self.max_seq_len}"
+            )
+        # Pinning removes the revived pages from the reclaimable set, so
+        # the unshared demand is checked against the availability that
+        # remains *after* the pin.
+        return self._seat_error(
+            max_positions, self.pool.n_available_pages - n_cached_pages,
+            revived, kind="revived",
+        )
+
     def can_admit(self, n_positions: int) -> bool:
         """Whether a worst-case ``n_positions`` request fits right now."""
-        return bool(self._free) and self.pool.can_reserve(n_positions)
+        return self._seat_error(
+            n_positions, self.pool.n_available_pages
+        ) is None
 
-    def view_batch(self, slots, lengths) -> PagedBatchView:
-        """Padded ``(B, l_max, d_model)`` K/V gather for a decode batch.
+    def can_fork(self, donor: PagedKVSlot, shared_positions: int,
+                 max_positions: int = 0) -> bool:
+        """Whether :meth:`fork` with these arguments would succeed now."""
+        return self._fork_error(
+            donor, shared_positions, max_positions
+        ) is None
 
-        The per-slot page-index arrays come from cached
-        :class:`_SlotGatherPlan` objects, so between decode steps only
-        newly-appended pages are read from the python page tables; the
-        returned view performs one arena gather per layer.
-        """
-        rows = [
-            self._gather_plans[slot.index].sync(
-                slot, self.pool.pages_for(int(length))
-            )
-            for slot, length in zip(slots, lengths)
-        ]
-        return PagedBatchView(self.pool, rows, lengths)
+    def can_revive(self, n_cached_pages: int, max_positions: int = 0) -> bool:
+        """Whether :meth:`revive` of that many cached pages fits now."""
+        return self._revive_error(n_cached_pages, max_positions) is None
 
     # -- slot management ---------------------------------------------------
 
     @property
     def n_free(self) -> int:
         return len(self._free)
+
+    def _take_slot(self) -> PagedKVSlot:
+        index = self._free.pop()
+        self._free_set.discard(index)
+        slot = self._slots[index]
+        slot.reset()
+        return slot
 
     def allocate(self, max_positions: int = 0) -> PagedKVSlot:
         """Claim a slot, reserving ``max_positions`` worth of pages.
@@ -887,67 +1026,13 @@ class PagedKVCache:
         purely lazily, which is fine for direct engine use but forfeits
         the no-mid-decode-starvation guarantee the scheduler relies on.
         """
-        if not self._free:
-            raise RuntimeError("no free KV slots")
-        if max_positions and not self.pool.can_reserve(max_positions):
-            raise RuntimeError(
-                f"cannot admit a {max_positions}-position sequence: "
-                f"{self.pool.n_available_pages} pages available of "
-                f"{self.pool.n_pages}"
-            )
-        index = self._free.pop()
-        self._free_set.discard(index)
-        slot = self._slots[index]
-        slot.reset()
+        error = self._seat_error(max_positions, self.pool.n_available_pages)
+        if error is not None:
+            raise error
+        slot = self._take_slot()
         if max_positions:
             slot.reserve(max_positions)
         return slot
-
-    def release(self, slot: PagedKVSlot, prompt_ids=None) -> None:
-        """Return a slot, its pages, and any unused reservation.
-
-        With ``prompt_ids`` (the sequence's prompt) and an active prefix
-        cache, the slot's full prompt-prefix pages are *parked* in the
-        cache (:meth:`PrefixCache.park`) instead of freed, so a later
-        request sharing the prefix can :meth:`revive` them.  Without
-        either, behaviour is exactly the pre-cache release.
-        """
-        if slot._pool is not self.pool:
-            raise ValueError("slot belongs to a different cache")
-        if slot.index in self._free_set:
-            raise ValueError(f"slot {slot.index} released twice")
-        if prompt_ids is not None and self.prefix_cache is not None:
-            self.prefix_cache.park(slot, prompt_ids)
-        slot.reset()
-        self._free.append(slot.index)
-        self._free_set.add(slot.index)
-
-    # -- prefix sharing ----------------------------------------------------
-
-    def fork_page_demand(self, shared_positions: int,
-                         max_positions: int) -> int:
-        """Pages a fork must be able to claim or reserve right now.
-
-        The donor's full prefix pages come free (they are shared by
-        reference); everything else -- the eager copy of a partial
-        trailing page plus the unshared worst case -- must be backed by
-        available pages.
-        """
-        full_shared = shared_positions // self.page_size
-        total = min(max_positions or shared_positions, self.max_seq_len)
-        return max(self.pool.pages_for(total) - full_shared, 0)
-
-    def can_fork(self, donor: PagedKVSlot, shared_positions: int,
-                 max_positions: int = 0) -> bool:
-        """Whether :meth:`fork` with these arguments would succeed now."""
-        if not self._free or donor.index in self._free_set:
-            return False
-        if not 0 < shared_positions <= donor.length:
-            return False
-        if max_positions and max_positions < shared_positions:
-            return False
-        demand = self.fork_page_demand(shared_positions, max_positions)
-        return demand <= self.pool.n_available_pages
 
     def fork(self, donor: PagedKVSlot, shared_positions: int,
              max_positions: int = 0) -> PagedKVSlot:
@@ -965,34 +1050,11 @@ class PagedKVCache:
         the geometry is inconsistent, or the pool cannot back the
         unshared demand.
         """
-        if donor._pool is not self.pool:
-            raise ValueError("donor slot belongs to a different cache")
-        if donor.index in self._free_set:
-            raise ValueError(f"donor slot {donor.index} is not allocated")
-        if not 0 < shared_positions <= donor.length:
-            raise ValueError(
-                f"shared_positions must be in [1, {donor.length}] "
-                f"(donor length), got {shared_positions}"
-            )
-        if max_positions and max_positions < shared_positions:
-            raise ValueError(
-                f"max_positions {max_positions} is below the shared "
-                f"prefix length {shared_positions}"
-            )
-        if not self._free:
-            raise RuntimeError("no free KV slots")
+        error = self._fork_error(donor, shared_positions, max_positions)
+        if error is not None:
+            raise error
         full_shared, partial = divmod(shared_positions, self.page_size)
-        demand = self.fork_page_demand(shared_positions, max_positions)
-        if demand > self.pool.n_available_pages:
-            raise RuntimeError(
-                f"cannot fork a {shared_positions}-position prefix: needs "
-                f"{demand} unshared pages, {self.pool.n_available_pages} "
-                f"available"
-            )
-        index = self._free.pop()
-        self._free_set.discard(index)
-        slot = self._slots[index]
-        slot.reset()
+        slot = self._take_slot()
         for page in donor.page_table[:full_shared]:
             self.pool._share_page(page)
             slot.page_table.append(page)
@@ -1007,94 +1069,105 @@ class PagedKVCache:
         slot.length = shared_positions
         return slot
 
-    # -- cross-request prefix cache ----------------------------------------
-
-    def find_cached_prefix(self, prompt_ids) -> tuple:
-        """``(pages, positions)`` of the longest revivable cached prefix.
-
-        ``pages`` is the chain to pass to :meth:`revive`; ``positions``
-        is always ``len(pages) * page_size`` (cached sharing is
-        page-granular -- unlike a fork there is no donor to copy a
-        partial trailing page from).  ``([], 0)`` when no prefix cache
-        is configured or nothing matches.
-        """
-        if self.prefix_cache is None:
-            return [], 0
-        pages = self.prefix_cache.lookup(prompt_ids)
-        return pages, len(pages) * self.page_size
-
-    def revive_page_demand(self, n_cached_pages: int,
-                           max_positions: int) -> int:
-        """Pages a revive must be able to claim or reserve right now.
-
-        Mirrors :meth:`fork_page_demand`: the revived pages are already
-        resident (they come out of the cache), so only the worst case
-        *beyond* them must be backed.
-        """
-        revived = n_cached_pages * self.page_size
-        total = min(max_positions or revived, self.max_seq_len)
-        return max(self.pool.pages_for(total) - n_cached_pages, 0)
-
-    def can_revive(self, n_cached_pages: int, max_positions: int = 0) -> bool:
-        """Whether :meth:`revive` of that many cached pages fits now.
-
-        Pinning removes the revived pages from the reclaimable set, so
-        the unshared demand is checked against the availability that
-        remains *after* the pin.
-        """
-        if not self._free or n_cached_pages < 1:
-            return False
-        revived = n_cached_pages * self.page_size
-        if max_positions and max_positions < revived:
-            return False
-        demand = self.revive_page_demand(n_cached_pages, max_positions)
-        return demand <= self.pool.n_available_pages - n_cached_pages
-
     def revive(self, pages, max_positions: int = 0) -> PagedKVSlot:
         """Re-pin a cached prefix chain into a fresh slot.
 
-        ``pages`` must come from :meth:`find_cached_prefix` (or
+        ``pages`` must come from :meth:`plan` (or
         :meth:`PrefixCache.lookup`) in the same admission -- the chain
         is consumed: entries leave the cache, each page's refcount goes
         0 -> 1 in the new slot's table, and the slot starts at ``length
         == len(pages) * page_size`` holding the exact K/V the original
-        prefill wrote.  ``max_positions`` reserves only the worst case
-        beyond the revived pages, like a fork.
+        prefill wrote (cached sharing is page-granular -- unlike a fork
+        there is no donor to copy a partial trailing page from).
+        ``max_positions`` reserves only the worst case beyond the
+        revived pages, like a fork.
         """
-        if self.prefix_cache is None:
-            raise RuntimeError(
-                "cache built without cache_pages > 0 cannot revive"
-            )
-        n_cached = len(pages)
-        if n_cached < 1:
-            raise ValueError("revive needs at least one cached page")
-        revived = n_cached * self.page_size
-        if max_positions and max_positions < revived:
-            raise ValueError(
-                f"max_positions {max_positions} is below the revived "
-                f"prefix length {revived}"
-            )
-        if revived > self.max_seq_len:
-            raise ValueError(
-                f"revived prefix length {revived} exceeds max_seq_len "
-                f"{self.max_seq_len}"
-            )
-        if not self._free:
-            raise RuntimeError("no free KV slots")
-        demand = self.revive_page_demand(n_cached, max_positions)
-        if demand > self.pool.n_available_pages - n_cached:
-            raise RuntimeError(
-                f"cannot revive a {revived}-position prefix: needs "
-                f"{demand} pages beyond the cached chain, "
-                f"{self.pool.n_available_pages - n_cached} available"
-            )
+        error = self._revive_error(len(pages), max_positions)
+        if error is not None:
+            raise error
         self.prefix_cache.take(pages)
-        index = self._free.pop()
-        self._free_set.discard(index)
-        slot = self._slots[index]
-        slot.reset()
+        slot = self._take_slot()
         slot.page_table.extend(pages)
         if max_positions:
             slot.reserve(max_positions)   # charges only beyond the chain
-        slot.length = revived
+        slot.length = len(pages) * self.page_size
         return slot
+
+    def release(self, slot: PagedKVSlot, prompt_ids=None) -> None:
+        """Return a slot, its pages, and any unused reservation.
+
+        With an active prefix cache, the slot's full prompt-prefix pages
+        are *parked* (:meth:`PrefixCache.park`) instead of freed, so a
+        later request sharing the prefix can revive them.  The parking
+        key is the prompt :meth:`register` recorded, unless the caller
+        names one: a preempting scheduler passes the *prefilled prompt
+        prefix* (possibly shorter than the prompt when a sequence is
+        evicted mid-prefill, before it was registered).  Only
+        prefill-path positions may be parked -- decode positions go
+        through the sparse executor, so their K/V is not the pure
+        function of the tokens that revival assumes.  With neither a
+        prompt nor a prefix cache this is a plain release.
+        """
+        if slot._pool is not self.pool:
+            raise ValueError("slot belongs to a different cache")
+        if slot.index in self._free_set:
+            raise ValueError(f"slot {slot.index} released twice")
+        if self.prefix_index is not None:
+            registered = self.prefix_index.remove(slot.index)
+            if prompt_ids is None:
+                prompt_ids = registered
+        if prompt_ids is not None and self.prefix_cache is not None:
+            self.prefix_cache.park(slot, prompt_ids)
+        slot.reset()
+        self._free.append(slot.index)
+        self._free_set.add(slot.index)
+
+    # -- seating: where a new sequence's prefix comes from -----------------
+
+    def register(self, slot: PagedKVSlot, prompt_ids) -> None:
+        """Make a just-prefilled sequence's prompt findable as a donor."""
+        if self.prefix_index is not None:
+            self.prefix_index.insert(slot.index, prompt_ids)
+
+    def fork_plan(self, prompt_ids, needed: int = 0) -> SeatPlan:
+        """The resident-donor stage of :meth:`plan`, on its own.
+
+        The donor is the registered sequence whose prompt shares the
+        longest prefix with ``prompt_ids`` (at least one full page, at
+        most ``len(prompt_ids) - 1`` so one token is left to prefill
+        for last-position logits); ``donor is None`` when there is
+        none, and ``fits`` says whether forking it can be backed now.
+        """
+        if self.prefix_index is None or len(prompt_ids) < 2:
+            return SeatPlan(needed, False)
+        index, shared = self.prefix_index.lookup(prompt_ids)
+        if index is None:
+            return SeatPlan(needed, False)
+        donor = self._slots[index]
+        return SeatPlan(needed, self.can_fork(donor, shared, needed),
+                        shared, donor)
+
+    def plan(self, prompt_ids, needed: int = 0) -> SeatPlan:
+        """How to seat a ``needed``-position sequence with this prompt.
+
+        The cascade, cheapest first: fork a resident donor, else revive
+        the longest cached chain, else allocate cold (``shared == 0``;
+        the only plan that can come back with ``fits=False``).
+        """
+        fork = self.fork_plan(prompt_ids, needed)
+        if fork.fits:
+            return fork
+        if self.prefix_cache is not None and len(prompt_ids) >= 2:
+            pages = self.prefix_cache.lookup(prompt_ids)
+            if self.can_revive(len(pages), needed):
+                return SeatPlan(needed, True, len(pages) * self.page_size,
+                                None, pages)
+        return SeatPlan(needed, self.can_admit(needed))
+
+    def seat(self, plan: SeatPlan) -> PagedKVSlot:
+        """Claim the slot ``plan`` describes; ``length == plan.shared``."""
+        if plan.donor is not None:
+            return self.fork(plan.donor, plan.shared, plan.needed)
+        if plan.pages:
+            return self.revive(plan.pages, plan.needed)
+        return self.allocate(plan.needed)

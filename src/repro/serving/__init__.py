@@ -24,11 +24,12 @@ Pieces:
   sign-pack + popcount pass predicts all sequences, rows outside the
   intersection run as a batched GEMM, and per-sequence masks re-zero rows
   a sequence predicted sparse so outputs match single-sequence decode.
-* :mod:`repro.serving.engine`   -- :class:`BatchedEngine`: one layer
-  loop over per-request KV slots of a shared page arena
-  (:class:`repro.model.paged_kvcache.PagedKVCache`), where short requests
-  hold only the pages they touch and admission is gated on worst-case
-  page demand.
+* :mod:`repro.serving.engine`   -- :class:`BatchedEngine`: the forward
+  pass -- one layer loop over per-request KV slots of a shared page
+  arena (:class:`repro.model.paged_kvcache.PagedKVCache`, which also
+  decides where a new sequence's seat and prefix K/V come from), where
+  short requests hold only the pages they touch and admission is gated
+  on worst-case page demand.
 * :mod:`repro.model.sampler` (re-exported here) -- per-request decode
   modes: :class:`Request.sampling` carries a
   :class:`~repro.model.sampler.SamplerConfig` and each decode tick
@@ -40,15 +41,12 @@ Pieces:
   queue the moment a slot (and its worst-case pages) frees, retire
   finished sequences, never starve.  With ``prefix_sharing=True`` on the
   engine and a ``reorder_window`` on the scheduler, admission prefers
-  queued requests sharing a live prompt prefix: they are forked onto the
-  donor's refcounted KV pages (copy-on-write, charged only their
-  unshared worst case), skip the shared prefill, and keep the decode
-  batch's sign patterns correlated so the intersection decays slower
-  than the independent ``skip^B``.  ``cache_pages > 0`` extends sharing
-  across non-overlapping lifetimes: retired prompt prefixes are parked
-  in an LRU :class:`~repro.model.paged_kvcache.PrefixCache` and revived
-  by later admissions (lookup order: resident fork -> cache revive ->
-  cold prefill).
+  queued requests sharing a live prompt prefix: they skip the shared
+  prefill and keep the decode batch's sign patterns correlated so the
+  intersection decays slower than the independent ``skip^B``;
+  ``cache_pages > 0`` extends sharing across non-overlapping lifetimes
+  (both mechanisms are the KV store's, see
+  :mod:`repro.model.paged_kvcache`).
 * :mod:`repro.serving.speculative` -- :class:`SpecConfig`: speculative
   self-drafting (``speculation=...`` on engine and scheduler).  The
   sparse path at an aggressive alpha drafts ``k`` tokens per tick, one
@@ -69,9 +67,10 @@ Pieces:
 knob and every ``ServeReport`` telemetry field.
 """
 
+from ..model.paged_kvcache import PrefixIndex
 from ..model.sampler import BatchedSampler, Sampler, SamplerConfig
 from .batch_mlp import BatchedMLPStats, BatchedSparseInferMLP
-from .engine import BatchedEngine, PrefixIndex
+from .engine import BatchedEngine
 from .loadgen import (
     DiurnalProcess,
     LoadGenerator,

@@ -60,6 +60,18 @@ class BatchedMLPStats:
         """Mean single-sequence predicted skip (the batch=1 ceiling)."""
         return self.predicted_skip_seq / self.sequences if self.sequences else 0.0
 
+    def since(self, baseline: "BatchedMLPStats") -> "BatchedMLPStats":
+        """The counters accumulated after ``baseline`` was snapshotted."""
+        return BatchedMLPStats(
+            calls=self.calls - baseline.calls,
+            sequences=self.sequences - baseline.sequences,
+            rows_total=self.rows_total - baseline.rows_total,
+            rows_read_gate=self.rows_read_gate - baseline.rows_read_gate,
+            predicted_skip_seq=(
+                self.predicted_skip_seq - baseline.predicted_skip_seq
+            ),
+        )
+
 
 @dataclass
 class BatchedSparseInferMLP:
@@ -89,6 +101,10 @@ class BatchedSparseInferMLP:
         )
         self.predictor = self.single.predictor
         self._act = self.single._act
+
+    def run(self, layer: int, x: np.ndarray) -> np.ndarray:
+        """One layer's MLP for one ``(d,)`` input (``MLPExecutor``)."""
+        return self.run_batch(layer, x[None, :])[0]
 
     def run_batch(self, layer: int, xs: np.ndarray) -> np.ndarray:
         """One layer's MLP for ``(B, d)`` inputs; returns ``(B, d)``."""

@@ -20,24 +20,14 @@ and row-MLP they hand it:
   (measurably faster at that size, and what makes it bit-identical to
   the single-sequence engine).
 
-With ``prefix_sharing=True`` the engine additionally keeps a
-:class:`PrefixIndex` over resident sequences' prompts: a new request
-whose prompt shares a prefix with a resident one can be admitted by
-**forking** the donor's KV pages
-(:meth:`repro.model.paged_kvcache.PagedKVCache.fork`) instead of
-re-running prefill over the shared positions.  Causal attention makes the
-shared positions' K/V a pure function of the shared tokens, so the forked
-request's outputs stay bit-identical to an unshared admission -- prefix
-sharing changes *where* K/V comes from and *how much* prefill runs, never
-what is decoded.
-
-``cache_pages > 0`` extends sharing across non-overlapping lifetimes: a
-retiring sequence's prompt-prefix pages are parked in a
-:class:`repro.model.paged_kvcache.PrefixCache` (LRU, same chained page
-hash as the :class:`PrefixIndex`) instead of freed, and a later request
-can *revive* them -- re-pin the pages into its slot and prefill only the
-suffix.  Admission lookup order is resident-donor fork -> prefix-cache
-revive -> cold prefill.
+The engine is the forward pass only.  Which slot a sequence gets, and
+where its prompt-prefix K/V comes from (``prefix_sharing`` forks,
+``cache_pages`` revives), is the KV store's business -- callers seat and
+retire sequences through ``engine.cache`` (``plan`` / ``seat`` /
+``register`` / ``release``, see :mod:`repro.model.paged_kvcache`).  Those
+knobs change *where* K/V comes from and *how much* prefill runs, never
+what is decoded: causal attention makes a shared position's K/V a pure
+function of the shared tokens.
 
 Equivalence guarantees (unchanged by every knob above): served tokens
 are identical to :func:`repro.core.engine.build_engine` ``.generate`` at
@@ -63,7 +53,6 @@ from ..model.paged_kvcache import (
     DEFAULT_PAGE_SIZE,
     PagedKVCache,
     PagedKVSlot,
-    chained_prefix_keys,
 )
 from ..model.mlp import DenseMLP, MLPExecutor
 from ..model.norm import rmsnorm
@@ -74,92 +63,6 @@ from .batch_mlp import BatchedSparseInferMLP
 from .speculative import SpecConfig
 
 DEFAULT_PREFILL_CHUNK = 32
-
-
-class PrefixIndex:
-    """Hash index from page-aligned prompt prefixes to resident slots.
-
-    For every resident sequence the index stores one bucket per
-    page-aligned prefix of its prompt (``prompt[:k * page_size]``),
-    keyed by a **chained** per-page hash -- ``hash((prev_key,
-    page_tokens))``, vLLM block-hash style -- so all of a prompt's
-    bucket keys are computed in one O(len) pass rather than re-hashing
-    each prefix slice from scratch.  Lookup walks a new prompt's aligned
-    prefixes longest-first, verifies token equality on a hit (hashes can
-    collide), and then extends the match token by token past the last
-    aligned boundary -- the eager partial-page copy in
-    :meth:`~repro.model.paged_kvcache.PagedKVCache.fork` makes
-    non-aligned share lengths safe.
-
-    Prompts shorter than one page are never matched: there is no aligned
-    prefix to bucket, and sub-page sharing would save neither a page nor
-    enough prefill to matter.
-    """
-
-    def __init__(self, page_size: int):
-        if page_size < 1:
-            raise ValueError(f"page_size must be >= 1, got {page_size}")
-        self.page_size = page_size
-        self._prompts: dict = {}    # slot index -> prompt tuple
-        self._buckets: dict = {}    # hash(aligned prefix) -> set of slots
-
-    def __len__(self) -> int:
-        return len(self._prompts)
-
-    def prompt_of(self, slot_index: int):
-        """The registered prompt tuple of ``slot_index``, or None."""
-        return self._prompts.get(slot_index)
-
-    def insert(self, slot_index: int, prompt_ids) -> None:
-        if slot_index in self._prompts:
-            raise ValueError(f"slot {slot_index} already indexed")
-        prompt = tuple(int(t) for t in prompt_ids)
-        self._prompts[slot_index] = prompt
-        for key in chained_prefix_keys(prompt, self.page_size):
-            self._buckets.setdefault(key, set()).add(slot_index)
-
-    def remove(self, slot_index: int) -> None:
-        prompt = self._prompts.pop(slot_index, None)
-        if prompt is None:
-            return
-        for key in chained_prefix_keys(prompt, self.page_size):
-            bucket = self._buckets.get(key)
-            if bucket is not None:
-                bucket.discard(slot_index)
-                if not bucket:
-                    del self._buckets[key]
-
-    def lookup(self, prompt_ids) -> tuple:
-        """``(slot_index, shared_len)`` of the longest shareable prefix.
-
-        ``shared_len`` is capped at ``len(prompt) - 1``: at least one
-        prompt token must be prefilled so the admission has last-position
-        logits to sample from.  Returns ``(None, 0)`` when no resident
-        prompt shares at least one full page.
-        """
-        prompt = tuple(int(t) for t in prompt_ids)
-        cap = len(prompt) - 1
-        keys = chained_prefix_keys(prompt, self.page_size)
-        keys = keys[:cap // self.page_size]
-        for i in range(len(keys) - 1, -1, -1):
-            end = (i + 1) * self.page_size
-            bucket = self._buckets.get(keys[i])
-            if not bucket:
-                continue
-            best_slot, best_shared = None, 0
-            for slot_index in bucket:
-                donor = self._prompts[slot_index]
-                if donor[:end] != prompt[:end]:     # hash-collision guard
-                    continue
-                shared = end
-                limit = min(cap, len(donor))
-                while shared < limit and donor[shared] == prompt[shared]:
-                    shared += 1
-                if shared > best_shared:
-                    best_slot, best_shared = slot_index, shared
-            if best_slot is not None:
-                return best_slot, best_shared
-        return None, 0
 
 
 class BatchedEngine:
@@ -186,18 +89,15 @@ class BatchedEngine:
         worst case at once).  Short requests hold only the pages they
         touch, so a smaller budget still co-schedules many of them.
     prefix_sharing:
-        Keep a :class:`PrefixIndex` over resident prompts and allow
-        admissions to fork a resident sequence's KV pages
+        Forwarded to the KV store: index resident prompts so an
+        admission can fork a resident sequence's KV pages
         (copy-on-write) instead of re-prefilling a shared prefix.
     cache_pages:
-        When > 0, keep up to this many retired prompt-prefix pages
-        alive in an LRU :class:`~repro.model.paged_kvcache.PrefixCache`
-        so bursty same-prefix requests whose lifetimes never overlap
-        can still share: admission *revives* cached pages (re-pins them
-        into the new slot) and prefills only the suffix.  The budget is
-        carved out of ``n_pages`` -- cached pages stay reclaimable, the
-        allocator evicts LRU entries on demand, so reservations and
-        admission guarantees are unchanged.  Requires
+        Forwarded to the KV store: when > 0, keep up to this many
+        retired prompt-prefix pages alive in an LRU
+        :class:`~repro.model.paged_kvcache.PrefixCache` (carved out of
+        ``n_pages``, reclaimable on demand) so same-prefix requests
+        whose lifetimes never overlap can still share.  Requires
         ``prefix_sharing=True``; 0 (the default) is bit-identical to no
         cache.
     prefill_chunk:
@@ -272,11 +172,8 @@ class BatchedEngine:
         self.cache = PagedKVCache(
             self.config, max_batch_size, max_seq_len,
             page_size=page_size, n_pages=n_pages, cache_pages=cache_pages,
+            prefix_sharing=prefix_sharing,
         )
-        self._prefix_index = (
-            PrefixIndex(page_size) if prefix_sharing else None
-        )
-        self._resident: dict = {}          # slot index -> live slot handle
         self.sampling = sampling if sampling is not None else SamplerConfig()
         self.sampler = BatchedSampler(self.sampling)
         self.speculation = speculation
@@ -293,132 +190,6 @@ class BatchedEngine:
     def attn_telemetry(self) -> AttentionTelemetry:
         """Padding-waste / bucketing counters of batched decode attention."""
         return self.attention.telemetry
-
-    # -- slot management ---------------------------------------------------
-
-    @property
-    def n_free_slots(self) -> int:
-        return self.cache.n_free
-
-    def can_admit(self, n_positions: int) -> bool:
-        """Whether a worst-case ``n_positions`` request fits right now."""
-        return self.cache.can_admit(n_positions)
-
-    def allocate_slot(self, max_positions: int = 0) -> PagedKVSlot:
-        """Claim a slot, reserving ``max_positions`` worth of pages."""
-        return self.cache.allocate(max_positions)
-
-    def release_slot(self, slot: PagedKVSlot, parked_ids=None) -> None:
-        """Retire a sequence; with a prefix cache, park its prefix pages.
-
-        The retiring sequence's prompt (as registered by
-        :meth:`register_prefix`) keys the parked pages, so an identical
-        future prefix can revive them.  Unregistered slots -- or engines
-        without ``cache_pages`` -- release exactly as before.
-
-        ``parked_ids`` overrides the registered prompt as the parking
-        key: the preempting scheduler passes the *prefilled prompt
-        prefix* here (possibly shorter than the prompt when a sequence
-        is evicted mid-prefill, before :meth:`register_prefix` ran), so
-        the victim's restoration is usually a revive rather than a cold
-        prefill.  Only prefill-path positions may be parked -- decode
-        positions go through the sparse executor, so their K/V is not
-        the pure function of the tokens that cache revival assumes.
-        """
-        prompt = None
-        if self._prefix_index is not None:
-            prompt = self._prefix_index.prompt_of(slot.index)
-            self._prefix_index.remove(slot.index)
-            self._resident.pop(slot.index, None)
-        if parked_ids is not None:
-            prompt = parked_ids
-        if prompt is not None and self.prefix_cache is not None:
-            self.cache.release(slot, prompt_ids=prompt)
-        else:
-            self.cache.release(slot)
-
-    # -- prefix sharing ----------------------------------------------------
-
-    def find_prefix_donor(self, prompt_ids) -> tuple:
-        """``(donor_slot, shared_positions)`` or ``(None, 0)``.
-
-        The donor is the resident sequence whose registered prompt
-        shares the longest prefix with ``prompt_ids`` (at least one full
-        page, at most ``len(prompt_ids) - 1`` so one token is left to
-        prefill for last-position logits).
-        """
-        if self._prefix_index is None or len(prompt_ids) < 2:
-            return None, 0
-        slot_index, shared = self._prefix_index.lookup(prompt_ids)
-        if slot_index is None:
-            return None, 0
-        return self._resident[slot_index], shared
-
-    def can_fork(self, donor: PagedKVSlot, shared_positions: int,
-                 max_positions: int = 0) -> bool:
-        """Whether forking ``donor`` at ``shared_positions`` fits now."""
-        if not self.prefix_sharing:
-            return False
-        return self.cache.can_fork(donor, shared_positions, max_positions)
-
-    def fork_slot(self, donor: PagedKVSlot, shared_positions: int,
-                  max_positions: int = 0) -> PagedKVSlot:
-        """Claim a slot whose first ``shared_positions`` alias the donor.
-
-        The new slot starts at ``length == shared_positions``; callers
-        prefill only the prompt *suffix* (positions continue where the
-        shared prefix ends).  ``max_positions`` reserves only the
-        unshared worst case.
-        """
-        if not self.prefix_sharing:
-            raise RuntimeError(
-                "engine built without prefix_sharing=True cannot fork"
-            )
-        return self.cache.fork(donor, shared_positions, max_positions)
-
-    def register_prefix(self, slot: PagedKVSlot, prompt_ids) -> None:
-        """Make a just-prefilled sequence's prompt visible as a donor."""
-        if self._prefix_index is None:
-            return
-        self._resident[slot.index] = slot
-        self._prefix_index.insert(slot.index, prompt_ids)
-
-    # -- cross-request prefix cache ----------------------------------------
-
-    @property
-    def prefix_cache(self):
-        """The cross-request :class:`PrefixCache`, or None."""
-        return self.cache.prefix_cache
-
-    def find_cached_prefix(self, prompt_ids) -> tuple:
-        """``(pages, positions)`` of the longest revivable cached prefix.
-
-        Checked *after* :meth:`find_prefix_donor` fails (resident
-        sharing is cheaper: it needs no pinning and can share past page
-        alignment) and before falling back to a cold prefill.
-        """
-        if self.prefix_cache is None or len(prompt_ids) < 2:
-            return [], 0
-        return self.cache.find_cached_prefix(prompt_ids)
-
-    def can_revive(self, pages, max_positions: int = 0) -> bool:
-        """Whether reviving this cached chain fits right now."""
-        if self.prefix_cache is None or not pages:
-            return False
-        return self.cache.can_revive(len(pages), max_positions)
-
-    def revive_slot(self, pages, max_positions: int = 0) -> PagedKVSlot:
-        """Claim a slot whose prefix comes from the cached chain.
-
-        The new slot starts at ``length == len(pages) * page_size``;
-        callers prefill only the prompt suffix, exactly as after
-        :meth:`fork_slot`.
-        """
-        if self.prefix_cache is None:
-            raise RuntimeError(
-                "engine built without cache_pages > 0 cannot revive"
-            )
-        return self.cache.revive(pages, max_positions)
 
     # -- forward passes ----------------------------------------------------
 
@@ -516,7 +287,7 @@ class BatchedEngine:
             slot = slots[0]
             logits = forward_token_single(
                 self.weights, int(token_ids[0]), slot.length, slot,
-                _SingleView(sparse),
+                sparse,
                 rope=rope_for_position(
                     slot.length, cfg.head_dim, cfg.rope_theta
                 ),
@@ -649,13 +420,3 @@ class BatchedEngine:
         return self._forward_chunk(
             slot, [int(tok) for tok in token_ids], self._verify_mlp.run_batch,
         )
-
-
-class _SingleView:
-    """Adapts :class:`BatchedSparseInferMLP` to the 1-D executor protocol."""
-
-    def __init__(self, batched: BatchedSparseInferMLP):
-        self._batched = batched
-
-    def run(self, layer: int, x: np.ndarray) -> np.ndarray:
-        return self._batched.run_batch(layer, x[None, :])[0]

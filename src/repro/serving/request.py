@@ -142,8 +142,8 @@ class Request:
         Positions inside the common prefix attend over identical token
         context, so their cached K/V is bit-identical across the two
         requests and shareable via ``PagedKVCache.fork``.  Convenience
-        for workload analysis and tests; the engine's
-        :class:`~repro.serving.engine.PrefixIndex` performs the
+        for workload analysis and tests; the KV store's
+        :class:`~repro.model.paged_kvcache.PrefixIndex` performs the
         equivalent matching inline over its page-aligned hash buckets.
         """
         n = 0

@@ -11,14 +11,12 @@ Each scheduler tick:
    page demand (``ceil((prompt + max_new - 1) / page_size)`` pages must
    be reservable), so an admitted sequence can never starve for pages
    mid-decode; zero-token requests complete immediately without a slot
-   or a prefill.  With prefix sharing the lookup order per admission is
-   **resident-donor fork -> prefix-cache revive -> cold prefill**: a
-   live donor's pages are forked copy-on-write, else (``cache_pages >
-   0``) a retired prefix still cached is revived
-   (:meth:`~repro.serving.engine.BatchedEngine.revive_slot`), else the
-   whole prompt prefills cold.  Both shared paths charge only the
-   unshared worst case -- cached pages count as reservable because the
-   pool evicts them on demand;
+   or a prefill.  Planning and seating are the KV store's
+   (:meth:`~repro.model.paged_kvcache.PagedKVCache.plan` /
+   :meth:`~repro.model.paged_kvcache.PagedKVCache.seat`): the plan says
+   how many prompt positions the seat already holds (forked from a
+   resident donor, revived from the prefix cache, or none) and the
+   scheduler prefills only the rest;
 3. run one batched decode step over all active sequences and sample
    every sequence's next token in **one** vectorised
    :class:`~repro.model.sampler.BatchedSampler` call over the stacked
@@ -41,11 +39,11 @@ queue head is always admitted first.
 ``prefix_sharing=True`` and the scheduler is given a ``reorder_window``
 > 1, admission may prefer -- from the first ``reorder_window`` queued
 requests -- one that shares a *live* prompt prefix with a resident
-sequence over the FIFO head.  Such a request is admitted by forking the
-donor's KV pages (cheaper: it is charged only its unshared worst case,
-and its shared prefill is skipped) and keeps the decode batch's
-activation sign patterns correlated, which slows the ``skip^B``
-intersection decay (:func:`repro.gpu.batching.batch_skip_fraction` with
+sequence over the FIFO head.  Such a request's seat is a fork (cheaper:
+it is charged only its unshared worst case, and its shared prefill is
+skipped) and keeps the decode batch's activation sign patterns
+correlated, which slows the ``skip^B`` intersection decay
+(:func:`repro.gpu.batching.batch_skip_fraction` with
 ``correlation > 0``).  Starvation stays bounded: the head is bypassed at
 most ``reorder_window - 1`` times before it must be the next admission,
 so FIFO is the steady-state order.
@@ -76,8 +74,8 @@ one is configured, so restoration is usually a revive), its sequence
 record is parked slot-less, and the request is re-enqueued **ahead of
 FIFO order** via :meth:`~repro.serving.queue.RequestQueue.push_front`.
 Resume re-seats that same record: it restores the prompt through the
-normal fork -> revive -> cold-prefill cascade and then *replays* the
-already-generated tokens through the decode path (the sparse executor
+normal plan -> seat path and then *replays* the already-generated
+tokens through the decode path (the sparse executor
 -- recomputing them with the dense prefill path would change their K/V
 values, not just their rounding), so the resumed sequence continues
 token-identically.  Already-emitted tokens are kept, never resampled.
@@ -148,6 +146,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..model.batch_attention import AttentionTelemetry
+from ..model.paged_kvcache import SeatPlan
 from .engine import BatchedEngine
 from .queue import EmptyQueueError, RequestQueue
 from .request import Completion, Request
@@ -593,12 +592,14 @@ class ContinuousBatchingScheduler:
         # The prefix cache's eviction counter is cumulative across the
         # engine's lifetime; snapshot it so a reused engine still yields
         # per-run telemetry.
-        prefix_cache = engine.prefix_cache
+        prefix_cache = engine.cache.prefix_cache
         self._evictions_baseline = (
             prefix_cache.evictions if prefix_cache is not None else 0
         )
-        # So are its attention counters (a reused or pre-warmed engine).
+        # So are its attention and sparse-MLP skip counters (a reused or
+        # pre-warmed engine).
         self._attention_baseline = replace(engine.attn_telemetry)
+        self._skip_baseline = replace(engine.sparse.stats)
 
     @staticmethod
     def _worst_case_positions(request: Request) -> int:
@@ -739,7 +740,7 @@ class ContinuousBatchingScheduler:
     ) -> Completion:
         """Retire ``seq``: free its slot and sampler stream, account it."""
         self.engine.sampler.drop_stream(seq.request.request_id)
-        self.engine.release_slot(seq.slot)
+        self.engine.cache.release(seq.slot)
         # Retirement is the moment pages get parked; sample here so the
         # cached-page peak sees a burst's tail, not just decode ticks.
         self._sample_gauges(tick=False)
@@ -809,36 +810,13 @@ class ContinuousBatchingScheduler:
             report.slo_missed_requests += 1
             stats["slo_missed"] += 1
 
-    def _admission_plan(self, request: Request) -> tuple:
-        """``(donor, shared, pages, needed, fits)`` for admitting ``request``.
-
-        The lookup cascade is resident-donor fork -> prefix-cache revive
-        -> cold prefill: a live donor's pages are cheapest (no pinning,
-        shareable past page alignment), a cached chain still skips its
-        prefill, and a plain worst-case allocation is the fallback.
-        ``shared`` is the positions the chosen path skips (donor-shared
-        for a fork, chain length for a revive); ``pages`` is the cached
-        chain to revive or None.
-        """
-        needed = self._worst_case_positions(request)
-        if self.engine.prefix_sharing:
-            donor, shared = self.engine.find_prefix_donor(request.prompt_ids)
-            if donor is not None and \
-                    self.engine.can_fork(donor, shared, needed):
-                return donor, shared, None, needed, True
-            pages, revived = self.engine.find_cached_prefix(
-                request.prompt_ids
-            )
-            if pages and self.engine.can_revive(pages, needed):
-                return None, revived, pages, needed, True
-        return None, 0, None, needed, self.engine.can_admit(needed)
-
     def _choose_admission(self, index: int, head: Request) -> Optional[tuple]:
         """The next admission: the candidate, or a bounded-window jump.
 
         ``head`` is the candidate at queue ``index`` (the FIFO head, or
         the EDF pick under deadline admission).  Returns ``(queue_index,
-        request, donor, shared, pages, needed)`` or ``None`` when
+        request, plan)`` -- ``plan`` being the KV store's
+        :class:`~repro.model.paged_kvcache.SeatPlan` -- or ``None`` when
         nothing can be admitted this tick.  With ``reorder_window > 1``
         (never under deadline admission -- the two are mutually
         exclusive) a request later in the window is chosen only when it
@@ -850,9 +828,10 @@ class ContinuousBatchingScheduler:
         point is co-scheduling correlated sign patterns with a *live*
         sharer, which a cached (retired) prefix cannot offer.
         """
-        donor, shared, pages, needed, fits = self._admission_plan(head)
-        best = (index, head, donor, shared, pages, needed) if fits else None
-        best_shared = shared if fits else 0
+        cache = self.engine.cache
+        plan = cache.plan(head.prompt_ids, self._worst_case_positions(head))
+        best = (index, head, plan) if plan.fits else None
+        best_shared = plan.shared      # 0 for the only plan that can misfit
         if self.reorder_window > 1 and self.engine.prefix_sharing and \
                 self._head_skips < self.reorder_window - 1:
             for i, request in enumerate(self.queue.window(self.reorder_window)):
@@ -861,16 +840,12 @@ class ContinuousBatchingScheduler:
                 if request.max_new_tokens == 0 or \
                         self._capacity_error(request) is not None:
                     continue   # handled (cheaply) when it reaches the head
-                c_needed = self._worst_case_positions(request)
-                c_donor, c_shared = self.engine.find_prefix_donor(
-                    request.prompt_ids
+                fork = cache.fork_plan(
+                    request.prompt_ids, self._worst_case_positions(request)
                 )
-                if c_donor is None or c_shared <= best_shared:
-                    continue
-                if not self.engine.can_fork(c_donor, c_shared, c_needed):
-                    continue
-                best = (i, request, c_donor, c_shared, None, c_needed)
-                best_shared = c_shared
+                if fork.fits and fork.shared > best_shared:
+                    best = (i, request, fork)
+                    best_shared = fork.shared
         return best
 
     # -- deadlines (admission="deadline") ----------------------------------
@@ -1035,10 +1010,10 @@ class ContinuousBatchingScheduler:
                 self._preempt(victim)
                 evicted.append(victim.request)
                 continue   # a seat or pages were freed; retry
-            index, request, donor, shared, pages, needed = choice
+            index, request, plan = choice
             self.queue.pop_at(index)
             self._head_skips = 0 if index == 0 else self._head_skips + 1
-            self._seat(request, donor, shared, pages, needed, finished)
+            self._seat(request, plan, finished)
         if evicted:
             # Victims resume ahead of FIFO order -- but never ahead of a
             # head that is still blocked after the eviction, or the
@@ -1058,10 +1033,9 @@ class ContinuousBatchingScheduler:
                 self.queue.push_front(held)
 
     def _seat(
-        self, request: Request, donor, shared: int, pages, needed: int,
-        finished: List[Completion],
+        self, request: Request, plan: SeatPlan, finished: List[Completion],
     ) -> None:
-        """Give ``request`` a slot per its admission plan and start it.
+        """Give ``request`` the slot its ``plan`` describes and start it.
 
         A preempted request resumes as the very sequence object that
         was parked (tokens, telemetry stamps and speculation state ride
@@ -1074,23 +1048,14 @@ class ContinuousBatchingScheduler:
         inline (``step_budget=0``) it runs here, so the prompt is
         registered for prefix sharing before the next admission plans.
         """
-        if donor is not None:
-            # Fork: shared prefix K/V comes from the donor's pages;
-            # only the unshared suffix is prefilled and only the
-            # unshared worst case is reserved.
-            slot = self.engine.fork_slot(donor, shared, needed)
+        slot = self.engine.cache.seat(plan)
+        if plan.donor is not None:
             self.report.forked_admissions += 1
-            self.report.prefill_tokens_saved += shared
-        elif pages:
-            # Revive: the prefix K/V is re-pinned from the cross-
-            # request cache -- same prefill saving as a fork, but the
-            # donor retired long ago.  A preempted sequence's parked
-            # prompt usually resumes through this path.
-            slot = self.engine.revive_slot(pages, needed)
+            self.report.prefill_tokens_saved += plan.shared
+        elif plan.pages:
+            # A preempted sequence's parked prompt usually resumes here.
             self.report.revived_admissions += 1
-            self.report.revived_tokens += shared
-        else:
-            slot = self.engine.allocate_slot(needed)
+            self.report.revived_tokens += plan.shared
         seq = self._resume_state.pop(request.request_id, None)
         if seq is None:
             seq = _ActiveSequence(
@@ -1101,7 +1066,7 @@ class ContinuousBatchingScheduler:
         else:
             seq.slot = slot
             self.report.resumed_admissions += 1
-        seq.pending_prefill = tuple(request.prompt_ids[shared:])
+        seq.pending_prefill = tuple(request.prompt_ids[plan.shared:])
         seq.pending_replay = tuple(seq.generated_ids[:-1])
         if self.step_budget == 0:
             try:
@@ -1110,7 +1075,7 @@ class ContinuousBatchingScheduler:
                 # A crashing prefill must not leak the admission's slot
                 # and reserved pages: the request is already popped, so
                 # nothing else holds a handle that could release them.
-                self.engine.release_slot(seq.slot)
+                self.engine.cache.release(seq.slot)
                 raise
             if not self._finish_prompt(seq, logits, finished):
                 return
@@ -1146,7 +1111,7 @@ class ContinuousBatchingScheduler:
         the prefill logits.  A resumed sequence already emitted its
         first token before eviction; it is kept, never resampled.
         """
-        self.engine.register_prefix(seq.slot, seq.request.prompt_ids)
+        self.engine.cache.register(seq.slot, seq.request.prompt_ids)
         self._sample_gauges(tick=False)
         if seq.generated_ids:
             return True
@@ -1221,7 +1186,7 @@ class ContinuousBatchingScheduler:
         """
         self.active.remove(seq)
         parked = seq.request.prompt_ids[:seq.slot.length]
-        self.engine.release_slot(seq.slot, parked_ids=parked)
+        self.engine.cache.release(seq.slot, prompt_ids=parked)
         self._sample_gauges(tick=False)
         seq.slot = None
         seq.preemptions += 1
@@ -1285,7 +1250,7 @@ class ContinuousBatchingScheduler:
         if tick:
             report.cached_pages_sum += cached
         report.cache_evictions = (
-            self.engine.prefix_cache.evictions - self._evictions_baseline
+            cache.prefix_cache.evictions - self._evictions_baseline
         )
 
     def step(self) -> List[Completion]:
@@ -1478,7 +1443,7 @@ class ContinuousBatchingScheduler:
         refreshed after every :meth:`step` so callers driving the
         scheduler tick-by-tick see live values, not run()-only ones.
         """
-        stats = self.engine.sparse.stats
+        stats = self.engine.sparse.stats.since(self._skip_baseline)
         self.report.intersection_skip = stats.intersection_skip_fraction
         self.report.mean_sequence_skip = stats.mean_sequence_skip_fraction
         occupancy = self.report.mean_batch_occupancy

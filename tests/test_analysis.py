@@ -133,22 +133,22 @@ class TestSlotPairingRule:
             "src/repro/serving/bad.py": """
                 class S:
                     def leaks_on_exit(self):
-                        slot = self.engine.allocate_slot()
+                        slot = self.engine.cache.seat(plan)
                         self.counter += 1
 
                     def discards_handle(self):
-                        self.engine.allocate_slot()
+                        self.engine.cache.seat(plan)
 
                     def leaks_on_exception(self, prompt):
-                        slot = self.engine.allocate_slot()
+                        slot = self.engine.cache.seat(plan)
                         logits = self.engine.prefill(slot, prompt)
-                        self.engine.release_slot(slot)
+                        self.engine.cache.release(slot)
                         return logits
 
                     def releases_twice(self):
-                        slot = self.engine.allocate_slot()
-                        self.engine.release_slot(slot)
-                        self.engine.release_slot(slot)
+                        slot = self.engine.cache.seat(plan)
+                        self.engine.cache.release(slot)
+                        self.engine.cache.release(slot)
             """,
         })
         report = run_analysis(root, [SlotPairingRule()])
@@ -162,11 +162,11 @@ class TestSlotPairingRule:
             "src/repro/serving/good.py": """
                 class S:
                     def admit(self, prompt):
-                        slot = self.engine.allocate_slot()
+                        slot = self.engine.cache.seat(plan)
                         try:
                             logits = self.engine.prefill(slot, prompt)
                         except BaseException:
-                            self.engine.release_slot(slot)
+                            self.engine.cache.release(slot)
                             raise
                         seq = _ActiveSequence(slot=slot, logits=logits)
                         self.active.append(seq)
@@ -176,19 +176,19 @@ class TestSlotPairingRule:
                         return self.pool.allocate(n)
 
                     def finally_guard(self):
-                        slot = self.engine.fork_slot(0)
+                        slot = self.engine.cache.fork(donor, 4)
                         try:
                             out = self.engine.decode_step([slot], [1])
                         finally:
-                            self.engine.release_slot(slot)
+                            self.engine.cache.release(slot)
                         return out
 
                     def branchy_release(self, keep):
-                        slot = self.engine.revive_slot(0)
+                        slot = self.engine.cache.revive(pages)
                         if keep:
                             self.residents.append(slot)
                         else:
-                            self.engine.release_slot(slot)
+                            self.engine.cache.release(slot)
             """,
         })
         report = run_analysis(root, [SlotPairingRule()])
@@ -198,7 +198,7 @@ class TestSlotPairingRule:
         root = make_tree(tmp_path, {
             "src/repro/eval/not_serving.py": """
                 def leak(engine):
-                    slot = engine.allocate_slot()
+                    slot = engine.cache.allocate()
             """,
         })
         report = run_analysis(root, [SlotPairingRule()])

@@ -201,9 +201,9 @@ class TestOracleEquivalence:
             micro_weights, max_batch_size=2, page_size=3,
             prefix_sharing=True,
         )
-        slot_a = engine.allocate_slot()
+        slot_a = engine.cache.allocate()
         logits_a = engine.prefill(slot_a, prompts[0])
-        slot_b = engine.fork_slot(slot_a, len(SHARED_PREFIX))
+        slot_b = engine.cache.fork(slot_a, len(SHARED_PREFIX))
         logits_b = engine.prefill(slot_b, prompts[1][len(SHARED_PREFIX):])
 
         oracles = [build_engine(micro_weights) for _ in prompts]
@@ -232,7 +232,7 @@ class TestOracleEquivalence:
         ref_logits = reference.prefill(prompt)
 
         engine = build_batched_engine(micro_weights, max_batch_size=1)
-        slot = engine.allocate_slot()
+        slot = engine.cache.allocate()
         assert_prefill_logits_match(engine.prefill(slot, prompt), ref_logits)
         assert_batch1_decode_bit_identical(
             engine, slot, reference, int(np.argmax(ref_logits))
@@ -273,7 +273,7 @@ class TestPaddingMaskProperty:
             )
             slots, tokens = [], []
             for prompt in prompts:
-                slot = engine.allocate_slot()
+                slot = engine.cache.allocate()
                 logits = engine.prefill(slot, prompt)
                 slots.append(slot)
                 tokens.append(int(np.argmax(logits)))
@@ -292,26 +292,7 @@ class TestPaddingMaskProperty:
 
 
 class TestGatherPlans:
-    def test_plan_extends_append_only_between_steps(self, micro_weights):
-        engine = build_batched_engine(micro_weights, max_batch_size=2,
-                                      page_size=2)
-        slots = []
-        tokens = []
-        for prompt in (MIXED_PROMPTS[1], MIXED_PROMPTS[5]):
-            slot = engine.allocate_slot()
-            logits = engine.prefill(slot, prompt)
-            slots.append(slot)
-            tokens.append(int(np.argmax(logits)))
-        for _ in range(5):
-            step = engine.decode_step(slots, tokens)
-            tokens = [int(np.argmax(row)) for row in step]
-            for slot in slots:
-                plan = engine.cache._gather_plans[slot.index]
-                assert plan.generation == slot.generation
-                n = plan.n_pages
-                assert list(plan.pages[:n]) == slot.page_table[:n]
-
-    def test_generation_bump_invalidates_plan(self, micro_config):
+    def test_recycled_slot_gathers_its_new_pages(self, micro_config):
         from repro.model.paged_kvcache import PagedKVCache
 
         cache = PagedKVCache(micro_config, n_slots=2, max_seq_len=16,
@@ -322,9 +303,8 @@ class TestGatherPlans:
             for layer in range(micro_config.n_layers):
                 slot.append(layer, k * pos, k * pos, pos)
             slot.advance()
-        view = cache.view_batch([slot], [4])
-        first_pages = list(cache._gather_plans[slot.index].pages[:2])
-        assert first_pages == slot.page_table
+        keys, _ = cache.view_batch([slot], [4]).gather(0)
+        np.testing.assert_array_equal(keys[0, 3], k * 3)
 
         cache.release(slot)
         slot2 = cache.allocate()
@@ -335,9 +315,50 @@ class TestGatherPlans:
             slot2.advance()
         keys, _ = cache.view_batch([slot2], [2]).gather(0)
         np.testing.assert_array_equal(keys[0, 0], k * 7)
-        plan = cache._gather_plans[slot2.index]
-        assert plan.generation == slot2.generation
-        assert list(plan.pages[:plan.n_pages]) == slot2.page_table
+
+    def test_page_layout_never_changes_a_value(self, micro_config, rng):
+        """One view per case: a consecutive and a deliberately scattered
+        page table holding the same K/V read back equal, through
+        ``view`` and through ``view_batch(...).gather``."""
+        from repro.model.paged_kvcache import PagedKVCache
+
+        n_layers, d = micro_config.n_layers, micro_config.d_model
+        lengths = [7, 5]
+        kv = rng.standard_normal(
+            (2, max(lengths), n_layers, 2, d)
+        ).astype(np.float32)                  # [slot, pos, layer, k|v]
+
+        def fill(order):
+            cache = PagedKVCache(micro_config, n_slots=2, max_seq_len=16,
+                                 page_size=2)
+            slots = [cache.allocate(), cache.allocate()]
+            for i, pos in order:
+                for layer in range(n_layers):
+                    slots[i].append(layer, *kv[i, pos, layer], pos)
+                slots[i].advance()
+            return cache, slots
+
+        writes = [(i, pos) for i in range(2) for pos in range(lengths[i])]
+        run_cache, run_slots = fill(writes)                  # slot by slot
+        mix_cache, mix_slots = fill(sorted(writes, key=lambda w: w[1]))
+        assert [s.page_table for s in run_slots] == [[0, 1, 2, 3], [4, 5, 6]]
+        assert [s.page_table for s in mix_slots] == [[0, 2, 4, 6], [1, 3, 5]]
+        run_view = run_cache.view_batch(run_slots, lengths)
+        mix_view = mix_cache.view_batch(mix_slots, lengths)
+        for layer in range(n_layers):
+            run_kv = run_view.gather(layer)
+            mix_kv = mix_view.gather(layer)
+            for i, length in enumerate(lengths):
+                run_one = run_slots[i].view(layer, length)
+                mix_one = mix_slots[i].view(layer, length)
+                for which in range(2):                       # keys, values
+                    want = kv[i, :length, layer, which]
+                    np.testing.assert_array_equal(run_one[which], want)
+                    np.testing.assert_array_equal(mix_one[which], want)
+                    np.testing.assert_array_equal(
+                        run_kv[which][i, :length], want)
+                    np.testing.assert_array_equal(
+                        mix_kv[which][i, :length], want)
 
     def test_view_batch_matches_per_slot_views(self, micro_config, rng):
         from repro.model.paged_kvcache import PagedKVCache
@@ -370,27 +391,6 @@ class TestGatherPlans:
                 np.testing.assert_array_equal(keys[i, :length], ref_k)
                 np.testing.assert_array_equal(values[i, :length], ref_v)
 
-    def test_contiguous_run_detection(self, micro_config):
-        """Consecutively-claimed equal-length slots gather via a slice."""
-        from repro.model.paged_kvcache import PagedKVCache
-
-        cache = PagedKVCache(micro_config, n_slots=3, max_seq_len=8,
-                             page_size=4)
-        k = np.arange(micro_config.d_model, dtype=np.float32)
-        slots = []
-        for s in range(3):
-            slot = cache.allocate()        # pages claimed in order: 0,1,2
-            for layer in range(micro_config.n_layers):
-                slot.append(layer, k + s, k - s, 0)
-            slot.advance()
-            slots.append(slot)
-        view = cache.view_batch(slots, [1, 1, 1])
-        assert view._contig_start == 0
-        keys, values = view.gather(1)
-        for s in range(3):
-            np.testing.assert_array_equal(keys[s, 0], k + s)
-            np.testing.assert_array_equal(values[s, 0], k - s)
-
 
 class TestChunkedPrefill:
     @pytest.mark.parametrize("chunk", [1, 2, 5, 64])
@@ -406,7 +406,7 @@ class TestChunkedPrefill:
         oracle.reset()
         engine = build_batched_engine(micro_weights, max_batch_size=1,
                                       prefill_chunk=4)
-        slot = engine.allocate_slot()
+        slot = engine.cache.allocate()
         logits = engine.prefill(slot, prompt)
         assert slot.length == len(prompt)
         assert_prefill_logits_match(logits, oracle.prefill(prompt))
@@ -442,7 +442,7 @@ class TestChunkedPrefill:
             with pytest.raises(ValueError, match="prefill_chunk"):
                 build_batched_engine(micro_weights, prefill_chunk=chunk)
         engine = build_batched_engine(micro_weights, prefill_chunk=4)
-        slot = engine.allocate_slot()
+        slot = engine.cache.allocate()
         with pytest.raises(ValueError):
             engine.prefill(slot, [])
 

@@ -558,7 +558,7 @@ class TestOnTokenCallback:
         assert done[0].generated_ids == expected[0][:raise_at]
         for i in (1, 2):
             assert done[i].ok and done[i].generated_ids == expected[i]
-        assert engine.n_free_slots == engine.max_batch_size
+        assert engine.cache.n_free == engine.max_batch_size
         assert engine.cache.n_pages_in_use == 0
         assert engine.sampler.n_streams == 0
 

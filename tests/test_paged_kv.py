@@ -256,7 +256,7 @@ class TestPagedEngineEquivalence:
         ref_logits = ref.prefill(prompt)
         engine = build_batched_engine(micro_weights, max_batch_size=1,
                                       page_size=4)
-        slot = engine.allocate_slot()
+        slot = engine.cache.allocate()
         assert_prefill_logits_match(engine.prefill(slot, prompt), ref_logits)
         assert_batch1_decode_bit_identical(
             engine, slot, ref, int(np.argmax(ref_logits)), n_steps=6
@@ -309,9 +309,9 @@ class TestPrefixSharingEquivalence:
             forked = build_batched_engine(micro_weights, max_batch_size=2,
                                           page_size=page_size,
                                           prefix_sharing=True)
-            slot_a = forked.allocate_slot()
+            slot_a = forked.cache.allocate()
             logits_a = forked.prefill(slot_a, self.PROMPT_A)
-            slot_b = forked.fork_slot(slot_a, shared, worst)
+            slot_b = forked.cache.fork(slot_a, shared, worst)
             assert slot_b.length == shared
             # The shared positions are the donor's K/V, bit for bit.
             for layer in range(micro_weights.config.n_layers):
@@ -350,14 +350,14 @@ class TestPrefixSharingEquivalence:
         engine = build_batched_engine(micro_weights, max_batch_size=2,
                                       page_size=4,
                                       prefix_sharing=True)
-        slot_a = engine.allocate_slot()
+        slot_a = engine.cache.allocate()
         engine.prefill(slot_a, self.PROMPT_A)
-        slot_b = engine.fork_slot(slot_a, 8)          # 2 full pages shared
+        slot_b = engine.cache.fork(slot_a, 8)          # 2 full pages shared
         assert engine.cache.n_shared_pages == 2
         assert slot_b.page_table[:2] == slot_a.page_table[:2]
         engine.prefill(slot_b, self.SUFFIX)           # appends past prefix
         assert slot_b.page_table[:2] == slot_a.page_table[:2]
-        engine.release_slot(slot_b)
+        engine.cache.release(slot_b)
         assert engine.cache.n_shared_pages == 0
         keys_a, _ = slot_a.view(0, 12)                # donor K/V intact
         assert keys_a.any()
@@ -424,7 +424,7 @@ class TestPagedScheduler:
         assert admitted == sorted(admitted)          # FIFO preserved
         assert report.peak_pages_in_use <= report.n_pages
         assert engine.cache.n_pages_in_use == 0      # everything returned
-        assert engine.n_free_slots == 6
+        assert engine.cache.n_free == 6
 
     def test_oversized_for_page_budget_rejected_not_deadlocked(
         self, micro_weights

@@ -232,7 +232,7 @@ def test_fork_reserves_only_unshared_worst_case(micro_config):
     assert cache.n_available_pages == 7
     # Fork sharing 8 aligned positions of a 16-position worst case:
     # 4 total pages, 2 shared -> only 2 charged.
-    assert cache.fork_page_demand(8, 16) == 2
+    assert cache.unshared_page_demand(8, 16) == 2
     fork = cache.fork(donor, 8, max_positions=16)
     assert cache.n_available_pages == 5
     assert fork.n_pages == 2                          # shared pages only
@@ -653,7 +653,7 @@ def test_revive_reserves_only_beyond_the_chain(micro_config):
         writer.advance()
     cache.release(writer, prompt_ids=tuple(range(1, 9)))
     assert cache.n_cached_pages == 2
-    assert cache.revive_page_demand(2, 16) == 2      # 4 total - 2 revived
+    assert cache.unshared_page_demand(8, 16) == 2    # 4 total - 2 revived
     pages = cache.prefix_cache.lookup(tuple(range(1, 9)) + (7, 7, 7))
     assert len(pages) == 2
     slot = cache.revive(pages, max_positions=16)
@@ -697,4 +697,71 @@ def test_cache_pages_zero_changes_nothing(micro_config):
     cache.release(slot, prompt_ids=tuple(range(8)))   # prompt is ignored
     assert cache.n_cached_pages == 0
     assert cache.pool.n_free_pages == 4
-    assert cache.find_cached_prefix(tuple(range(8))) == ([], 0)
+    plan = cache.plan(tuple(range(8)))
+    assert not plan.pages and plan.shared == 0
+
+
+# -- seating (plan -> seat -> register -> release) ---------------------------
+
+def _write_prompt(slot, config, n_positions):
+    for pos in range(slot.length, n_positions):
+        write_position(slot, config.n_layers, config.d_model, pos,
+                       float(pos + 1))
+        slot.advance()
+
+
+def test_plan_prefers_fork_over_revive_over_cold(micro_config):
+    """One prompt that qualifies for all three seats at once: the
+    cascade is decided in ``plan`` alone, cheapest source first."""
+    cache = PagedKVCache(micro_config, n_slots=3, max_seq_len=32,
+                         page_size=4, n_pages=16, cache_pages=4,
+                         prefix_sharing=True)
+    prompt = tuple(range(1, 12))                     # 11 tokens, 2 full pages
+    resident = cache.seat(cache.plan(prompt, 16))    # cold: nothing to share
+    assert resident.length == 0
+    _write_prompt(resident, micro_config, len(prompt))
+    cache.register(resident, prompt)
+    retired = cache.allocate()                       # same tokens, own pages
+    _write_prompt(retired, micro_config, len(prompt))
+    cache.release(retired, prompt_ids=prompt)
+    assert cache.n_cached_pages == 2
+    lookups = cache.prefix_cache.hits + cache.prefix_cache.misses
+
+    fork = cache.plan(prompt, 16)
+    assert fork.fits and fork.donor is resident and not fork.pages
+    assert fork.shared == 10                         # all but the last token
+    assert fork == cache.fork_plan(prompt, 16)
+    # A fitting fork short-circuits: the prefix cache is never consulted.
+    assert cache.prefix_cache.hits + cache.prefix_cache.misses == lookups
+    forked = cache.seat(fork)
+    assert forked.length == fork.shared
+    cache.release(forked)
+
+    cache.release(resident)                          # donor gone, chain stays
+    assert cache.fork_plan(prompt, 16).donor is None
+    revive = cache.plan(prompt, 16)
+    assert revive.fits and revive.donor is None and len(revive.pages) == 2
+    assert revive.shared == 8
+    revived = cache.seat(revive)
+    assert revived.length == revive.shared
+    assert cache.n_cached_pages == 0
+    cache.release(revived)                           # unregistered: freed
+
+    cold = cache.plan(prompt, 16)
+    assert cold.fits and cold.donor is None and not cold.pages
+    assert cold.shared == 0
+    slot = cache.seat(cold)
+    assert slot.length == 0
+    cache.release(slot)
+    check_invariants(cache, {})
+
+
+def test_plan_reports_unbackable_seat_and_seat_raises(micro_config):
+    cache = PagedKVCache(micro_config, n_slots=2, max_seq_len=16,
+                         page_size=4, n_pages=2, prefix_sharing=True)
+    plan = cache.plan((1, 2, 3), 12)                 # 3 pages of a 2-page pool
+    assert not plan.fits and plan.shared == 0
+    with pytest.raises(RuntimeError, match="cannot seat"):
+        cache.seat(plan)
+    assert cache.n_free == 2 and cache.pool._reserved == 0
+    assert cache.plan((1, 2, 3), 8).fits

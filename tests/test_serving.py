@@ -19,11 +19,11 @@ from repro.eval.latency import (
     measure_sequential_serving,
 )
 from repro.eval.reporting import format_serving_sweep, format_tail_latency
+from repro.model.paged_kvcache import PrefixIndex
 from repro.serving import (
     BatchedEngine,
     ContinuousBatchingScheduler,
     EmptyQueueError,
-    PrefixIndex,
     Request,
     RequestQueue,
 )
@@ -101,7 +101,7 @@ class TestBatchedEngineEquivalence:
         ref_logits = sequential.prefill(PROMPTS[0])
 
         engine = build_batched_engine(micro_weights, max_batch_size=1)
-        slot = engine.allocate_slot()
+        slot = engine.cache.allocate()
         logits = engine.prefill(slot, PROMPTS[0])
         assert_prefill_logits_match(logits, ref_logits)
 
@@ -113,7 +113,7 @@ class TestBatchedEngineEquivalence:
         """One float64 scalar in the layer loop silently doubles every
         downstream GEMM (PR 9); all four callers share that loop."""
         engine = build_batched_engine(micro_weights, max_batch_size=4)
-        slots = [engine.allocate_slot() for _ in range(4)]
+        slots = [engine.cache.allocate() for _ in range(4)]
         outputs = {
             f"prefill[{i}]": engine.prefill(slot, PROMPTS[i])
             for i, slot in enumerate(slots)
@@ -170,6 +170,24 @@ class TestBatchedEngineEquivalence:
                for c in scheduler.run().completions}
         assert got == {i: ref[i] for i in range(3)}
 
+    def test_engine_is_the_forward_pass_only(self):
+        """Seating lives in ``engine.cache`` (plan / seat / register /
+        release); the 12-member passthrough layer must not grow back."""
+        import repro.model.paged_kvcache as paged_kvcache
+        import repro.serving as serving
+        import repro.serving.engine as engine_module
+
+        removed = (
+            "n_free_slots", "can_admit", "allocate_slot", "release_slot",
+            "find_prefix_donor", "can_fork", "fork_slot", "register_prefix",
+            "prefix_cache", "find_cached_prefix", "can_revive",
+            "revive_slot", "_resident", "_prefix_index",
+        )
+        assert [name for name in removed if hasattr(BatchedEngine, name)] == []
+        assert not hasattr(engine_module, "PrefixIndex")
+        assert not hasattr(engine_module, "_SingleView")
+        assert serving.PrefixIndex is paged_kvcache.PrefixIndex
+
     def test_gather_and_dense_paths_agree(self, micro_weights, rng):
         """The dense fallback is an execution detail, not a semantics change."""
         engine_a = BatchedEngine(micro_weights, max_batch_size=4)
@@ -206,7 +224,7 @@ class TestScheduler:
         admitted = [by_id[i].admitted_step for i in range(len(requests))]
         assert admitted == sorted(admitted)
         # All slots returned to the pool.
-        assert engine.n_free_slots == engine.max_batch_size
+        assert engine.cache.n_free == engine.max_batch_size
 
     def test_requests_join_leaving_batch_mid_flight(self, micro_weights):
         requests = [
@@ -228,14 +246,14 @@ class TestScheduler:
     def test_numpy_array_prompt_prefills(self, micro_weights):
         """Regression: ``if not prompt_ids:`` choked on numpy arrays."""
         engine = build_batched_engine(micro_weights, max_batch_size=1)
-        slot = engine.allocate_slot()
+        slot = engine.cache.allocate()
         logits = engine.prefill(slot, np.array(PROMPTS[0]))
         ref = build_engine(micro_weights)
         ref.reset()
         assert_prefill_logits_match(logits, ref.prefill(PROMPTS[0]))
-        engine.release_slot(slot)
+        engine.cache.release(slot)
         with pytest.raises(ValueError, match="at least one token"):
-            slot2 = engine.allocate_slot()
+            slot2 = engine.cache.allocate()
             engine.prefill(slot2, np.array([], dtype=np.int64))
 
     def test_numpy_array_prompt_single_engine(self, micro_weights):
@@ -259,7 +277,7 @@ class TestScheduler:
         assert report.prefill_tokens == 0
         assert report.prefill_seconds == 0.0
         assert report.decode_steps == 0
-        assert engine.n_free_slots == 1
+        assert engine.cache.n_free == 1
         assert all(c.ok and c.generated_ids == [] for c in report.completions)
         # All three complete on the first tick: none waits for the one slot.
         assert all(c.finished_step == c.admitted_step
@@ -396,7 +414,7 @@ class TestScheduler:
         assert not by_id[0].ok and "KV positions" in by_id[0].error
         assert by_id[0].generated_ids == []
         assert by_id[1].ok and by_id[1].n_generated == 3
-        assert engine.n_free_slots == engine.max_batch_size
+        assert engine.cache.n_free == engine.max_batch_size
 
     def test_run_succeeds_when_draining_on_the_last_allowed_step(
         self, micro_weights
@@ -635,20 +653,20 @@ class TestCorrelationAwareScheduler:
         report = scheduler.report
         assert len(report.completions) == len(requests)
         assert pool._reserved == 0 and pool.n_pages_in_use == 0
-        assert engine.n_free_slots == 4
+        assert engine.cache.n_free == 4
 
     def test_released_donor_is_no_longer_matched(self, micro_weights):
         engine = build_batched_engine(
             micro_weights, max_batch_size=2, page_size=4,
             prefix_sharing=True,
         )
-        slot = engine.allocate_slot()
+        slot = engine.cache.allocate()
         engine.prefill(slot, self.BASE[:8])
-        engine.register_prefix(slot, self.BASE[:8])
-        donor, shared = engine.find_prefix_donor(self.BASE[:8] + (5,))
-        assert donor is slot and shared == 8
-        engine.release_slot(slot)
-        assert engine.find_prefix_donor(self.BASE[:8] + (5,)) == (None, 0)
+        engine.cache.register(slot, self.BASE[:8])
+        plan = engine.cache.fork_plan(self.BASE[:8] + (5,))
+        assert plan.donor is slot and plan.shared == 8 and plan.fits
+        engine.cache.release(slot)
+        assert engine.cache.fork_plan(self.BASE[:8] + (5,)).donor is None
 
     def test_reorder_window_validation(self, micro_weights):
         engine = build_batched_engine(micro_weights, max_batch_size=1)
@@ -766,6 +784,35 @@ class TestServeReportTelemetryContract:
         assert report.attention.buckets_sum >= report.attention.batched_steps
         assert report.attention.mean_buckets_per_step == pytest.approx(
             report.attention.buckets_sum / report.attention.batched_steps
+        )
+
+
+    def test_skip_telemetry_is_per_run_on_a_reused_engine(self, micro_weights):
+        """``engine.sparse.stats`` is engine-lifetime; a second scheduler
+        must report only its own run.  At batch 1 the intersection *is*
+        the sequence's own skip set, so the two fractions coincide."""
+        def drain(engine, requests):
+            scheduler = ContinuousBatchingScheduler(engine)
+            for request in requests:
+                scheduler.submit(request)
+            return scheduler.run()
+
+        solo = [Request(request_id=9, prompt_ids=(1, 4, 2), max_new_tokens=6)]
+        fresh = drain(build_batched_engine(micro_weights, max_batch_size=1),
+                      solo)
+        reused_engine = build_batched_engine(micro_weights, max_batch_size=4)
+        warm = drain(reused_engine, make_requests(6, PROMPTS[:4]))
+        assert warm.intersection_skip < warm.mean_sequence_skip
+        reused = drain(reused_engine, solo)
+        assert reused.mean_batch_occupancy == 1.0
+        assert reused.intersection_skip == pytest.approx(
+            reused.mean_sequence_skip
+        )
+        assert reused.intersection_skip == pytest.approx(
+            fresh.intersection_skip
+        )
+        assert reused.mean_sequence_skip == pytest.approx(
+            fresh.mean_sequence_skip
         )
 
 
@@ -1018,9 +1065,9 @@ class TestPrefixCache:
         request = Request(request_id=0, prompt_ids=prompt, max_new_tokens=3)
         engine = self._engine(micro_weights, 8)
         report = drain_bursty(engine, [request])
-        pages, positions = engine.find_cached_prefix(prompt)
-        assert positions == 4                    # 1 page, not 2
-        assert len(pages) == 1
+        plan = engine.cache.plan(prompt)
+        assert plan.shared == 4                  # 1 page, not 2
+        assert len(plan.pages) == 1
         ref = build_engine(micro_weights)
         engine2 = self._engine(micro_weights, 8)
         rep = drain_bursty(engine2, [
