@@ -36,18 +36,37 @@ def test_predictor_memory(benchmark, cfg13, results_dir):
 
 
 @pytest.mark.benchmark(group="sec5a")
-def test_predictor_kernel_throughput(benchmark, cfg13):
-    """Microbenchmark of the actual numpy XOR+popcount path (the kernel
-    the 70 us figure models), at one layer's true dimensions."""
+@pytest.mark.parametrize("batch", [1, 8])
+def test_predictor_kernel_throughput(benchmark, cfg13, results_dir, batch):
+    """Microbenchmark of the numpy XOR+popcount the serving engine runs
+    (``PackedSigns.negative_counts_packed``, the kernel the 70 us figure
+    models) at one layer's true dimensions, beside the reference
+    ``xor_popcount`` it is tested against."""
+    import timeit
+
     import numpy as np
 
     from repro.core.signpack import PackedSigns, pack_signs, xor_popcount
 
+    def best_us(fn, *args):
+        return min(timeit.repeat(lambda: fn(*args), number=1, repeat=5)) * 1e6
+
     rng = np.random.default_rng(0)
     w = rng.standard_normal((cfg13.d_ff, cfg13.d_model)).astype(np.float32)
     packed = PackedSigns.from_matrix(w)
-    x = rng.standard_normal(cfg13.d_model).astype(np.float32)
-    packed_x = pack_signs(x)
+    words = packed.words
+    xs = rng.standard_normal((batch, cfg13.d_model)).astype(np.float32)
+    packed_xs = pack_signs(xs)
 
-    counts = benchmark(xor_popcount, packed.words, packed_x)
-    assert counts.shape == (cfg13.d_ff,)
+    counts = benchmark(packed.negative_counts_packed, packed_xs)
+    assert counts.shape == (batch, cfg13.d_ff)
+    assert np.array_equal(counts, xor_popcount(words, packed_xs))
+    engine_us = best_us(packed.negative_counts_packed, packed_xs)
+    reference_us = best_us(xor_popcount, words, packed_xs)
+    text = (
+        f"B={batch}: negative_counts_packed {engine_us:.0f} us/layer, "
+        f"reference xor_popcount {reference_us:.0f} us/layer, "
+        f"ratio {reference_us / engine_us:.2f}x"
+    )
+    write_result(results_dir, f"sec5a_predictor_kernel_b{batch}.txt", text)
+    print("\n" + text)

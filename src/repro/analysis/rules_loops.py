@@ -85,6 +85,15 @@ HOT_FUNCTIONS: Dict[Tuple[str, str], FrozenSet[str]] = {
         frozenset({"gaps", "n"}),
     ("src/repro/serving/loadgen.py", "DiurnalProcess.arrival_times"):
         frozenset({"gaps", "cand", "keep", "kept"}),
+    # The decode MLP block's two kernels (PR 21): XOR+popcount over the
+    # word-major sign lanes and the dense-masked batch executor.  A `for`
+    # over batch rows or gate rows is per-element work; iterating the
+    # handful of lanes (`self.lanes`, d / 64 of them) is not, so it is
+    # deliberately unguarded.
+    ("src/repro/core/signpack.py", "PackedSigns.negative_counts_packed"):
+        frozenset({"packed_x", "px", "self.words", "self.n_rows"}),
+    ("src/repro/serving/batch_mlp.py", "BatchedSparseInferMLP.run_batch"):
+        frozenset({"xs", "xs_t", "batch", "prediction", "h", "k"}),
 }
 
 #: Calls that do not count as per-element work (O(1) bookkeeping).

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .alpha import ALPHA_SCALE, AlphaSchedule, alpha_to_fixed_point
-from .signpack import PackedSigns, pack_signs, xor_popcount
+from .signpack import PackedSigns, pack_signs
 
 
 def predict_skip_from_counts(
@@ -68,7 +68,7 @@ class LayerPrediction:
     """Result of one layer's sparsity prediction."""
 
     skip: np.ndarray          # bool (k,) - True = predicted sparse
-    n_neg: np.ndarray         # int64 (k,) - XOR+popcount negative estimates
+    n_neg: np.ndarray         # uint (k,) - XOR+popcount negative estimates
     alpha: float
 
     @property
@@ -91,7 +91,7 @@ class BatchPrediction:
     """
 
     skip: np.ndarray          # bool (B, k) - per-sequence predictions
-    n_neg: np.ndarray         # int64 (B, k)
+    n_neg: np.ndarray         # uint (B, k)
     alpha: float
 
     @property
@@ -179,6 +179,22 @@ class SparseInferPredictor:
         """Same packed weights under a different alpha schedule (cheap)."""
         return SparseInferPredictor(self._packed, schedule)
 
+    def _count_and_threshold(self, layer: int, x: np.ndarray, alpha):
+        """``(skip, n_neg, alpha)`` for ``(d,)`` or ``(B, d)`` inputs.
+
+        Eq. (2) as one integer compare: for integer ``n_neg``,
+        ``100 * n_neg > alpha_pct * (T - n_neg)`` holds exactly when
+        ``n_neg > (alpha_pct * T) // (100 + alpha_pct)``
+        (:func:`predict_skip_from_counts` is the reference form).
+        """
+        packed = self._packed[layer]
+        if alpha is None:
+            alpha = self.schedule[layer]
+        pct = alpha_to_fixed_point(alpha)
+        n_neg = packed.negative_counts_packed(pack_signs(x))
+        threshold = (pct * packed.padded_bits) // (ALPHA_SCALE + pct)
+        return n_neg > threshold, n_neg, float(alpha)
+
     def predict(
         self,
         layer: int,
@@ -192,17 +208,12 @@ class SparseInferPredictor:
         paper's Section IV-B.1).  ``alpha`` overrides the schedule when
         given (used by DSE sweeps).
         """
-        packed = self._packed[layer]
         x = np.asarray(x)
-        if x.shape != (packed.n_elements,):
+        if x.shape != (self.d_model,):
             raise ValueError(
-                f"expected x of shape ({packed.n_elements},), got {x.shape}"
+                f"expected x of shape ({self.d_model},), got {x.shape}"
             )
-        if alpha is None:
-            alpha = self.schedule[layer]
-        n_neg = packed.negative_counts_packed(pack_signs(x))
-        skip = predict_skip_from_counts(n_neg, packed.padded_bits, alpha)
-        return LayerPrediction(skip=skip, n_neg=n_neg, alpha=float(alpha))
+        return LayerPrediction(*self._count_and_threshold(layer, x, alpha))
 
     def predict_batch(
         self,
@@ -233,17 +244,11 @@ class SparseInferPredictor:
         GEMV can actually avoid.
         """
         xs = np.atleast_2d(np.asarray(xs))
-        packed = self._packed[layer]
-        if xs.shape[-1] != packed.n_elements:
+        if xs.shape[-1] != self.d_model:
             raise ValueError(
-                f"expected inputs of width {packed.n_elements}, got {xs.shape}"
+                f"expected inputs of width {self.d_model}, got {xs.shape}"
             )
-        if alpha is None:
-            alpha = self.schedule[layer]
-        packed_xs = pack_signs(xs)                          # (B, nwords)
-        n_neg = xor_popcount(packed.words, packed_xs)       # (B, k)
-        skip = predict_skip_from_counts(n_neg, packed.padded_bits, alpha)
-        return BatchPrediction(skip=skip, n_neg=n_neg, alpha=float(alpha))
+        return BatchPrediction(*self._count_and_threshold(layer, xs, alpha))
 
 
 def true_skip_mask(gate_preact: np.ndarray) -> np.ndarray:

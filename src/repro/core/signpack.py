@@ -16,18 +16,27 @@ matching the MSB of an IEEE-754 float.  When the row length ``d`` is not a
 multiple of 32 the trailing padding bits are left **zero** (positive), which
 can only make the predictor *more conservative* (more apparent positives,
 fewer skips) -- see DESIGN.md section 5.2.
+
+Lane layout
+-----------
+:func:`pack_signs` output is row-major ``(k, nwords)`` ``uint32`` -- the
+reference layout.  :class:`PackedSigns` stores the same bits *word-major*
+for the decode-time kernel, ``(n_lanes, k)`` contiguous so one lane of
+every row is one ``k``-long vector: ``lanes[l, i]`` holds, for gate row
+``i``, words ``2l`` and ``2l + 1`` fused into one ``uint64`` (on a
+little-endian host bit ``j`` is the sign of element ``l * 64 + j``), or
+word ``l`` alone as ``uint32`` when ``nwords`` is odd.  The packed input is
+viewed the same way; XOR + popcount only need both sides to agree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 WORD_BITS = 32
-
-# Number of set bits for every byte value; used for vectorised popcount.
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 def words_per_row(n_elements: int) -> int:
@@ -85,19 +94,9 @@ def unpack_signs(words: np.ndarray, n_elements: int) -> np.ndarray:
 
 
 def popcount(words: np.ndarray) -> np.ndarray:
-    """Element-wise population count of a uint32 array.
-
-    Vectorised equivalent of CUDA ``__popc``.  Uses the native
-    ``np.bitwise_count`` ufunc when available (numpy >= 2.0); the byte
-    lookup-table fallback views each 32-bit word as four bytes and sums
-    them through an 8-bit table.
-    """
+    """Element-wise population count of a uint32 array (CUDA ``__popc``)."""
     words = np.asarray(words, dtype=np.uint32)
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(words).astype(np.int64)
-    words = np.ascontiguousarray(words)
-    as_bytes = words.view(np.uint8).reshape(words.shape + (4,))
-    return _POPCOUNT8[as_bytes].sum(axis=-1, dtype=np.int64)
+    return np.bitwise_count(words).astype(np.int64)
 
 
 def xor_popcount(packed_rows: np.ndarray, packed_x: np.ndarray) -> np.ndarray:
@@ -149,30 +148,44 @@ class PackedSigns:
 
     Attributes
     ----------
-    words:
-        ``uint32`` array of shape ``(k, nwords)``.
+    lanes:
+        The only stored copy, word-major: ``(n_lanes, k)`` contiguous
+        ``uint64`` (``uint32`` when the word count is odd) -- see "Lane
+        layout" in the module docstring.
     n_elements:
         Logical row length ``d`` before padding.
     """
 
-    words: np.ndarray
+    lanes: np.ndarray
     n_elements: int
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "PackedSigns":
-        """Pack a ``(k, d)`` weight matrix row-wise."""
+        """Pack a ``(k, d)`` weight matrix row-wise, stored word-major."""
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
-        return cls(words=pack_signs(matrix), n_elements=matrix.shape[1])
+        words = pack_signs(matrix)                          # (k, nwords)
+        lane = np.uint32 if words.shape[1] % 2 else np.uint64
+        return cls(
+            lanes=np.ascontiguousarray(words.view(lane).T),
+            n_elements=matrix.shape[1],
+        )
+
+    @property
+    def words(self) -> np.ndarray:
+        """The ``(k, nwords)`` ``uint32`` view :func:`pack_signs` produces
+        (derived on each read; the reference kernels and figure benches
+        consume it, the serving path never does)."""
+        return np.ascontiguousarray(self.lanes.T).view(np.uint32)
 
     @property
     def n_rows(self) -> int:
-        return self.words.shape[0]
+        return self.lanes.shape[1]
 
     @property
     def n_words(self) -> int:
-        return self.words.shape[1]
+        return words_per_row(self.n_elements)
 
     @property
     def padded_bits(self) -> int:
@@ -182,12 +195,31 @@ class PackedSigns:
     @property
     def nbytes(self) -> int:
         """Memory footprint in bytes (the paper's Section V-A.2 metric)."""
-        return self.words.nbytes
+        return self.lanes.nbytes
 
     def negative_counts(self, x: np.ndarray) -> np.ndarray:
         """``Nneg`` per row for an unpacked input vector ``x``."""
         return self.negative_counts_packed(pack_signs(x))
 
     def negative_counts_packed(self, packed_x: np.ndarray) -> np.ndarray:
-        """``Nneg`` per row for an already packed input vector."""
-        return xor_popcount(self.words, packed_x)
+        """``Nneg`` per row for packed inputs ``(nwords,)`` or ``(B, nwords)``.
+
+        Equals :func:`xor_popcount` ``(self.words, packed_x)``; every ufunc
+        runs over contiguous ``k``-long vectors and the lanes are summed
+        in the narrowest unsigned dtype that cannot overflow.
+        """
+        packed_x = np.ascontiguousarray(packed_x, dtype=np.uint32)
+        if packed_x.shape[-1] != self.n_words:
+            raise ValueError(
+                f"word-count mismatch: rows have {self.n_words} words, "
+                f"x has {packed_x.shape[-1]}"
+            )
+        lead = packed_x.shape[:-1]
+        px = packed_x.view(self.lanes.dtype).reshape(
+            math.prod(lead), len(self.lanes)
+        )
+        counts = np.uint16 if self.padded_bits < 1 << 16 else np.uint32
+        xor = px.T[:, :, None] ^ self.lanes[:, None, :]     # (n_lanes, B, k)
+        return np.bitwise_count(xor).sum(axis=0, dtype=counts).reshape(
+            lead + (self.n_rows,)
+        )

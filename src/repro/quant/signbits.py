@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from ..core.signpack import PackedSigns, pack_signs
+from ..core.signpack import PackedSigns
 from .int8 import Int8Matrix
 
 
@@ -31,14 +31,5 @@ def sign_bits(values: Union[np.ndarray, Int8Matrix]) -> np.ndarray:
 def packed_signs_from(values: Union[np.ndarray, Int8Matrix]) -> PackedSigns:
     """Build predictor state directly from FP32/FP16/INT8 weights."""
     if isinstance(values, Int8Matrix):
-        return PackedSigns(
-            words=pack_signs(values.sign_source()),
-            n_elements=values.shape[-1],
-        )
-    values = np.asarray(values)
-    if values.dtype.kind == "i":
-        return PackedSigns(
-            words=pack_signs(values.astype(np.float32)),
-            n_elements=values.shape[-1],
-        )
-    return PackedSigns.from_matrix(values.astype(np.float32))
+        return PackedSigns.from_matrix(values.sign_source())
+    return PackedSigns.from_matrix(np.asarray(values).astype(np.float32))

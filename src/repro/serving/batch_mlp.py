@@ -1,18 +1,19 @@
 """Batch-aware SparseInfer MLP executor.
 
 Per decode step and layer this executor runs the predictor **once** for
-the whole batch (one sign-pack of the ``(B, d)`` inputs, one broadcast
-XOR+popcount against the packed gate signs), then:
+the whole batch (one sign-pack of the ``(B, d)`` inputs, one XOR+popcount
+pass against the word-major packed gate signs), then:
 
-1. takes the intersection of the per-sequence skip masks -- only rows
-   every sequence predicts sparse can skip their weight read;
-2. runs gate/up/down as batched GEMMs over the surviving rows, reading
-   each surviving row's weights once for the whole batch;
-3. re-zeroes, per sequence, the rows that sequence predicted sparse, so
+1. runs gate/up/down as three dense batched GEMMs in the
+   ``W @ xs.T`` orientation, reading every weight row once for the whole
+   batch -- on the numpy host a row gather (fancy-index copy of the
+   sub-matrix) loses to dense at every batch size >= 2, so no host path
+   gathers rows;
+2. re-zeroes, per sequence, the rows that sequence predicted sparse, so
    each sequence's output equals what single-sequence decode produces;
-4. (+AS) drops rows whose gated activation came out zero for *every*
-   sequence from the up/down reads -- the batch-level version of the
-   paper's actual-sparsity tightening.
+3. accounts the intersection of the per-sequence skip masks -- the only
+   rows whose weight read a row-skipping batched kernel could avoid
+   (:func:`repro.gpu.batching.batched_decode_latency` prices it).
 
 A batch of one bypasses the GEMM path and executes the exact
 single-sequence op sequence (:meth:`SparseInferMLP.run_with_skip`), which
@@ -85,12 +86,6 @@ class BatchedSparseInferMLP:
     weights: ModelWeights
     predictor: Optional[SparseInferPredictor] = None
     use_actual_sparsity: bool = True
-    # Below this intersection-skip fraction, row gathering costs more than
-    # the rows it avoids (a numpy fancy-index copies the submatrix), so
-    # the executor computes dense and relies on the per-sequence masks
-    # alone.  Purely an execution strategy: predicted-skip accounting and
-    # outputs are identical either way.
-    gather_threshold: float = 0.125
     stats: BatchedMLPStats = field(default_factory=BatchedMLPStats)
 
     def __post_init__(self):
@@ -108,7 +103,7 @@ class BatchedSparseInferMLP:
 
     def run_batch(self, layer: int, xs: np.ndarray) -> np.ndarray:
         """One layer's MLP for ``(B, d)`` inputs; returns ``(B, d)``."""
-        xs = np.asarray(xs)
+        xs = np.asarray(xs, dtype=np.float32)
         if xs.ndim != 2:
             raise ValueError(f"expected (B, d) inputs, got shape {xs.shape}")
         batch = xs.shape[0]
@@ -122,52 +117,23 @@ class BatchedSparseInferMLP:
         self.stats.predicted_skip_seq += float(
             prediction.per_sequence_sparsity.sum()
         )
+        # Rows outside the batch intersection: what a row-skipping kernel
+        # would still have to read, however the host executes the GEMMs.
+        self.stats.rows_read_gate += k - int(
+            prediction.intersection_skip.sum()
+        )
 
         if batch == 1:
             out = self.single.run_with_skip(layer, xs[0], prediction.skip[0])
-            self.stats.rows_read_gate += k - int(prediction.skip[0].sum())
             return out[None, :]
 
-        intersection = prediction.intersection_skip
-        n_skippable = int(intersection.sum())
-        self.stats.rows_read_gate += k - n_skippable
-        if n_skippable == k:
-            return np.zeros((batch, lw.w_down_rows.shape[1]), dtype=np.float32)
-
-        if n_skippable < self.gather_threshold * k:
-            # Thin intersection: compute every row once for the batch and
-            # re-zero per sequence.  ``rows_read_gate`` keeps counting the
-            # intersection's complement, so the measured-vs-``skip^B``
-            # comparison is execution-independent.
-            keep = ~prediction.skip                          # (B, k)
-            h1 = self._act(xs @ lw.w_gate_rows.T)            # (B, k)
-            h1 = np.where(keep, h1, np.float32(0.0))
-            h3 = h1 * (xs @ lw.w_up_rows.T)
-            out = h3 @ lw.w_down_rows                        # (B, d)
-            return out.astype(np.float32)
-
-        rows = np.flatnonzero(~intersection)
-        # Per-sequence keep masks restricted to the computed rows.
-        keep = ~prediction.skip[:, rows]                     # (B, m)
-
-        # Gate GEMM over the intersection's complement, one weight read
-        # for the whole batch; rows a sequence predicted sparse are
-        # re-zeroed so its values match single-sequence execution.
-        h1 = self._act(xs @ lw.w_gate_rows[rows].T)          # (B, m)
-        h1 = np.where(keep, h1, np.float32(0.0))
-
-        if self.use_actual_sparsity:
-            # Batch-level +AS: a row only stays in the up/down reads if
-            # some sequence still has it live after ReLU + prediction.
-            live = np.flatnonzero((h1 != 0.0).any(axis=0))
-            rows = rows[live]
-            h1 = h1[:, live]
-        if rows.size == 0:
-            return np.zeros((batch, lw.w_down_rows.shape[1]), dtype=np.float32)
-
-        h3 = h1 * (xs @ lw.w_up_rows[rows].T)                # (B, m')
-        out = h3 @ lw.w_down_rows[rows]                      # (B, d)
-        return out.astype(np.float32)
+        xs_t = np.ascontiguousarray(xs.T)                    # (d, B)
+        h = self._act(lw.w_gate_rows @ xs_t)                 # (k, B)
+        # Re-zero each sequence's own predicted-sparse rows (the mask is
+        # laid out like ``h`` first: a strided bool operand is 4x slower).
+        h *= np.logical_not(prediction.skip.T, order="C")
+        h *= lw.w_up_rows @ xs_t
+        return (lw.w_down_rows.T @ h).T                      # (B, d)
 
     def reset_stats(self) -> None:
         self.stats = BatchedMLPStats()

@@ -398,24 +398,19 @@ class BatchedEngine:
         ``token_ids`` is ``[committed_token, draft_1, ..., draft_k]``;
         the slot must be rewound to the committed length first.  Runs
         the chunked-prefill machinery with the **serving-alpha** sparse
-        executor: ``run_batch`` re-zeroes each row by its own predicted
-        skip mask, so every row stays decode-faithful while the up/down
-        projections run as one GEMM -- accepted positions leave behind
-        exactly the K/V a decode step would have appended, up to GEMM
-        rounding.  Returns all ``(k + 1, vocab)`` logit rows: row ``i``
-        is the serving engine's prediction *after* chunk token ``i``.
+        executor, on the same dense-masked ``run_batch`` path as a
+        decode step: gate/up/down run as one GEMM each over the chunk and
+        every row is re-zeroed by its own predicted skip mask, so it
+        stays decode-faithful -- accepted positions leave behind exactly
+        the K/V a decode step would have appended, up to GEMM rounding.
+        Returns all ``(k + 1, vocab)`` logit rows: row ``i`` is the
+        serving engine's prediction *after* chunk token ``i``.
         """
         if self._verify_mlp is None:
-            # gather_threshold=1.0: a verify chunk is a handful of
-            # highly correlated rows, so the row-gather strategy's
-            # submatrix copies (3 fancy-indexed weight reads per layer)
-            # cost more than the thin dense GEMM they would avoid --
-            # always take run_batch's dense re-zero path instead.
             self._verify_mlp = BatchedSparseInferMLP(
                 weights=self.weights,
                 predictor=self.sparse.predictor,
                 use_actual_sparsity=self.settings.use_actual_sparsity,
-                gather_threshold=1.0,
             )
         return self._forward_chunk(
             slot, [int(tok) for tok in token_ids], self._verify_mlp.run_batch,

@@ -10,9 +10,16 @@ Eq. (2) and the prose; this repo implements Eq. (2) (see the note in
   layers);
 * the decision must move the right way under forced sign structure and
   under alpha (flipping the polarity inverts every one of these).
+
+They also pin the serving kernel -- word-major ``uint64`` lanes, narrow
+unsigned counts, Eq. (2) as one integer threshold -- against the
+reference implementations it replaced on the hot path
+(``xor_popcount`` / ``exact_negative_products`` /
+``predict_skip_from_counts``).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +28,13 @@ from repro.core.predictor import (
     SparseInferPredictor,
     predict_skip_from_counts,
     true_skip_mask,
+)
+from repro.core.signpack import (
+    PackedSigns,
+    exact_negative_products,
+    pack_signs,
+    words_per_row,
+    xor_popcount,
 )
 from repro.model.config import prosparse_llama2_7b
 from repro.model.synthetic import SyntheticActivationModel
@@ -134,3 +148,89 @@ def test_property_intersection_subset_of_every_sequence(n, d, seed):
     pred = predictor.predict_intersection(0, xs)
     for i in range(n):
         assert (pred.intersection_skip <= pred.skip[i]).all()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    d=st.integers(1, 300),
+    k=st.integers(1, 40),
+    batch=st.integers(1, 9),
+    seed=st.integers(0, 10_000),
+)
+def test_property_lane_kernel_equals_references(d, k, batch, seed):
+    """``negative_counts_packed`` == exact sign products == ``xor_popcount``.
+
+    ``d`` in [1, 300] covers odd word counts (``uint32`` lanes), even
+    ones (``uint64`` lanes) and padded tails.
+    """
+    rng = np.random.default_rng(seed)
+    gate = rng.standard_normal((k, d)).astype(np.float32)
+    xs = rng.standard_normal((batch, d)).astype(np.float32)
+    packed = PackedSigns.from_matrix(gate)
+    nwords = words_per_row(d)
+
+    assert packed.lanes.dtype == (np.uint32 if nwords % 2 else np.uint64)
+    assert packed.lanes.flags.c_contiguous and packed.lanes.shape[1] == k
+    np.testing.assert_array_equal(packed.words, pack_signs(gate))
+    assert packed.words.dtype == np.uint32
+    assert packed.nbytes == k * nwords * 4
+
+    counts = packed.negative_counts_packed(pack_signs(xs))
+    assert counts.shape == (batch, k)
+    np.testing.assert_array_equal(
+        counts, exact_negative_products(gate, xs[:, None, :])
+    )
+    np.testing.assert_array_equal(
+        counts, xor_popcount(pack_signs(gate), pack_signs(xs))
+    )
+    # 1-D and (B, nwords) inputs agree row by row.
+    for i in range(batch):
+        row = packed.negative_counts_packed(pack_signs(xs[i]))
+        assert row.shape == (k,)
+        np.testing.assert_array_equal(row, counts[i])
+
+    # Pad bits are packed positive on both sides, so they never count as
+    # negative products and only inflate Npos: padding can lower the skip
+    # count, never raise it.
+    predictor = SparseInferPredictor([packed])
+    for alpha in (0.5, 1.0, 1.37):
+        skip = predictor.predict_intersection(0, xs, alpha).skip
+        np.testing.assert_array_equal(
+            skip, predict_skip_from_counts(counts, packed.padded_bits, alpha)
+        )
+        assert (skip <= predict_skip_from_counts(counts, d, alpha)).all()
+
+
+@pytest.mark.parametrize("total_bits", [32, 64, 256, 4096])
+def test_integer_threshold_equals_eq2_exhaustively(total_bits):
+    """Every ``n_neg`` in [0, T] x every alpha: the predictor's single
+    integer compare is :func:`predict_skip_from_counts`, not sampled.
+
+    Gate row ``i`` has exactly ``i`` negative weights and ``x`` is all
+    positive, so row ``i``'s ``n_neg`` is ``i``.
+    """
+    gate = 1 - 2 * np.tri(total_bits + 1, total_bits, -1, dtype=np.float16)
+    x = np.ones(total_bits, dtype=np.float32)
+    predictor = SparseInferPredictor.from_gate_weights([gate])
+    n_neg = np.arange(total_bits + 1)
+    np.testing.assert_array_equal(predictor.predict(0, x).n_neg, n_neg)
+    for alpha in (0.004, 0.5, 0.99, 1.0, 1.01, 1.37, 2.0, 50):
+        expected = predict_skip_from_counts(n_neg, total_bits, alpha)
+        np.testing.assert_array_equal(
+            predictor.predict(0, x, alpha).skip, expected
+        )
+        np.testing.assert_array_equal(
+            predictor.predict_intersection(0, x, alpha).skip[0], expected
+        )
+
+
+def test_counts_dtype_cannot_overflow():
+    """``uint16`` sums only while ``padded_bits < 65 536``."""
+    for d, dtype in ((65_504, np.uint16), (65_600, np.uint32)):
+        gate = np.ones((2, d), dtype=np.float32)
+        gate[0] = -1.0
+        packed = PackedSigns.from_matrix(gate)
+        assert packed.padded_bits == d
+        counts = packed.negative_counts(np.ones(d, dtype=np.float32))
+        assert counts.dtype == dtype
+        assert counts.tolist() == [d, 0]

@@ -1,11 +1,13 @@
 """Tests for the batched sparse-decode serving subsystem."""
 
+import copy
 import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 
+from repro.core.alpha import AlphaSchedule
 from repro.core.engine import (
     SparseInferSettings,
     build_batched_engine,
@@ -19,9 +21,11 @@ from repro.eval.latency import (
     measure_sequential_serving,
 )
 from repro.eval.reporting import format_serving_sweep, format_tail_latency
+from repro.model.mlp import DenseMLP
 from repro.model.paged_kvcache import PrefixIndex
 from repro.serving import (
     BatchedEngine,
+    BatchedSparseInferMLP,
     ContinuousBatchingScheduler,
     EmptyQueueError,
     Request,
@@ -133,6 +137,19 @@ class TestBatchedEngineEquivalence:
         pool = engine.cache.pool
         assert pool.keys.dtype == pool.values.dtype == np.float32
 
+        # A float64 caller of the batch MLP is cast once at entry, not
+        # after three float64 GEMMs: the gate GEMM already sees float32.
+        mlp, gate_dtypes = engine.sparse, []
+        act = mlp._act
+        mlp._act = lambda z: gate_dtypes.append(z.dtype) or act(z)
+        xs = np.linspace(-1.0, 1.0, 4 * 32).reshape(4, 32)
+        assert xs.dtype == np.float64
+        out = mlp.run_batch(0, xs)
+        assert out.dtype == np.float32 and gate_dtypes == [np.float32]
+        np.testing.assert_array_equal(
+            out, mlp.run_batch(0, xs.astype(np.float32))
+        )
+
     def test_batch1_serving_token_identical(self, micro_weights):
         ref = reference_generations(micro_weights, PROMPTS, 6)
         engine = build_batched_engine(micro_weights, max_batch_size=1)
@@ -188,18 +205,100 @@ class TestBatchedEngineEquivalence:
         assert not hasattr(engine_module, "_SingleView")
         assert serving.PrefixIndex is paged_kvcache.PrefixIndex
 
-    def test_gather_and_dense_paths_agree(self, micro_weights, rng):
-        """The dense fallback is an execution detail, not a semantics change."""
-        engine_a = BatchedEngine(micro_weights, max_batch_size=4)
-        engine_b = BatchedEngine(micro_weights, max_batch_size=4)
-        engine_a.sparse.gather_threshold = 0.0   # always gather... (never dense)
-        engine_b.sparse.gather_threshold = 1.1   # always dense fallback
-        xs = rng.standard_normal((4, micro_weights.config.d_model)).astype(
-            np.float32
+
+def _correlated_batch(rng, batch, d):
+    """Rows near one direction, so the skip intersection is non-trivial."""
+    base = rng.standard_normal(d)
+    return (base + 0.5 * rng.standard_normal((batch, d))).astype(np.float32)
+
+
+class TestOneBatchPath:
+    """``run_batch`` at batch > 1 is one dense-masked path: three GEMMs,
+    each sequence's own predicted-sparse rows re-zeroed."""
+
+    @pytest.mark.parametrize("batch", [2, 3, 8])
+    def test_rows_match_single_sequence_execution(
+        self, micro_weights, rng, batch
+    ):
+        mlp = BatchedSparseInferMLP(weights=micro_weights)
+        xs = _correlated_batch(rng, batch, micro_weights.config.d_model)
+        for layer in range(micro_weights.config.n_layers):
+            skip = mlp.predictor.predict_intersection(layer, xs).skip
+            out = mlp.run_batch(layer, xs)
+            assert out.shape == xs.shape and out.dtype == np.float32
+            for i in range(batch):
+                np.testing.assert_allclose(
+                    out[i], mlp.single.run_with_skip(layer, xs[i], skip[i]),
+                    atol=1e-5,
+                )
+
+    def test_own_skipped_rows_contribute_exactly_zero(
+        self, micro_weights, rng
+    ):
+        xs = _correlated_batch(rng, 3, micro_weights.config.d_model)
+        mlp = BatchedSparseInferMLP(weights=micro_weights)
+        skip = mlp.predictor.predict_intersection(0, xs).skip
+        # Rows only sequence 0 skips: garbage there must not reach it.
+        own = np.flatnonzero(skip[0] & ~skip[1])
+        assert own.size
+        before = mlp.run_batch(0, xs)
+        perturbed = copy.deepcopy(micro_weights)
+        perturbed.layers[0].w_up_rows[own] += 7.0
+        perturbed.layers[0].w_down_rows[own] -= 3.0
+        after = BatchedSparseInferMLP(
+            weights=perturbed, predictor=mlp.predictor
+        ).run_batch(0, xs)
+        np.testing.assert_array_equal(after[0], before[0])
+        assert not np.array_equal(after[1], before[1])
+
+    def test_all_skip_and_no_skip_batches(self, micro_weights, rng):
+        cfg = micro_weights.config
+        xs = _correlated_batch(rng, 4, cfg.d_model)
+
+        def executor(alpha):
+            return BatchedSparseInferMLP(
+                weights=micro_weights,
+                predictor=SparseInferPredictor.from_gate_weights(
+                    micro_weights.gate_matrices(),
+                    AlphaSchedule.uniform(alpha, cfg.n_layers),
+                ),
+            )
+
+        all_skip = executor(1e-3)
+        assert not all_skip.run_batch(0, xs).any()
+        assert all_skip.stats.rows_read_gate == 0
+        no_skip = executor(1e3)
+        dense = DenseMLP(micro_weights)
+        np.testing.assert_allclose(
+            no_skip.run_batch(0, xs),
+            np.stack([dense.run(0, x) for x in xs]),
+            atol=1e-5,
         )
-        out_a = engine_a.sparse.run_batch(0, xs)
-        out_b = engine_b.sparse.run_batch(0, xs)
-        np.testing.assert_allclose(out_a, out_b, atol=1e-5)
+        assert no_skip.stats.rows_read_gate == cfg.d_ff
+        assert no_skip.stats.predicted_skip_seq == 0.0
+
+    def test_stats_equal_what_the_row_gather_executor_recorded(
+        self, micro_weights, rng
+    ):
+        """Accounting is execution-independent: the integers below were
+        recorded by the parent commit's row-gather executor (PR 20) for
+        this seeded batch."""
+        cfg = micro_weights.config
+        mlp = BatchedSparseInferMLP(weights=micro_weights)
+        xs = _correlated_batch(rng, 8, cfg.d_model)
+        for layer in range(cfg.n_layers):
+            mlp.run_batch(layer, xs)
+        stats = mlp.stats
+        assert (
+            stats.calls, stats.sequences, stats.rows_total,
+            stats.rows_read_gate, round(stats.predicted_skip_seq * cfg.d_ff),
+        ) == (2, 16, 128, 108, 406)
+
+    def test_no_execution_strategy_knob(self):
+        fields = {f.name for f in dataclasses.fields(BatchedSparseInferMLP)}
+        assert fields == {
+            "weights", "predictor", "use_actual_sparsity", "stats",
+        }
 
 
 class TestScheduler:
