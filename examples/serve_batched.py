@@ -162,11 +162,9 @@ def main() -> None:
           f"{sharing_report.expected_uncorrelated_skip:.3f}")
 
     # Decode attention runs as one padded masked-softmax matmul per
-    # layer (length-bucketed), so the report also carries padding-waste
-    # / bucket telemetry.
+    # layer, so the report also carries padding-waste telemetry.
     print(f"\nbatched decode attention: "
           f"{sharing_report.attention.batched_steps} batched decode steps, "
-          f"{sharing_report.attention.mean_buckets_per_step:.2f} length buckets/step, "
           f"{sharing_report.attention.padding_waste_fraction:.0%} padding masked off")
 
     # Cross-request prefix cache: the same few-shot workload, but

@@ -14,6 +14,7 @@ predictor and the GPU cost model agree bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -22,10 +23,15 @@ import numpy as np
 ALPHA_SCALE = 100
 
 
+def check_alpha(alpha: float, name: str = "alpha") -> None:
+    """Raise unless ``alpha`` is finite and positive (``<= 0`` passes NaN)."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {alpha}")
+
+
 def alpha_to_fixed_point(alpha: float) -> int:
     """Convert a float alpha to the kernel's per-cent fixed point form."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     return int(round(alpha * ALPHA_SCALE))
 
 
@@ -43,8 +49,7 @@ class AlphaSchedule:
 
     def __post_init__(self):
         for a in self.alphas:
-            if a <= 0:
-                raise ValueError(f"alpha values must be positive, got {a}")
+            check_alpha(a, "alpha values")
 
     @classmethod
     def uniform(cls, alpha: float, n_layers: int) -> "AlphaSchedule":

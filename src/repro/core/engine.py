@@ -14,7 +14,7 @@ from typing import Optional
 from ..model.inference import InferenceModel
 from ..model.mlp import DenseMLP
 from ..model.weights import ModelWeights
-from .alpha import AlphaSchedule
+from .alpha import AlphaSchedule, check_alpha
 from .predictor import SparseInferPredictor
 from .sparse_mlp import SparseInferMLP
 
@@ -28,6 +28,11 @@ class SparseInferSettings:
     n_early_layers: int = 20              # the paper's choice for 7B and 13B
     use_actual_sparsity: bool = True
     sparse_prefill: bool = False          # paper: prefill stays dense
+
+    def __post_init__(self):
+        check_alpha(self.alpha)
+        if self.alpha_early is not None:
+            check_alpha(self.alpha_early, "alpha_early")
 
     def schedule(self, n_layers: int) -> AlphaSchedule:
         if self.alpha_early is None:

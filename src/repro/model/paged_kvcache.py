@@ -845,6 +845,8 @@ class PagedKVCache:
                  prefix_sharing: bool = False):
         if n_slots < 1:
             raise ValueError(f"n_slots must be >= 1, got {n_slots}")
+        if page_size < 1:    # checked here: the division below comes first
+            raise ValueError(f"page_size must be >= 1, got {page_size}")
         if cache_pages < 0:
             raise ValueError(f"cache_pages must be >= 0, got {cache_pages}")
         self.config = config

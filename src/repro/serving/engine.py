@@ -13,9 +13,9 @@ and row-MLP they hand it:
   is a decode-phase optimisation, paper Section V-C); verify runs the
   serving-alpha sparse executor.
 * :meth:`~BatchedEngine.decode_step` / :meth:`~BatchedEngine.draft_step`
-  -- rows are the next token of *each* slot, attended through the
-  length-bucketed :class:`~repro.model.batch_attention.BatchedAttention`
-  and the batch-aware sparse MLP.  A batch of one is dispatched to the
+  -- rows are the next token of *each* slot, attended as one padded
+  K/V stack by :class:`~repro.model.batch_attention.BatchedAttention`
+  and run through the batch-aware sparse MLP.  A batch of one is dispatched to the
   scalar :func:`~repro.model.inference.forward_token_single` instead
   (measurably faster at that size, and what makes it bit-identical to
   the single-sequence engine).
@@ -188,7 +188,7 @@ class BatchedEngine:
 
     @property
     def attn_telemetry(self) -> AttentionTelemetry:
-        """Padding-waste / bucketing counters of batched decode attention."""
+        """Padding-waste counters of batched decode attention."""
         return self.attention.telemetry
 
     # -- forward passes ----------------------------------------------------

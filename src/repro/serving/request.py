@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..model.sampler import SamplerConfig
+
+
+def _token_ids(name: str, ids) -> tuple:
+    """``ids`` as Python ints: numpy ints pass, floats raise, not truncate."""
+    try:
+        return tuple(map(operator.index, ids))
+    except TypeError:
+        raise ValueError(f"{name} must be integer token ids, got {ids!r}") from None
 
 
 @dataclass(frozen=True)
@@ -115,13 +124,13 @@ class Request:
     slo: Optional[SLOSpec] = None
 
     def __post_init__(self):
-        if not self.prompt_ids:
+        object.__setattr__(self, "prompt_ids", _token_ids("prompt_ids", self.prompt_ids))
+        if len(self.prompt_ids) == 0:
             raise ValueError("prompt_ids must be non-empty")
         if self.max_new_tokens < 0:
             raise ValueError("max_new_tokens must be non-negative")
-        object.__setattr__(self, "prompt_ids", tuple(int(t) for t in self.prompt_ids))
         if self.stop_ids is not None:
-            object.__setattr__(self, "stop_ids", frozenset(int(t) for t in self.stop_ids))
+            object.__setattr__(self, "stop_ids", frozenset(_token_ids("stop_ids", self.stop_ids)))
         object.__setattr__(self, "priority", int(self.priority))
         if self.sampling is not None and not isinstance(self.sampling, SamplerConfig):
             raise ValueError(

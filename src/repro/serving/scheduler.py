@@ -315,8 +315,8 @@ class ServeReport:
     mean_sequence_skip: float = 0.0    # per-sequence (batch=1) ceiling
     expected_uncorrelated_skip: float = 0.0   # skip^B at mean occupancy
     # Batched-attention counters of this run (decode steps of batch >
-    # 1): length buckets and padded vs useful K/V cells gathered, so
-    # the padding the length masks threw away is visible per run.
+    # 1): padded vs useful K/V cells gathered, so the padding the
+    # length masks threw away is visible per run.
     attention: AttentionTelemetry = field(default_factory=AttentionTelemetry)
     step_budget: int = 0               # scheduler knob (0 = inline prefill)
     piggybacked_chunks: int = 0        # prefill pieces run inside ticks

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.alpha import check_alpha
+
 
 @dataclass(frozen=True)
 class SpecConfig:
@@ -53,10 +55,7 @@ class SpecConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.draft_alpha <= 0:
-            raise ValueError(
-                f"draft_alpha must be > 0, got {self.draft_alpha}"
-            )
+        check_alpha(self.draft_alpha, "draft_alpha")
         if not 0.0 <= self.ema_decay < 1.0:
             raise ValueError(
                 f"ema_decay must be in [0, 1), got {self.ema_decay}"

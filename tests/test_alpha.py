@@ -1,5 +1,7 @@
 """Tests for alpha schedules and calibration."""
 
+import math
+
 import pytest
 
 from repro.core.alpha import (
@@ -9,6 +11,7 @@ from repro.core.alpha import (
     calibrate_alpha,
     sweep_grid,
 )
+from repro.core.engine import SparseInferSettings
 
 
 class TestFixedPoint:
@@ -24,6 +27,11 @@ class TestFixedPoint:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             alpha_to_fixed_point(0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_non_finite(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            alpha_to_fixed_point(alpha)
 
 
 class TestAlphaSchedule:
@@ -57,6 +65,19 @@ class TestAlphaSchedule:
     def test_rejects_non_positive_values(self):
         with pytest.raises(ValueError):
             AlphaSchedule.from_values([1.0, -0.5])
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            AlphaSchedule.from_values([1.0, alpha])
+
+    @pytest.mark.parametrize("field", ["alpha", "alpha_early"])
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_settings_reject_non_finite_at_construction(self, field, alpha):
+        """A NaN alpha once got through and failed mid-decode in the
+        fixed-point conversion."""
+        with pytest.raises(ValueError, match=field):
+            SparseInferSettings(**{field: alpha})
 
     def test_rejects_empty_model(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,8 @@ chunked prefill decode exactly the tokens the scalar oracle
 (``build_engine(...).generate``) does, at any batch size, page size and
 prefix-sharing configuration; a batch-1 ``decode_step`` is bit-identical
 to ``forward_token`` on identical KV.  Plus the supporting pieces: the
-shared RoPE memo, length bucketing, the padded-gather plans, and the
-padding-mask property (garbage in padded K/V cells can never reach a
-logit).
+shared RoPE memo, the padded-gather plans, and the padding-mask
+property (garbage in padded K/V cells can never reach a logit).
 """
 
 import numpy as np
@@ -19,11 +18,7 @@ from repro.core.engine import (
     build_engine,
 )
 from repro.eval.latency import measure_batched_serving
-from repro.model.batch_attention import (
-    AttentionTelemetry,
-    BatchedAttention,
-    length_buckets,
-)
+from repro.model.batch_attention import AttentionTelemetry, BatchedAttention
 from repro.model.inference import attend_single
 from repro.model.kvcache import KVCache
 from repro.model.rope import rope_for_position, rope_tables
@@ -112,38 +107,6 @@ class TestRopeMemo:
         np.testing.assert_array_equal(explicit_cache.keys, memo_cache.keys)
 
 
-class TestLengthBuckets:
-    def test_equal_lengths_one_bucket(self):
-        assert length_buckets([5, 5, 5, 5]) == [[0, 1, 2, 3]]
-
-    def test_large_spread_splits(self):
-        buckets = length_buckets([100, 10, 90, 9], min_fill=0.5)
-        assert len(buckets) == 2
-        assert sorted(buckets[0]) == [0, 2]
-        assert sorted(buckets[1]) == [1, 3]
-
-    def test_min_fill_zero_never_splits(self):
-        assert len(length_buckets([500, 1, 3, 2], min_fill=0.0)) == 1
-
-    def test_min_fill_one_groups_equal_only(self):
-        buckets = length_buckets([4, 3, 4, 3], min_fill=1.0)
-        assert len(buckets) == 2
-        assert sorted(buckets[0]) == [0, 2]
-        assert sorted(buckets[1]) == [1, 3]
-
-    def test_partition_is_exact(self):
-        lengths = [17, 3, 64, 64, 2, 9, 33]
-        buckets = length_buckets(lengths, min_fill=0.7)
-        flat = sorted(i for bucket in buckets for i in bucket)
-        assert flat == list(range(len(lengths)))
-
-    def test_invalid_min_fill_rejected(self):
-        with pytest.raises(ValueError):
-            length_buckets([1, 2], min_fill=1.5)
-        with pytest.raises(ValueError):
-            length_buckets([1], min_fill=-0.1)
-
-
 SHARING_MODES = {
     "plain": dict(),
     "prefix_sharing": dict(prefix_sharing=True, reorder_window=4),
@@ -174,24 +137,6 @@ class TestOracleEquivalence:
             assert report.attention.batched_steps > 0
         if mode != "plain" and batch_size > 1 and page_size <= 16:
             assert report.forked_admissions > 0   # sharers really fork
-
-    @pytest.mark.parametrize("min_fill", [0.0, 1.0])
-    def test_bucketing_extremes_agree_with_oracle(self, micro_weights,
-                                                  min_fill):
-        """One bucket (pure pad-and-stack) and equal-lengths-only."""
-        requests = make_requests()
-        engine = build_batched_engine(micro_weights, max_batch_size=4)
-        engine.attention = BatchedAttention(engine.config,
-                                            bucket_min_fill=min_fill)
-        scheduler = ContinuousBatchingScheduler(engine)
-        for request in requests:
-            scheduler.submit(request)
-        report = scheduler.run()
-        served = {c.request_id: c.generated_ids for c in report.completions}
-        assert served == oracle_tokens(micro_weights, requests)
-        if min_fill == 1.0:
-            # equal lengths only
-            assert report.attention.padding_waste_fraction == 0.0
 
     def test_just_forked_sharer_in_decode_batch(self, micro_weights):
         """Donor + fresh fork decode together: each row matches the
@@ -494,21 +439,10 @@ class TestTelemetry:
         assert t.padding_waste_fraction == 0.0
         assert t.mean_buckets_per_step == 0.0
 
-    def test_singleton_buckets_excluded_from_padding_counts(
-            self, micro_config):
-        """Singletons go through attend_single -- they gather no
-        padding, so they must not dilute the waste fraction."""
-        attention = BatchedAttention(micro_config, bucket_min_fill=0.5)
-        plan = attention.plan_step([99, 9], slots=[None, None])
-        assert len(plan.buckets) == 2             # both singletons
-        assert attention.telemetry.padded_positions == 0
-        assert attention.telemetry.useful_positions == 0
-        assert attention.telemetry.buckets_sum == 2
-
-        attention.plan_step([7, 5], slots=[None, None])  # one real bucket
-        assert attention.telemetry.padded_positions == 2 * 8
-        assert attention.telemetry.useful_positions == 8 + 6
-
-    def test_invalid_bucket_min_fill_rejected(self, micro_config):
-        with pytest.raises(ValueError):
-            BatchedAttention(micro_config, bucket_min_fill=2.0)
+    def test_one_padded_stack_per_step(self, micro_config):
+        """Every row pads to the step's longest post-append length."""
+        attention = BatchedAttention(micro_config)
+        attention.plan_step([99, 9, 40], slots=[None, None, None])
+        assert attention.telemetry.padded_positions == 3 * 100
+        assert attention.telemetry.useful_positions == 100 + 10 + 41
+        assert attention.telemetry.mean_buckets_per_step == 1.0

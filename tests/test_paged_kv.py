@@ -188,6 +188,17 @@ class TestPagedKVSlot:
         with pytest.raises(RuntimeError, match="exhausted"):
             slot.append(0, np.zeros(d), np.zeros(d), 4)
 
+    @pytest.mark.parametrize("geometry,name", [
+        (dict(n_slots=0), "n_slots"),
+        (dict(n_slots=1, page_size=0), "page_size"),
+        (dict(n_slots=1, n_pages=-1), "n_pages"),
+    ])
+    def test_invalid_geometry_is_a_value_error(self, micro_config, geometry,
+                                               name):
+        """``page_size=0`` once divided by zero before any check ran."""
+        with pytest.raises(ValueError, match=name):
+            PagedKVCache(micro_config, max_seq_len=8, **geometry)
+
     def test_release_returns_pages_and_reservation(self, micro_config):
         cache = PagedKVCache(micro_config, n_slots=2, max_seq_len=16,
                              page_size=4, n_pages=4)

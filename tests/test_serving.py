@@ -495,6 +495,39 @@ class TestScheduler:
                                  max_new_tokens=2))
         assert scheduler.run().completions[0].ok
 
+    def test_numpy_prompt_served_like_a_tuple(self, micro_weights):
+        """Regression: ``not prompt_ids`` raised numpy's ambiguous-truth
+        error on an array prompt."""
+        array = Request(request_id=0, prompt_ids=np.array([4, 5, 6]),
+                        max_new_tokens=3,
+                        stop_ids=np.array([9], dtype=np.int32))
+        assert array.prompt_ids == (4, 5, 6)
+        assert all(type(t) is int for t in array.prompt_ids)
+        assert array.stop_ids == frozenset({9})
+        with pytest.raises(ValueError, match="non-empty"):
+            Request(request_id=0, prompt_ids=np.array([], dtype=np.int64),
+                    max_new_tokens=1)
+
+        scheduler = ContinuousBatchingScheduler(
+            build_batched_engine(micro_weights, max_batch_size=1))
+        scheduler.submit(array)
+        scheduler.submit(Request(request_id=1, prompt_ids=(4, 5, 6),
+                                 max_new_tokens=3, stop_ids=(9,)))
+        first, second = scheduler.run().completions
+        assert first.generated_ids == second.generated_ids
+
+    @pytest.mark.parametrize("field,ids", [
+        ("prompt_ids", (1.5, 2)),
+        ("prompt_ids", np.array([1.0, 2.0])),
+        ("stop_ids", (3.7,)),
+    ])
+    def test_non_integral_token_ids_rejected(self, field, ids):
+        """Floats were once truncated and served: (1.5, 2) decoded (1, 2)."""
+        kwargs = dict(request_id=0, prompt_ids=(1, 2), max_new_tokens=1)
+        kwargs[field] = ids
+        with pytest.raises(ValueError, match=field):
+            Request(**kwargs)
+
     def test_oversized_request_via_raw_queue_is_rejected_not_fatal(
         self, micro_weights
     ):
@@ -877,13 +910,12 @@ class TestServeReportTelemetryContract:
         assert report.mean_cached_pages == pytest.approx(
             report.cached_pages_sum / report.decode_steps
         )
-        # Batched attention ran, and its bucket counter is consistent
-        # with the derived per-step mean (at least one bucket per step).
+        # Batched attention ran as one padded stack per step, and its
+        # padding counters are consistent.
         assert report.attention.batched_steps > 0
-        assert report.attention.buckets_sum >= report.attention.batched_steps
-        assert report.attention.mean_buckets_per_step == pytest.approx(
-            report.attention.buckets_sum / report.attention.batched_steps
-        )
+        assert report.attention.mean_buckets_per_step == 1.0
+        assert 0 < report.attention.useful_positions <= \
+            report.attention.padded_positions
 
 
     def test_skip_telemetry_is_per_run_on_a_reused_engine(self, micro_weights):

@@ -73,6 +73,11 @@ class TestSpecConfig:
         with pytest.raises(ValueError, match="draft_alpha"):
             SpecConfig(draft_alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="draft_alpha"):
+            SpecConfig(draft_alpha=alpha)
+
     def test_rejects_bad_ema_decay(self):
         with pytest.raises(ValueError, match="ema_decay"):
             SpecConfig(ema_decay=1.0)
