@@ -70,3 +70,69 @@ def test_predictor_kernel_throughput(benchmark, cfg13, results_dir, batch):
     )
     write_result(results_dir, f"sec5a_predictor_kernel_b{batch}.txt", text)
     print("\n" + text)
+
+
+@pytest.mark.benchmark(group="sec5a")
+@pytest.mark.parametrize("d_model,d_ff", [(256, 1024), (1024, 4096)])
+def test_batch1_executor_vs_dense(benchmark, results_dir, d_model, d_ff):
+    """Batch-1 MLP time per layer-token on the host: the sparse executor
+    (``SparseInferMLP.run_with_skip``, with and without +AS) beside
+    ``DenseMLP.run``, on ``random_weights(seed=13)`` at alpha 1.0 (the
+    serving benchmark's ~0.48 predicted skip) and at the alpha whose skip
+    is nearest 0.9 (the paper's ProSparse regime).  The predictor's own
+    time is printed apart.  No ratio gate: these are the numbers
+    ``docs/serving.md`` quotes, and the sparse-vs-dense verdict there
+    is read off them."""
+    import timeit
+
+    import numpy as np
+
+    from repro.core.sparse_mlp import SparseInferMLP
+    from repro.model.config import ModelConfig
+    from repro.model.mlp import DenseMLP
+    from repro.model.weights import random_weights
+
+    n_inputs = 64
+    cfg = ModelConfig(name=f"mlp-{d_model}x{d_ff}", vocab_size=64,
+                      d_model=d_model, n_layers=1, n_heads=4, d_ff=d_ff,
+                      dtype_bytes=4)
+    weights = random_weights(cfg, seed=13)
+    xs = np.random.default_rng(0).standard_normal(
+        (n_inputs, d_model)).astype(np.float32)
+    dense = DenseMLP(weights)
+    with_as = SparseInferMLP(weights)
+    without_as = SparseInferMLP(weights, use_actual_sparsity=False)
+    predictor = with_as.predictor
+
+    def skip_at(alpha):
+        return predictor.predict_batch(0, xs, alpha=alpha)
+
+    tuned = min(np.arange(0.50, 1.00, 0.01),
+                key=lambda a: abs(skip_at(a).mean() - 0.9))
+
+    def per_token_us(fn):
+        best = min(timeit.repeat(fn, number=1, repeat=5))
+        return best / n_inputs * 1e6
+
+    def sweep(mlp, skips):
+        return lambda: [mlp.run_with_skip(0, x, s) for x, s in zip(xs, skips)]
+
+    benchmark(with_as.run_with_skip, 0, xs[0], skip_at(1.0)[0])
+    dense_us = per_token_us(lambda: [dense.run(0, x) for x in xs])
+    lines = [f"d={d_model} d_ff={d_ff}: DenseMLP.run {dense_us:.0f} us"]
+    for alpha in (1.0, round(float(tuned), 2)):
+        skips = skip_at(alpha)
+        with_as.reset_stats()
+        sweep(with_as, skips)()
+        predict_us = per_token_us(
+            lambda: [predictor.predict(0, x, alpha=alpha) for x in xs])
+        lines.append(
+            f"  alpha {alpha:.2f} skip {skips.mean():.3f} "
+            f"(+AS up/down skip {with_as.stats.up_skip_fraction:.3f}): "
+            f"run_with_skip +AS {per_token_us(sweep(with_as, skips)):.0f} us, "
+            f"-AS {per_token_us(sweep(without_as, skips)):.0f} us; "
+            f"predictor {predict_us:.0f} us"
+        )
+    text = "\n".join(lines)
+    write_result(results_dir, f"sec5a_batch1_executor_{d_model}.txt", text)
+    print("\n" + text)

@@ -94,6 +94,15 @@ HOT_FUNCTIONS: Dict[Tuple[str, str], FrozenSet[str]] = {
         frozenset({"packed_x", "px", "self.words", "self.n_rows"}),
     ("src/repro/serving/batch_mlp.py", "BatchedSparseInferMLP.run_batch"):
         frozenset({"xs", "xs_t", "batch", "prediction", "h", "k"}),
+    # The scalar token path build_engine and batch-1 serving share: gate
+    # rows and cached positions.  The layer loop is not per-element work.
+    ("src/repro/core/sparse_mlp.py", "SparseInferMLP.run_with_skip"):
+        frozenset({"skip", "kept", "live", "h1", "h3", "x", "k"}),
+    ("src/repro/model/inference.py", "forward_token_single"):
+        frozenset({"token_id", "position", "x"}),
+    ("src/repro/model/inference.py", "attend_single"):
+        frozenset({"position", "length", "keys", "values", "kh", "vh",
+                   "scores", "probs"}),
 }
 
 #: Calls that do not count as per-element work (O(1) bookkeeping).

@@ -33,24 +33,20 @@ def attend_single(
     position: int,
     cache,
     layer: int,
-    rope: Optional[tuple] = None,
+    rope: tuple,
 ) -> np.ndarray:
     """RoPE + cache append + causal attention for one sequence, one token.
 
     ``q``/``k``/``v`` are the raw ``(d_model,)`` projections; ``cache`` is
     anything with the :class:`~repro.model.kvcache.KVCache` interface (a
     standalone cache or one
-    :class:`~repro.model.paged_kvcache.PagedKVSlot` of a serving batch).  Returns the pre-``Wo`` context vector.  Both the
+    :class:`~repro.model.paged_kvcache.PagedKVSlot` of a serving batch);
+    ``rope`` is the ``(cos, sin)`` pair for ``position``, built once per
+    token by the caller.  Returns the pre-``Wo`` context vector.  Both the
     single-sequence and the batched engines funnel through this function,
     which is what makes their outputs bit-identical.
-
-    ``rope`` optionally carries the ``(cos, sin)`` tables for ``position``
-    so callers stepping many layers (or many sequences) per token can
-    compute them once instead of once per layer.
     """
     n_heads, head_dim = config.n_heads, config.head_dim
-    if rope is None:
-        rope = rope_for_position(position, head_dim, config.rope_theta)
     cos, sin = rope
     q = apply_rope(q.reshape(n_heads, 1, head_dim), cos, sin).reshape(n_heads, head_dim)
     k = apply_rope(k.reshape(n_heads, 1, head_dim), cos, sin).reshape(-1)
@@ -62,6 +58,8 @@ def attend_single(
     # float32 scale: a float64 np.sqrt scalar would promote scores --
     # and the residual stream after it -- to float64, silently doubling
     # every downstream GEMM's work (NEP 50 keeps numpy-scalar dtypes).
+    # einsum, not the faster BLAS matmul of StepPlan.attend_layer: matmul
+    # rounds differently, and that drift flips near-zero gate rows.
     scores = np.einsum("hd,htd->ht", q, kh) / np.float32(np.sqrt(head_dim))
     scores -= scores.max(axis=-1, keepdims=True)
     probs = np.exp(scores)
@@ -85,7 +83,6 @@ def forward_token_single(
     cache,
     mlp,
     traces: Optional[list] = None,
-    rope: Optional[tuple] = None,
 ) -> np.ndarray:
     """One token through the full decoder stack for one sequence.
 
@@ -96,13 +93,14 @@ def forward_token_single(
     is a list, an :class:`MLPTrace` is appended per layer.
     """
     cfg = weights.config
-    x = weights.tok_embed[token_id].astype(np.float32).copy()
+    rope = rope_for_position(position, cfg.head_dim, cfg.rope_theta)
+    x = weights.tok_embed[token_id].astype(np.float32)
     for layer in range(cfg.n_layers):
         lw = weights.layers[layer]
         attn_in = rmsnorm(x, lw.attn_norm, cfg.norm_eps)
         ctx = attend_single(
             cfg, attn_in @ lw.wq, attn_in @ lw.wk, attn_in @ lw.wv,
-            position, cache, layer, rope=rope,
+            position, cache, layer, rope,
         )
         x = x + ctx @ lw.wo
         mlp_in = rmsnorm(x, lw.mlp_norm, cfg.norm_eps)

@@ -114,6 +114,13 @@ class BatchedSparseInferMLP:
         self.stats.calls += 1
         self.stats.sequences += batch
         self.stats.rows_total += k
+        if batch == 1:
+            skip = prediction.skip[0]
+            n_skip = np.count_nonzero(skip)
+            self.stats.predicted_skip_seq += n_skip / k
+            self.stats.rows_read_gate += k - n_skip
+            return self.single.run_with_skip(layer, xs[0], skip)[None, :]
+
         self.stats.predicted_skip_seq += float(
             prediction.per_sequence_sparsity.sum()
         )
@@ -122,10 +129,6 @@ class BatchedSparseInferMLP:
         self.stats.rows_read_gate += k - int(
             prediction.intersection_skip.sum()
         )
-
-        if batch == 1:
-            out = self.single.run_with_skip(layer, xs[0], prediction.skip[0])
-            return out[None, :]
 
         xs_t = np.ascontiguousarray(xs.T)                    # (d, B)
         h = self._act(lw.w_gate_rows @ xs_t)                 # (k, B)

@@ -56,7 +56,7 @@ from ..model.paged_kvcache import (
 )
 from ..model.mlp import DenseMLP, MLPExecutor
 from ..model.norm import rmsnorm
-from ..model.rope import apply_rope, rope_for_position, rope_tables
+from ..model.rope import apply_rope, rope_tables
 from ..model.sampler import BatchedSampler, SamplerConfig
 from ..model.weights import ModelWeights
 from .batch_mlp import BatchedSparseInferMLP
@@ -278,7 +278,6 @@ class BatchedEngine:
             raise ValueError("slots and token_ids must align")
         if not slots:
             raise ValueError("decode_step needs at least one sequence")
-        cfg = self.config
         if len(slots) == 1:
             # Size dispatch, measured: at batch 1 the scalar op sequence
             # beats the plan path (benchmark workload decode_b1 vs
@@ -286,11 +285,7 @@ class BatchedEngine:
             # bit-identical to InferenceModel.forward_token.
             slot = slots[0]
             logits = forward_token_single(
-                self.weights, int(token_ids[0]), slot.length, slot,
-                sparse,
-                rope=rope_for_position(
-                    slot.length, cfg.head_dim, cfg.rope_theta
-                ),
+                self.weights, int(token_ids[0]), slot.length, slot, sparse,
             )[None, :]
         else:
             plan = self.attention.plan_step(

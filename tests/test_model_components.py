@@ -107,6 +107,18 @@ class TestNorm:
             atol=1e-6,
         )
 
+    @pytest.mark.parametrize("shape", [(256,), (8, 256), (33, 1024), (5,)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_np_mean_formulation(self, rng, shape, dtype):
+        """The decode path's norm must not move a bit: any drift can
+        flip a near-zero gate pre-activation and change skip counts."""
+        x = (rng.standard_normal(shape) * 3).astype(dtype)
+        w = rng.standard_normal(shape[-1]).astype(dtype)
+        ms = np.mean(np.square(x), axis=-1, keepdims=True)
+        np.testing.assert_array_equal(
+            rmsnorm(x, w, 1e-5), x / np.sqrt(ms + 1e-5) * w
+        )
+
 
 class TestRope:
     def test_norm_preserved(self, rng):

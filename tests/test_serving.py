@@ -294,6 +294,27 @@ class TestOneBatchPath:
             stats.rows_read_gate, round(stats.predicted_skip_seq * cfg.d_ff),
         ) == (2, 16, 128, 108, 406)
 
+    def test_batch1_stats_equal_the_batch_formulas(self, micro_weights, rng):
+        """Batch 1 accounts from one count of its skip mask; the totals
+        must equal the batch path's ``per_sequence_sparsity`` /
+        ``intersection_skip`` formulas exactly."""
+        cfg = micro_weights.config
+        mlp = BatchedSparseInferMLP(weights=micro_weights)
+        predicted_skip_seq, rows_read_gate = 0.0, 0
+        for step in range(5):
+            x = rng.standard_normal((1, cfg.d_model)).astype(np.float32)
+            layer = step % cfg.n_layers
+            prediction = mlp.predictor.predict_intersection(layer, x)
+            predicted_skip_seq += float(prediction.per_sequence_sparsity.sum())
+            rows_read_gate += cfg.d_ff - int(prediction.intersection_skip.sum())
+            mlp.run_batch(layer, x)
+        stats = mlp.stats
+        assert (stats.calls, stats.sequences, stats.rows_total) == (
+            5, 5, 5 * cfg.d_ff)
+        assert stats.rows_read_gate == rows_read_gate
+        assert stats.predicted_skip_seq == predicted_skip_seq
+        assert mlp.single.stats.calls == 5
+
     def test_no_execution_strategy_knob(self):
         fields = {f.name for f in dataclasses.fields(BatchedSparseInferMLP)}
         assert fields == {

@@ -5,7 +5,9 @@ import pytest
 
 from repro.core.alpha import AlphaSchedule
 from repro.core.sparse_mlp import SparseInferMLP
-from repro.model.mlp import DenseMLP
+from repro.model.config import ModelConfig
+from repro.model.mlp import DenseMLP, MLPStats
+from repro.model.weights import random_weights
 
 
 @pytest.fixture
@@ -84,6 +86,97 @@ class TestStats:
             sparse.stats.down_skip_fraction,
         ):
             assert 0.0 <= frac <= 1.0
+
+
+def boolean_mask_reference(mlp, layer, x, skip):
+    """The boolean-mask executor ``run_with_skip`` replaced, kept as the
+    reference: it masks each weight matrix with a bool vector, scatters
+    h1 into a full-width buffer and re-filters on ``h3 != 0``.  Returns
+    the output and the :class:`MLPStats` of this one call."""
+    lw = mlp.weights.layers[layer]
+    k = lw.w_gate_rows.shape[0]
+    keep = ~skip
+    h1_live = mlp._act(lw.w_gate_rows[keep] @ x)
+    if mlp.use_actual_sparsity:
+        live_mask = np.zeros(k, dtype=bool)
+        live_mask[np.flatnonzero(keep)[h1_live != 0.0]] = True
+    else:
+        live_mask = keep
+    h1 = np.zeros(k, dtype=np.float32)
+    h1[keep] = h1_live
+    live = np.flatnonzero(live_mask)
+    h3_live = h1[live] * (lw.w_up_rows[live] @ x)
+    if mlp.use_actual_sparsity:
+        down_live, h3_final = live[h3_live != 0.0], h3_live[h3_live != 0.0]
+    else:
+        down_live, h3_final = live, h3_live
+    out = h3_final @ lw.w_down_rows[down_live]
+    stats = MLPStats(
+        calls=1, rows_total=k, rows_skipped_gate=int(skip.sum()),
+        rows_skipped_up=k - int(live_mask.sum()),
+        rows_skipped_down=k - len(down_live),
+    )
+    return out.astype(np.float32), stats
+
+
+@pytest.fixture(scope="module")
+def wide_weights():
+    """One layer wide enough that BLAS blocks the GEMVs as at serving
+    shapes (the micro model's 64 rows fit in one kernel tile)."""
+    cfg = ModelConfig(name="wide", vocab_size=8, d_model=128, n_layers=1,
+                      n_heads=2, d_ff=512, dtype_bytes=4)
+    return random_weights(cfg, seed=3)
+
+
+class TestRunWithSkipMatchesBooleanMaskReference:
+    """``run_with_skip`` gathers rows through one index vector; it must
+    read the same rows in the same GEMV shapes as the boolean-mask
+    formulation, so outputs are bit-identical and stats equal."""
+
+    @staticmethod
+    def masks(weights, x, rng):
+        gate = weights.layers[0].w_gate_rows @ x
+        k = gate.shape[0]
+        yield from (rng.random(k) < p for p in (0.1, 0.5, 0.9))
+        yield np.ones(k, dtype=bool)        # every row skipped
+        yield np.zeros(k, dtype=bool)       # no row skipped
+        yield gate > 0.0                    # every kept row ReLU-dead
+
+    @pytest.mark.parametrize("use_as", [True, False])
+    @pytest.mark.parametrize("model", ["micro_weights", "wide_weights"])
+    def test_outputs_and_stats_bit_identical(self, request, rng, model,
+                                             use_as):
+        weights = request.getfixturevalue(model)
+        mlp = SparseInferMLP(weights, use_actual_sparsity=use_as)
+        for _ in range(4):
+            x = rng.standard_normal(weights.config.d_model).astype(np.float32)
+            for skip in self.masks(weights, x, rng):
+                mlp.reset_stats()
+                out = mlp.run_with_skip(0, x, skip)
+                ref, ref_stats = boolean_mask_reference(mlp, 0, x, skip)
+                assert out.dtype == np.float32
+                np.testing.assert_array_equal(out, ref)
+                assert mlp.stats == ref_stats
+
+    def test_edge_masks_give_float32_zeros(self, wide_weights, rng):
+        mlp = SparseInferMLP(wide_weights)
+        x = rng.standard_normal(wide_weights.config.d_model).astype(np.float32)
+        *_, all_skipped, _, relu_dead = self.masks(wide_weights, x, rng)
+        for skip in (all_skipped, relu_dead):
+            out = mlp.run_with_skip(0, x, skip)
+            assert out.dtype == np.float32 and not out.any()
+        assert mlp.stats.rows_skipped_down == 2 * wide_weights.config.d_ff
+
+    def test_float64_input_returns_float32(self, wide_weights, rng):
+        mlp = SparseInferMLP(wide_weights)
+        x = rng.standard_normal(wide_weights.config.d_model)
+        skip = rng.random(wide_weights.config.d_ff) < 0.5
+        out = mlp.run_with_skip(0, x, skip)
+        assert x.dtype == np.float64 and out.dtype == np.float32
+        np.testing.assert_allclose(
+            out, mlp.run_with_skip(0, x.astype(np.float32), skip),
+            rtol=1e-4, atol=1e-6,
+        )
 
 
 class TestConstruction:
