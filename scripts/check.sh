@@ -23,7 +23,7 @@ if [ "$#" -eq 0 ]; then
         tests/test_batch_attention.py tests/test_benchmark_surface.py
     # The e2e benchmark's own self-tests (about 1 s).  The knob-landing
     # test has been red since the engine's knob set changed; re-landing
-    # the benchmark surface is ROADMAP item 3(i), so it is deselected
+    # the benchmark surface is ROADMAP item 5(i), so it is deselected
     # until then rather than left to fail the gate.
     python -m pytest -x -q benchmarks/e2e/tests \
         --deselect "benchmarks/e2e/tests/test_e2e_surface.py::test_every_serve_all_on_knob_is_still_accepted_at_landing"

@@ -94,6 +94,8 @@ HOT_FUNCTIONS: Dict[Tuple[str, str], FrozenSet[str]] = {
         frozenset({"packed_x", "px", "self.words", "self.n_rows"}),
     ("src/repro/serving/batch_mlp.py", "BatchedSparseInferMLP.run_batch"):
         frozenset({"xs", "xs_t", "batch", "prediction", "h", "k"}),
+    ("src/repro/model/mlp.py", "DenseMLP.run_tokens"):     # dense prefill
+        frozenset({"xs", "xs_t", "h"}),
     # The scalar token path build_engine and batch-1 serving share: gate
     # rows and cached positions.  The layer loop is not per-element work.
     ("src/repro/core/sparse_mlp.py", "SparseInferMLP.run_with_skip"):

@@ -16,7 +16,9 @@ module computes the same attention for a whole decode batch at once:
    padding per row is counted in :class:`AttentionTelemetry`, not
    avoided: splitting the batch into length buckets measured no faster
    end to end.
-3. Scores and context reduce as one stacked matmul per layer, not B.
+3. Scores and context reduce as one stacked BLAS matmul per layer, not
+   B (2-3x faster than c_einsum's loops); :func:`masked_softmax`, the
+   in-place softmax between them, also serves chunked prefill.
 
 Numerics: the batched matmuls may round differently from the scalar
 GEMVs, so batch > 1 output is *token-identical*, not bit-identical, to
@@ -74,6 +76,21 @@ class AttentionTelemetry:
         )
 
 
+def masked_softmax(scores: np.ndarray, neg_mask: np.ndarray,
+                   head_dim: int) -> np.ndarray:
+    """Scaled softmax of float32 ``scores`` over the last axis, in place.
+
+    ``neg_mask`` is additive, 0 where a key is visible and -inf where
+    not: exp(-inf) == 0, so a masked key's weight is exactly 0.
+    """
+    scores /= np.float32(np.sqrt(head_dim))   # float32 scale, see inference.py
+    scores += neg_mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
 class StepPlan:
     """One decode step's padded attention, shared by all layers.
 
@@ -98,9 +115,6 @@ class StepPlan:
         cos, sin = zip(*(tables[p] for p in positions))
         self.cos = np.concatenate(cos)[:, None, :]
         self.sin = np.concatenate(sin)[:, None, :]
-        # Additive mask: 0 inside a row's length, -inf past it.
-        # finite + -inf == -inf exactly, so adding it in place is as
-        # exact as np.where without allocating a fresh scores array.
         self.neg_mask = np.where(
             np.arange(l_max)[None, None, :] < self.lengths[:, None, None],
             np.float32(0.0), np.float32(-np.inf),
@@ -142,18 +156,10 @@ class StepPlan:
         kh = keys.reshape(batch, l_max, n_heads, head_dim).transpose(0, 2, 1, 3)
         vh = values.reshape(batch, l_max, n_heads, head_dim).transpose(0, 2, 1, 3)
 
-        # matmul on the strided head views, not einsum: the stacked
-        # (B, h) BLAS dispatch (strides become lda/ldb, no materialised
-        # transpose) is 2-3x faster than c_einsum's loops at decode
-        # shapes, and out= into the per-step buffers keeps the step free
-        # of large per-layer temporaries.
+        # out= into the per-step buffers keeps the step free of large
+        # per-layer temporaries.
         np.matmul(kh, qr[..., None], out=self.scores)
-        scores = self.scores[..., 0]                      # (B, h, l_max)
-        scores /= np.float32(np.sqrt(head_dim))  # float32 scale, see inference.py
-        scores += self.neg_mask         # -inf past each row's length
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)      # exp(-inf) == 0: padded rows exact
-        scores /= scores.sum(axis=-1, keepdims=True)
+        masked_softmax(self.scores[..., 0], self.neg_mask, head_dim)
         probs = self.scores.transpose(0, 1, 3, 2)         # (B, h, 1, l_max)
         np.matmul(probs, vh, out=self.ctx)
         return self.ctx.reshape(batch, cfg.d_model)

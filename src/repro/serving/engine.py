@@ -47,7 +47,9 @@ import numpy as np
 from ..core.alpha import AlphaSchedule
 from ..core.engine import SparseInferSettings
 from ..core.predictor import SparseInferPredictor
-from ..model.batch_attention import AttentionTelemetry, BatchedAttention
+from ..model.batch_attention import (
+    AttentionTelemetry, BatchedAttention, masked_softmax,
+)
 from ..model.inference import forward_token_single
 from ..model.paged_kvcache import (
     DEFAULT_PAGE_SIZE,
@@ -234,32 +236,21 @@ class BatchedEngine:
         total = base + n_tokens
         positions = np.arange(base, total)
         cos, sin = rope_tables(positions, head_dim, cfg.rope_theta)
+        cos, sin = cos[:, None, :], sin[:, None, :]      # (T, 1, hd/2)
         causal = np.arange(total)[None, :] <= positions[:, None]
+        neg_mask = np.where(causal, np.float32(0.0), np.float32(-np.inf))
 
         def attend(layer, q, k, v):
-            qh = apply_rope(
-                q.reshape(n_tokens, n_heads, head_dim).transpose(1, 0, 2),
-                cos, sin,
-            )                                            # (h, T, hd)
-            kh = apply_rope(
-                k.reshape(n_tokens, n_heads, head_dim).transpose(1, 0, 2),
-                cos, sin,
-            )
-            slot.append_rows(
-                layer, kh.transpose(1, 0, 2).reshape(n_tokens, cfg.d_model),
-                v, base,
-            )
+            # RoPE and the stacked head matmuls as in StepPlan.attend_layer.
+            qr = apply_rope(q.reshape(n_tokens, n_heads, head_dim), cos, sin)
+            kr = apply_rope(k.reshape(n_tokens, n_heads, head_dim), cos, sin)
+            slot.append_rows(layer, kr.reshape(n_tokens, cfg.d_model), v, base)
             keys, values = slot.view(layer, total)       # (L, d)
-            ck = keys.reshape(total, n_heads, head_dim).transpose(1, 0, 2)
+            ck = keys.reshape(total, n_heads, head_dim).transpose(1, 2, 0)
             cv = values.reshape(total, n_heads, head_dim).transpose(1, 0, 2)
-            scores = np.einsum("hqd,htd->hqt", qh, ck) / np.float32(
-                np.sqrt(head_dim))           # float32 scale, see inference.py
-            scores = np.where(causal[None, :, :], scores, -np.inf)
-            scores -= scores.max(axis=-1, keepdims=True)
-            probs = np.exp(scores)
-            probs /= probs.sum(axis=-1, keepdims=True)
-            ctx = np.einsum("hqt,htd->qhd", probs, cv)
-            return ctx.reshape(n_tokens, cfg.d_model)
+            scores = np.matmul(qr.transpose(1, 0, 2), ck)     # (h, T, L)
+            ctx = np.matmul(masked_softmax(scores, neg_mask, head_dim), cv)
+            return ctx.transpose(1, 0, 2).reshape(n_tokens, cfg.d_model)
 
         logits = self._forward_rows(token_ids, attend, mlp_rows, last_only)
         slot.advance(n_tokens)

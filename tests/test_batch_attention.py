@@ -349,6 +349,63 @@ class TestGatherPlans:
                 np.testing.assert_array_equal(values[i, :length], ref_v)
 
 
+def _matmul_forward_chunk(engine, slot, token_ids):
+    """The engine's causal chunk pass with the dense prefill MLP."""
+    return engine._forward_chunk(slot, token_ids,
+                                 engine.prefill_mlp.run_tokens)
+
+
+def _einsum_forward_chunk(engine, slot, token_ids):
+    """Reference: the chunk pass with c_einsum attention and an
+    ``np.where`` causal mask."""
+    cfg = engine.config
+    h, hd = cfg.n_heads, cfg.head_dim
+    base, n_tokens = slot.length, len(token_ids)
+    total = base + n_tokens
+    positions = np.arange(base, total)
+    cos, sin = rope_tables(positions, hd, cfg.rope_theta)
+    causal = np.arange(total)[None, :] <= positions[:, None]
+
+    def attend(layer, q, k, v):
+        qh = apply_rope(q.reshape(n_tokens, h, hd).transpose(1, 0, 2),
+                        cos, sin)
+        kh = apply_rope(k.reshape(n_tokens, h, hd).transpose(1, 0, 2),
+                        cos, sin)
+        slot.append_rows(
+            layer, kh.transpose(1, 0, 2).reshape(n_tokens, cfg.d_model),
+            v, base,
+        )
+        keys, values = slot.view(layer, total)
+        ck = keys.reshape(total, h, hd).transpose(1, 0, 2)
+        cv = values.reshape(total, h, hd).transpose(1, 0, 2)
+        scores = np.einsum("hqd,htd->hqt", qh, ck) / np.float32(np.sqrt(hd))
+        scores = np.where(causal[None, :, :], scores, -np.inf)
+        scores -= scores.max(axis=-1, keepdims=True)
+        probs = np.exp(scores)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        ctx = np.einsum("hqt,htd->qhd", probs, cv)
+        return ctx.reshape(n_tokens, cfg.d_model)
+
+    logits = engine._forward_rows(token_ids, attend,
+                                  engine.prefill_mlp.run_tokens)
+    slot.advance(n_tokens)
+    return logits
+
+
+def _assert_chunks_close(got, ref, n_layers):
+    """Logits and cached K/V of two chunk passes agree to ``rtol=1e-5``."""
+    (slot, logits), (ref_slot, ref_logits) = got, ref
+    assert logits.dtype == np.float32
+    np.testing.assert_allclose(logits, ref_logits, rtol=1e-5, atol=1e-6)
+    np.testing.assert_array_equal(logits.argmax(axis=-1),
+                                  ref_logits.argmax(axis=-1))
+    assert slot.length == ref_slot.length
+    for layer in range(n_layers):
+        for kv, ref_kv in zip(slot.view(layer, slot.length),
+                              ref_slot.view(layer, ref_slot.length)):
+            np.testing.assert_allclose(kv, ref_kv, rtol=1e-5, atol=1e-6)
+
+
 class TestChunkedPrefill:
     @pytest.mark.parametrize("chunk", [1, 2, 5, 64])
     def test_token_identical_generation(self, micro_weights, chunk):
@@ -385,6 +442,66 @@ class TestChunkedPrefill:
         )
         assert report.forked_admissions > 0
         assert chunked == oracle_tokens(micro_weights, requests)
+
+    @pytest.mark.parametrize("prefix", [(), SHARED_PREFIX[:7]])
+    @pytest.mark.parametrize("j", [1, 6])
+    def test_causality_is_exact(self, micro_weights, prefix, j):
+        """-inf gives every later key an exact 0 weight: two chunks that
+        differ only at position j leave bit-identical K/V and output
+        rows before j."""
+        chunk_a = list(MIXED_PROMPTS[5])
+        chunk_b = list(chunk_a)
+        chunk_b[j] = (chunk_a[j] + 1) % micro_weights.config.vocab_size
+        runs = []
+        for chunk in (chunk_a, chunk_b):
+            engine = build_batched_engine(micro_weights, max_batch_size=1,
+                                          page_size=3)
+            slot = engine.cache.allocate()
+            if prefix:
+                engine.prefill(slot, prefix)
+            runs.append((slot, _matmul_forward_chunk(engine, slot, chunk)))
+        (slot_a, logits_a), (slot_b, logits_b) = runs
+        assert np.isfinite(logits_a).all() and np.isfinite(logits_b).all()
+        np.testing.assert_array_equal(logits_a[:j], logits_b[:j])
+        assert not np.array_equal(logits_a[j], logits_b[j])
+        before = len(prefix) + j
+        for layer in range(micro_weights.config.n_layers):
+            for kv_a, kv_b in zip(slot_a.view(layer, before),
+                                  slot_b.view(layer, before)):
+                np.testing.assert_array_equal(kv_a, kv_b)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 32])
+    def test_matches_einsum_form(self, micro_weights, chunk):
+        """Stacked matmuls + additive mask agree with the c_einsum +
+        ``np.where`` formulation to the prefill contract, at base 0 and
+        at every later chunk's non-zero base."""
+        prompt = list(SHARED_PREFIX + MIXED_PROMPTS[5] + MIXED_PROMPTS[1])
+        results = []
+        for forward in (_matmul_forward_chunk, _einsum_forward_chunk):
+            engine = build_batched_engine(micro_weights, max_batch_size=1,
+                                          page_size=3)
+            slot = engine.cache.allocate()
+            logits = np.concatenate([
+                forward(engine, slot, prompt[start:start + chunk])
+                for start in range(0, len(prompt), chunk)
+            ])
+            results.append((slot, logits))
+        _assert_chunks_close(*results, n_layers=micro_weights.config.n_layers)
+
+    def test_forked_chunk_straddling_a_page_matches_einsum_form(
+        self, micro_weights
+    ):
+        donor_prompt = list(SHARED_PREFIX + (8, 2))
+        results = []
+        for forward in (_matmul_forward_chunk, _einsum_forward_chunk):
+            engine = build_batched_engine(micro_weights, max_batch_size=2,
+                                          page_size=3, prefix_sharing=True)
+            donor = engine.cache.allocate()
+            forward(engine, donor, donor_prompt)
+            slot = engine.cache.fork(donor, len(SHARED_PREFIX))
+            # Positions 17..19: the copied partial page, then a new one.
+            results.append((slot, forward(engine, slot, [7, 1, 4])))
+        _assert_chunks_close(*results, n_layers=micro_weights.config.n_layers)
 
     def test_sparse_prefill_executor_fallback(self, micro_weights):
         """Executors without run_tokens (sparse prefill) still work."""

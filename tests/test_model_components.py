@@ -10,6 +10,7 @@ from repro.model.config import (
     tiny_7b_role,
 )
 from repro.model.kvcache import KVCache
+from repro.model.mlp import DenseMLP
 from repro.model.norm import rmsnorm
 from repro.model.rope import apply_rope, rope_tables
 from repro.model.tokenizer import CharTokenizer
@@ -179,6 +180,34 @@ class TestKVCache:
         cache.advance()
         cache.reset()
         assert cache.length == 0
+
+
+class TestDenseMLP:
+    @pytest.mark.parametrize("activation", ["relu", "silu", "fatrelu"])
+    def test_run_tokens_matches_rowwise_run(self, rng, activation):
+        cfg = ModelConfig(name="m", vocab_size=10, d_model=32, n_layers=2,
+                          n_heads=2, d_ff=64, activation=activation,
+                          fatrelu_threshold=0.1)
+        mlp = DenseMLP(random_weights(cfg, seed=3))
+        xs = rng.standard_normal((5, cfg.d_model)).astype(np.float32)
+        for layer in range(cfg.n_layers):
+            out = mlp.run_tokens(layer, xs)
+            assert out.dtype == np.float32
+            np.testing.assert_allclose(
+                out, np.stack([mlp.run(layer, x) for x in xs]),
+                rtol=1e-5, atol=1e-6,
+            )
+
+    def test_run_tokens_accounts_per_token(self, micro_weights, rng):
+        mlp = DenseMLP(micro_weights)
+        k = micro_weights.config.d_ff
+        xs = rng.standard_normal(
+            (7, micro_weights.config.d_model)).astype(np.float32)
+        calls = rows = 0
+        for n_tokens in (1, 3, 7):
+            mlp.run_tokens(1, xs[:n_tokens])
+            calls, rows = calls + n_tokens, rows + n_tokens * k
+            assert (mlp.stats.calls, mlp.stats.rows_total) == (calls, rows)
 
 
 class TestWeights:
