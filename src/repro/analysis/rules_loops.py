@@ -16,8 +16,8 @@ comprehensions are not flagged: they build per-sequence *metadata*
 (slot lists, rope tables), not per-sequence model compute.
 
 Intentional scalar loops stay, visibly: they carry inline
-``# repro: ignore[scalar-loop]`` markers (today only the scheduler's
-ragged verify loop), and accepted-but-unfixed loops would live in the
+``# repro: ignore[scalar-loop]`` markers (today the scheduler's ragged
+verify loop and the packed prefill pass's per-segment attention), and accepted-but-unfixed loops would live in the
 baseline with a justification (today there are none).
 """
 
@@ -35,16 +35,20 @@ HOT_FUNCTIONS: Dict[Tuple[str, str], FrozenSet[str]] = {
     ("src/repro/serving/engine.py", "BatchedEngine.decode_step"):
         frozenset({"slots", "token_ids"}),
     ("src/repro/serving/engine.py", "BatchedEngine.prefill"):
-        frozenset({"prompt_ids"}),
-    # The one layer loop and its two attention strategies: rows are a
-    # chunk of one slot's positions (`_forward_chunk`: prefill, verify)
-    # or one token per slot (`_forward_batch`: decode, draft).  A `for`
-    # statement over these identifiers would mean per-token or
-    # per-sequence model compute crept back in.
+        frozenset({"prompt_ids", "slots", "lengths"}),
+    # The one layer loop and its two attention strategies: rows are
+    # ragged segments of slots' positions (`_forward_chunk`: packed
+    # prefill, verify) or one token per slot (`_forward_batch`: decode,
+    # draft).  A `for` statement over these identifiers would mean
+    # per-token or per-sequence model compute crept back in.  The packed
+    # pass's per-segment attention loop (`attend`, over `blocks`) is the
+    # one marked exception: causal blocks of different cache lengths.
     ("src/repro/serving/engine.py", "BatchedEngine._forward_rows"):
         frozenset({"token_ids", "x"}),
     ("src/repro/serving/engine.py", "BatchedEngine._forward_chunk"):
-        frozenset({"token_ids", "n_tokens"}),
+        frozenset({"token_ids", "n_tokens", "segments", "blocks"}),
+    ("src/repro/serving/engine.py", "BatchedEngine._forward_chunk.attend"):
+        frozenset({"blocks", "q", "k", "v", "qr", "kr", "ctx"}),
     ("src/repro/serving/engine.py", "BatchedEngine._forward_batch"):
         frozenset({"slots", "token_ids"}),
     # Speculative self-drafting (PR 9): the aggressive-alpha draft

@@ -8,10 +8,12 @@ callers differ only in what the rows are and which attention strategy
 and row-MLP they hand it:
 
 * :meth:`~BatchedEngine.prefill` / :meth:`~BatchedEngine.verify_chunk`
-  -- rows are consecutive positions of *one* slot, attended causally
-  against that slot's cache.  Prefill runs the dense executor (sparsity
-  is a decode-phase optimisation, paper Section V-C); verify runs the
-  serving-alpha sparse executor.
+  -- rows are ragged segments of consecutive positions, one segment per
+  slot, each attended causally against its own slot's cache.  Prefill
+  packs one prompt piece per slot into each pass and runs the dense
+  executor (sparsity is a decode-phase optimisation, paper Section
+  V-C); verify is a one-segment pass through the serving-alpha sparse
+  executor.
 * :meth:`~BatchedEngine.decode_step` / :meth:`~BatchedEngine.draft_step`
   -- rows are the next token of *each* slot, attended as one padded
   K/V stack by :class:`~repro.model.batch_attention.BatchedAttention`
@@ -40,6 +42,7 @@ table, and the ``ServeReport`` telemetry glossary.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,6 +68,13 @@ from .batch_mlp import BatchedSparseInferMLP
 from .speculative import SpecConfig
 
 DEFAULT_PREFILL_CHUNK = 32
+
+
+def _require_distinct(slots: Sequence[PagedKVSlot]) -> None:
+    """One row block per slot per pass: a repeated slot would write two
+    rows to the same position and advance the slot twice."""
+    if len({id(slot) for slot in slots}) != len(slots):
+        raise ValueError("a slot may appear at most once per call")
 
 
 class BatchedEngine:
@@ -103,9 +113,10 @@ class BatchedEngine:
         ``prefix_sharing=True``; 0 (the default) is bit-identical to no
         cache.
     prefill_chunk:
-        Prompt positions per prefill pass: a ``T``-token prompt runs
-        through the layer loop as ``ceil(T / prefill_chunk)`` causal
-        ``(chunk, d)`` passes (one GEMM per projection).  Must be >= 1.
+        Rows per prefill pass: a pack of ``T`` prompt rows (one piece
+        per slot; a whole prompt is a one-piece pack) runs through the
+        layer loop as ``ceil(T / prefill_chunk)`` causal ``(chunk, d)``
+        passes (one GEMM per projection).  Must be >= 1.
     sampling:
         Default :class:`~repro.model.sampler.SamplerConfig` for
         requests that do not carry their own ``Request.sampling``.
@@ -196,14 +207,14 @@ class BatchedEngine:
     # -- forward passes ----------------------------------------------------
 
     def _forward_rows(self, token_ids, attend, mlp_rows,
-                      last_only: bool = False) -> np.ndarray:
+                      last_rows=None) -> np.ndarray:
         """The transformer layer loop over ``(rows, d)`` activations.
 
         ``attend(layer, q, k, v)`` takes the raw ``(rows, d)``
         projections, applies RoPE, appends K/V to the cache and returns
         the pre-``Wo`` context rows; ``mlp_rows(layer, x)`` runs one
         layer's MLP over the normed rows.  Returns ``(rows, vocab)``
-        logits, or only the last row's with ``last_only``.
+        logits, or only the rows indexed by ``last_rows``.
         """
         cfg = self.config
         x = self.weights.tok_embed[token_ids].astype(np.float32)
@@ -215,45 +226,72 @@ class BatchedEngine:
             )
             x = x + ctx @ lw.wo
             x = x + mlp_rows(layer, rmsnorm(x, lw.mlp_norm, cfg.norm_eps))
-        if last_only:
-            x = x[-1]
+        if last_rows is not None:
+            x = x[last_rows]
         final = rmsnorm(x, self.weights.final_norm, cfg.norm_eps)
         return final @ self.weights.lm_head
 
-    def _forward_chunk(self, slot: PagedKVSlot, token_ids: list, mlp_rows,
+    def _forward_chunk(self, segments: Sequence, token_ids: list, mlp_rows,
                        last_only: bool = False) -> np.ndarray:
-        """One causal pass of consecutive positions of one slot.
+        """One causal pass over ragged segments of slots' next positions.
 
         The attention strategy of :meth:`prefill` and
-        :meth:`verify_chunk`: the chunk's ``(T, d)`` queries attend,
-        causally masked, against the slot's cache -- prior positions
-        plus the chunk itself, block-written per layer.
+        :meth:`verify_chunk`.  ``segments`` lists ``(slot, n_rows)``,
+        each slot at most once, and ``token_ids`` holds their rows
+        concatenated in that order.  Embed, norms, projections, ``Wo``,
+        ``mlp_rows`` and the lm-head run as one GEMM over all rows;
+        each segment's queries attend, causally masked, against its own
+        slot's cache -- prior positions plus the segment itself,
+        block-written per layer.  Returns every row's logits, or with
+        ``last_only`` the last row of each segment.
         """
         cfg = self.config
         n_heads, head_dim = cfg.n_heads, cfg.head_dim
-        base = slot.length
         n_tokens = len(token_ids)
-        total = base + n_tokens
-        positions = np.arange(base, total)
-        cos, sin = rope_tables(positions, head_dim, cfg.rope_theta)
+        bases = [slot.length for slot, _ in segments]
+        ends = list(itertools.accumulate(n_rows for _, n_rows in segments))
+        spans = [np.arange(base, base + n_rows)
+                 for base, (_, n_rows) in zip(bases, segments)]
+        cos, sin = rope_tables(np.concatenate(spans), head_dim, cfg.rope_theta)
         cos, sin = cos[:, None, :], sin[:, None, :]      # (T, 1, hd/2)
-        causal = np.arange(total)[None, :] <= positions[:, None]
-        neg_mask = np.where(causal, np.float32(0.0), np.float32(-np.inf))
+        # One causal block per segment: rows end - n_rows .. end hold
+        # positions base .. base + n_rows of the segment's slot.
+        blocks = [
+            (slot, end - n_rows, end, base, np.where(
+                np.arange(base + n_rows)[None, :] <= span[:, None],
+                np.float32(0.0), np.float32(-np.inf),
+            ))
+            for (slot, n_rows), base, end, span
+            in zip(segments, bases, ends, spans)
+        ]
 
         def attend(layer, q, k, v):
             # RoPE and the stacked head matmuls as in StepPlan.attend_layer.
             qr = apply_rope(q.reshape(n_tokens, n_heads, head_dim), cos, sin)
             kr = apply_rope(k.reshape(n_tokens, n_heads, head_dim), cos, sin)
-            slot.append_rows(layer, kr.reshape(n_tokens, cfg.d_model), v, base)
-            keys, values = slot.view(layer, total)       # (L, d)
-            ck = keys.reshape(total, n_heads, head_dim).transpose(1, 2, 0)
-            cv = values.reshape(total, n_heads, head_dim).transpose(1, 0, 2)
-            scores = np.matmul(qr.transpose(1, 0, 2), ck)     # (h, T, L)
-            ctx = np.matmul(masked_softmax(scores, neg_mask, head_dim), cv)
-            return ctx.transpose(1, 0, 2).reshape(n_tokens, cfg.d_model)
+            kr = kr.reshape(n_tokens, cfg.d_model)
+            ctx = np.empty((n_tokens, n_heads, head_dim), dtype=np.float32)
+            # Ragged causal blocks: each segment attends against its own
+            # slot's cache, of its own length.
+            # repro: ignore[scalar-loop] -- one matmul pair per segment
+            for slot, lo, hi, base, neg_mask in blocks:
+                total = base + hi - lo
+                slot.append_rows(layer, kr[lo:hi], v[lo:hi], base)
+                keys, values = slot.view(layer, total)   # (L, d)
+                ck = keys.reshape(total, n_heads, head_dim).transpose(1, 2, 0)
+                cv = values.reshape(total, n_heads, head_dim).transpose(1, 0, 2)
+                scores = np.matmul(qr[lo:hi].transpose(1, 0, 2), ck)
+                ctx[lo:hi] = np.matmul(
+                    masked_softmax(scores, neg_mask, head_dim), cv
+                ).transpose(1, 0, 2)                      # (h, T, hd)
+            return ctx.reshape(n_tokens, cfg.d_model)
 
-        logits = self._forward_rows(token_ids, attend, mlp_rows, last_only)
-        slot.advance(n_tokens)
+        logits = self._forward_rows(
+            token_ids, attend, mlp_rows,
+            [end - 1 for end in ends] if last_only else None,
+        )
+        for slot, n_rows in segments:
+            slot.advance(n_rows)
         return logits
 
     def _forward_batch(
@@ -269,6 +307,7 @@ class BatchedEngine:
             raise ValueError("slots and token_ids must align")
         if not slots:
             raise ValueError("decode_step needs at least one sequence")
+        _require_distinct(slots)
         if len(slots) == 1:
             # Size dispatch, measured: at batch 1 the scalar op sequence
             # beats the plan path (benchmark workload decode_b1 vs
@@ -294,33 +333,65 @@ class BatchedEngine:
         return logits
 
     def prefill(
-        self, slot: PagedKVSlot, prompt_ids: Sequence[int]
+        self, slots, prompt_ids: Sequence[int],
+        lengths: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
-        """Run a prompt into a slot; returns last-position logits.
+        """Run one prompt piece per slot as packed causal passes.
 
-        The prompt advances in causal chunks of ``prefill_chunk``
-        positions through the prefill executor (dense unless
-        ``settings.sparse_prefill``).
+        ``prompt_ids`` is the flat concatenation of the pieces: piece
+        ``i`` is the next ``lengths[i]`` tokens of ``slots[i]``, fed at
+        its current length; each slot appears at most once.  Returns
+        ``(len(slots), vocab)`` logits, row ``i`` from piece ``i``'s
+        last position.  ``prefill(slot, ids)``, without ``lengths``, is
+        the one-piece pack and returns that piece's ``(vocab,)`` row.
+
+        The pack runs through the prefill executor (dense unless
+        ``settings.sparse_prefill``) in passes of at most
+        ``prefill_chunk`` rows; a piece that crosses a pass boundary is
+        cut there, exactly as a long prompt is.  A pass's rows share
+        every GEMM and attend per piece (:meth:`_forward_chunk`).
         """
+        one_piece = lengths is None
+        if one_piece:
+            slots, lengths = [slots], [len(prompt_ids)]
         # len(), not truthiness: a numpy-array prompt satisfies the
         # Sequence[int] annotation but raises on bool().
         if len(prompt_ids) == 0:
             raise ValueError("prefill needs at least one token")
+        if len(slots) != len(lengths):
+            raise ValueError("slots and lengths must align")
+        if min(lengths) < 1 or sum(lengths) != len(prompt_ids):
+            raise ValueError(
+                "lengths must be >= 1 and sum to len(prompt_ids)"
+            )
+        _require_distinct(slots)
         mlp = self.prefill_mlp
         # Executors without a chunk entry point (sparse prefill) run
-        # the chunk row by row; the projections and attention are still
-        # whole-chunk GEMMs.
+        # the pass row by row; the projections and attention are still
+        # whole-pass GEMMs.
         mlp_rows = getattr(mlp, "run_tokens", None) or (
             lambda layer, xs: np.stack([mlp.run(layer, row) for row in xs])
         )
         ids = [int(tok) for tok in prompt_ids]
+        # Piece i holds flat rows starts[i]:ends[i]; plain ints, since
+        # numpy scalars cost more than the planning they would speed up.
+        ends = list(itertools.accumulate(int(n) for n in lengths))
+        starts = [end - int(n) for end, n in zip(ends, lengths)]
         logits = None
-        for start in range(0, len(ids), self.prefill_chunk):
-            logits = self._forward_chunk(
-                slot, ids[start:start + self.prefill_chunk], mlp_rows,
-                last_only=True,
+        for lo in range(0, len(ids), self.prefill_chunk):
+            hi = lo + self.prefill_chunk
+            live = [i for i, (start, end) in enumerate(zip(starts, ends))
+                    if start < hi and end > lo]
+            rows = self._forward_chunk(
+                [(slots[i], min(ends[i], hi) - max(starts[i], lo))
+                 for i in live],
+                ids[lo:hi], mlp_rows, last_only=True,
             )
-        return logits
+            if logits is None:
+                logits = np.empty((len(slots), rows.shape[1]), rows.dtype)
+            done = [j for j, i in enumerate(live) if ends[i] <= hi]
+            logits[[live[j] for j in done]] = rows[done]
+        return logits[0] if one_piece else logits
 
     def decode_step(
         self, slots: Sequence[PagedKVSlot], token_ids: Sequence[int]
@@ -392,12 +463,15 @@ class BatchedEngine:
         Returns all ``(k + 1, vocab)`` logit rows: row ``i`` is the
         serving engine's prediction *after* chunk token ``i``.
         """
+        if len(token_ids) == 0:
+            raise ValueError("verify_chunk needs at least one token")
         if self._verify_mlp is None:
             self._verify_mlp = BatchedSparseInferMLP(
                 weights=self.weights,
                 predictor=self.sparse.predictor,
                 use_actual_sparsity=self.settings.use_actual_sparsity,
             )
+        ids = [int(tok) for tok in token_ids]
         return self._forward_chunk(
-            slot, [int(tok) for tok in token_ids], self._verify_mlp.run_batch,
+            [(slot, len(ids))], ids, self._verify_mlp.run_batch,
         )

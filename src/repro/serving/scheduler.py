@@ -53,17 +53,20 @@ so FIFO is the steady-state order.
 inline, so one long prompt stalls every resident sequence for its whole
 prefill.  With ``step_budget=b > 0`` the tick spends at most ~``b``
 model-fed tokens: each decoding resident costs one (its decode token)
-and the *leftover* budget runs pending prefill as chunks through the
-engine's (chunked-GEMM-capable) prefill path, Sarathi-style -- an
-admitted sequence carries its un-prefilled prompt suffix across ticks
-and only joins the decode batch once the suffix is done and its first
-token is sampled.  A tick with pending prefill always advances it by at
+and the *leftover* budget is planned, oldest admission first, over the
+pending prompt pieces, which then run as **one** packed
+``engine.prefill`` pass (Sarathi-Serve's chunked-prefill batching: the
+pieces share every GEMM and attend per sequence) -- an admitted
+sequence carries its un-prefilled prompt suffix across ticks and only
+joins the decode batch once the suffix is done and its first token is
+sampled.  A tick with pending prefill always advances it by at
 least one token, so admissions finish even when residents alone exceed
 the budget.  Residents' inter-token stall per tick is therefore bounded
 by the budget, not by the longest queued prompt.  Splitting prefill at
-scheduler-chosen boundaries reuses the engine's chunked-prefill
-guarantee (token-identical at any chunk boundaries) -- so any budget
-produces the same tokens per request as ``step_budget=0``.
+scheduler-chosen boundaries and packing the pieces reuse the engine's
+prefill guarantee (token-identical at any chunk boundaries and pack
+composition) -- so any budget produces the same tokens per request as
+``step_budget=0``.
 
 **Preemption.**  With ``preemption=True``, a page- or slot-starved
 admission whose head outranks a resident (strictly greater
@@ -243,7 +246,8 @@ class ServeReport:
     Budgeted-tick / preemption telemetry (PR 6): ``step_budget`` echoes
     the scheduler knob; ``piggybacked_chunks`` / ``piggybacked_tokens``
     count the prefill pieces folded into budgeted ticks alongside
-    decode; ``peak_tick_prefill_tokens`` is the largest number of
+    decode (pieces, one per sequence per tick -- a tick's pieces share
+    one packed pass); ``peak_tick_prefill_tokens`` is the largest number of
     prefill+replay tokens any single tick fed (with a budget ``b`` it
     stays <= ``max(b, 1)``, which is the structural evidence that
     resident decode stalls are bounded by the budget, not by prompt
@@ -1070,7 +1074,9 @@ class ContinuousBatchingScheduler:
         seq.pending_replay = tuple(seq.generated_ids[:-1])
         if self.step_budget == 0:
             try:
-                logits = self._feed_prefill(seq, len(seq.pending_prefill))
+                logits = self._feed_prefill(
+                    [(seq, len(seq.pending_prefill))]
+                )[0]
             except BaseException:
                 # A crashing prefill must not leak the admission's slot
                 # and reserved pages: the request is already popped, so
@@ -1082,20 +1088,27 @@ class ContinuousBatchingScheduler:
             self._replay_tokens(seq, len(seq.pending_replay))
         self.active.append(seq)
 
-    def _feed_prefill(self, seq: _ActiveSequence, take: int) -> np.ndarray:
-        """Prefill the next ``take`` pending prompt tokens of ``seq``.
+    def _feed_prefill(self, pieces: list) -> np.ndarray:
+        """Prefill ``(seq, take)`` pieces -- the next ``take`` pending
+        prompt tokens of each ``seq`` -- as one packed ``engine.prefill``.
 
         The only ``engine.prefill`` call site: inline admission passes
-        the whole suffix, budgeted restoration what the tick can afford.
-        Returns the last fed position's logits.
+        one sequence's whole suffix, budgeted restoration every piece
+        the tick can afford.  Returns ``(len(pieces), vocab)`` logits,
+        row ``i`` from piece ``i``'s last fed position.
         """
-        piece = seq.pending_prefill[:take]
-        seq.pending_prefill = seq.pending_prefill[take:]
+        flat, lengths = [], []
+        for seq, take in pieces:
+            flat.extend(seq.pending_prefill[:take])
+            lengths.append(take)
+            seq.pending_prefill = seq.pending_prefill[take:]
         t0 = time.perf_counter()
-        logits = self.engine.prefill(seq.slot, piece)
+        logits = self.engine.prefill(
+            [seq.slot for seq, _ in pieces], flat, lengths
+        )
         self.report.prefill_seconds += time.perf_counter() - t0
-        self.report.prefill_tokens += take
-        self._tick_prefill_tokens += take
+        self.report.prefill_tokens += len(flat)
+        self._tick_prefill_tokens += len(flat)
         return logits
 
     def _finish_prompt(
@@ -1198,34 +1211,46 @@ class ContinuousBatchingScheduler:
 
         The leftover budget after charging one token per decoding
         resident -- but always at least 1, so restoration cannot stall
-        behind a large decode batch -- is spent oldest-admission-first
-        on pending prefill chunks (prefill path) and then replay tokens
-        (decode path).  A sequence whose prompt completes here samples
-        its first token from the final chunk's logits and, once any
-        replay drains, joins the same tick's decode batch.
+        behind a large decode batch -- is planned oldest-admission-first
+        over pending prefill pieces (prefill path) and then replay
+        tokens (decode path).  Every prefill piece of the tick runs in
+        one packed ``engine.prefill``; then, in admission order, a
+        sequence whose prompt completed samples its first token from
+        its piece's logits and, once any replay drains, joins the same
+        tick's decode batch.  Only a resumed sequence replays, and it
+        never finishes at its prompt, so replays can be planned up front.
         """
         if not any(seq.restoring for seq in self.active):
             return
         n_decoding = sum(1 for seq in self.active if not seq.restoring)
         budget = max(self.step_budget - n_decoding, 1)
         spent = 0
-        for seq in list(self.active):
+        pieces, plan = [], []
+        for seq in [seq for seq in self.active if seq.restoring]:
             if spent >= budget:
                 break
+            piece = None
             if seq.pending_prefill:
                 take = min(len(seq.pending_prefill), budget - spent)
-                logits = self._feed_prefill(seq, take)
-                self.report.piggybacked_chunks += 1
-                self.report.piggybacked_tokens += take
+                piece = len(pieces)
+                pieces.append((seq, take))
                 spent += take
-                if seq.pending_prefill:
+                if take < len(seq.pending_prefill):
                     continue
-                if not self._finish_prompt(seq, logits, finished):
-                    self.active.remove(seq)
-                    continue
-            take = min(len(seq.pending_replay), budget - spent)
-            self._replay_tokens(seq, take)
-            spent += take
+            replay = min(len(seq.pending_replay), budget - spent)
+            spent += replay
+            plan.append((seq, piece, replay))
+        if pieces:
+            logits = self._feed_prefill(pieces)
+            self.report.piggybacked_chunks += len(pieces)
+            self.report.piggybacked_tokens += sum(t for _, t in pieces)
+        for seq, piece, replay in plan:
+            if piece is not None and not self._finish_prompt(
+                seq, logits[piece], finished
+            ):
+                self.active.remove(seq)
+                continue
+            self._replay_tokens(seq, replay)
 
     def _sample_gauges(self, tick: bool) -> None:
         """Refresh the arena and prefix-cache gauges.

@@ -593,4 +593,10 @@ class TestRepoAcceptance:
         assert baseline.entries == {}
         report = run_analysis(REPO_ROOT, default_rules(), baseline=baseline)
         assert report.stale_baseline == []
-        assert len(report.suppressed) == 1     # the ragged verify loop
+        # The two ragged causal-block loops: speculative verify, and the
+        # packed prefill pass's per-segment attention.
+        assert sorted(f.fingerprint.split("::")[2]
+                      for f in report.suppressed) == [
+            "BatchedEngine._forward_chunk.attend",
+            "ContinuousBatchingScheduler._speculate",
+        ]

@@ -1,4 +1,5 @@
-"""Batched decode attention + chunked prefill: equivalence and masking.
+"""Batched decode attention + chunked and packed prefill: equivalence
+and masking.
 
 The contract under test: the serving engine's batched attention and
 chunked prefill decode exactly the tokens the scalar oracle
@@ -351,7 +352,7 @@ class TestGatherPlans:
 
 def _matmul_forward_chunk(engine, slot, token_ids):
     """The engine's causal chunk pass with the dense prefill MLP."""
-    return engine._forward_chunk(slot, token_ids,
+    return engine._forward_chunk([(slot, len(token_ids))], token_ids,
                                  engine.prefill_mlp.run_tokens)
 
 
@@ -399,6 +400,10 @@ def _assert_chunks_close(got, ref, n_layers):
     np.testing.assert_allclose(logits, ref_logits, rtol=1e-5, atol=1e-6)
     np.testing.assert_array_equal(logits.argmax(axis=-1),
                                   ref_logits.argmax(axis=-1))
+    _assert_kv_close(slot, ref_slot, n_layers)
+
+
+def _assert_kv_close(slot, ref_slot, n_layers):
     assert slot.length == ref_slot.length
     for layer in range(n_layers):
         for kv, ref_kv in zip(slot.view(layer, slot.length),
@@ -519,6 +524,116 @@ class TestChunkedPrefill:
         slot = engine.cache.allocate()
         with pytest.raises(ValueError):
             engine.prefill(slot, [])
+
+
+def _pack_scenario(engine, scenario):
+    """Slots and the next piece each prefills, for one pack scenario.
+
+    ``bases``: slots already holding 5, 7 and 17 positions.  ``fork``: a
+    donor and a slot forked from it at position 17, whose piece
+    straddles a page boundary (page_size 3) and copies the shared
+    partial page; the donor's own piece continues its prompt.
+    """
+    alloc = engine.cache.allocate
+    if scenario == "bases":
+        slots = [alloc() for _ in range(3)]
+        for slot, prefix in zip(slots, (SHARED_PREFIX[:5], MIXED_PROMPTS[1],
+                                        SHARED_PREFIX)):
+            engine.prefill(slot, prefix)
+        pieces = [MIXED_PROMPTS[5], MIXED_PROMPTS[0], MIXED_PROMPTS[1]]
+    else:
+        donor = alloc()
+        engine.prefill(donor, SHARED_PREFIX + (8, 2))
+        slots = [alloc(), engine.cache.fork(donor, len(SHARED_PREFIX)),
+                 donor]
+        pieces = [MIXED_PROMPTS[4], (7, 1, 4, 9), (6, 5, 3)]
+    return slots, [list(piece) for piece in pieces]
+
+
+class TestPackedPrefill:
+    """Several slots' pieces as the ragged segments of one pass."""
+
+    @pytest.mark.parametrize("chunk", [4, 64])
+    @pytest.mark.parametrize("scenario", ["bases", "fork"])
+    def test_pack_matches_sequential_prefill(self, micro_weights, scenario,
+                                             chunk):
+        """Logits to ``rtol=1e-5`` with equal argmax, K/V close; with
+        ``chunk`` 4 the pack spans several passes and pieces are cut."""
+        results = []
+        for packed in (True, False):
+            engine = build_batched_engine(
+                micro_weights, max_batch_size=4, page_size=3,
+                prefix_sharing=True, prefill_chunk=chunk,
+            )
+            slots, pieces = _pack_scenario(engine, scenario)
+            if packed:
+                logits = engine.prefill(
+                    slots, sum(pieces, []), [len(p) for p in pieces]
+                )
+            else:
+                logits = np.stack([engine.prefill(slot, piece)
+                                   for slot, piece in zip(slots, pieces)])
+            results.append((slots, logits))
+        (slots, logits), (ref_slots, ref_logits) = results
+        assert logits.shape == (3, micro_weights.config.vocab_size)
+        assert logits.dtype == np.float32
+        np.testing.assert_allclose(logits, ref_logits, rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(logits.argmax(axis=-1),
+                                      ref_logits.argmax(axis=-1))
+        for slot, ref_slot in zip(slots, ref_slots):
+            _assert_kv_close(slot, ref_slot, micro_weights.config.n_layers)
+
+    @pytest.mark.parametrize("chunk", [4, 64])
+    def test_copacked_piece_cannot_leak(self, micro_weights, chunk):
+        """Piece A's logits and K/V are bit-identical whatever tokens a
+        co-packed piece of the same length carries."""
+        piece_a = list(MIXED_PROMPTS[5])
+        runs = []
+        for piece_b in ([5, 3, 8, 6, 2, 9, 4], [1, 1, 7, 2, 8, 3, 3]):
+            engine = build_batched_engine(micro_weights, max_batch_size=2,
+                                          page_size=3, prefill_chunk=chunk)
+            slot_b, slot_a = engine.cache.allocate(), engine.cache.allocate()
+            engine.prefill(slot_a, SHARED_PREFIX[:4])
+            logits = engine.prefill([slot_b, slot_a], piece_b + piece_a,
+                                    [len(piece_b), len(piece_a)])
+            runs.append((slot_a, logits))
+        (slot_1, logits_1), (slot_2, logits_2) = runs
+        np.testing.assert_array_equal(logits_1[1], logits_2[1])
+        assert not np.array_equal(logits_1[0], logits_2[0])
+        for layer in range(micro_weights.config.n_layers):
+            for kv_1, kv_2 in zip(slot_1.view(layer, slot_1.length),
+                                  slot_2.view(layer, slot_2.length)):
+                np.testing.assert_array_equal(kv_1, kv_2)
+
+    def test_one_piece_form_is_the_one_piece_pack(self, micro_weights):
+        prompt = list(SHARED_PREFIX + MIXED_PROMPTS[5])
+        runs = []
+        for packed in (False, True):
+            engine = build_batched_engine(micro_weights, max_batch_size=1,
+                                          page_size=3, prefill_chunk=8)
+            slot = engine.cache.allocate()
+            logits = (engine.prefill([slot], prompt, [len(prompt)])[0]
+                      if packed else engine.prefill(slot, prompt))
+            runs.append((slot, logits))
+        (slot, logits), (ref_slot, ref_logits) = runs
+        assert logits.shape == (micro_weights.config.vocab_size,)
+        np.testing.assert_array_equal(logits, ref_logits)
+        for layer in range(micro_weights.config.n_layers):
+            for kv, ref_kv in zip(slot.view(layer, slot.length),
+                                  ref_slot.view(layer, ref_slot.length)):
+                np.testing.assert_array_equal(kv, ref_kv)
+
+    def test_validation(self, micro_weights):
+        engine = build_batched_engine(micro_weights, max_batch_size=2)
+        a, b = engine.cache.allocate(), engine.cache.allocate()
+        with pytest.raises(ValueError, match="align"):
+            engine.prefill([a, b], [1, 2, 3], [3])
+        for lengths in ([3, 0], [1, 1], [2, 2]):
+            with pytest.raises(ValueError, match="lengths"):
+                engine.prefill([a, b], [1, 2, 3], lengths)
+        with pytest.raises(ValueError):
+            engine.prefill([], [], [])
+        assert a.length == b.length == 0
 
 
 class TestTelemetry:

@@ -206,6 +206,39 @@ class TestBatchedEngineEquivalence:
         assert serving.PrefixIndex is paged_kvcache.PrefixIndex
 
 
+class TestEngineFrontDoor:
+    """Malformed calls raise instead of corrupting a slot."""
+
+    @pytest.mark.parametrize("step", ["decode_step", "draft_step"])
+    def test_repeated_slot_in_one_step_raises(self, micro_weights, step):
+        """Measured before the check: ``decode_step([s, s], ...)`` wrote
+        both rows to position L and advanced the slot twice (3 -> 5),
+        leaving position L + 1 unwritten."""
+        engine = build_batched_engine(micro_weights, max_batch_size=2)
+        slot, other = engine.cache.allocate(), engine.cache.allocate()
+        engine.prefill(slot, PROMPTS[0])
+        engine.prefill(other, PROMPTS[1])
+        kwargs = {"draft_alpha": 0.8} if step == "draft_step" else {}
+        with pytest.raises(ValueError, match="at most once"):
+            getattr(engine, step)([slot, other, slot], [1, 2, 3], **kwargs)
+        assert (slot.length, other.length) == (3, 2)
+
+    def test_packed_prefill_repeated_slot_raises(self, micro_weights):
+        engine = build_batched_engine(micro_weights, max_batch_size=2)
+        slot = engine.cache.allocate()
+        with pytest.raises(ValueError, match="at most once"):
+            engine.prefill([slot, slot], [1, 2, 3], [2, 1])
+        assert slot.length == 0
+
+    def test_empty_verify_chunk_raises(self, micro_weights):
+        engine = build_batched_engine(micro_weights, max_batch_size=1)
+        slot = engine.cache.allocate()
+        engine.prefill(slot, PROMPTS[0])
+        with pytest.raises(ValueError, match="at least one token"):
+            engine.verify_chunk(slot, [])
+        assert slot.length == 3
+
+
 def _correlated_batch(rng, batch, d):
     """Rows near one direction, so the skip intersection is non-trivial."""
     base = rng.standard_normal(d)
@@ -1078,6 +1111,56 @@ class TestBudgetedScheduling:
         assert report.ttft_seconds_percentile(50) > 0.0
         assert report.itl_seconds_percentile(50) <= \
             report.itl_seconds_percentile(99) <= report.max_itl_seconds
+
+    def test_shared_prefix_fleet_packs_one_prefill_per_tick(
+        self, micro_weights
+    ):
+        """Every prefill piece of a budgeted tick runs in one packed
+        ``engine.prefill`` call; tokens and piece/token counters are
+        what one call per piece would give."""
+        requests = shared_prefix_requests(
+            TestCorrelationAwareScheduler.BASE, 8, 8, suffix_len=5,
+            max_new_tokens=5,
+        )
+        expected = reference_generations(
+            micro_weights, [r.prompt_ids for r in requests], 5
+        )
+        runs = {}
+        for budget in (0, 20):
+            engine = build_batched_engine(
+                micro_weights, max_batch_size=4, page_size=4,
+                prefix_sharing=True, prefill_chunk=8,
+            )
+            scheduler = ContinuousBatchingScheduler(
+                engine, step_budget=budget, reorder_window=4,
+            )
+            calls = []          # (tick, pieces, tokens) per engine.prefill
+            prefill = engine.prefill
+
+            def counted(slots, prompt_ids, lengths=None):
+                calls.append((scheduler.step_count, len(slots),
+                              len(prompt_ids)))
+                return prefill(slots, prompt_ids, lengths)
+
+            engine.prefill = counted
+            for request in requests:
+                scheduler.submit(request)
+            report = scheduler.run()
+            tokens = [c.generated_ids for c in sorted(
+                report.completions, key=lambda c: c.request_id)]
+            runs[budget] = (tokens, report, calls)
+        assert runs[0][0] == runs[20][0] == expected
+
+        _, report, calls = runs[20]
+        ticks = [tick for tick, _, _ in calls]
+        assert len(ticks) == len(set(ticks))          # <= 1 pass per tick
+        assert max(pieces for _, pieces, _ in calls) > 1
+        assert report.forked_admissions > 0
+        assert report.piggybacked_chunks == sum(p for _, p, _ in calls)
+        assert report.piggybacked_tokens == report.prefill_tokens == \
+            sum(n for _, _, n in calls)
+        assert report.peak_tick_prefill_tokens == \
+            max(n for _, _, n in calls) <= 20
 
     def test_measure_batched_serving_budget_knobs(self, micro_weights):
         requests = make_requests(3)
