@@ -1,7 +1,6 @@
 """Cross-request prefix cache vs resident-only sharing on bursty traffic.
 
-Prefix sharing (``bench_prefix_sharing.py``) forks a *resident* donor's
-pages, so it only helps while same-prefix requests overlap in time.  A
+Prefix sharing forks a *resident* donor's pages, so it only helps while same-prefix requests overlap in time.  A
 bursty few-shot workload -- one request at a time, each finishing before
 the next arrives -- defeats it completely: by the time a request is
 admitted, its prefix twin has already retired and freed its pages, so
@@ -101,8 +100,7 @@ def drain_bursty(weights, requests, cache_pages):
     """
     engine = build_batched_engine(
         weights, max_batch_size=MAX_BATCH, max_seq_len=MAX_SEQ_LEN,
-        page_size=PAGE_SIZE, n_pages=BUDGET_PAGES,
-        prefix_sharing=True, cache_pages=cache_pages,
+        page_size=PAGE_SIZE, n_pages=BUDGET_PAGES, cache_pages=cache_pages,
     )
     scheduler = ContinuousBatchingScheduler(engine)
     for request in requests:

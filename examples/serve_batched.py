@@ -130,8 +130,9 @@ def main() -> None:
           f"utilisation), tokens identical to the full budget: {same}")
 
     # Few-shot style workload: every prompt carries the same solved
-    # exemplars, so prefix sharing forks the resident prefix pages
-    # (refcounted, copy-on-write) instead of re-prefilling them, and the
+    # exemplars, so a request admitted after its prefix twin finished
+    # prefilling forks the resident prefix pages (refcounted,
+    # copy-on-write) instead of re-prefilling them, and the
     # correlation-aware window keeps the batch's skip intersection above
     # the independent skip^B decay.
     from repro.workloads import fewshot
@@ -143,9 +144,7 @@ def main() -> None:
         for i, s in enumerate(shots)
     ]
     sharing = build_batched_engine(weights, settings, predictor=predictor,
-                                   max_batch_size=4,
-                                   page_size=page_size,
-                                   prefix_sharing=True)
+                                   max_batch_size=4, page_size=page_size)
     sharing_scheduler = ContinuousBatchingScheduler(sharing,
                                                     reorder_window=4)
     for request in shared_requests:
@@ -178,7 +177,6 @@ def main() -> None:
                                       predictor=predictor,
                                       max_batch_size=4,
                                       page_size=page_size,
-                                      prefix_sharing=True,
                                       cache_pages=cache_pages)
         scheduler = ContinuousBatchingScheduler(engine)
         for request in shared_requests:
@@ -206,12 +204,12 @@ def main() -> None:
           f"to cold prefill: {same_bursty}")
 
     # Budgeted ticks + preemption: a long prompt arrives while short
-    # requests are decoding.  Inline admission prefill stalls every
-    # resident for the whole prompt; step_budget piggybacks the prefill
-    # in bounded per-tick chunks, and preemption=True lets a
-    # higher-priority head evict a lower-priority resident (prompt
-    # prefix parked, generated tokens replayed on resume) rather than
-    # wait for a seat.  Tokens stay identical either way.
+    # requests are decoding.  step_budget piggybacks its prefill in
+    # bounded per-tick pieces, so a small budget bounds every
+    # resident's stall and a large one finishes the prompt sooner; and
+    # preemption=True lets a higher-priority head evict a lower-priority
+    # resident (prompt prefix parked, generated tokens replayed on
+    # resume) rather than wait for a seat.  Tokens stay identical.
     long_prompt = tuple(tokenizer.encode(shots[0].prompt * 3))[:96]
     mixed = [
         Request(request_id=i, prompt_ids=tuple(tokenizer.encode(s.prompt)),
@@ -224,33 +222,33 @@ def main() -> None:
         engine = build_batched_engine(weights, settings,
                                       predictor=predictor,
                                       max_batch_size=max_batch_size,
-                                      page_size=page_size,
-                                      prefix_sharing=True, cache_pages=8,
-                                      prefill_chunk=16)
+                                      page_size=page_size, cache_pages=8)
         scheduler = ContinuousBatchingScheduler(
             engine, step_budget=step_budget, preemption=preemption)
         for request in mixed:
             scheduler.submit(request)
         return scheduler.run()
 
-    inline_report = drain_mixed(step_budget=0, preemption=False)
+    small_report = drain_mixed(step_budget=2, preemption=False)
     budget_report = drain_mixed(step_budget=24, preemption=True,
                                 max_batch_size=3)
     same_budget = (
-        {c.request_id: c.generated_ids for c in inline_report.completions}
+        {c.request_id: c.generated_ids for c in small_report.completions}
         == {c.request_id: c.generated_ids for c in budget_report.completions}
     )
-    print(f"\nbudgeted ticks + preemption (step_budget=24, 3 seats, one "
-          f"priority-1 arrival): worst tick prefill feed "
-          f"{inline_report.peak_tick_prefill_tokens} -> "
+    print(f"\nbudgeted ticks (one priority-1 arrival): step_budget 2 vs "
+          f"24 with 3 seats + preemption: worst tick prefill feed "
+          f"{small_report.peak_tick_prefill_tokens} vs "
           f"{budget_report.peak_tick_prefill_tokens} tokens, "
-          f"{budget_report.piggybacked_chunks} piggybacked chunks, "
-          f"{budget_report.preemptions} preemption(s), "
-          f"{budget_report.resumed_admissions} resume(s) replaying "
-          f"{budget_report.replayed_tokens} tokens; max ITL "
-          f"{inline_report.max_itl_seconds * 1e3:.2f}ms -> "
-          f"{budget_report.max_itl_seconds * 1e3:.2f}ms; tokens identical: "
-          f"{same_budget}")
+          f"{small_report.decode_steps} vs {budget_report.decode_steps} "
+          f"decode ticks, max ITL "
+          f"{small_report.max_itl_seconds * 1e3:.2f} vs "
+          f"{budget_report.max_itl_seconds * 1e3:.2f}ms; the budget-24 "
+          f"run piggybacked {budget_report.piggybacked_chunks} chunks, "
+          f"preempted {budget_report.preemptions} time(s) and replayed "
+          f"{budget_report.replayed_tokens} tokens on "
+          f"{budget_report.resumed_admissions} resume(s); tokens "
+          f"identical: {same_budget}")
 
     # Per-request sampling: each Request can carry its own SamplerConfig
     # (temperature / top-k / top-p / seed); the scheduler samples the

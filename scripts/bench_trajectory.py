@@ -45,17 +45,6 @@ def _batched_sampling(payload: dict) -> tuple[str, str]:
     )
 
 
-def _interleaved_prefill(payload: dict) -> tuple[str, str]:
-    inline = payload["inline"]["resident_max_itl_ms"]
-    budgeted = payload["budgeted"]["resident_max_itl_ms"]
-    ratio = inline / budgeted if budgeted else float("inf")
-    return (
-        f"{ratio:.2f}x lower max ITL",
-        f"resident stall {inline:.1f} -> {budgeted:.1f} ms under "
-        f"step_budget={payload['budgeted']['step_budget']}",
-    )
-
-
 def _prefix_cache(payload: dict) -> tuple[str, str]:
     cached = payload["prefix_cache"]
     return (
@@ -92,7 +81,6 @@ def _goodput(payload: dict) -> tuple[str, str]:
 EXTRACTORS = {
     "speculative": _speculative,
     "batched_sampling": _batched_sampling,
-    "interleaved_prefill": _interleaved_prefill,
     "prefix_cache": _prefix_cache,
     "serving_throughput": _serving_throughput,
     "overload_goodput": _goodput,

@@ -23,7 +23,7 @@ if [ "$#" -eq 0 ]; then
         tests/test_batch_attention.py tests/test_benchmark_surface.py
     # The e2e benchmark's own self-tests (about 1 s).  The knob-landing
     # test has been red since the engine's knob set changed; re-landing
-    # the benchmark surface is ROADMAP item 5(i), so it is deselected
+    # the benchmark surface is ROADMAP item 2(i), so it is deselected
     # until then rather than left to fail the gate.
     python -m pytest -x -q benchmarks/e2e/tests \
         --deselect "benchmarks/e2e/tests/test_e2e_surface.py::test_every_serve_all_on_knob_is_still_accepted_at_landing"
@@ -36,16 +36,12 @@ if [ "$#" -eq 0 ]; then
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.analysis
 fi
 # Slow smokes of the paged-KV benchmark (equal-budget >= 2x concurrency
-# and batch=1 token-identity), the prefix-sharing benchmark (>= 1.5x
-# concurrency from forked admission, intersection decays slower than
-# skip^B), the prefix-cache benchmark (>= 50% of prompt tokens revived
-# on bursty non-overlapping traffic, tokens identical to cold prefill),
-# the interleaved-prefill benchmark (budgeted ticks bound the worst tick
-# feed to step_budget and shave the residents' max inter-token stall,
-# tokens identical to inline prefill), and the batched-sampling
-# benchmark (one vectorised sampler call beats the per-row scalar loop
-# at batch >= 4, draws identical, serving tokens invariant to batch
-# composition), and the speculative-decoding benchmark (draft_alpha x k
+# and batch=1 token-identity), the prefix-cache benchmark (>= 50% of
+# prompt tokens revived on bursty non-overlapping traffic, tokens
+# identical to cold prefill), the batched-sampling benchmark (one
+# vectorised sampler call beats the per-row scalar loop at batch >= 4,
+# draws identical, serving tokens invariant to batch composition), the
+# speculative-decoding benchmark (draft_alpha x k
 # sweep, tokens identical to speculation=None at every point, best
 # point >= 1.3x decode wall-clock; JSON into benchmarks/results/), and
 # the overload-goodput benchmark (seeded Poisson + bursty traces at
@@ -55,9 +51,7 @@ fi
 if [ "${CHECK_SLOW:-0}" = "1" ]; then
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q \
         -m slow -p no:cacheprovider benchmarks/bench_paged_kv.py \
-        benchmarks/bench_prefix_sharing.py \
         benchmarks/bench_prefix_cache.py \
-        benchmarks/bench_interleaved_prefill.py \
         benchmarks/bench_batched_sampling.py \
         benchmarks/bench_speculative.py \
         benchmarks/bench_overload_goodput.py

@@ -59,12 +59,10 @@ def build_powerinfer_engine(
     weights: ModelWeights,
     predictor: DejaVuPredictor,
     trace_mlp_inputs: bool = False,
-    sparse_prefill: bool = False,
 ) -> InferenceModel:
     """A PowerInfer-role engine (dense prefill, sparse decode)."""
-    sparse = PowerInferMLP(weights=weights, predictor=predictor)
-    prefill = sparse if sparse_prefill else DenseMLP(weights)
     return InferenceModel(
-        weights, mlp=sparse, prefill_mlp=prefill,
+        weights, mlp=PowerInferMLP(weights=weights, predictor=predictor),
+        prefill_mlp=DenseMLP(weights),
         trace_mlp_inputs=trace_mlp_inputs,
     )

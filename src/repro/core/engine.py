@@ -27,7 +27,6 @@ class SparseInferSettings:
     alpha_early: Optional[float] = None   # alpha for the first n_early layers
     n_early_layers: int = 20              # the paper's choice for 7B and 13B
     use_actual_sparsity: bool = True
-    sparse_prefill: bool = False          # paper: prefill stays dense
 
     def __post_init__(self):
         check_alpha(self.alpha)
@@ -78,11 +77,10 @@ def build_engine(
         predictor=predictor,
         use_actual_sparsity=settings.use_actual_sparsity,
     )
-    prefill = sparse if settings.sparse_prefill else DenseMLP(weights)
     return InferenceModel(
         weights,
         mlp=sparse,
-        prefill_mlp=prefill,
+        prefill_mlp=DenseMLP(weights),
         trace_mlp_inputs=trace_mlp_inputs,
     )
 

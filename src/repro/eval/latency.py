@@ -42,9 +42,8 @@ from ..gpu.pipeline import (
 )
 from ..model.config import ModelConfig
 from ..model.synthetic import SyntheticActivationModel
-from ..serving.engine import DEFAULT_PREFILL_CHUNK
 from ..serving.request import Completion
-from ..serving.scheduler import ServeReport
+from ..serving.scheduler import DEFAULT_STEP_BUDGET, ServeReport
 
 POWERINFER_REALIZED_SKIP = 0.84
 PAPER_ALPHA_GRID = (1.00, 1.01, 1.02, 1.03)
@@ -188,14 +187,10 @@ def measure_batched_serving(scheduler, requests) -> ServingMeasurement:
         scheduler.submit(request)
     report = scheduler.run()
     engine = scheduler.engine
-    label = f"batched(B<={scheduler.max_batch_size})"
-    if engine.prefix_sharing:
-        label += "+prefix"
+    label = f"batched(B<={engine.max_batch_size})"
     if engine.cache_pages:
         label += f"+cache{engine.cache_pages}"
-    if engine.prefill_chunk != DEFAULT_PREFILL_CHUNK:
-        label += f"+chunk{engine.prefill_chunk}"
-    if scheduler.step_budget:
+    if scheduler.step_budget != DEFAULT_STEP_BUDGET:
         label += f"+budget{scheduler.step_budget}"
     if scheduler.preemption:
         label += "+preempt"

@@ -160,9 +160,8 @@ def format_tail_latency(points) -> str:
     ``points`` are :class:`repro.eval.latency.ServingMeasurement`
     objects from runs with wall-clock stamps (scheduler ``submit`` +
     drain).  The interesting read is ``max ITL`` against ``peak
-    tick prefill``: an inline-prefill run shows a worst stall that
-    scales with its longest prompt, a budgeted run shows it clamped
-    near the budget.
+    tick prefill``: the worst stall scales with the step budget, not
+    with the longest prompt.
     """
     headers = ["engine", "TTFT p50 (ms)", "TTFT p99 (ms)",
                "ITL p50 (ms)", "ITL p99 (ms)", "max ITL (ms)",

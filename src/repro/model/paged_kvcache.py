@@ -107,9 +107,8 @@ prompt positions the seat will already hold and whether the pool can
 back the rest; :meth:`PagedKVCache.seat` turns a plan into a slot with
 exactly one ``fork`` / ``revive`` / ``allocate``.  Once the caller has
 prefilled the prompt, :meth:`PagedKVCache.register` makes it findable
-as a donor (``prefix_sharing=True`` only), and
-:meth:`PagedKVCache.release` retires it -- parking its prompt-prefix
-pages when a prefix cache is configured.
+as a donor, and :meth:`PagedKVCache.release` retires it -- parking its
+prompt-prefix pages when a prefix cache is configured.
 
 Every path preserves the serving engine's equivalence guarantees: a
 batch-1 decode step over this cache is **bit-identical** to
@@ -834,15 +833,14 @@ class PagedKVCache:
     ``n_slots * ceil(max_seq_len / page_size)``).  Pass a smaller
     ``n_pages`` to run under a memory budget: short sequences then leave
     pages for extra concurrent sequences instead of padding out unused
-    slot tails.  ``prefix_sharing`` keeps a :class:`PrefixIndex` over
-    :meth:`register`-ed prompts so :meth:`plan` can find fork donors;
-    ``cache_pages`` sizes the :class:`PrefixCache` it can revive from.
+    slot tails.  A :class:`PrefixIndex` over :meth:`register`-ed
+    prompts lets :meth:`plan` find fork donors; ``cache_pages`` sizes
+    the :class:`PrefixCache` it can revive from.
     """
 
     def __init__(self, config: ModelConfig, n_slots: int,
                  max_seq_len: int = 0, page_size: int = DEFAULT_PAGE_SIZE,
-                 n_pages: int = 0, cache_pages: int = 0,
-                 prefix_sharing: bool = False):
+                 n_pages: int = 0, cache_pages: int = 0):
         if n_slots < 1:
             raise ValueError(f"n_slots must be >= 1, got {n_slots}")
         if page_size < 1:    # checked here: the division below comes first
@@ -855,7 +853,7 @@ class PagedKVCache:
         worst_case = -(-self.max_seq_len // page_size)
         self.pool = PagePool(config, n_pages or n_slots * worst_case,
                              page_size)
-        self.prefix_index = PrefixIndex(page_size) if prefix_sharing else None
+        self.prefix_index = PrefixIndex(page_size)
         self.prefix_cache = (
             PrefixCache(self.pool, cache_pages) if cache_pages else None
         )
@@ -1114,10 +1112,9 @@ class PagedKVCache:
             raise ValueError("slot belongs to a different cache")
         if slot.index in self._free_set:
             raise ValueError(f"slot {slot.index} released twice")
-        if self.prefix_index is not None:
-            registered = self.prefix_index.remove(slot.index)
-            if prompt_ids is None:
-                prompt_ids = registered
+        registered = self.prefix_index.remove(slot.index)
+        if prompt_ids is None:
+            prompt_ids = registered
         if prompt_ids is not None and self.prefix_cache is not None:
             self.prefix_cache.park(slot, prompt_ids)
         slot.reset()
@@ -1128,8 +1125,7 @@ class PagedKVCache:
 
     def register(self, slot: PagedKVSlot, prompt_ids) -> None:
         """Make a just-prefilled sequence's prompt findable as a donor."""
-        if self.prefix_index is not None:
-            self.prefix_index.insert(slot.index, prompt_ids)
+        self.prefix_index.insert(slot.index, prompt_ids)
 
     def fork_plan(self, prompt_ids, needed: int = 0) -> SeatPlan:
         """The resident-donor stage of :meth:`plan`, on its own.
@@ -1140,7 +1136,7 @@ class PagedKVCache:
         for last-position logits); ``donor is None`` when there is
         none, and ``fits`` says whether forking it can be backed now.
         """
-        if self.prefix_index is None or len(prompt_ids) < 2:
+        if len(prompt_ids) < 2:
             return SeatPlan(needed, False)
         index, shared = self.prefix_index.lookup(prompt_ids)
         if index is None:

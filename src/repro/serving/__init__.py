@@ -39,8 +39,8 @@ Pieces:
   so tokens reproduce regardless of batch composition or preemption.
 * :mod:`repro.serving.scheduler` -- continuous batching: admit from the
   queue the moment a slot (and its worst-case pages) frees, retire
-  finished sequences, never starve.  With ``prefix_sharing=True`` on the
-  engine and a ``reorder_window`` on the scheduler, admission prefers
+  finished sequences, never starve.  With a ``reorder_window`` on the
+  scheduler, admission prefers
   queued requests sharing a live prompt prefix: they skip the shared
   prefill and keep the decode batch's sign patterns correlated so the
   intersection decays slower than the independent ``skip^B``;

@@ -10,7 +10,7 @@ and row-MLP they hand it:
 * :meth:`~BatchedEngine.prefill` / :meth:`~BatchedEngine.verify_chunk`
   -- rows are ragged segments of consecutive positions, one segment per
   slot, each attended causally against its own slot's cache.  Prefill
-  packs one prompt piece per slot into each pass and runs the dense
+  packs one prompt piece per slot into one pass and runs the dense
   executor (sparsity is a decode-phase optimisation, paper Section
   V-C); verify is a one-segment pass through the serving-alpha sparse
   executor.
@@ -23,15 +23,15 @@ and row-MLP they hand it:
   the single-sequence engine).
 
 The engine is the forward pass only.  Which slot a sequence gets, and
-where its prompt-prefix K/V comes from (``prefix_sharing`` forks,
-``cache_pages`` revives), is the KV store's business -- callers seat and
-retire sequences through ``engine.cache`` (``plan`` / ``seat`` /
-``register`` / ``release``, see :mod:`repro.model.paged_kvcache`).  Those
-knobs change *where* K/V comes from and *how much* prefill runs, never
-what is decoded: causal attention makes a shared position's K/V a pure
-function of the shared tokens.
+where its prompt-prefix K/V comes from (a fork of a resident sequence,
+or a revive from the ``cache_pages`` prefix cache), is the KV store's
+business -- callers seat and retire sequences through ``engine.cache``
+(``plan`` / ``seat`` / ``register`` / ``release``, see
+:mod:`repro.model.paged_kvcache`).  That changes *where* K/V comes from
+and *how much* prefill runs, never what is decoded: causal attention
+makes a shared position's K/V a pure function of the shared tokens.
 
-Equivalence guarantees (unchanged by every knob above): served tokens
+Equivalence guarantees (unchanged by every knob): served tokens
 are identical to :func:`repro.core.engine.build_engine` ``.generate`` at
 any batch size; a batch-1 :meth:`~BatchedEngine.decode_step` is
 **bit-identical** to ``forward_token`` given the same KV contents;
@@ -59,16 +59,13 @@ from ..model.paged_kvcache import (
     PagedKVCache,
     PagedKVSlot,
 )
-from ..model.mlp import DenseMLP, MLPExecutor
+from ..model.mlp import DenseMLP
 from ..model.norm import rmsnorm
 from ..model.rope import apply_rope, rope_tables
 from ..model.sampler import BatchedSampler, SamplerConfig
 from ..model.weights import ModelWeights
 from .batch_mlp import BatchedSparseInferMLP
 from .speculative import SpecConfig
-
-DEFAULT_PREFILL_CHUNK = 32
-
 
 def _require_distinct(slots: Sequence[PagedKVSlot]) -> None:
     """One row block per slot per pass: a repeated slot would write two
@@ -100,23 +97,15 @@ class BatchedEngine:
         ``max_batch_size * ceil(max_seq_len / page_size)``, every slot's
         worst case at once).  Short requests hold only the pages they
         touch, so a smaller budget still co-schedules many of them.
-    prefix_sharing:
-        Forwarded to the KV store: index resident prompts so an
-        admission can fork a resident sequence's KV pages
-        (copy-on-write) instead of re-prefilling a shared prefix.
     cache_pages:
         Forwarded to the KV store: when > 0, keep up to this many
         retired prompt-prefix pages alive in an LRU
         :class:`~repro.model.paged_kvcache.PrefixCache` (carved out of
         ``n_pages``, reclaimable on demand) so same-prefix requests
-        whose lifetimes never overlap can still share.  Requires
-        ``prefix_sharing=True``; 0 (the default) is bit-identical to no
-        cache.
-    prefill_chunk:
-        Rows per prefill pass: a pack of ``T`` prompt rows (one piece
-        per slot; a whole prompt is a one-piece pack) runs through the
-        layer loop as ``ceil(T / prefill_chunk)`` causal ``(chunk, d)``
-        passes (one GEMM per projection).  Must be >= 1.
+        whose lifetimes never overlap can still share; 0 (the default)
+        is bit-identical to no cache.  Resident prompts are always
+        indexed, so an admission can fork a resident sequence's KV
+        pages (copy-on-write) instead of re-prefilling a shared prefix.
     sampling:
         Default :class:`~repro.model.sampler.SamplerConfig` for
         requests that do not carry their own ``Request.sampling``.
@@ -146,9 +135,7 @@ class BatchedEngine:
         max_seq_len: int = 0,
         page_size: int = DEFAULT_PAGE_SIZE,
         n_pages: int = 0,
-        prefix_sharing: bool = False,
         cache_pages: int = 0,
-        prefill_chunk: int = DEFAULT_PREFILL_CHUNK,
         sampling: Optional[SamplerConfig] = None,
         speculation: Optional[SpecConfig] = None,
     ):
@@ -168,24 +155,12 @@ class BatchedEngine:
             predictor=predictor,
             use_actual_sparsity=self.settings.use_actual_sparsity,
         )
-        self.prefill_mlp: MLPExecutor = (
-            self.sparse.single if self.settings.sparse_prefill
-            else DenseMLP(weights)
-        )
+        self.prefill_mlp = DenseMLP(weights)
         self.max_batch_size = max_batch_size
-        if cache_pages and not prefix_sharing:
-            raise ValueError("cache_pages requires prefix_sharing=True")
-        if prefill_chunk < 1:
-            raise ValueError(
-                f"prefill_chunk must be >= 1, got {prefill_chunk}"
-            )
-        self.prefix_sharing = prefix_sharing
         self.cache_pages = cache_pages
-        self.prefill_chunk = prefill_chunk
         self.cache = PagedKVCache(
             self.config, max_batch_size, max_seq_len,
             page_size=page_size, n_pages=n_pages, cache_pages=cache_pages,
-            prefix_sharing=prefix_sharing,
         )
         self.sampling = sampling if sampling is not None else SamplerConfig()
         self.sampler = BatchedSampler(self.sampling)
@@ -205,6 +180,19 @@ class BatchedEngine:
         return self.attention.telemetry
 
     # -- forward passes ----------------------------------------------------
+
+    def _token_ids(self, token_ids: Sequence[int]) -> list:
+        """``token_ids`` as plain ints, each checked against the vocabulary.
+
+        Every entry point feeds its ids through here: a negative id
+        would silently embed a row from the end of the table, and one
+        past the end would fail deep in a forward pass.
+        """
+        ids = [int(tok) for tok in token_ids]
+        vocab_size = self.config.vocab_size
+        if ids and (min(ids) < 0 or max(ids) >= vocab_size):
+            raise ValueError(f"token ids must lie in [0, {vocab_size})")
+        return ids
 
     def _forward_rows(self, token_ids, attend, mlp_rows,
                       last_rows=None) -> np.ndarray:
@@ -308,6 +296,7 @@ class BatchedEngine:
         if not slots:
             raise ValueError("decode_step needs at least one sequence")
         _require_distinct(slots)
+        ids = self._token_ids(token_ids)
         if len(slots) == 1:
             # Size dispatch, measured: at batch 1 the scalar op sequence
             # beats the plan path (benchmark workload decode_b1 vs
@@ -315,14 +304,14 @@ class BatchedEngine:
             # bit-identical to InferenceModel.forward_token.
             slot = slots[0]
             logits = forward_token_single(
-                self.weights, int(token_ids[0]), slot.length, slot, sparse,
+                self.weights, ids[0], slot.length, slot, sparse,
             )[None, :]
         else:
             plan = self.attention.plan_step(
                 [slot.length for slot in slots], slots
             )
             logits = self._forward_rows(
-                list(token_ids),
+                ids,
                 lambda layer, q, k, v: plan.attend_layer(
                     layer, q, k, v, self.cache
                 ),
@@ -336,7 +325,7 @@ class BatchedEngine:
         self, slots, prompt_ids: Sequence[int],
         lengths: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
-        """Run one prompt piece per slot as packed causal passes.
+        """Run one prompt piece per slot as one packed causal pass.
 
         ``prompt_ids`` is the flat concatenation of the pieces: piece
         ``i`` is the next ``lengths[i]`` tokens of ``slots[i]``, fed at
@@ -345,11 +334,10 @@ class BatchedEngine:
         last position.  ``prefill(slot, ids)``, without ``lengths``, is
         the one-piece pack and returns that piece's ``(vocab,)`` row.
 
-        The pack runs through the prefill executor (dense unless
-        ``settings.sparse_prefill``) in passes of at most
-        ``prefill_chunk`` rows; a piece that crosses a pass boundary is
-        cut there, exactly as a long prompt is.  A pass's rows share
-        every GEMM and attend per piece (:meth:`_forward_chunk`).
+        The pack runs through the dense prefill executor as one
+        :meth:`_forward_chunk` pass: its rows share every GEMM and
+        attend per piece.  The caller sizes the pack (the scheduler's
+        ``step_budget``).
         """
         one_piece = lengths is None
         if one_piece:
@@ -365,32 +353,12 @@ class BatchedEngine:
                 "lengths must be >= 1 and sum to len(prompt_ids)"
             )
         _require_distinct(slots)
-        mlp = self.prefill_mlp
-        # Executors without a chunk entry point (sparse prefill) run
-        # the pass row by row; the projections and attention are still
-        # whole-pass GEMMs.
-        mlp_rows = getattr(mlp, "run_tokens", None) or (
-            lambda layer, xs: np.stack([mlp.run(layer, row) for row in xs])
+        # Plain ints: numpy scalars would leak into the slots' lengths.
+        segments = [(slot, int(n)) for slot, n in zip(slots, lengths)]
+        logits = self._forward_chunk(
+            segments, self._token_ids(prompt_ids),
+            self.prefill_mlp.run_tokens, last_only=True,
         )
-        ids = [int(tok) for tok in prompt_ids]
-        # Piece i holds flat rows starts[i]:ends[i]; plain ints, since
-        # numpy scalars cost more than the planning they would speed up.
-        ends = list(itertools.accumulate(int(n) for n in lengths))
-        starts = [end - int(n) for end, n in zip(ends, lengths)]
-        logits = None
-        for lo in range(0, len(ids), self.prefill_chunk):
-            hi = lo + self.prefill_chunk
-            live = [i for i, (start, end) in enumerate(zip(starts, ends))
-                    if start < hi and end > lo]
-            rows = self._forward_chunk(
-                [(slots[i], min(ends[i], hi) - max(starts[i], lo))
-                 for i in live],
-                ids[lo:hi], mlp_rows, last_only=True,
-            )
-            if logits is None:
-                logits = np.empty((len(slots), rows.shape[1]), rows.dtype)
-            done = [j for j, i in enumerate(live) if ends[i] <= hi]
-            logits[[live[j] for j in done]] = rows[done]
         return logits[0] if one_piece else logits
 
     def decode_step(
@@ -465,13 +433,13 @@ class BatchedEngine:
         """
         if len(token_ids) == 0:
             raise ValueError("verify_chunk needs at least one token")
+        ids = self._token_ids(token_ids)
         if self._verify_mlp is None:
             self._verify_mlp = BatchedSparseInferMLP(
                 weights=self.weights,
                 predictor=self.sparse.predictor,
                 use_actual_sparsity=self.settings.use_actual_sparsity,
             )
-        ids = [int(tok) for tok in token_ids]
         return self._forward_chunk(
             [(slot, len(ids))], ids, self._verify_mlp.run_batch,
         )

@@ -52,7 +52,12 @@ class SLOSpec:
             value = getattr(self, name)
             if value is None:
                 continue
-            value = int(value)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer tick count, got {value!r}"
+                ) from None
             if value < 1:
                 raise ValueError(f"{name} must be >= 1 or None, got {value}")
             object.__setattr__(self, name, value)

@@ -5,9 +5,11 @@ Each scheduler tick:
 1. retire sequences that finished last tick, freeing their KV slots;
 2. admit queued requests (FIFO) into free slots -- candidate selection
    -> plan -> seat, repeated until the queue is empty or the candidate
-   is blocked; seating prefills the prompt and samples the first token,
-   exactly like the single-sequence ``generate`` loop samples from the
-   prefill logits.  The plan gates on the request's *worst-case*
+   is blocked; a seated sequence carries its un-prefilled prompt as
+   pending work (see *step-budgeted ticks* below) and samples its first
+   token from the logits of its last prompt piece, exactly like the
+   single-sequence ``generate`` loop samples from the prefill logits.
+   The plan gates on the request's *worst-case*
    page demand (``ceil((prompt + max_new - 1) / page_size)`` pages must
    be reservable), so an admitted sequence can never starve for pages
    mid-decode; zero-token requests complete immediately without a slot
@@ -35,10 +37,9 @@ pending request waits only until the next free slot.  FIFO admission
 makes starvation impossible -- every retirement frees a slot and the
 queue head is always admitted first.
 
-**Correlation-aware admission.**  When the engine runs with
-``prefix_sharing=True`` and the scheduler is given a ``reorder_window``
-> 1, admission may prefer -- from the first ``reorder_window`` queued
-requests -- one that shares a *live* prompt prefix with a resident
+**Correlation-aware admission.**  When the scheduler is given a
+``reorder_window`` > 1, admission may prefer -- from the first
+``reorder_window`` queued requests -- one that shares a *live* prompt prefix with a resident
 sequence over the FIFO head.  Such a request's seat is a fork (cheaper:
 it is charged only its unshared worst case, and its shared prefill is
 skipped) and keeps the decode batch's activation sign patterns
@@ -48,15 +49,13 @@ correlated, which slows the ``skip^B`` intersection decay
 most ``reorder_window - 1`` times before it must be the next admission,
 so FIFO is the steady-state order.
 
-**Step-budgeted ticks (prefill piggybacking).**  With ``step_budget=0``
-(the default) admission runs a new sequence's prefill to completion
-inline, so one long prompt stalls every resident sequence for its whole
-prefill.  With ``step_budget=b > 0`` the tick spends at most ~``b``
-model-fed tokens: each decoding resident costs one (its decode token)
-and the *leftover* budget is planned, oldest admission first, over the
-pending prompt pieces, which then run as **one** packed
-``engine.prefill`` pass (Sarathi-Serve's chunked-prefill batching: the
-pieces share every GEMM and attend per sequence) -- an admitted
+**Step-budgeted ticks (prefill piggybacking).**  A tick spends at most
+~``step_budget`` model-fed tokens (default 32): each decoding resident
+costs one (its decode token) and the *leftover* budget is planned,
+oldest admission first, over the pending prompt pieces, which then run
+as **one** packed ``engine.prefill`` pass (Sarathi-Serve's
+chunked-prefill batching: the pieces share every GEMM and attend per
+sequence) -- an admitted
 sequence carries its un-prefilled prompt suffix across ticks and only
 joins the decode batch once the suffix is done and its first token is
 sampled.  A tick with pending prefill always advances it by at
@@ -65,8 +64,9 @@ the budget.  Residents' inter-token stall per tick is therefore bounded
 by the budget, not by the longest queued prompt.  Splitting prefill at
 scheduler-chosen boundaries and packing the pieces reuse the engine's
 prefill guarantee (token-identical at any chunk boundaries and pack
-composition) -- so any budget produces the same tokens per request as
-``step_budget=0``.
+composition) -- so every budget produces the same tokens per request.
+A prompt is registered as a fork donor only once its prefill is done,
+so requests admitted in the same tick never fork from each other.
 
 **Preemption.**  With ``preemption=True``, a page- or slot-starved
 admission whose head outranks a resident (strictly greater
@@ -118,8 +118,8 @@ back to FIFO order.  Starvation stays impossible via the same
 bounded-bypass rule as ``reorder_window``: once the FIFO head has been
 bypassed ``deadline_window - 1`` admissions in a row it *must* be the
 next admission.  Under overload the scheduler additionally **sheds**
-queued requests whose TTFT deadline has already passed (with inline
-prefill the first token can still be emitted in the admission tick, so
+queued requests whose TTFT deadline has already passed (a prompt that
+fits the tick's budget emits its first token in the admission tick, so
 a request is hopeless exactly when ``step_count`` exceeds its
 deadline): they complete as rejected-typed
 :class:`~repro.serving.request.Completion` objects with ``shed=True``
@@ -155,6 +155,9 @@ from .queue import EmptyQueueError, RequestQueue
 from .request import Completion, Request
 from .speculative import SpecConfig
 
+#: Default model-fed tokens per tick (``step_budget``).
+DEFAULT_STEP_BUDGET = 32
+
 #: Submit stamp ``(perf_counter, tick)`` of a request that was enqueued
 #: without :meth:`ContinuousBatchingScheduler.submit` (injected queue).
 _UNSTAMPED = (None, 0)
@@ -170,7 +173,7 @@ class _ActiveSequence:
     already-emitted tokens a resumed (preempted) sequence must re-feed
     through the *decode* path before it can continue.  While either is
     non-empty the sequence is :attr:`restoring` and sits out the decode
-    batch (inline admission drains both before seating it).
+    batch.
     ``emit_times`` records one wall-clock stamp per emitted token (TTFT
     / inter-token gaps) and ``emit_steps`` the tick count of the same
     emissions (the deterministic clock SLO deadlines are judged
@@ -249,7 +252,7 @@ class ServeReport:
     decode (pieces, one per sequence per tick -- a tick's pieces share
     one packed pass); ``peak_tick_prefill_tokens`` is the largest number of
     prefill+replay tokens any single tick fed (with a budget ``b`` it
-    stays <= ``max(b, 1)``, which is the structural evidence that
+    stays <= ``b``, which is the structural evidence that
     resident decode stalls are bounded by the budget, not by prompt
     length); ``preemptions`` / ``resumed_admissions`` count evictions
     and the admissions that restored an evicted sequence; and
@@ -322,7 +325,7 @@ class ServeReport:
     # 1): padded vs useful K/V cells gathered, so the padding the
     # length masks threw away is visible per run.
     attention: AttentionTelemetry = field(default_factory=AttentionTelemetry)
-    step_budget: int = 0               # scheduler knob (0 = inline prefill)
+    step_budget: int = 0               # scheduler knob (tokens per tick)
     piggybacked_chunks: int = 0        # prefill pieces run inside ticks
     piggybacked_tokens: int = 0        # tokens those pieces fed
     peak_tick_prefill_tokens: int = 0  # largest per-tick prefill+replay feed
@@ -416,9 +419,9 @@ class ServeReport:
         """All inter-token gaps (seconds) across every completion.
 
         One entry per emitted token after each request's first, so a
-        resident stalled behind a long inline prefill contributes one
-        large gap -- the tail of this distribution is what the step
-        budget exists to bound.
+        resident stalled behind a tick's prefill contributes one large
+        gap -- the tail of this distribution is what the step budget
+        bounds.
         """
         return [v for c in self.completions for v in c.itl_seconds]
 
@@ -533,9 +536,8 @@ class ContinuousBatchingScheduler:
         self,
         engine: BatchedEngine,
         queue: Optional[RequestQueue] = None,
-        max_batch_size: Optional[int] = None,
         reorder_window: int = 0,
-        step_budget: int = 0,
+        step_budget: int = DEFAULT_STEP_BUDGET,
         preemption: bool = False,
         on_token=None,
         speculation: Optional[SpecConfig] = None,
@@ -546,9 +548,9 @@ class ContinuousBatchingScheduler:
             raise ValueError(
                 f"reorder_window must be >= 0, got {reorder_window}"
             )
-        if step_budget < 0:
+        if step_budget < 1:
             raise ValueError(
-                f"step_budget must be >= 0, got {step_budget}"
+                f"step_budget must be >= 1, got {step_budget}"
             )
         if on_token is not None and not callable(on_token):
             raise ValueError(
@@ -570,9 +572,6 @@ class ContinuousBatchingScheduler:
         self.on_token = on_token
         self.engine = engine
         self.queue = queue if queue is not None else RequestQueue()
-        self.max_batch_size = min(
-            max_batch_size or engine.max_batch_size, engine.max_batch_size
-        )
         self.reorder_window = reorder_window
         self.step_budget = step_budget
         self.preemption = bool(preemption)
@@ -836,7 +835,7 @@ class ContinuousBatchingScheduler:
         plan = cache.plan(head.prompt_ids, self._worst_case_positions(head))
         best = (index, head, plan) if plan.fits else None
         best_shared = plan.shared      # 0 for the only plan that can misfit
-        if self.reorder_window > 1 and self.engine.prefix_sharing and \
+        if self.reorder_window > 1 and \
                 self._head_skips < self.reorder_window - 1:
             for i, request in enumerate(self.queue.window(self.reorder_window)):
                 if i == 0:
@@ -906,11 +905,11 @@ class ContinuousBatchingScheduler:
         """Drop queued requests whose TTFT deadline has already passed.
 
         A queued request is hopeless once ``step_count`` exceeds its
-        TTFT deadline: inline admission can still emit a first token in
-        the admission tick itself, so ``step_count == deadline`` is the
-        last tick that could save it.  Hopeless requests complete as
-        rejected-typed, ``shed=True`` completions (never silently
-        vanish).  Preempted evictees that already emitted a token are
+        TTFT deadline: a prompt that fits the tick's budget still emits
+        its first token in the admission tick itself, so ``step_count
+        == deadline`` is the last tick that could save it.  Hopeless
+        requests complete as rejected-typed, ``shed=True`` completions
+        (never silently vanish).  Preempted evictees that already emitted a token are
         never shed -- their TTFT contract is already settled and their
         generated tokens must not be discarded.
         """
@@ -998,7 +997,7 @@ class ContinuousBatchingScheduler:
                 self._finish_unadmitted(index, finished, error=reason)
                 continue
             choice = None
-            if len(self.active) < self.max_batch_size:
+            if len(self.active) < self.engine.max_batch_size:
                 choice = self._choose_admission(index, head)
             if choice is None:
                 # The candidate waits for a seat and slots/pages, and no
@@ -1017,7 +1016,7 @@ class ContinuousBatchingScheduler:
             index, request, plan = choice
             self.queue.pop_at(index)
             self._head_skips = 0 if index == 0 else self._head_skips + 1
-            self._seat(request, plan, finished)
+            self._seat(request, plan)
         if evicted:
             # Victims resume ahead of FIFO order -- but never ahead of a
             # head that is still blocked after the eviction, or the
@@ -1036,9 +1035,7 @@ class ContinuousBatchingScheduler:
             if held is not None:
                 self.queue.push_front(held)
 
-    def _seat(
-        self, request: Request, plan: SeatPlan, finished: List[Completion],
-    ) -> None:
+    def _seat(self, request: Request, plan: SeatPlan) -> None:
         """Give ``request`` the slot its ``plan`` describes and start it.
 
         A preempted request resumes as the very sequence object that
@@ -1047,10 +1044,8 @@ class ContinuousBatchingScheduler:
         lacks becomes the sequence's pending work: the unshared prompt
         suffix, and for a resumed sequence the replay of its emitted
         tokens -- all but the last, which the next decode tick feeds
-        exactly as it would have without eviction.  Under a step budget
-        that work runs as per-tick chunks in :meth:`_run_restoration`;
-        inline (``step_budget=0``) it runs here, so the prompt is
-        registered for prefix sharing before the next admission plans.
+        exactly as it would have without eviction.  That work runs as
+        per-tick pieces in :meth:`_run_restoration`.
         """
         slot = self.engine.cache.seat(plan)
         if plan.donor is not None:
@@ -1072,30 +1067,15 @@ class ContinuousBatchingScheduler:
             self.report.resumed_admissions += 1
         seq.pending_prefill = tuple(request.prompt_ids[plan.shared:])
         seq.pending_replay = tuple(seq.generated_ids[:-1])
-        if self.step_budget == 0:
-            try:
-                logits = self._feed_prefill(
-                    [(seq, len(seq.pending_prefill))]
-                )[0]
-            except BaseException:
-                # A crashing prefill must not leak the admission's slot
-                # and reserved pages: the request is already popped, so
-                # nothing else holds a handle that could release them.
-                self.engine.cache.release(seq.slot)
-                raise
-            if not self._finish_prompt(seq, logits, finished):
-                return
-            self._replay_tokens(seq, len(seq.pending_replay))
         self.active.append(seq)
 
     def _feed_prefill(self, pieces: list) -> np.ndarray:
         """Prefill ``(seq, take)`` pieces -- the next ``take`` pending
         prompt tokens of each ``seq`` -- as one packed ``engine.prefill``.
 
-        The only ``engine.prefill`` call site: inline admission passes
-        one sequence's whole suffix, budgeted restoration every piece
-        the tick can afford.  Returns ``(len(pieces), vocab)`` logits,
-        row ``i`` from piece ``i``'s last fed position.
+        The only ``engine.prefill`` call site: restoration passes every
+        piece the tick can afford.  Returns ``(len(pieces), vocab)``
+        logits, row ``i`` from piece ``i``'s last fed position.
         """
         flat, lengths = [], []
         for seq, take in pieces:

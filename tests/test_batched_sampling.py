@@ -216,16 +216,13 @@ class TestScalarBatchedEquivalence:
         assert not np.array_equal(a, c)
 
 
-# The serving knob matrix of the acceptance sweep: every sharing/
-# preemption shape the scheduler supports.  (sharing, cache_pages,
-# step_budget, preemption) -- cache requires sharing, preemption wants
-# a budget-free tick for determinism here.
+# The serving knob matrix of the acceptance sweep: every cache/budget/
+# preemption shape the scheduler supports (prefix sharing is always on).
 MATRIX = [
     dict(),
-    dict(prefix_sharing=True),
-    dict(prefix_sharing=True, cache_pages=8),
-    dict(prefix_sharing=True, cache_pages=8, step_budget=4),
-    dict(prefix_sharing=True, cache_pages=8, preemption=True),
+    dict(cache_pages=8),
+    dict(cache_pages=8, step_budget=4),
+    dict(cache_pages=8, preemption=True),
 ]
 
 
@@ -422,7 +419,7 @@ class TestServingSampling:
                       max_new_tokens=8, priority=5, sampling=self.CFG)
         engine = build_batched_engine(
             micro_weights, max_batch_size=2, page_size=4,
-            n_pages=6, prefix_sharing=True, cache_pages=4,
+            n_pages=6, cache_pages=4,
         )
         scheduler = ContinuousBatchingScheduler(engine, preemption=True)
         scheduler.submit(low)
@@ -449,7 +446,7 @@ class TestServingSampling:
             self, micro_weights):
         engine = build_batched_engine(
             micro_weights, max_batch_size=2, page_size=4,
-            n_pages=6, prefix_sharing=True, cache_pages=4,
+            n_pages=6, cache_pages=4,
         )
         scheduler = ContinuousBatchingScheduler(engine, preemption=True)
         low = Request(request_id=0, prompt_ids=(1, 2, 3, 4, 5, 6, 7, 8),
@@ -516,11 +513,10 @@ class TestOnTokenCallback:
             ContinuousBatchingScheduler(engine, on_token=42)
 
     @pytest.mark.parametrize("knobs, raise_at", [
-        ({}, 1),                                    # inline first token
         ({"step_budget": 2}, 1),                    # restoration first token
         ({}, 3),                                    # decode commit
         ({"speculation": SpecConfig(k=3, draft_alpha=0.8)}, 3),   # verify
-    ], ids=["inline-first", "restored-first", "decode", "spec-verify"])
+    ], ids=["restored-first", "decode", "spec-verify"])
     def test_raising_callback_fails_only_its_request(
             self, micro_weights, knobs, raise_at):
         """A hostile callback is contained at every emission site: by the

@@ -57,16 +57,6 @@ def test_goodput_extractor_registered(bench_trajectory):
         is bench_trajectory._goodput
 
 
-def test_interleaved_prefill_extractor(bench_trajectory):
-    payload = {
-        "inline": {"resident_max_itl_ms": 12.0},
-        "budgeted": {"resident_max_itl_ms": 3.0, "step_budget": 32},
-    }
-    headline, detail = bench_trajectory._interleaved_prefill(payload)
-    assert headline == "4.00x lower max ITL"
-    assert "step_budget=32" in detail
-
-
 def test_max_speedup_recurses_nested_containers(bench_trajectory):
     node = {
         "a": [{"speedup": 1.5}, {"speedup_over_sequential": 3.25}],

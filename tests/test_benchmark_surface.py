@@ -19,8 +19,13 @@ import pytest
 
 E2E = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
 
-#: Knobs PR 12 deleted because their fast path became the only path.
-RETIRED_ENGINE_KNOBS = {"batched_attention", "paged"}
+#: Engine knobs deleted because the path the benchmark runs became the
+#: only path: batched attention and the paged store always run, the
+#: tick budget sizes prefill (``prefill_chunk``), and prefix sharing is
+#: always on.
+RETIRED_ENGINE_KNOBS = {
+    "batched_attention", "paged", "prefill_chunk", "prefix_sharing",
+}
 
 
 @pytest.fixture

@@ -31,12 +31,6 @@ class TestBuildEngine:
         assert isinstance(engine.mlp, SparseInferMLP)
         assert isinstance(engine.prefill_mlp, DenseMLP)  # dense prefill
 
-    def test_sparse_prefill_option(self, micro_weights):
-        engine = build_engine(
-            micro_weights, SparseInferSettings(sparse_prefill=True)
-        )
-        assert engine.prefill_mlp is engine.mlp
-
     def test_reuses_prebuilt_predictor(self, micro_weights):
         settings = SparseInferSettings(alpha=1.0)
         predictor = build_predictor(micro_weights, settings)

@@ -318,8 +318,7 @@ class TestPrefixSharingEquivalence:
             worst = len(prompt_b) + 8
 
             forked = build_batched_engine(micro_weights, max_batch_size=2,
-                                          page_size=page_size,
-                                          prefix_sharing=True)
+                                          page_size=page_size)
             slot_a = forked.cache.allocate()
             logits_a = forked.prefill(slot_a, self.PROMPT_A)
             slot_b = forked.cache.fork(slot_a, shared, worst)
@@ -359,8 +358,7 @@ class TestPrefixSharingEquivalence:
 
     def test_fork_shares_and_cow_isolates_through_engine(self, micro_weights):
         engine = build_batched_engine(micro_weights, max_batch_size=2,
-                                      page_size=4,
-                                      prefix_sharing=True)
+                                      page_size=4)
         slot_a = engine.cache.allocate()
         engine.prefill(slot_a, self.PROMPT_A)
         slot_b = engine.cache.fork(slot_a, 8)          # 2 full pages shared

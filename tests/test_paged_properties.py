@@ -714,8 +714,7 @@ def test_plan_prefers_fork_over_revive_over_cold(micro_config):
     """One prompt that qualifies for all three seats at once: the
     cascade is decided in ``plan`` alone, cheapest source first."""
     cache = PagedKVCache(micro_config, n_slots=3, max_seq_len=32,
-                         page_size=4, n_pages=16, cache_pages=4,
-                         prefix_sharing=True)
+                         page_size=4, n_pages=16, cache_pages=4)
     prompt = tuple(range(1, 12))                     # 11 tokens, 2 full pages
     resident = cache.seat(cache.plan(prompt, 16))    # cold: nothing to share
     assert resident.length == 0
@@ -758,7 +757,7 @@ def test_plan_prefers_fork_over_revive_over_cold(micro_config):
 
 def test_plan_reports_unbackable_seat_and_seat_raises(micro_config):
     cache = PagedKVCache(micro_config, n_slots=2, max_seq_len=16,
-                         page_size=4, n_pages=2, prefix_sharing=True)
+                         page_size=4, n_pages=2)
     plan = cache.plan((1, 2, 3), 12)                 # 3 pages of a 2-page pool
     assert not plan.fits and plan.shared == 0
     with pytest.raises(RuntimeError, match="cannot seat"):

@@ -3,12 +3,12 @@
 Draws hundreds of random serving schedules -- request mixes (prompt
 lengths, token budgets, priorities, zero-token requests, mid-run
 arrivals) crossed with scheduler/engine knobs (page size, tight page
-budgets, step budgets, preemption, prefix sharing, prefix cache,
-chunked prefill) -- and asserts, for every drawn schedule:
+budgets, step budgets, preemption, prefix cache) -- and asserts, for
+every drawn schedule:
 
 * **Token identity**: every request's generated tokens (and error
   status) are identical to an unconstrained reference run
-  (``step_budget=0``, ``preemption=False``) of the same workload on the
+  (``step_budget=10**9``, ``preemption=False``) of the same workload on the
   same engine geometry.  Budgets and preemption change *when* work
   happens, never what is decoded.
 * **Page conservation**: after every tick -- so across every
@@ -113,16 +113,12 @@ def draw_geometry(rng, schedule) -> dict:
     ]
     max_w = max(worsts) if worsts else 1
     n_pages = max_w + int(rng.integers(0, max_w + 1))
-    prefix_sharing = bool(rng.random() < 0.6)
-    cache_pages = int(min(4, n_pages // 2)) \
-        if prefix_sharing and rng.random() < 0.6 else 0
+    cache_pages = int(min(4, n_pages // 2)) if rng.random() < 0.6 else 0
     return dict(
         max_batch_size=int(rng.integers(2, 5)),
         page_size=page_size,
         n_pages=n_pages,
-        prefix_sharing=prefix_sharing,
         cache_pages=cache_pages,
-        prefill_chunk=int(rng.choice([3, 32])),
     )
 
 
@@ -169,7 +165,7 @@ def test_random_schedules_hold_invariants(micro_weights, packed_predictor):
         geometry = draw_geometry(rng, schedule)
         reference = drive(
             micro_weights, packed_predictor, schedule, geometry,
-            step_budget=0, preemption=False,
+            step_budget=10**9, preemption=False,
         )
         expected = outcomes(reference)
         assert len(expected) == len(schedule)
@@ -204,18 +200,20 @@ def test_random_schedules_hold_invariants(micro_weights, packed_predictor):
     assert totals["revived"] > 0, "no schedule exercised cache revival"
 
 
-def test_budget_matches_inline_on_shared_geometry(
+def test_unbounded_budget_matches_one_token_ticks(
     micro_weights, packed_predictor
 ):
-    """An effectively unbounded budget stays token-identical to inline."""
+    """The extreme budgets (one token a tick, and whole prompts a tick)
+    serve identical tokens on a shared geometry."""
     rng = np.random.default_rng(7)
     schedule = draw_workload(rng)
     geometry = draw_geometry(rng, schedule)
-    inline = drive(micro_weights, packed_predictor, schedule, geometry,
-                   step_budget=0, preemption=False)
+    smallest = drive(micro_weights, packed_predictor, schedule, geometry,
+                     step_budget=1, preemption=False)
     unbounded = drive(micro_weights, packed_predictor, schedule, geometry,
                       step_budget=10**9, preemption=False)
-    assert outcomes(unbounded) == outcomes(inline)
+    assert outcomes(unbounded) == outcomes(smallest)
+    assert smallest.peak_tick_prefill_tokens == 1
     # One admission piece per prompt: nothing was ever split.
     assert unbounded.peak_tick_prefill_tokens >= \
         max(r.prompt_len for _, r in schedule if r.max_new_tokens > 0)
@@ -241,9 +239,9 @@ def test_preemption_spares_shared_donor_pages(
                   max_new_tokens=10, priority=5)
     schedule = [(0, sharer_a), (0, sharer_b), (4, vip)]
     geometry = dict(max_batch_size=3, page_size=4, n_pages=9,
-                    prefix_sharing=True, cache_pages=4)
+                    cache_pages=4)
     reference = drive(micro_weights, packed_predictor, schedule, geometry,
-                      step_budget=0, preemption=False)
+                      step_budget=10**9, preemption=False)
     report = drive(micro_weights, packed_predictor, schedule, geometry,
                    step_budget=2, preemption=True)
     assert report.preemptions >= 1
@@ -270,12 +268,11 @@ def test_blocked_head_keeps_queue_priority(micro_weights, packed_predictor):
     big = Request(request_id=2, prompt_ids=tuple(range(1, 13)),
                   max_new_tokens=12, priority=3)
     schedule = [(0, holder), (0, victim), (3, big)]
-    geometry = dict(max_batch_size=3, page_size=4, n_pages=11,
-                    prefix_sharing=False, cache_pages=0)
+    geometry = dict(max_batch_size=3, page_size=4, n_pages=11)
     reference = drive(micro_weights, packed_predictor, schedule, geometry,
-                      step_budget=0, preemption=False)
+                      step_budget=10**9, preemption=False)
     report = drive(micro_weights, packed_predictor, schedule, geometry,
-                   step_budget=0, preemption=True)
+                   step_budget=10**9, preemption=True)
     assert outcomes(report) == outcomes(reference)
     assert len(report.completions) == 3
 
@@ -291,8 +288,8 @@ def test_equal_priorities_never_preempt(micro_weights, packed_predictor):
     ]
     geometry = draw_geometry(rng, schedule)
     off = drive(micro_weights, packed_predictor, schedule, geometry,
-                step_budget=0, preemption=False)
+                step_budget=10**9, preemption=False)
     on = drive(micro_weights, packed_predictor, schedule, geometry,
-               step_budget=0, preemption=True)
+               step_budget=10**9, preemption=True)
     assert on.preemptions == 0
     assert outcomes(on) == outcomes(off)

@@ -23,6 +23,7 @@ from repro.eval.latency import (
 from repro.eval.reporting import format_serving_sweep, format_tail_latency
 from repro.model.mlp import DenseMLP
 from repro.model.paged_kvcache import PrefixIndex
+from repro.model.weights import random_weights
 from repro.serving import (
     BatchedEngine,
     BatchedSparseInferMLP,
@@ -30,6 +31,7 @@ from repro.serving import (
     EmptyQueueError,
     Request,
     RequestQueue,
+    SLOSpec,
 )
 
 from helpers import (
@@ -229,6 +231,29 @@ class TestEngineFrontDoor:
         with pytest.raises(ValueError, match="at most once"):
             engine.prefill([slot, slot], [1, 2, 3], [2, 1])
         assert slot.length == 0
+
+    @pytest.mark.parametrize("bad", [-1, 19])
+    @pytest.mark.parametrize(
+        "entry", ["prefill", "decode_step", "draft_step", "verify_chunk"],
+    )
+    def test_out_of_vocab_token_id_raises(self, micro_weights, entry, bad):
+        """Measured before the check: a negative id silently embedded a
+        row from the end of the table, and ``vocab_size`` raised a raw
+        ``IndexError`` from inside the forward pass."""
+        assert micro_weights.config.vocab_size == 19
+        engine = build_batched_engine(micro_weights, max_batch_size=1)
+        slot = engine.cache.allocate()
+        engine.prefill(slot, PROMPTS[0])
+        calls = {
+            "prefill": lambda: engine.prefill(slot, [3, bad, 5]),
+            "decode_step": lambda: engine.decode_step([slot], [bad]),
+            "draft_step": lambda: engine.draft_step([slot], [bad],
+                                                    draft_alpha=0.8),
+            "verify_chunk": lambda: engine.verify_chunk(slot, [2, bad]),
+        }
+        with pytest.raises(ValueError, match=r"token ids must lie in \[0, 19\)"):
+            calls[entry]()
+        assert slot.length == 3
 
     def test_empty_verify_chunk_raises(self, micro_weights):
         engine = build_batched_engine(micro_weights, max_batch_size=1)
@@ -582,6 +607,16 @@ class TestScheduler:
         with pytest.raises(ValueError, match=field):
             Request(**kwargs)
 
+    @pytest.mark.parametrize("field,ticks", [
+        ("ttft_steps", 2.9),
+        ("itl_steps", np.float64(3.0)),
+    ])
+    def test_non_integral_slo_ticks_rejected(self, field, ticks):
+        """Floats were once truncated: ``ttft_steps=2.9`` became 2."""
+        with pytest.raises(ValueError, match=field):
+            SLOSpec(**{field: ticks})
+        assert SLOSpec(**{field: np.int64(3)}) == SLOSpec(**{field: 3})
+
     def test_oversized_request_via_raw_queue_is_rejected_not_fatal(
         self, micro_weights
     ):
@@ -743,32 +778,31 @@ class TestCorrelationAwareScheduler:
     def test_sharing_keeps_tokens_identical(self, micro_weights):
         requests = shared_prefix_requests(self.BASE, 5, 8, suffix_len=2,
                                           max_new_tokens=5)
-        outs = []
-        for sharing, window in ((False, 0), (True, 4)):
-            engine = build_batched_engine(
-                micro_weights, max_batch_size=3, page_size=4,
-                prefix_sharing=sharing,
-            )
-            scheduler = ContinuousBatchingScheduler(
-                engine, reorder_window=window
-            )
-            for request in requests:
-                scheduler.submit(request)
-            report = scheduler.run()
-            outs.append((report,
-                         {c.request_id: c.generated_ids
-                          for c in report.completions}))
-        (plain_report, plain), (shared_report, shared) = outs
-        assert plain == shared
-        assert shared_report.forked_admissions > 0
-        assert shared_report.prefill_tokens_saved > 0
-        # Saved + run prefill covers exactly the same prompt positions.
-        assert shared_report.prefill_tokens + \
-            shared_report.prefill_tokens_saved == plain_report.prefill_tokens
-        assert shared_report.peak_shared_pages > 0
-        assert shared_report.intersection_skip >= 0.0
-        assert shared_report.expected_uncorrelated_skip <= \
-            shared_report.mean_sequence_skip + 1e-9
+        engine = build_batched_engine(
+            micro_weights, max_batch_size=3, page_size=4,
+        )
+        scheduler = ContinuousBatchingScheduler(engine, reorder_window=4)
+        # The first prompt is prefilled and registered in tick 1; the
+        # rest arrive after it, so they find a resident donor.
+        scheduler.submit(requests[0])
+        scheduler.step()
+        for request in requests[1:]:
+            scheduler.submit(request)
+        report = scheduler.run()
+        shared = [c.generated_ids for c in sorted(
+            report.completions, key=lambda c: c.request_id)]
+        assert shared == reference_generations(
+            micro_weights, [r.prompt_ids for r in requests], 5
+        )
+        assert report.forked_admissions > 0
+        assert report.prefill_tokens_saved > 0
+        # Saved + run prefill covers exactly the prompt positions.
+        assert report.prefill_tokens + report.prefill_tokens_saved == \
+            sum(r.prompt_len for r in requests)
+        assert report.peak_shared_pages > 0
+        assert report.intersection_skip >= 0.0
+        assert report.expected_uncorrelated_skip <= \
+            report.mean_sequence_skip + 1e-9
 
     def test_reorder_window_never_starves_head(self, micro_weights):
         """The FIFO head is bypassed at most ``window - 1`` times."""
@@ -781,7 +815,7 @@ class TestCorrelationAwareScheduler:
                                          start_id=2)      # forks: 2 pages
         engine = build_batched_engine(
             micro_weights, max_batch_size=8, max_seq_len=32,
-            page_size=4, n_pages=8, prefix_sharing=True,
+            page_size=4, n_pages=8,
         )
         scheduler = ContinuousBatchingScheduler(engine,
                                                 reorder_window=window)
@@ -804,10 +838,11 @@ class TestCorrelationAwareScheduler:
         requests = shared_prefix_requests(self.BASE, 6, 8, max_new_tokens=6)
         engine = build_batched_engine(
             micro_weights, max_batch_size=2, page_size=4,
-            prefix_sharing=True,
         )
         scheduler = ContinuousBatchingScheduler(engine)   # window = 0
-        for request in requests:
+        scheduler.submit(requests[0])
+        scheduler.step()                 # prefilled and registered
+        for request in requests[1:]:
             scheduler.submit(request)
         report = scheduler.run()
         by_id = {c.request_id: c for c in report.completions}
@@ -822,7 +857,7 @@ class TestCorrelationAwareScheduler:
                                           max_new_tokens=7)
         engine = build_batched_engine(
             micro_weights, max_batch_size=4, max_seq_len=32,
-            page_size=4, n_pages=10, prefix_sharing=True,
+            page_size=4, n_pages=10,
         )
         scheduler = ContinuousBatchingScheduler(engine, reorder_window=4)
         for request in requests:
@@ -844,7 +879,6 @@ class TestCorrelationAwareScheduler:
     def test_released_donor_is_no_longer_matched(self, micro_weights):
         engine = build_batched_engine(
             micro_weights, max_batch_size=2, page_size=4,
-            prefix_sharing=True,
         )
         slot = engine.cache.allocate()
         engine.prefill(slot, self.BASE[:8])
@@ -905,7 +939,7 @@ class TestServeReportTelemetryContract:
     def test_sum_counters_and_wall_clock_split(self, micro_weights):
         engine = build_batched_engine(
             micro_weights, max_batch_size=2, page_size=4,
-            n_pages=12, prefix_sharing=True, cache_pages=4,
+            n_pages=12, cache_pages=4,
         )
         scheduler = ContinuousBatchingScheduler(
             engine, step_budget=2, preemption=True,
@@ -1006,8 +1040,25 @@ class TestBudgetedScheduling:
 
     def test_step_budget_validation(self, micro_weights):
         engine = build_batched_engine(micro_weights, max_batch_size=1)
-        with pytest.raises(ValueError, match="step_budget"):
-            ContinuousBatchingScheduler(engine, step_budget=-1)
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="step_budget"):
+                ContinuousBatchingScheduler(engine, step_budget=budget)
+
+    def test_default_scheduler_budgets_a_long_prompt(self, micro_config):
+        """The default tick is the budgeted one: a 100-token prompt is
+        prefilled over several ticks of at most 32 tokens."""
+        config = dataclasses.replace(micro_config, max_seq_len=128)
+        engine = build_batched_engine(random_weights(config, seed=11),
+                                      max_batch_size=1)
+        scheduler = ContinuousBatchingScheduler(engine)
+        prompt = tuple(i % config.vocab_size for i in range(100))
+        scheduler.submit(Request(request_id=0, prompt_ids=prompt,
+                                 max_new_tokens=2))
+        report = scheduler.run()
+        assert report.completions[0].ok
+        assert report.step_budget == 32
+        assert report.prefill_tokens == 100
+        assert report.peak_tick_prefill_tokens <= 32
 
     def test_skip_telemetry_fresh_on_every_return_path(self, micro_weights):
         """Regression: ticks with no decode batch returned early without
@@ -1018,7 +1069,7 @@ class TestBudgetedScheduling:
         """
         engine = build_batched_engine(
             micro_weights, max_batch_size=2, page_size=4,
-            n_pages=10, prefix_sharing=True, cache_pages=4,
+            n_pages=10, cache_pages=4,
         )
         scheduler = ContinuousBatchingScheduler(
             engine, step_budget=1, preemption=True,
@@ -1126,10 +1177,9 @@ class TestBudgetedScheduling:
             micro_weights, [r.prompt_ids for r in requests], 5
         )
         runs = {}
-        for budget in (0, 20):
+        for budget in (2, 20):
             engine = build_batched_engine(
                 micro_weights, max_batch_size=4, page_size=4,
-                prefix_sharing=True, prefill_chunk=8,
             )
             scheduler = ContinuousBatchingScheduler(
                 engine, step_budget=budget, reorder_window=4,
@@ -1149,7 +1199,7 @@ class TestBudgetedScheduling:
             tokens = [c.generated_ids for c in sorted(
                 report.completions, key=lambda c: c.request_id)]
             runs[budget] = (tokens, report, calls)
-        assert runs[0][0] == runs[20][0] == expected
+        assert runs[2][0] == runs[20][0] == expected
 
         _, report, calls = runs[20]
         ticks = [tick for tick, _, _ in calls]
@@ -1208,13 +1258,8 @@ class TestPrefixCache:
     def _engine(self, weights, cache_pages, max_batch_size=2, n_pages=16):
         return build_batched_engine(
             weights, max_batch_size=max_batch_size, max_seq_len=32,
-            page_size=4, n_pages=n_pages,
-            prefix_sharing=True, cache_pages=cache_pages,
+            page_size=4, n_pages=n_pages, cache_pages=cache_pages,
         )
-
-    def test_cache_pages_requires_prefix_sharing(self, micro_weights):
-        with pytest.raises(ValueError, match="requires prefix_sharing"):
-            build_batched_engine(micro_weights, cache_pages=4)
 
     def test_bursty_revive_matches_cold_prefill(self, micro_weights):
         """Non-overlapping same-prefix bursts: the cache (and only the
@@ -1249,9 +1294,10 @@ class TestPrefixCache:
         scheduler = ContinuousBatchingScheduler(engine)
         scheduler.submit(seed[0])
         scheduler.run()                      # retire -> prefix parked
-        for request in chain:
-            scheduler.submit(request)
-        scheduler.run()                      # revive, then fork the revived
+        scheduler.submit(chain[0])
+        scheduler.step()                     # revive, prefill, register
+        scheduler.submit(chain[1])
+        scheduler.run()                      # fork the revived sequence
         report = scheduler.report
         assert report.revived_admissions == 1
         assert report.forked_admissions == 1
@@ -1272,6 +1318,7 @@ class TestPrefixCache:
         scheduler.submit(requests[0])
         scheduler.run()                      # parked
         scheduler.submit(requests[1])        # revives the parked prefix
+        scheduler.step()
         scheduler.submit(requests[2])        # donor (request 1) is resident
         scheduler.run()
         assert scheduler.report.revived_admissions == 1
@@ -1322,12 +1369,12 @@ class TestPrefixCache:
                                           max_new_tokens=3)
         engine = build_batched_engine(
             micro_weights, max_batch_size=2, page_size=4,
-            n_pages=16, prefix_sharing=True, cache_pages=8,
+            n_pages=16, cache_pages=8,
         )
         point = measure_batched_serving(
             ContinuousBatchingScheduler(engine), requests,
         )
-        assert "+prefix+cache8" in point.label
+        assert "+cache8" in point.label
         assert point.report.cache_pages == 8
         assert point.report.revived_admissions >= 0
         assert point.report.revived_tokens >= 0

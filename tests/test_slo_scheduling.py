@@ -95,14 +95,12 @@ def draw_geometry(rng, schedule) -> dict:
         max_batch_size=int(rng.integers(1, 4)),
         page_size=page_size,
         n_pages=n_pages,
-        prefix_sharing=bool(rng.random() < 0.5),
         cache_pages=0,
-        prefill_chunk=int(rng.choice([3, 32])),
     )
 
 
 def drive(weights, predictor, schedule, geometry, admission="fifo",
-          deadline_window=4, step_budget=0, preemption=False,
+          deadline_window=4, step_budget=32, preemption=False,
           check_pool=True):
     engine = BatchedEngine(
         weights, predictor=predictor, **geometry
@@ -209,7 +207,7 @@ def test_deadline_admission_invariants(micro_weights, packed_predictor):
             micro_weights, packed_predictor, schedule, geometry,
             admission="deadline",
             deadline_window=int(rng.integers(1, 6)),
-            step_budget=int(rng.choice([0, 2, 6])),
+            step_budget=int(rng.choice([2, 6, 32])),
             preemption=preemption,
         )
         assert report.admission == "deadline"
@@ -258,7 +256,7 @@ def test_slo_verdicts_match_completion_records(
                 and c.request.slo.met(c.submitted_step, c.emit_steps)
             )
         # emit_steps is the full emission record.  Gaps are >= 0, not
-        # strictly positive: the admission tick's inline prefill and its
+        # strictly positive: the admission tick's prefill piece and its
         # decode pass can emit two tokens under the same tick stamp.
         assert len(c.emit_steps) == c.n_generated
         assert all(a <= b for a, b in zip(c.emit_steps, c.emit_steps[1:]))
@@ -285,7 +283,7 @@ def test_bounded_bypass_prevents_starvation(
             slo=SLOSpec("interactive", ttft_steps=2),
         )))
     geometry = dict(max_batch_size=1, page_size=4, n_pages=2,
-                    prefix_sharing=False, cache_pages=0)
+                    cache_pages=0)
     report = drive(micro_weights, packed_predictor, schedule, geometry,
                    admission="deadline", deadline_window=window,
                    check_pool=False)
@@ -310,7 +308,7 @@ def test_priority_breaks_deadline_ties(micro_weights, packed_predictor):
     high = Request(request_id=1, prompt_ids=(4, 5, 6), max_new_tokens=2,
                    priority=5, slo=slo)
     geometry = dict(max_batch_size=1, page_size=4, n_pages=2,
-                    prefix_sharing=False, cache_pages=0)
+                    cache_pages=0)
     report = drive(micro_weights, packed_predictor,
                    [(0, low), (0, high)], geometry,
                    admission="deadline", check_pool=False)
@@ -337,8 +335,8 @@ def test_deadline_beats_fifo_goodput_under_overload(
     deadline admission sheds the hopeless burst tail and serves every
     trickle request inside its deadline -- strictly more goodput."""
     slo = SLOSpec("interactive", ttft_steps=3, itl_steps=6)
-    # Capacity is one request per tick (max_batch_size=1, inline
-    # prefill + same-tick decode finish a 2-token request in its
+    # Capacity is one request per tick (max_batch_size=1; the prompt's
+    # prefill piece + same-tick decode finish a 2-token request in its
     # admission tick).  The tick-0 burst of 6 exceeds what ttft=3 can
     # absorb; the trickle at ticks 3-5 is individually feasible but
     # FIFO reaches it only after burning ticks 4-6 on the stale burst.
@@ -352,7 +350,7 @@ def test_deadline_beats_fifo_goodput_under_overload(
         for i in range(6, 9)
     ]
     geometry = dict(max_batch_size=1, page_size=4, n_pages=2,
-                    prefix_sharing=False, cache_pages=0)
+                    cache_pages=0)
     fifo = drive(micro_weights, packed_predictor, schedule, geometry,
                  admission="fifo", check_pool=False)
     edf = drive(micro_weights, packed_predictor, schedule, geometry,

@@ -24,13 +24,12 @@ CFG = SamplerConfig(temperature=0.9, top_k=8, top_p=0.95, seed=17)
 PROMPTS = [[1, 4, 2], [3, 5], [6, 7, 8, 9], [2, 2, 1], [10, 3], [4, 4, 4]]
 
 # Same serving knob matrix as the sampling acceptance sweep: every
-# sharing/budget/preemption shape the scheduler supports.
+# cache/budget/preemption shape the scheduler supports.
 MATRIX = [
     dict(),
-    dict(prefix_sharing=True),
-    dict(prefix_sharing=True, cache_pages=8),
-    dict(prefix_sharing=True, cache_pages=8, step_budget=4),
-    dict(prefix_sharing=True, cache_pages=8, preemption=True),
+    dict(cache_pages=8),
+    dict(cache_pages=8, step_budget=4),
+    dict(cache_pages=8, preemption=True),
 ]
 
 
@@ -372,7 +371,7 @@ class TestTelemetryAndAdaptivity:
                       max_new_tokens=8, priority=5, sampling=CFG)
         engine = build_batched_engine(
             micro_weights, max_batch_size=2, page_size=4,
-            n_pages=6, prefix_sharing=True, cache_pages=4, speculation=spec,
+            n_pages=6, cache_pages=4, speculation=spec,
         )
         scheduler = ContinuousBatchingScheduler(engine, preemption=True)
         scheduler.submit(low)
