@@ -223,6 +223,7 @@ MATRIX = [
     dict(cache_pages=8),
     dict(cache_pages=8, step_budget=4),
     dict(cache_pages=8, preemption=True),
+    dict(cache_pages=8, step_budget=1, preemption=True),
 ]
 
 
