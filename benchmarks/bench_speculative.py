@@ -110,9 +110,8 @@ def drain(weights, requests, speculation=None):
     """
     engine = build_batched_engine(
         weights, max_batch_size=1, max_seq_len=MAX_SEQ_LEN,
-        speculation=speculation,
     )
-    scheduler = ContinuousBatchingScheduler(engine)
+    scheduler = ContinuousBatchingScheduler(engine, speculation=speculation)
     for request in requests:
         scheduler.submit(request)
     report = scheduler.run()

@@ -145,8 +145,8 @@ def main() -> None:
     ]
     sharing = build_batched_engine(weights, settings, predictor=predictor,
                                    max_batch_size=4, page_size=page_size)
-    sharing_scheduler = ContinuousBatchingScheduler(sharing,
-                                                    reorder_window=4)
+    sharing_scheduler = ContinuousBatchingScheduler(
+        sharing, admission="prefix", admission_window=4)
     for request in shared_requests:
         sharing_scheduler.submit(request)
     sharing_report = sharing_scheduler.run()
@@ -311,9 +311,9 @@ def main() -> None:
         engine = build_batched_engine(weights, settings,
                                       predictor=predictor,
                                       max_batch_size=4,
-                                      page_size=page_size,
-                                      speculation=speculation)
-        scheduler = ContinuousBatchingScheduler(engine)
+                                      page_size=page_size)
+        scheduler = ContinuousBatchingScheduler(engine,
+                                                speculation=speculation)
         for request in requests:
             scheduler.submit(request)
         report = scheduler.run()
@@ -322,7 +322,7 @@ def main() -> None:
 
     plain_out, plain_report = drain_spec(None)
     spec_out, spec_report = drain_spec(
-        SpecConfig(k=4, draft_alpha=0.5, adaptive=True))
+        SpecConfig(k=4, draft_alpha=0.5))
     print(f"\nspeculative self-drafting (k=4, draft_alpha=0.5, adaptive): "
           f"{spec_report.drafted_tokens} drafted, "
           f"{spec_report.accepted_tokens} accepted "

@@ -1,11 +1,12 @@
-"""``docs-knobs``: engine/scheduler knobs must be documented.
+"""``docs-knobs``: the engine/scheduler knob tables match the signatures.
 
 Successor to the fragile heredoc that used to live in
 ``scripts/check.sh``: every parameter of
 ``repro.serving.engine.BatchedEngine.__init__`` and of
 ``repro.serving.scheduler.ContinuousBatchingScheduler.__init__`` must
-appear backticked in the ``docs/serving.md`` knob tables, so a knob
-added (or renamed) without documentation fails the tier-1 gate.
+have a row -- a backticked first-column name -- in its
+``docs/serving.md`` knob table, and every row must name a parameter,
+so adding, renaming or removing a knob without the docs fails the gate.
 
 Unlike the heredoc, this rule reads signatures from the AST instead of
 importing the package, so it needs no ``PYTHONPATH`` gymnastics and can
@@ -15,17 +16,20 @@ run against the temporary doc-edit trees the acceptance tests build.
 from __future__ import annotations
 
 import ast
+import re
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .core import Finding, Project, Rule
 
 DOCS_PATH = "docs/serving.md"
 
-#: (relpath, qualname) signatures whose parameters the docs must cover.
-KNOB_SOURCES: Tuple[Tuple[str, str], ...] = (
-    ("src/repro/serving/engine.py", "BatchedEngine.__init__"),
+#: ``(relpath, qualname, marker)``: a signature whose parameters the
+#: docs must cover, and the docs line its knob table follows.
+KNOB_SOURCES: Tuple[Tuple[str, str, str], ...] = (
+    ("src/repro/serving/engine.py", "BatchedEngine.__init__",
+     "## `BatchedEngine` knobs"),
     ("src/repro/serving/scheduler.py",
-     "ContinuousBatchingScheduler.__init__"),
+     "ContinuousBatchingScheduler.__init__", "Scheduler-side knobs"),
 )
 
 
@@ -55,19 +59,36 @@ def _param_names(func: ast.FunctionDef) -> List[str]:
     return [n for n in names if n not in ("self", "cls")]
 
 
+def _table_rows(docs: str, marker: str) -> Optional[List[Tuple[int, str]]]:
+    """``(line, name)`` per backticked first-column name of the first
+    table after the line holding ``marker``; None without that line."""
+    lines = docs.splitlines()
+    start = next((i for i, line in enumerate(lines) if marker in line), None)
+    if start is None:
+        return None
+    rows: List[Tuple[int, str]] = []
+    for lineno, line in enumerate(lines[start + 1:], start + 2):
+        if line.startswith("|"):
+            rows += [(lineno, name)
+                     for name in re.findall(r"`(\w+)`", line.split("|")[1])]
+        elif rows:
+            break
+    return rows
+
+
 class DocsKnobsRule(Rule):
     """Engine/scheduler signature parameters vs docs/serving.md."""
 
     rule_id = "docs-knobs"
     description = (
-        "every BatchedEngine and ContinuousBatchingScheduler "
-        "knob must appear in the docs/serving.md knob tables"
+        "the docs/serving.md knob tables list exactly the "
+        "BatchedEngine and ContinuousBatchingScheduler knobs"
     )
 
     def __init__(
         self,
         docs_path: str = DOCS_PATH,
-        sources: Sequence[Tuple[str, str]] = KNOB_SOURCES,
+        sources: Sequence[Tuple[str, str, str]] = KNOB_SOURCES,
     ):
         self.docs_path = docs_path
         self.sources = tuple(sources)
@@ -82,7 +103,7 @@ class DocsKnobsRule(Rule):
                 "<docs>", "missing-docs",
             )
             docs = ""
-        for relpath, qualname in self.sources:
+        for relpath, qualname, marker in self.sources:
             tree = project.tree(relpath)
             if tree is None:
                 yield self.finding(
@@ -101,12 +122,29 @@ class DocsKnobsRule(Rule):
                     qualname, "missing-function",
                 )
                 continue
-            for name in _param_names(func):
-                if f"`{name}`" not in docs:
+            rows = _table_rows(docs, marker)
+            if rows is None:
+                yield self.finding(
+                    self.docs_path, 1, f"no knob table for {qualname}: no "
+                    f"line contains {marker!r}", qualname, "missing-table",
+                )
+                continue
+            params = _param_names(func)
+            documented = {name for _, name in rows}
+            for name in params:
+                if name not in documented:
                     yield self.finding(
                         relpath, func.lineno,
                         f"knob {qualname}({name}=...) is not documented "
                         f"in {self.docs_path} (add a backticked `{name}` "
                         "row to the knob table)",
                         qualname, f"knob:{name}",
+                    )
+            for lineno, name in rows:
+                if name not in params:
+                    yield self.finding(
+                        self.docs_path, lineno,
+                        f"knob table row `{name}` is not a parameter of "
+                        f"{qualname} (delete or rename the row)",
+                        qualname, f"stale:{name}",
                     )

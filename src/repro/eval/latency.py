@@ -199,8 +199,9 @@ def measure_batched_serving(scheduler, requests) -> ServingMeasurement:
     speculation = scheduler.speculation
     if speculation is not None:
         label += f"+spec(a={speculation.draft_alpha:g},k={speculation.k})"
-    if scheduler.admission == "deadline":
-        label += f"+edf{scheduler.deadline_window}"
+    if scheduler.admission != "fifo":
+        policy = "edf" if scheduler.admission == "deadline" else "prefix"
+        label += f"+{policy}{scheduler.admission_window}"
     return ServingMeasurement(label=label, report=report)
 
 

@@ -39,16 +39,16 @@ Pieces:
   so tokens reproduce regardless of batch composition or preemption.
 * :mod:`repro.serving.scheduler` -- continuous batching: admit from the
   queue the moment a slot (and its worst-case pages) frees, retire
-  finished sequences, never starve.  With a ``reorder_window`` on the
-  scheduler, admission prefers
-  queued requests sharing a live prompt prefix: they skip the shared
+  finished sequences, never starve.  With ``admission="prefix"`` on
+  the scheduler, admission prefers queued requests (within its
+  ``admission_window``) sharing a live prompt prefix: they skip the shared
   prefill and keep the decode batch's sign patterns correlated so the
   intersection decays slower than the independent ``skip^B``;
   ``cache_pages > 0`` extends sharing across non-overlapping lifetimes
   (both mechanisms are the KV store's, see
   :mod:`repro.model.paged_kvcache`).
 * :mod:`repro.serving.speculative` -- :class:`SpecConfig`: speculative
-  self-drafting (``speculation=...`` on engine and scheduler).  The
+  self-drafting (``speculation=...`` on the scheduler).  The
   sparse path at an aggressive alpha drafts ``k`` tokens per tick, one
   chunked causal GEMM verifies ``k + 1`` positions at the serving
   alpha, rejected draft K/V is rolled back with ``truncate`` -- output

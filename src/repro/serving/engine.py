@@ -65,7 +65,7 @@ from ..model.rope import apply_rope, rope_tables
 from ..model.sampler import BatchedSampler, SamplerConfig
 from ..model.weights import ModelWeights
 from .batch_mlp import BatchedSparseInferMLP
-from .speculative import SpecConfig
+from .request import as_integer
 
 def _require_distinct(slots: Sequence[PagedKVSlot]) -> None:
     """One row block per slot per pass: a repeated slot would write two
@@ -114,16 +114,6 @@ class BatchedEngine:
         :class:`~repro.model.sampler.BatchedSampler` either way; it
         consumes the stacked decode logits in one vectorised pass and
         draws stochastic rows from per-request RNG streams.
-    speculation:
-        Default :class:`~repro.serving.speculative.SpecConfig` for
-        speculative self-drafting.  The engine itself only stores it
-        (and sizes nothing differently); the scheduler reads it as the
-        default when its own ``speculation`` argument is None.  Draft
-        and verify executors are built lazily per draft alpha
-        (:meth:`draft_step` / :meth:`verify_chunk`), so an engine built
-        without this knob still serves a scheduler-side ``SpecConfig``.
-        ``None`` (the default) keeps the engine bit-identical to
-        pre-speculation builds.
     """
 
     def __init__(
@@ -137,9 +127,9 @@ class BatchedEngine:
         n_pages: int = 0,
         cache_pages: int = 0,
         sampling: Optional[SamplerConfig] = None,
-        speculation: Optional[SpecConfig] = None,
     ):
         weights.validate()
+        cache_pages = as_integer(cache_pages, "cache_pages")
         self.weights = weights
         self.config = weights.config
         self.settings = settings or SparseInferSettings()
@@ -164,7 +154,6 @@ class BatchedEngine:
         )
         self.sampling = sampling if sampling is not None else SamplerConfig()
         self.sampler = BatchedSampler(self.sampling)
-        self.speculation = speculation
         # Speculation executors, built on demand: one sparse draft
         # executor per aggressive alpha, one verify executor at the
         # serving alpha.  Separate instances keep ``self.sparse.stats``
@@ -392,25 +381,18 @@ class BatchedEngine:
 
     def draft_step(
         self, slots: Sequence[PagedKVSlot], token_ids: Sequence[int],
-        draft_alpha: Optional[float] = None,
+        draft_alpha: float,
     ) -> np.ndarray:
         """One *draft* decode step; returns ``(B, vocab)`` logits.
 
         Identical to :meth:`decode_step` except the MLP runs through
-        the aggressive-alpha sparse executor, so the logits are cheap
+        the sparse executor at ``draft_alpha`` (the scheduler's
+        ``SpecConfig.draft_alpha``), so the logits are cheap
         approximations.  The K/V it appends is draft-quality: callers
         must :meth:`~repro.model.paged_kvcache.PagedKVSlot.truncate`
         back before committing anything (the verify pass re-appends
-        exact K/V).  ``draft_alpha`` defaults to the engine's
-        ``speculation.draft_alpha``.
+        exact K/V).
         """
-        if draft_alpha is None:
-            if self.speculation is None:
-                raise ValueError(
-                    "draft_step needs draft_alpha (engine built without "
-                    "a speculation config)"
-                )
-            draft_alpha = self.speculation.draft_alpha
         return self._forward_batch(
             slots, token_ids, self._draft_mlp(draft_alpha)
         )

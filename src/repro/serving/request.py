@@ -9,6 +9,14 @@ from typing import Optional
 from ..model.sampler import SamplerConfig
 
 
+def as_integer(value, name: str) -> int:
+    """``value`` as a Python int: numpy ints pass, floats raise, not truncate."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _token_ids(name: str, ids) -> tuple:
     """``ids`` as Python ints: numpy ints pass, floats raise, not truncate."""
     try:
@@ -52,12 +60,7 @@ class SLOSpec:
             value = getattr(self, name)
             if value is None:
                 continue
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise ValueError(
-                    f"{name} must be an integer tick count, got {value!r}"
-                ) from None
+            value = as_integer(value, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1 or None, got {value}")
             object.__setattr__(self, name, value)
@@ -132,11 +135,13 @@ class Request:
         object.__setattr__(self, "prompt_ids", _token_ids("prompt_ids", self.prompt_ids))
         if len(self.prompt_ids) == 0:
             raise ValueError("prompt_ids must be non-empty")
-        if self.max_new_tokens < 0:
+        max_new_tokens = as_integer(self.max_new_tokens, "max_new_tokens")
+        if max_new_tokens < 0:
             raise ValueError("max_new_tokens must be non-negative")
+        object.__setattr__(self, "max_new_tokens", max_new_tokens)
         if self.stop_ids is not None:
             object.__setattr__(self, "stop_ids", frozenset(_token_ids("stop_ids", self.stop_ids)))
-        object.__setattr__(self, "priority", int(self.priority))
+        object.__setattr__(self, "priority", as_integer(self.priority, "priority"))
         if self.sampling is not None and not isinstance(self.sampling, SamplerConfig):
             raise ValueError(
                 f"sampling must be a SamplerConfig or None, got {type(self.sampling).__name__}"

@@ -37,17 +37,22 @@ pending request waits only until the next free slot.  FIFO admission
 makes starvation impossible -- every retirement frees a slot and the
 queue head is always admitted first.
 
-**Correlation-aware admission.**  When the scheduler is given a
-``reorder_window`` > 1, admission may prefer -- from the first
-``reorder_window`` queued requests -- one that shares a *live* prompt prefix with a resident
-sequence over the FIFO head.  Such a request's seat is a fork (cheaper:
-it is charged only its unshared worst case, and its shared prefill is
-skipped) and keeps the decode batch's activation sign patterns
-correlated, which slows the ``skip^B`` intersection decay
-(:func:`repro.gpu.batching.batch_skip_fraction` with
-``correlation > 0``).  Starvation stays bounded: the head is bypassed at
-most ``reorder_window - 1`` times before it must be the next admission,
-so FIFO is the steady-state order.
+**Admission policies.**  ``admission="fifo"`` (the default) offers the
+queue head; ``"prefix"`` and ``"deadline"`` re-order the first
+``admission_window`` queued requests under one starvation bound: once
+the head has been bypassed ``admission_window - 1`` admissions in a row
+it *must* be the next admission (a window of 1 is FIFO order).
+*Prefix* (correlation-aware) admission may prefer a request sharing a
+*live* prompt prefix with a resident: its seat is a fork (charged only
+its unshared worst case, its shared prefill skipped) and keeps the
+decode batch's sign patterns correlated, which slows the ``skip^B``
+intersection decay (:func:`repro.gpu.batching.batch_skip_fraction` with
+``correlation > 0``).  *Deadline* admission picks the earliest TTFT
+deadline (``submit tick + slo.ttft_steps``; a resumed evictee that
+already emitted is ranked by its next ITL deadline, and requests
+without an :class:`~repro.serving.request.SLOSpec` rank last at
+``+inf``); higher ``Request.priority`` breaks deadline ties, then FIFO
+order.
 
 **Step-budgeted ticks (prefill piggybacking).**  A tick spends at most
 ~``step_budget`` model-fed tokens (default 32): each decoding resident
@@ -86,12 +91,12 @@ Equal priorities never preempt each other,
 which rules out eviction ping-pong; every preemption chain strictly
 descends in priority, so it is finite.
 
-**Speculative self-drafting.**  With ``speculation=SpecConfig(...)``
-(scheduler knob, falling back to the engine's), each decoding sequence
-with draft budget spends its tick on a draft/verify/rollback cycle
-instead of one decode step: up to ``spec_k`` cheap draft steps through
-the aggressive-alpha sparse executor propose tokens (argmax of the
-draft logits -- per-request sampler streams never see draft logits),
+**Speculative self-drafting.**  With ``speculation=SpecConfig(k,
+draft_alpha)``, each decoding sequence with draft budget spends its
+tick on a draft/verify/rollback cycle instead of one decode step: up to
+``spec_k`` cheap draft steps through the aggressive-alpha sparse
+executor propose tokens (argmax of the draft logits -- per-request
+sampler streams never see draft logits),
 the slot is rewound, and one chunked causal GEMM at the serving alpha
 verifies all proposals plus a bonus token.  Targets are drawn from the
 per-request stream against the *verifier's* logits in the plain decode
@@ -101,27 +106,15 @@ the emitted tokens -- so output is token-identical to
 ``speculation=None`` across every cache/batching knob, and a
 high-acceptance workload emits several tokens per tick.  Drafted
 positions stay strictly inside the worst case reserved at admission,
-so the no-mid-decode-starvation guarantee is untouched; with
-``adaptive=True`` a per-sequence acceptance-rate EMA moves ``spec_k``
-between 1 and ``k``.
+so the no-mid-decode-starvation guarantee is untouched.  A
+per-sequence acceptance-rate EMA moves ``spec_k`` between 1 and ``k``
+(constants in :mod:`repro.serving.speculative`).
 
-**Deadline admission and load shedding (PR 10).**  With
-``admission="deadline"`` the FIFO arbitration is replaced by
-earliest-deadline-first over a bounded queue window: each admission
-picks, from the first ``deadline_window`` queued requests, the one with
-the earliest TTFT deadline (``submit tick + slo.ttft_steps``; a resumed
-evictee that already emitted is ranked by its next ITL deadline, and
-requests without an :class:`~repro.serving.request.SLOSpec` rank last
-at ``+inf``).  ``Request.priority`` breaks deadline ties -- higher
-priority first -- and equal-priority equal-deadline candidates fall
-back to FIFO order.  Starvation stays impossible via the same
-bounded-bypass rule as ``reorder_window``: once the FIFO head has been
-bypassed ``deadline_window - 1`` admissions in a row it *must* be the
-next admission.  Under overload the scheduler additionally **sheds**
-queued requests whose TTFT deadline has already passed (a prompt that
-fits the tick's budget emits its first token in the admission tick, so
-a request is hopeless exactly when ``step_count`` exceeds its
-deadline): they complete as rejected-typed
+**Load shedding (PR 10).**  Under deadline admission the scheduler
+also **sheds** queued requests whose TTFT deadline has already passed
+(a prompt that fits the tick's budget emits its first token in the
+admission tick, so a request is hopeless exactly when ``step_count``
+exceeds its deadline): they complete as rejected-typed
 :class:`~repro.serving.request.Completion` objects with ``shed=True``
 and a ``"shed: ..."`` error, never silently vanish, and free their
 decode capacity for requests that can still meet their deadlines --
@@ -131,8 +124,8 @@ becomes deadline-aware: among strictly-lower-priority residents the
 one with the most deadline slack is evicted.  SLO deadlines are
 expressed in scheduler ticks, so admission order, shedding, and the
 goodput accounting are deterministic functions of the trace.
-``admission="fifo"`` (the default) keeps every legacy behaviour
-bit-for-bit: SLO fields then only add accounting, never scheduling.
+Under ``"fifo"`` and ``"prefix"`` SLO fields only add accounting,
+never scheduling.
 
 The admission loop drains the queue by catching the typed
 :class:`~repro.serving.queue.EmptyQueueError` only -- a bare
@@ -152,8 +145,10 @@ from ..model.batch_attention import AttentionTelemetry
 from ..model.paged_kvcache import SeatPlan
 from .engine import BatchedEngine
 from .queue import EmptyQueueError, RequestQueue
-from .request import Completion, Request
-from .speculative import SpecConfig
+from .request import Completion, Request, as_integer
+from .speculative import (
+    EMA_DECAY, LOWER_THRESHOLD, RAISE_THRESHOLD, SpecConfig,
+)
 
 #: Default model-fed tokens per tick (``step_budget``).
 DEFAULT_STEP_BUDGET = 32
@@ -182,8 +177,8 @@ class _ActiveSequence:
     Speculation state: ``spec_k`` is this sequence's current draft
     depth (0 = never drafts; set to the config's ``k`` at admission
     when speculation is on), ``spec_ema`` its rolling acceptance-rate
-    EMA -- an adaptive config moves ``spec_k`` between 1 and the
-    config ceiling as the EMA crosses the thresholds.
+    EMA, which moves ``spec_k`` between 1 and the config ceiling as it
+    crosses the thresholds.
 
     Preemption parks the object itself (``slot=None``) until the
     request is re-admitted, so everything above survives eviction.
@@ -340,7 +335,7 @@ class ServeReport:
     accepted_tokens: int = 0           # drafts the verify pass confirmed
     draft_seconds: float = 0.0         # wall time in aggressive-alpha drafting
     verify_seconds: float = 0.0        # wall time in chunked verify passes
-    admission: str = "fifo"            # scheduler knob ("fifo" | "deadline")
+    admission: str = "fifo"            # scheduler knob (fifo/prefix/deadline)
     slo_met_requests: int = 0          # completions inside their SLO (or none)
     slo_missed_requests: int = 0       # completions that violated their SLO
     shed_requests: int = 0             # hopeless requests dropped pre-admission
@@ -512,14 +507,12 @@ class ServeReport:
 class ContinuousBatchingScheduler:
     """Drains a request queue through a :class:`BatchedEngine`.
 
-    The tick and every policy behind a knob -- correlation-aware
-    admission (``reorder_window``), budgeted ticks (``step_budget``),
-    ``preemption``, ``speculation`` (``None`` falls back to the
-    engine's), deadline ``admission`` over ``deadline_window`` -- are
-    described once, in the module docstring; defaults and constraints
-    are tabulated in ``docs/serving.md``.  ``admission="deadline"`` and
-    ``reorder_window > 1`` both rearbitrate the same queue window, so
-    they are mutually exclusive.
+    The tick and every policy behind a knob -- ``admission``
+    (``"fifo"``, ``"prefix"`` or ``"deadline"``) over
+    ``admission_window``, budgeted ticks (``step_budget``),
+    ``preemption``, ``speculation`` -- are described once, in the
+    module docstring; defaults and constraints are tabulated in
+    ``docs/serving.md``.
 
     ``on_token`` is an optional streaming callback, invoked as
     ``on_token(request_id, token_id, step)`` for every *emitted* token
@@ -536,18 +529,14 @@ class ContinuousBatchingScheduler:
         self,
         engine: BatchedEngine,
         queue: Optional[RequestQueue] = None,
-        reorder_window: int = 0,
         step_budget: int = DEFAULT_STEP_BUDGET,
         preemption: bool = False,
         on_token=None,
         speculation: Optional[SpecConfig] = None,
         admission: str = "fifo",
-        deadline_window: int = 8,
+        admission_window: int = 8,
     ):
-        if reorder_window < 0:
-            raise ValueError(
-                f"reorder_window must be >= 0, got {reorder_window}"
-            )
+        step_budget = as_integer(step_budget, "step_budget")
         if step_budget < 1:
             raise ValueError(
                 f"step_budget must be >= 1, got {step_budget}"
@@ -556,30 +545,22 @@ class ContinuousBatchingScheduler:
             raise ValueError(
                 f"on_token must be callable or None, got {type(on_token).__name__}"
             )
-        if admission not in ("fifo", "deadline"):
+        if admission not in ("fifo", "prefix", "deadline"):
+            raise ValueError(f"admission must be 'fifo', 'prefix' or "
+                             f"'deadline', got {admission!r}")
+        admission_window = as_integer(admission_window, "admission_window")
+        if admission_window < 1:
             raise ValueError(
-                f"admission must be 'fifo' or 'deadline', got {admission!r}"
-            )
-        if deadline_window < 1:
-            raise ValueError(
-                f"deadline_window must be >= 1, got {deadline_window}"
-            )
-        if admission == "deadline" and reorder_window > 1:
-            raise ValueError(
-                "admission='deadline' and reorder_window > 1 both "
-                "rearbitrate the queue window; use one or the other"
+                f"admission_window must be >= 1, got {admission_window}"
             )
         self.on_token = on_token
         self.engine = engine
         self.queue = queue if queue is not None else RequestQueue()
-        self.reorder_window = reorder_window
         self.step_budget = step_budget
         self.preemption = bool(preemption)
         self.admission = admission
-        self.deadline_window = deadline_window
-        self.speculation = (
-            speculation if speculation is not None else engine.speculation
-        )
+        self.admission_window = admission_window
+        self.speculation = speculation
         self.active: List[_ActiveSequence] = []
         self.step_count = 0
         self._head_skips = 0       # consecutive admissions that bypassed head
@@ -820,14 +801,13 @@ class ContinuousBatchingScheduler:
         the EDF pick under deadline admission).  Returns ``(queue_index,
         request, plan)`` -- ``plan`` being the KV store's
         :class:`~repro.model.paged_kvcache.SeatPlan` -- or ``None`` when
-        nothing can be admitted this tick.  With ``reorder_window > 1``
-        (never under deadline admission -- the two are mutually
-        exclusive) a request later in the window is chosen only when it
-        shares a live prefix *longer* than whatever the head's plan
-        already skips (fork or revive), its fork fits, and the head has
-        not yet been bypassed ``reorder_window - 1`` times in a row --
-        after that the head is guaranteed to be the next admission,
-        bounding starvation.  Window jumps stay donor-based: their
+        nothing can be admitted this tick.  Under ``admission="prefix"``
+        a request later in the window is chosen only when it shares a
+        live prefix *longer* than whatever the head's plan already
+        skips (fork or revive), its fork fits, and the head has not yet
+        been bypassed ``admission_window - 1`` times in a row -- after
+        that the head is guaranteed to be the next admission, bounding
+        starvation.  Window jumps stay donor-based: their
         point is co-scheduling correlated sign patterns with a *live*
         sharer, which a cached (retired) prefix cannot offer.
         """
@@ -835,9 +815,9 @@ class ContinuousBatchingScheduler:
         plan = cache.plan(head.prompt_ids, self._worst_case_positions(head))
         best = (index, head, plan) if plan.fits else None
         best_shared = plan.shared      # 0 for the only plan that can misfit
-        if self.reorder_window > 1 and \
-                self._head_skips < self.reorder_window - 1:
-            for i, request in enumerate(self.queue.window(self.reorder_window)):
+        if self.admission == "prefix" and \
+                self._head_skips < self.admission_window - 1:
+            for i, request in enumerate(self.queue.window(self.admission_window)):
                 if i == 0:
                     continue
                 if request.max_new_tokens == 0 or \
@@ -883,16 +863,16 @@ class ContinuousBatchingScheduler:
     def _earliest_deadline(self) -> tuple:
         """``(queue_index, request)`` for the next deadline admission.
 
-        Earliest deadline first over the first ``deadline_window``
+        Earliest deadline first over the first ``admission_window``
         queued requests; ``priority`` breaks deadline ties (higher
         first) and ``min`` keeps the first-seen -- i.e. FIFO-earliest --
         winner on full ties.  Once the head has been bypassed
-        ``deadline_window - 1`` times in a row it is forced through
-        regardless of deadlines (the same bounded-bypass rule
-        ``reorder_window`` uses), so no feasible request starves.
+        ``admission_window - 1`` times in a row it is forced through
+        regardless of deadlines (the bounded-bypass rule prefix
+        admission also uses), so no feasible request starves.
         """
-        window = self.queue.window(self.deadline_window)
-        if self._head_skips >= self.deadline_window - 1:
+        window = self.queue.window(self.admission_window)
+        if self._head_skips >= self.admission_window - 1:
             return 0, window[0]
         ranks = [
             (self._next_deadline(r, self._queued_emit_steps(r)), -r.priority)
@@ -914,7 +894,7 @@ class ContinuousBatchingScheduler:
         generated tokens must not be discarded.
         """
         while True:
-            for i, request in enumerate(self.queue.window(self.deadline_window)):
+            for i, request in enumerate(self.queue.window(self.admission_window)):
                 if self._queued_emit_steps(request):
                     continue
                 deadline = self._next_deadline(request, ())
@@ -965,10 +945,11 @@ class ContinuousBatchingScheduler:
     def _next_candidate(self, finished: List[Completion]) -> Optional[tuple]:
         """``(queue_index, request)`` to try admitting next; None = empty.
 
-        The one place the two arbitration policies differ: FIFO offers
-        the queue head, deadline admission sheds first (hopeless
-        requests' already-passed deadlines would otherwise rank them
-        ahead of every savable request) and offers the EDF pick.
+        FIFO and prefix admission offer the queue head (prefix jumps
+        happen in :meth:`_choose_admission`); deadline admission sheds
+        first (hopeless requests' already-passed deadlines would
+        otherwise rank them ahead of every savable request) and offers
+        the EDF pick.
         """
         if self.admission == "deadline":
             self._shed_hopeless(finished)
@@ -1425,16 +1406,12 @@ class ContinuousBatchingScheduler:
                 self.active.remove(seq)
             self.report.accepted_tokens += accepted
             seq.decode_steps += 1
-            if spec.adaptive and k_eff:
-                rate = accepted / k_eff
-                seq.spec_ema = (
-                    spec.ema_decay * seq.spec_ema
-                    + (1.0 - spec.ema_decay) * rate
-                )
-                if seq.spec_ema >= spec.raise_threshold:
-                    seq.spec_k = min(seq.spec_k + 1, spec.k)
-                elif seq.spec_ema <= spec.lower_threshold:
-                    seq.spec_k = max(seq.spec_k - 1, 1)
+            rate = accepted / k_eff   # drafters have k_eff >= 1
+            seq.spec_ema = EMA_DECAY * seq.spec_ema + (1.0 - EMA_DECAY) * rate
+            if seq.spec_ema >= RAISE_THRESHOLD:
+                seq.spec_k = min(seq.spec_k + 1, spec.k)
+            elif seq.spec_ema <= LOWER_THRESHOLD:
+                seq.spec_k = max(seq.spec_k - 1, 1)
 
     def _finalise_skip_telemetry(self) -> None:
         """Fill the report's realised-vs-analytical skip fields.

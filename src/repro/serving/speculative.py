@@ -15,8 +15,8 @@ token-identical by construction and rejected draft K/V is rolled back
 with ``truncate``.
 
 :class:`SpecConfig` is the one knob object, accepted by
-``BatchedEngine``, ``build_batched_engine`` and
-``ContinuousBatchingScheduler`` (``speculation=...``).  See
+``ContinuousBatchingScheduler(speculation=...)``; each sequence's draft
+depth adapts between 1 and ``k`` by the constants below.  See
 ``docs/serving.md`` for the draft/verify/rollback walkthrough.
 """
 
@@ -25,6 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.alpha import check_alpha
+from .request import as_integer
+
+#: Weight of a sequence's previous acceptance EMA at each verify.
+EMA_DECAY = 0.7
+#: Acceptance EMA at or above which a sequence drafts one deeper.
+RAISE_THRESHOLD = 0.8
+#: Acceptance EMA at or below which a sequence drafts one shallower.
+LOWER_THRESHOLD = 0.4
 
 
 @dataclass(frozen=True)
@@ -33,36 +41,19 @@ class SpecConfig:
 
     ``k`` is the draft depth ceiling: at most ``k`` cheap draft steps
     per sequence per tick (capped further by the request's remaining
-    token budget).  ``draft_alpha`` is the sparse skip threshold of the
-    draft executor -- **lower** is more aggressive (a neuron is skipped
-    when ``alpha * n_pos < n_neg``), so drafts get cheaper and sloppier
-    as it drops below the engine's serving alpha.
-
-    With ``adaptive=True`` each sequence tracks a rolling EMA of its
-    acceptance rate and moves its personal depth between 1 and ``k``:
-    above ``raise_threshold`` the depth grows (drafts are landing;
-    speculate deeper), below ``lower_threshold`` it shrinks (drafts are
-    being rejected; stop paying for them).
+    token budget and by the sequence's adaptive depth).
+    ``draft_alpha`` is the sparse skip threshold of the draft executor
+    -- **lower** is more aggressive (a neuron is skipped when ``alpha *
+    n_pos < n_neg``), so drafts get cheaper and sloppier as it drops
+    below the engine's serving alpha.
     """
 
     k: int = 4
     draft_alpha: float = 0.8
-    adaptive: bool = True
-    ema_decay: float = 0.7
-    raise_threshold: float = 0.8
-    lower_threshold: float = 0.4
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        k = as_integer(self.k, "k")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        object.__setattr__(self, "k", k)
         check_alpha(self.draft_alpha, "draft_alpha")
-        if not 0.0 <= self.ema_decay < 1.0:
-            raise ValueError(
-                f"ema_decay must be in [0, 1), got {self.ema_decay}"
-            )
-        if not 0.0 <= self.lower_threshold <= self.raise_threshold <= 1.0:
-            raise ValueError(
-                "thresholds must satisfy 0 <= lower_threshold <= "
-                f"raise_threshold <= 1, got lower={self.lower_threshold} "
-                f"raise={self.raise_threshold}"
-            )

@@ -331,7 +331,35 @@ class TestTelemetryDocsRule:
 
 
 class TestDocsKnobsRule:
-    SOURCES = (("src/repro/serving/engine.py", "BatchedEngine.__init__"),)
+    SOURCES = (("src/repro/serving/engine.py", "BatchedEngine.__init__",
+                "## Engine knobs"),)
+    ENGINE = """
+        class BatchedEngine:
+            def __init__(self, weights, page_size=16):
+                pass
+    """
+    TABLE = """
+        ## Engine knobs
+
+        | Knob | Default | Meaning |
+        | --- | --- | --- |
+        | `weights` | — | Model parameters |
+        | `page_size` | 16 | Positions per page, see `n_pages` |
+
+        Prose after the table may mention `anything`.
+    """
+
+    def _details(self, root):
+        report = run_analysis(root, [DocsKnobsRule(sources=self.SOURCES)])
+        return {f.fingerprint.rsplit("::", 1)[1]
+                for f in findings_of(report, "docs-knobs")}
+
+    def test_matching_table_is_clean(self, tmp_path):
+        root = make_tree(tmp_path, {
+            "src/repro/serving/engine.py": self.ENGINE,
+            "docs/serving.md": self.TABLE,
+        })
+        assert self._details(root) == set()
 
     def test_must_fire_on_undocumented_knob(self, tmp_path):
         root = make_tree(tmp_path, {
@@ -341,12 +369,26 @@ class TestDocsKnobsRule:
                                  new_knob=False):
                         pass
             """,
+            "docs/serving.md": self.TABLE,
+        })
+        assert self._details(root) == {"knob:new_knob"}
+
+    def test_must_fire_on_stale_row(self, tmp_path):
+        table = textwrap.dedent(self.TABLE).replace(
+            "\n\nProse", "\n| `retired_knob` | 0 | Gone |\n\nProse",
+        )
+        root = make_tree(tmp_path, {
+            "src/repro/serving/engine.py": self.ENGINE,
+            "docs/serving.md": table,
+        })
+        assert self._details(root) == {"stale:retired_knob"}
+
+    def test_must_fire_without_the_table(self, tmp_path):
+        root = make_tree(tmp_path, {
+            "src/repro/serving/engine.py": self.ENGINE,
             "docs/serving.md": "`weights` and `page_size` are documented.\n",
         })
-        report = run_analysis(root, [DocsKnobsRule(sources=self.SOURCES)])
-        details = {f.fingerprint.rsplit("::", 1)[1]
-                   for f in findings_of(report, "docs-knobs")}
-        assert details == {"knob:new_knob"}
+        assert self._details(root) == {"missing-table"}
 
     def test_renamed_function_is_a_finding(self, tmp_path):
         root = make_tree(tmp_path, {
@@ -565,6 +607,22 @@ class TestRepoAcceptance:
         details = {f.fingerprint.rsplit("::", 1)[1]
                    for f in findings_of(report, "docs-knobs")}
         assert "knob:page_size" in details
+
+    def test_stale_knob_row_fails_the_gate(self, tmp_path):
+        """A row whose knob left the signature is a finding too."""
+        root = self._doc_edit_tree(tmp_path)
+        doc = root / "docs/serving.md"
+        text = doc.read_text(encoding="utf-8")
+        row = "| `preemption` |"
+        assert text.count(row) == 1
+        doc.write_text(
+            text.replace(row, "| `bogus_retired_knob` | 0 | Gone |\n" + row),
+            encoding="utf-8",
+        )
+        report = self._run_doc_rules(root)
+        details = {f.fingerprint.rsplit("::", 1)[1]
+                   for f in findings_of(report, "docs-knobs")}
+        assert details == {"stale:bogus_retired_knob"}
 
     def test_removing_a_telemetry_row_fails_the_gate(self, tmp_path):
         root = self._doc_edit_tree(tmp_path)

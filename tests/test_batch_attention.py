@@ -52,7 +52,8 @@ def make_requests(max_new: int = 7):
 
 def drain(weights, requests, **kwargs):
     scheduler_knobs = {key: kwargs.pop(key)
-                       for key in ("reorder_window", "step_budget")
+                       for key in ("admission", "admission_window",
+                                   "step_budget")
                        if key in kwargs}
     engine = build_batched_engine(weights, **kwargs)
     scheduler = ContinuousBatchingScheduler(engine, **scheduler_knobs)
@@ -120,8 +121,9 @@ class TestAttendSingle:
 
 SHARING_MODES = {
     "plain": dict(),
-    "reorder": dict(reorder_window=4),
-    "reorder+cache": dict(reorder_window=4, cache_pages=8),
+    "reorder": dict(admission="prefix", admission_window=4),
+    "reorder+cache": dict(admission="prefix", admission_window=4,
+                          cache_pages=8),
 }
 
 

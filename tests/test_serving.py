@@ -225,6 +225,15 @@ class TestEngineFrontDoor:
             getattr(engine, step)([slot, other, slot], [1, 2, 3], **kwargs)
         assert (slot.length, other.length) == (3, 2)
 
+    def test_non_integral_cache_pages_rejected(self, micro_weights):
+        """``cache_pages=4.5`` was once silently accepted."""
+        with pytest.raises(ValueError, match="cache_pages must be an integer"):
+            build_batched_engine(micro_weights, max_batch_size=1,
+                                 cache_pages=4.5)
+        engine = build_batched_engine(micro_weights, max_batch_size=1,
+                                      cache_pages=np.int64(4))
+        assert type(engine.cache_pages) is int
+
     def test_packed_prefill_repeated_slot_raises(self, micro_weights):
         engine = build_batched_engine(micro_weights, max_batch_size=2)
         slot = engine.cache.allocate()
@@ -617,6 +626,21 @@ class TestScheduler:
             SLOSpec(**{field: ticks})
         assert SLOSpec(**{field: np.int64(3)}) == SLOSpec(**{field: 3})
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_new_tokens", 2.5),
+        ("priority", 0.5),
+    ])
+    def test_non_integral_request_fields_rejected(self, field, value):
+        """Measured before the check: ``max_new_tokens=2.5`` generated 3
+        tokens, and ``priority=0.5`` was truncated to 0, so the request
+        could no longer preempt a priority-0 resident."""
+        kwargs = dict(request_id=0, prompt_ids=(1, 2), max_new_tokens=1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Request(**kwargs)
+        kwargs[field] = np.int64(2)
+        assert type(getattr(Request(**kwargs), field)) is int
+
     def test_oversized_request_via_raw_queue_is_rejected_not_fatal(
         self, micro_weights
     ):
@@ -781,7 +805,9 @@ class TestCorrelationAwareScheduler:
         engine = build_batched_engine(
             micro_weights, max_batch_size=3, page_size=4,
         )
-        scheduler = ContinuousBatchingScheduler(engine, reorder_window=4)
+        scheduler = ContinuousBatchingScheduler(
+            engine, admission="prefix", admission_window=4,
+        )
         # The first prompt is prefilled and registered in tick 1; the
         # rest arrive after it, so they find a resident donor.
         scheduler.submit(requests[0])
@@ -804,7 +830,7 @@ class TestCorrelationAwareScheduler:
         assert report.expected_uncorrelated_skip <= \
             report.mean_sequence_skip + 1e-9
 
-    def test_reorder_window_never_starves_head(self, micro_weights):
+    def test_prefix_window_never_starves_head(self, micro_weights):
         """The FIFO head is bypassed at most ``window - 1`` times."""
         window = 3
         donor = Request(request_id=0, prompt_ids=self.BASE[:8],
@@ -817,8 +843,9 @@ class TestCorrelationAwareScheduler:
             micro_weights, max_batch_size=8, max_seq_len=32,
             page_size=4, n_pages=8,
         )
-        scheduler = ContinuousBatchingScheduler(engine,
-                                                reorder_window=window)
+        scheduler = ContinuousBatchingScheduler(
+            engine, admission="prefix", admission_window=window,
+        )
         for request in [donor, head] + sharers:
             scheduler.submit(request)
         report = scheduler.run()
@@ -834,22 +861,34 @@ class TestCorrelationAwareScheduler:
         assert max(by_id[i].admitted_step for i in range(2, 7)) > \
             by_id[1].admitted_step
 
-    def test_strict_fifo_when_window_disabled(self, micro_weights):
+    def test_strict_fifo_when_window_is_one(self, micro_weights):
+        """A one-request window leaves prefix admission nothing to
+        jump to: it admits exactly as FIFO does."""
         requests = shared_prefix_requests(self.BASE, 6, 8, max_new_tokens=6)
-        engine = build_batched_engine(
-            micro_weights, max_batch_size=2, page_size=4,
-        )
-        scheduler = ContinuousBatchingScheduler(engine)   # window = 0
-        scheduler.submit(requests[0])
-        scheduler.step()                 # prefilled and registered
-        for request in requests[1:]:
-            scheduler.submit(request)
-        report = scheduler.run()
-        by_id = {c.request_id: c for c in report.completions}
-        admitted = [by_id[i].admitted_step for i in range(len(requests))]
-        assert admitted == sorted(admitted)
-        # FIFO still forks off resident donors when the head shares.
-        assert report.forked_admissions > 0
+        runs = {}
+        for admission in ("fifo", "prefix"):
+            engine = build_batched_engine(
+                micro_weights, max_batch_size=2, page_size=4,
+            )
+            scheduler = ContinuousBatchingScheduler(
+                engine, admission=admission, admission_window=1,
+            )
+            scheduler.submit(requests[0])
+            scheduler.step()             # prefilled and registered
+            for request in requests[1:]:
+                scheduler.submit(request)
+            report = scheduler.run()
+            by_id = {c.request_id: c for c in report.completions}
+            admitted = [by_id[i].admitted_step for i in range(len(requests))]
+            assert admitted == sorted(admitted)
+            # FIFO still forks off resident donors when the head shares.
+            assert report.forked_admissions > 0
+            runs[admission] = [
+                (i, by_id[i].admitted_step, by_id[i].finished_step,
+                 by_id[i].generated_ids)
+                for i in range(len(requests))
+            ]
+        assert runs["prefix"] == runs["fifo"]
 
     def test_reservations_never_overcommit_with_forks(self, micro_weights):
         """After every tick: reserved <= free pages, nothing negative."""
@@ -859,7 +898,9 @@ class TestCorrelationAwareScheduler:
             micro_weights, max_batch_size=4, max_seq_len=32,
             page_size=4, n_pages=10,
         )
-        scheduler = ContinuousBatchingScheduler(engine, reorder_window=4)
+        scheduler = ContinuousBatchingScheduler(
+            engine, admission="prefix", admission_window=4,
+        )
         for request in requests:
             scheduler.submit(request)
         pool = engine.cache.pool
@@ -888,10 +929,11 @@ class TestCorrelationAwareScheduler:
         engine.cache.release(slot)
         assert engine.cache.fork_plan(self.BASE[:8] + (5,)).donor is None
 
-    def test_reorder_window_validation(self, micro_weights):
+    def test_admission_window_validation(self, micro_weights):
         engine = build_batched_engine(micro_weights, max_batch_size=1)
-        with pytest.raises(ValueError, match="reorder_window"):
-            ContinuousBatchingScheduler(engine, reorder_window=-1)
+        for window in (0, -1, 2.5):
+            with pytest.raises(ValueError, match="admission_window must be"):
+                ContinuousBatchingScheduler(engine, admission_window=window)
 
     def test_common_prefix_len(self):
         request = Request(request_id=0, prompt_ids=(1, 2, 3, 4),
@@ -920,6 +962,19 @@ class TestServingMetrics:
         table = format_serving_sweep(baseline, [point], [0.5])
         assert "speedup" in table and "sequential" in table
         assert "50.0%" in table
+
+    @pytest.mark.parametrize("admission, suffix", [
+        ("fifo", ""), ("prefix", "+prefix4"), ("deadline", "+edf4"),
+    ])
+    def test_admission_label(self, micro_weights, admission, suffix):
+        engine = build_batched_engine(micro_weights, max_batch_size=3)
+        point = measure_batched_serving(
+            ContinuousBatchingScheduler(
+                engine, admission=admission, admission_window=4,
+            ),
+            make_requests(2),
+        )
+        assert point.label == "batched(B<=3)" + suffix
 
     def test_measurement_is_label_plus_report(self):
         # The measurement must not grow back into a mirror of the
@@ -1040,9 +1095,14 @@ class TestBudgetedScheduling:
 
     def test_step_budget_validation(self, micro_weights):
         engine = build_batched_engine(micro_weights, max_batch_size=1)
-        for budget in (0, -1):
-            with pytest.raises(ValueError, match="step_budget"):
+        # 2.5 once built, then raised TypeError mid-tick slicing the
+        # pending prompt, leaving the sequence active.
+        for budget in (0, -1, 2.5):
+            with pytest.raises(ValueError, match="step_budget must be"):
                 ContinuousBatchingScheduler(engine, step_budget=budget)
+        scheduler = ContinuousBatchingScheduler(engine,
+                                                step_budget=np.int64(2))
+        assert type(scheduler.step_budget) is int
 
     def test_default_scheduler_budgets_a_long_prompt(self, micro_config):
         """The default tick is the budgeted one: a 100-token prompt is
@@ -1182,7 +1242,8 @@ class TestBudgetedScheduling:
                 micro_weights, max_batch_size=4, page_size=4,
             )
             scheduler = ContinuousBatchingScheduler(
-                engine, step_budget=budget, reorder_window=4,
+                engine, step_budget=budget, admission="prefix",
+                admission_window=4,
             )
             calls = []          # (tick, pieces, tokens) per engine.prefill
             prefill = engine.prefill

@@ -18,7 +18,7 @@ each tick-by-tick under both ``admission`` modes, and asserts:
   refcount cross-checks of the preemption suite hold after every tick
   while deadline admission is reordering, shedding, and preempting.
 * **Bounded bypass**: a no-deadline request at the queue head is
-  admitted after at most ``deadline_window - 1`` consecutive bypasses,
+  admitted after at most ``admission_window - 1`` consecutive bypasses,
   even under a sustained stream of tight-deadline arrivals.
 * **Shed is rejected-typed**: shed requests complete exactly once with
   ``shed=True``, a ``"shed: ..."`` error, and zero tokens -- never
@@ -100,14 +100,14 @@ def draw_geometry(rng, schedule) -> dict:
 
 
 def drive(weights, predictor, schedule, geometry, admission="fifo",
-          deadline_window=4, step_budget=32, preemption=False,
+          admission_window=4, step_budget=32, preemption=False,
           check_pool=True):
     engine = BatchedEngine(
         weights, predictor=predictor, **geometry
     )
     scheduler = ContinuousBatchingScheduler(
         engine, step_budget=step_budget, preemption=preemption,
-        admission=admission, deadline_window=deadline_window,
+        admission=admission, admission_window=admission_window,
     )
     pending = sorted(schedule, key=lambda pair: pair[0])
     tick = 0
@@ -206,7 +206,7 @@ def test_deadline_admission_invariants(micro_weights, packed_predictor):
         report = drive(
             micro_weights, packed_predictor, schedule, geometry,
             admission="deadline",
-            deadline_window=int(rng.integers(1, 6)),
+            admission_window=int(rng.integers(1, 6)),
             step_budget=int(rng.choice([2, 6, 32])),
             preemption=preemption,
         )
@@ -269,7 +269,7 @@ def test_bounded_bypass_prevents_starvation(
 
     One no-SLO request lands first; a sustained stream of tight-TTFT
     requests lands behind it, one per tick, always sorting ahead of it
-    under EDF.  With ``deadline_window=W`` the head must be forced
+    under EDF.  With ``admission_window=W`` the head must be forced
     through after at most ``W - 1`` consecutive bypasses: its admission
     tick is bounded regardless of how long the stream continues.
     """
@@ -285,7 +285,7 @@ def test_bounded_bypass_prevents_starvation(
     geometry = dict(max_batch_size=1, page_size=4, n_pages=2,
                     cache_pages=0)
     report = drive(micro_weights, packed_predictor, schedule, geometry,
-                   admission="deadline", deadline_window=window,
+                   admission="deadline", admission_window=window,
                    check_pool=False)
     starved_done = next(
         c for c in report.completions if c.request_id == 0
@@ -390,7 +390,4 @@ def test_validation():
         ContinuousBatchingScheduler(None, admission="lifo")
     with pytest.raises(ValueError):
         ContinuousBatchingScheduler(None, admission="deadline",
-                                    deadline_window=0)
-    with pytest.raises(ValueError):
-        ContinuousBatchingScheduler(None, admission="deadline",
-                                    reorder_window=2)
+                                    admission_window=0)

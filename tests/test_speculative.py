@@ -42,9 +42,11 @@ def run_scheduler(weights, requests, max_batch_size, sampling=None,
     sched_knobs = {k: v for k, v in knobs.items() if k in scheduler_keys}
     engine = build_batched_engine(
         weights, max_batch_size=max_batch_size, sampling=sampling,
-        speculation=speculation, **engine_knobs,
+        **engine_knobs,
     )
-    scheduler = ContinuousBatchingScheduler(engine, **sched_knobs)
+    scheduler = ContinuousBatchingScheduler(
+        engine, speculation=speculation, **sched_knobs,
+    )
     for request in requests:
         scheduler.submit(request)
     report = scheduler.run()
@@ -63,11 +65,14 @@ def make_requests(n=6, max_new=6, sampling=None):
 class TestSpecConfig:
     def test_defaults(self):
         spec = SpecConfig()
-        assert spec.k >= 1 and 0 < spec.draft_alpha and spec.adaptive
+        assert spec.k >= 1 and 0 < spec.draft_alpha
 
     def test_rejects_bad_k(self):
-        with pytest.raises(ValueError, match="k"):
-            SpecConfig(k=0)
+        # k=2.5 once built and then failed mid-tick in range().
+        for k in (0, 2.5):
+            with pytest.raises(ValueError, match="k must be"):
+                SpecConfig(k=k)
+        assert type(SpecConfig(k=np.int64(3)).k) is int
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError, match="draft_alpha"):
@@ -77,14 +82,6 @@ class TestSpecConfig:
     def test_rejects_non_finite_alpha(self, alpha):
         with pytest.raises(ValueError, match="draft_alpha"):
             SpecConfig(draft_alpha=alpha)
-
-    def test_rejects_bad_ema_decay(self):
-        with pytest.raises(ValueError, match="ema_decay"):
-            SpecConfig(ema_decay=1.0)
-
-    def test_rejects_inverted_thresholds(self):
-        with pytest.raises(ValueError, match="threshold"):
-            SpecConfig(raise_threshold=0.3, lower_threshold=0.6)
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -175,9 +172,7 @@ class TestEnginePrimitives:
         for tok in feed:
             expected.append(ref.decode_step([slot], [tok])[0])
 
-        spec_engine = build_batched_engine(
-            micro_weights, max_batch_size=1, speculation=SPEC,
-        )
+        spec_engine = build_batched_engine(micro_weights, max_batch_size=1)
         vslot = spec_engine.cache.allocate()
         spec_engine.prefill(vslot, prompt)
         chunk = spec_engine.verify_chunk(vslot, feed)
@@ -185,17 +180,25 @@ class TestEnginePrimitives:
         for i, row in enumerate(expected):
             np.testing.assert_allclose(chunk[i], row, rtol=1e-6, atol=1e-6)
 
-    def test_draft_step_needs_an_alpha(self, micro_weights):
+    def test_draft_step_runs_at_the_alpha_it_is_given(self, micro_weights):
+        # At the serving alpha a draft step is a decode step; a lower
+        # alpha skips more rows and moves the logits.
         engine = build_batched_engine(micro_weights, max_batch_size=1)
         slot = engine.cache.allocate()
         engine.prefill(slot, [1, 2, 3])
-        with pytest.raises(ValueError, match="draft_alpha"):
-            engine.draft_step([slot], [4])
+        logits = {}
+        for name, step in (
+            ("decode", lambda: engine.decode_step([slot], [4])),
+            ("serving", lambda: engine.draft_step([slot], [4], 1.0)),
+            ("aggressive", lambda: engine.draft_step([slot], [4], 0.3)),
+        ):
+            logits[name] = step()
+            slot.truncate(3)
+        np.testing.assert_array_equal(logits["serving"], logits["decode"])
+        assert not np.array_equal(logits["aggressive"], logits["decode"])
 
     def test_draft_executors_are_memoized_views(self, micro_weights):
-        engine = build_batched_engine(
-            micro_weights, max_batch_size=1, speculation=SPEC,
-        )
+        engine = build_batched_engine(micro_weights, max_batch_size=1)
         a = engine._draft_mlp(0.8)
         b = engine._draft_mlp(0.8)
         assert a is b
@@ -204,13 +207,11 @@ class TestEnginePrimitives:
         assert a.predictor._packed[0] is engine.sparse.predictor._packed[0]
 
     def test_draft_stats_stay_out_of_serving_telemetry(self, micro_weights):
-        engine = build_batched_engine(
-            micro_weights, max_batch_size=1, speculation=SPEC,
-        )
+        engine = build_batched_engine(micro_weights, max_batch_size=1)
         slot = engine.cache.allocate()
         engine.prefill(slot, [1, 2, 3])
         before = engine.sparse.stats.rows_total
-        engine.draft_step([slot], [4])
+        engine.draft_step([slot], [4], draft_alpha=SPEC.draft_alpha)
         assert engine.sparse.stats.rows_total == before
 
 
@@ -282,13 +283,13 @@ class TestTokenIdentityMatrix:
 
     def test_speculation_none_is_the_default(self, micro_weights):
         engine = build_batched_engine(micro_weights, max_batch_size=2)
-        assert engine.speculation is None
+        assert not hasattr(engine, "speculation")
         scheduler = ContinuousBatchingScheduler(engine)
         assert scheduler.speculation is None
 
     def test_scheduler_side_knob_enables_drafting(self, micro_weights):
-        # The engine was built without the knob; the scheduler turns it
-        # on -- the draft executors are built lazily.
+        # Speculation is a scheduler knob only; the engine builds its
+        # draft executors lazily.
         engine = build_batched_engine(micro_weights, max_batch_size=2)
         scheduler = ContinuousBatchingScheduler(engine, speculation=SPEC)
         for request in make_requests(n=2):
@@ -331,14 +332,10 @@ class TestTelemetryAndAdaptivity:
     def test_adaptive_depth_tracks_acceptance(self, micro_weights):
         # draft_alpha == serving alpha -> drafts are the serving
         # engine's own argmax -> greedy acceptance is perfect and every
-        # sequence's depth climbs to k.  A floor-low EMA start plus
-        # adaptive=False must instead stay pinned.
-        perfect = SpecConfig(k=4, draft_alpha=1.0, adaptive=True,
-                             raise_threshold=0.75)
-        engine = build_batched_engine(
-            micro_weights, max_batch_size=1, speculation=perfect,
-        )
-        scheduler = ContinuousBatchingScheduler(engine)
+        # sequence's depth climbs to k.
+        perfect = SpecConfig(k=4, draft_alpha=1.0)
+        engine = build_batched_engine(micro_weights, max_batch_size=1)
+        scheduler = ContinuousBatchingScheduler(engine, speculation=perfect)
         scheduler.submit(Request(request_id=0, prompt_ids=(1, 4, 2),
                                  max_new_tokens=12))
         depths = []
@@ -348,19 +345,6 @@ class TestTelemetryAndAdaptivity:
         report = scheduler.report
         assert report.accepted_tokens == report.drafted_tokens > 0
         assert max(depths) == perfect.k
-
-    def test_fixed_depth_when_adaptive_off(self, micro_weights):
-        spec = SpecConfig(k=2, draft_alpha=0.5, adaptive=False)
-        engine = build_batched_engine(
-            micro_weights, max_batch_size=1, speculation=spec,
-        )
-        scheduler = ContinuousBatchingScheduler(engine)
-        scheduler.submit(Request(request_id=0, prompt_ids=(6, 7, 8, 9),
-                                 max_new_tokens=10))
-        while not scheduler.idle:
-            scheduler.step()
-            assert all(s.spec_k == 2 for s in scheduler.active)
-        assert scheduler.report.drafted_tokens > 0
 
     def test_preemption_preserves_spec_state(self, micro_weights):
         # A victim's adaptive depth and EMA survive eviction: the
@@ -372,9 +356,11 @@ class TestTelemetryAndAdaptivity:
                       max_new_tokens=8, priority=5, sampling=CFG)
         engine = build_batched_engine(
             micro_weights, max_batch_size=2, page_size=4,
-            n_pages=6, cache_pages=4, speculation=spec,
+            n_pages=6, cache_pages=4,
         )
-        scheduler = ContinuousBatchingScheduler(engine, preemption=True)
+        scheduler = ContinuousBatchingScheduler(
+            engine, preemption=True, speculation=spec,
+        )
         scheduler.submit(low)
         ticks = 0
         parked = None
@@ -408,9 +394,10 @@ class TestTelemetryAndAdaptivity:
     def test_measurement_knob_and_label(self, micro_weights):
         requests = make_requests(n=4, max_new=5)
         point = measure_batched_serving(
-            ContinuousBatchingScheduler(build_batched_engine(
-                micro_weights, max_batch_size=2, speculation=SPEC,
-            )),
+            ContinuousBatchingScheduler(
+                build_batched_engine(micro_weights, max_batch_size=2),
+                speculation=SPEC,
+            ),
             requests,
         )
         report = point.report
