@@ -1,11 +1,11 @@
 """Serve a queue of requests through the batched sparse-decode engine.
 
 Builds a small ReLU-fied model, submits a mixed-length request workload,
-and drains it three ways: the classic one-request-at-a-time engine, a
-batch=1 serving engine (token-identical to the classic one), and a batched
-engine exploiting the cross-sequence intersection of predicted skip sets.
-Prints per-request completions and the throughput / intersection-decay
-table.
+and drains it twice: through a batch-1 scheduler (token-identical to the
+classic one-request-at-a-time engine) and through a batch-4 scheduler
+exploiting the cross-sequence intersection of predicted skip sets.
+Prints per-request completions, then throughput and intersection skip
+for both, read from each run's ``ServeReport``.
 
 Run:  python examples/serve_batched.py
 """
@@ -22,11 +22,6 @@ from repro import (
     random_weights,
     tiny_7b_role,
 )
-from repro.eval.latency import (
-    measure_batched_serving,
-    measure_sequential_serving,
-)
-from repro.eval.reporting import format_serving_sweep
 from repro.gpu.batching import batch_skip_fraction
 from repro.model.tokenizer import CharTokenizer
 from repro.serving import ContinuousBatchingScheduler, Request
@@ -65,32 +60,22 @@ def main() -> None:
           f"layers={config.n_layers};  {len(requests)} queued requests\n")
 
     predictor = build_predictor(weights, settings)   # pack signs once
-    baseline = measure_sequential_serving(weights, requests, settings,
-                                          predictor=predictor)
-    points = [
-        measure_batched_serving(
-            ContinuousBatchingScheduler(build_batched_engine(
-                weights, settings, predictor=predictor, max_batch_size=bsz,
-            )),
-            requests,
-        )
-        for bsz in (1, 4)
-    ]
-    analytic = [
-        batch_skip_fraction(baseline.report.mean_sequence_skip,
-                            max(1, round(p.report.mean_batch_occupancy)))
-        for p in points
-    ]
+
+    def drain_batch(max_batch_size):
+        scheduler = ContinuousBatchingScheduler(build_batched_engine(
+            weights, settings, predictor=predictor,
+            max_batch_size=max_batch_size,
+        ))
+        for request in requests:
+            scheduler.submit(request)
+        return scheduler.run()
+
+    solo = drain_batch(1)
+    report = drain_batch(4)
 
     # Show a few completions from the batched run (same tokens as the
-    # sequential engine produces -- the scheduler only changes *when* a
+    # batch-1 run produces -- the scheduler only changes *when* a
     # sequence decodes, not *what* it decodes).
-    engine = build_batched_engine(weights, settings, predictor=predictor,
-                                  max_batch_size=4)
-    scheduler = ContinuousBatchingScheduler(engine)
-    for request in requests:
-        scheduler.submit(request)
-    report = scheduler.run()
     for completion in sorted(report.completions,
                              key=lambda c: c.request_id)[:3]:
         text = tokenizer.decode(completion.generated_ids)
@@ -101,8 +86,12 @@ def main() -> None:
     print(f"\nmean batch occupancy: {report.mean_batch_occupancy:.2f} over "
           f"{report.decode_steps} decode steps")
 
-    print("\nthroughput sweep (tokens/sec, end-to-end):")
-    print(format_serving_sweep(baseline, points, analytic))
+    expected = batch_skip_fraction(solo.mean_sequence_skip,
+                                   round(report.mean_batch_occupancy))
+    print(f"\nbatch 4 vs batch 1: {report.tokens_per_second:.1f} vs "
+          f"{solo.tokens_per_second:.1f} tokens/sec; intersection skip "
+          f"{report.intersection_skip:.1%} vs {solo.intersection_skip:.1%} "
+          f"(skip^B predicts {expected:.1%})")
 
     # Same workload at half the default KV page budget (the default
     # covers every slot's worst case at once): short requests only hold
@@ -342,8 +331,6 @@ def main() -> None:
     # admission="deadline" (EDF over the queue window) hopeless requests
     # are shed and the freed capacity serves still-feasible arrivals --
     # same trace, strictly more goodput.
-    from repro.eval.latency import ServingMeasurement
-    from repro.eval.reporting import format_goodput
     from repro.serving import (LoadGenerator, PoissonProcess, SLOSpec,
                                run_trace)
 
@@ -372,13 +359,12 @@ def main() -> None:
     edf_report = drain_traffic("deadline")
     print(f"\noverloaded Poisson traffic (24 requests, tight interactive "
           f"SLO), fifo vs deadline admission:")
-    print(format_goodput([
-        ServingMeasurement("fifo", fifo_report),
-        ServingMeasurement("deadline", edf_report),
-    ]))
-    print(f"goodput {fifo_report.goodput_tokens} -> "
-          f"{edf_report.goodput_tokens} tokens "
-          f"({edf_report.shed_requests} hopeless requests shed)")
+    for admission, traffic in (("fifo", fifo_report),
+                               ("deadline", edf_report)):
+        print(f"  {admission:>8}: {traffic.slo_met_requests} met, "
+              f"{traffic.slo_missed_requests} missed, "
+              f"{traffic.shed_requests} shed; goodput "
+              f"{traffic.goodput_tokens}/{traffic.tokens_generated} tokens")
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ if [ "$#" -eq 0 ]; then
         tests/test_paged_properties.py tests/test_scheduler_properties.py \
         tests/test_batched_sampling.py tests/test_speculative.py \
         tests/test_loadgen.py tests/test_slo_scheduling.py \
-        tests/test_bench_trajectory.py tests/test_analysis.py \
-        tests/test_batch_attention.py tests/test_benchmark_surface.py
+        tests/test_analysis.py tests/test_batch_attention.py \
+        tests/test_benchmark_surface.py
     # The e2e benchmark's own self-tests (about 1 s).  The knob-landing
     # test has been red since the engine's knob set changed; re-landing
     # the benchmark surface is ROADMAP item 2(i), so it is deselected
@@ -35,24 +35,15 @@ if [ "$#" -eq 0 ]; then
     # pairing, and hot-path vectorisation.
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.analysis
 fi
-# Slow smokes of the paged-KV benchmark (equal-budget >= 2x concurrency
-# and batch=1 token-identity), the prefix-cache benchmark (>= 50% of
-# prompt tokens revived on bursty non-overlapping traffic, tokens
-# identical to cold prefill), the batched-sampling benchmark (one
-# vectorised sampler call beats the per-row scalar loop at batch >= 4,
-# draws identical, serving tokens invariant to batch composition), the
-# speculative-decoding benchmark (draft_alpha x k
-# sweep, tokens identical to speculation=None at every point, best
-# point >= 1.3x decode wall-clock; JSON into benchmarks/results/), and
-# the overload-goodput benchmark (seeded Poisson + bursty traces at
-# 1.5x measured capacity: deadline admission strictly out-goodputs
-# fifo on the identical trace, and fifo stays bit-identical with the
-# SLOs stripped); opt in because they decode real workloads.
+# Slow smokes of the two serving benchmarks the e2e benchmark has no
+# workload for yet: batched sampling (one vectorised sampler call beats
+# the per-row scalar loop at batch >= 4, draws identical, serving tokens
+# invariant to batch composition) and speculative decoding (draft_alpha
+# x k sweep, tokens identical to speculation=None at every point, best
+# point >= 1.3x decode wall-clock); opt in because they decode real
+# workloads.
 if [ "${CHECK_SLOW:-0}" = "1" ]; then
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q \
-        -m slow -p no:cacheprovider benchmarks/bench_paged_kv.py \
-        benchmarks/bench_prefix_cache.py \
-        benchmarks/bench_batched_sampling.py \
-        benchmarks/bench_speculative.py \
-        benchmarks/bench_overload_goodput.py
+        -m slow -p no:cacheprovider benchmarks/bench_batched_sampling.py \
+        benchmarks/bench_speculative.py
 fi

@@ -3,14 +3,13 @@
 ``ServeReport`` is the serving stack's public telemetry contract: every
 benchmark assertion and capacity claim reads it.  A field that exists
 in the dataclass but not in the ``docs/serving.md`` glossary is a knob
-nobody can discover; a field no test or reporting helper ever touches
-is a gauge nobody would notice breaking.  This rule machine-checks
-both halves for each dataclass field of
+nobody can discover; a field no test ever touches is a gauge nobody
+would notice breaking (a table that renders a field does not test it).
+This rule machine-checks both halves for each dataclass field of
 ``repro.serving.scheduler.ServeReport``:
 
 1. the backticked field name appears in ``docs/serving.md``;
-2. the field name appears (word-bounded) in ``src/repro/eval/
-   reporting.py`` or somewhere under ``tests/``.
+2. the field name appears (word-bounded) somewhere under ``tests/``.
 
 Pure AST + text matching -- the rule never imports the serving stack,
 so it runs on any checkout (and on the temporary doc-edit copies the
@@ -27,7 +26,6 @@ from .core import Finding, Project, Rule
 
 SCHEDULER_PATH = "src/repro/serving/scheduler.py"
 DOCS_PATH = "docs/serving.md"
-REPORTING_PATH = "src/repro/eval/reporting.py"
 REPORT_CLASS = "ServeReport"
 
 
@@ -51,19 +49,17 @@ class TelemetryDocsRule(Rule):
     rule_id = "telemetry-docs"
     description = (
         "every ServeReport dataclass field must appear in the "
-        "docs/serving.md glossary and in eval/reporting.py or a test"
+        "docs/serving.md glossary and in a test"
     )
 
     def __init__(
         self,
         scheduler_path: str = SCHEDULER_PATH,
         docs_path: str = DOCS_PATH,
-        reporting_path: str = REPORTING_PATH,
         report_class: str = REPORT_CLASS,
     ):
         self.scheduler_path = scheduler_path
         self.docs_path = docs_path
-        self.reporting_path = reporting_path
         self.report_class = report_class
 
     def check(self, project: Project) -> Iterator[Finding]:
@@ -95,9 +91,6 @@ class TelemetryDocsRule(Rule):
             )
             docs = ""
         usage_sources = []
-        reporting = project.text(self.reporting_path)
-        if reporting is not None:
-            usage_sources.append(reporting)
         for test_path in project.iter_test_files():
             text = project.text(test_path)
             if text is not None:
@@ -117,7 +110,7 @@ class TelemetryDocsRule(Rule):
                 yield self.finding(
                     self.scheduler_path, lineno,
                     f"{self.report_class}.{name} is never referenced by "
-                    f"{self.reporting_path} or any test -- telemetry "
-                    "nobody reads is telemetry nobody notices breaking",
+                    "any test -- telemetry nobody reads is telemetry "
+                    "nobody notices breaking",
                     self.report_class, f"usage:{name}",
                 )

@@ -15,11 +15,10 @@ PowerInfer's exploited skip fraction is a calibration constant
 precision-biased, and its neuron-cluster format exploits less of the
 nominal sparsity than row-skipping does (see DESIGN.md section 5.5).
 
-The *measured* serving helpers live here too:
-:func:`measure_batched_serving` drains requests through a scheduler the
-caller built, :func:`measure_sequential_serving` through the classic
-one-request engine; both return a :class:`ServingMeasurement` -- a label
-plus the run's :class:`~repro.serving.scheduler.ServeReport`.
+This module models latency; it does not measure serving.  A measured
+serving run is a :class:`repro.serving.ContinuousBatchingScheduler`
+drain, whose :class:`~repro.serving.scheduler.ServeReport` carries every
+number, and the canonical seeded measurement is ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -42,8 +41,6 @@ from ..gpu.pipeline import (
 )
 from ..model.config import ModelConfig
 from ..model.synthetic import SyntheticActivationModel
-from ..serving.request import Completion
-from ..serving.scheduler import DEFAULT_STEP_BUDGET, ServeReport
 
 POWERINFER_REALIZED_SKIP = 0.84
 PAPER_ALPHA_GRID = (1.00, 1.01, 1.02, 1.03)
@@ -153,111 +150,6 @@ def figure4(
             )
         result.sparseinfer[float(alpha)] = variants
     return result
-
-
-@dataclass(frozen=True)
-class ServingMeasurement:
-    """One serving configuration's label and the report of draining it.
-
-    Every number lives on :attr:`report` -- the scheduler's own
-    :class:`repro.serving.scheduler.ServeReport` (glossary:
-    ``docs/serving.md``) -- so the ``format_*`` helpers in
-    :mod:`repro.eval.reporting` read ``point.report.<field>``.
-    """
-
-    label: str
-    report: ServeReport
-
-    def speedup_over(self, other: "ServingMeasurement") -> float:
-        return (self.report.tokens_per_second
-                / other.report.tokens_per_second)
-
-
-def measure_batched_serving(scheduler, requests) -> ServingMeasurement:
-    """Drain ``requests`` through ``scheduler`` and label the run.
-
-    The caller builds the engine and the
-    :class:`repro.serving.ContinuousBatchingScheduler` (use a fresh pair
-    per call for independent measurements), so every knob is declared
-    once, on those two constructors.  The label names the knobs that
-    differ from their defaults, read back from the scheduler and its
-    engine.
-    """
-    for request in requests:
-        scheduler.submit(request)
-    report = scheduler.run()
-    engine = scheduler.engine
-    label = f"batched(B<={engine.max_batch_size})"
-    if engine.cache_pages:
-        label += f"+cache{engine.cache_pages}"
-    if scheduler.step_budget != DEFAULT_STEP_BUDGET:
-        label += f"+budget{scheduler.step_budget}"
-    if scheduler.preemption:
-        label += "+preempt"
-    if engine.sampling.temperature > 0:
-        label += f"+sampled(T={engine.sampling.temperature:g})"
-    speculation = scheduler.speculation
-    if speculation is not None:
-        label += f"+spec(a={speculation.draft_alpha:g},k={speculation.k})"
-    if scheduler.admission != "fifo":
-        policy = "edf" if scheduler.admission == "deadline" else "prefix"
-        label += f"+{policy}{scheduler.admission_window}"
-    return ServingMeasurement(label=label, report=report)
-
-
-def measure_sequential_serving(
-    weights,
-    requests,
-    settings=None,
-    predictor=None,
-) -> ServingMeasurement:
-    """The one-request-at-a-time baseline over the classic engine.
-
-    Greedy decoding with the same token semantics as
-    :meth:`~repro.model.inference.InferenceModel.generate`, but with
-    prefill and decode timed separately (mirroring the batched
-    scheduler's accounting) and without ``generate``'s trailing unused
-    forward, so per-phase numbers compare apples-to-apples.  The
-    report's ``mean_sequence_skip`` is the batch=1 ceiling a batched
-    run's ``intersection_skip`` decays from.
-    """
-    import time
-
-    from ..core.engine import build_engine
-
-    engine = build_engine(weights, settings=settings, predictor=predictor)
-    report = ServeReport(peak_occupancy=1)
-    for request in requests:
-        engine.reset()
-        t0 = time.perf_counter()
-        logits = engine.prefill(list(request.prompt_ids))
-        report.prefill_seconds += time.perf_counter() - t0
-        report.prefill_tokens += request.prompt_len
-        generated = []
-        request_steps = 0
-        while len(generated) < request.max_new_tokens:
-            next_id = int(np.argmax(logits))
-            if request.stop_ids and next_id in request.stop_ids:
-                break
-            generated.append(next_id)
-            if len(generated) < request.max_new_tokens:
-                # Clock only the model forward, mirroring the scheduler,
-                # which samples outside its decode timer too.
-                t0 = time.perf_counter()
-                logits = engine.forward_token(next_id, engine.cache.length)
-                report.decode_seconds += time.perf_counter() - t0
-                request_steps += 1
-        report.tokens_generated += len(generated)
-        report.greedy_tokens += len(generated)
-        report.decode_steps += request_steps
-        report.completions.append(Completion(
-            request=request, generated_ids=generated,
-            decode_steps=request_steps,
-        ))
-    report.occupancy_sum = report.decode_steps     # batch of one throughout
-    skip = engine.mlp.stats.gate_skip_fraction
-    report.intersection_skip = report.mean_sequence_skip = skip
-    return ServingMeasurement(label="sequential", report=report)
 
 
 def format_figure4(result: Figure4Result) -> str:

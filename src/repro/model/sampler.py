@@ -30,6 +30,8 @@ Filter semantics (all applied to temperature-scaled logits):
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -54,8 +56,20 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(
+                f"temperature must be finite and >= 0, got {self.temperature}"
+            )
+        # ``top_k`` feeds an int64 array and ``seed`` an RNG key, so a
+        # fractional value would be truncated there instead of rejected.
+        for name in ("top_k", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {value!r}"
+                ) from None
         if self.top_k < 0:
             raise ValueError(f"top_k must be >= 0, got {self.top_k}")
         if not 0.0 <= self.top_p <= 1.0:
@@ -274,19 +288,6 @@ class BatchedSampler:
             )
             choices[rows] = sample_rows(probs, uniforms)
         return choices
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def _nucleus_filter(probs: np.ndarray, top_p: float) -> np.ndarray:
-    """Zero out the tail outside the smallest set with mass >= top_p."""
-    keep = _topp_keep(probs[None, :], np.array([top_p], dtype=np.float64))[0]
-    filtered = np.where(keep, probs, 0.0)
-    return filtered / filtered.sum()
 
 
 def greedy(logits: np.ndarray) -> int:

@@ -2,10 +2,11 @@
 
 Mirrors :class:`repro.model.inference.InferenceModel` over a pool of
 paged KV slots (:class:`repro.model.paged_kvcache.PagedKVCache`, the one
-serving store).  There is **one** transformer layer loop,
-:meth:`BatchedEngine._forward_rows`, over ``(rows, d)`` activations; its
-callers differ only in what the rows are and which attention strategy
-and row-MLP they hand it:
+serving store).  :meth:`BatchedEngine._forward_rows` is its transformer
+layer loop over ``(rows, d)`` activations; a batch-1 decode step runs
+the scalar layer loop of :func:`~repro.model.inference.forward_token_single`
+instead (see below).  The row loop's callers differ only in what the
+rows are and which attention strategy and row-MLP they hand it:
 
 * :meth:`~BatchedEngine.prefill` / :meth:`~BatchedEngine.verify_chunk`
   -- rows are ragged segments of consecutive positions, one segment per

@@ -484,8 +484,7 @@ class ServeReport:
 
         One entry per ``slo_class`` seen (``"none"`` for SLO-less
         requests): the :attr:`class_stats` counters plus
-        ``ttft_p99_steps`` / ``itl_p99_steps`` for that class -- the
-        digest :func:`repro.eval.reporting.format_goodput` tabulates.
+        ``ttft_p99_steps`` / ``itl_p99_steps`` for that class.
         """
         merged = {}
         for tag, stats in sorted(self.class_stats.items()):

@@ -288,13 +288,15 @@ class TestTelemetryDocsRule:
                     _private: int = 0
             """,
             "docs/serving.md": "| `decode_steps` | ticks |\n",
-            "src/repro/eval/reporting.py": "KEY = 'decode_steps'\n",
+            "tests/test_report.py": "KEY = 'decode_steps'\n",
+            # A renderer that prints a field does not test it.
+            "src/repro/eval/reporting.py": "KEY = 'mystery_gauge'\n",
         })
         report = run_analysis(root, [TelemetryDocsRule()])
         details = {f.fingerprint.rsplit("::", 1)[1]
                    for f in findings_of(report, "telemetry-docs")}
         # Both halves fire for the phantom field, neither for the
-        # documented+used one, and the private field is ignored.
+        # documented+tested one, and the private field is ignored.
         assert details == {"docs:mystery_gauge", "usage:mystery_gauge"}
 
     def test_word_boundary_matching(self, tmp_path):
@@ -309,7 +311,7 @@ class TestTelemetryDocsRule:
                     decode_steps: int = 0
             """,
             "docs/serving.md": "| `decode_steps` | ticks |\n",
-            "src/repro/eval/reporting.py": "KEY = 'decode_steps_total'\n",
+            "tests/test_report.py": "KEY = 'decode_steps_total'\n",
         })
         report = run_analysis(root, [TelemetryDocsRule()])
         details = {f.fingerprint.rsplit("::", 1)[1]
@@ -569,7 +571,6 @@ class TestRepoAcceptance:
         for rel in (
             "src/repro/serving/engine.py",
             "src/repro/serving/scheduler.py",
-            "src/repro/eval/reporting.py",
             "docs/serving.md",
         ):
             dst = tmp_path / rel

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core.engine import build_batched_engine, build_engine
-from repro.eval.latency import measure_batched_serving
 from repro.model.batch_attention import AttentionTelemetry, BatchedAttention
 from repro.model.inference import attend_single
 from repro.model.kvcache import KVCache
@@ -636,15 +635,11 @@ class TestTelemetry:
         assert report.attention.useful_positions <= \
             report.attention.padded_positions
 
-    def test_measurement_carries_attention_fields(self, micro_weights):
-        requests = make_requests(max_new=4)
-        engine = build_batched_engine(micro_weights, max_batch_size=4)
-        point = measure_batched_serving(
-            ContinuousBatchingScheduler(engine, step_budget=4), requests,
-        )
-        assert "+budget4" in point.label
-        assert 0.0 <= point.report.attention.padding_waste_fraction < 1.0
-        assert point.report.attention.mean_buckets_per_step >= 1.0
+    def test_budgeted_report_carries_attention_fields(self, micro_weights):
+        _, report = drain(micro_weights, make_requests(max_new=4),
+                          max_batch_size=4, step_budget=4)
+        assert 0.0 <= report.attention.padding_waste_fraction < 1.0
+        assert report.attention.mean_buckets_per_step >= 1.0
 
     def test_reused_engine_reports_per_run_telemetry(self, micro_weights):
         """A second scheduler on the same engine must not inherit the

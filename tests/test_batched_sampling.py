@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core.engine import build_batched_engine, build_engine
-from repro.eval.latency import measure_batched_serving
-from repro.eval.reporting import format_sampling
 from repro.model.sampler import (
     BatchedSampler,
     Sampler,
@@ -572,34 +570,18 @@ class TestRequestSamplingField:
 
 
 class TestSamplingMeasurement:
-    def test_measure_batched_serving_sampling_knob(self, micro_weights):
+    def test_report_splits_sampled_and_greedy_tokens(self, micro_weights):
         requests = [
             Request(request_id=i, prompt_ids=tuple(PROMPTS[i]),
                     max_new_tokens=4)
             for i in range(4)
         ]
         cfg = SamplerConfig(temperature=0.7, seed=5)
-        point = measure_batched_serving(
-            ContinuousBatchingScheduler(build_batched_engine(
-                micro_weights, max_batch_size=2, sampling=cfg,
-            )),
-            requests,
-        )
-        report = point.report
+        _, report = run_scheduler(micro_weights, requests, 2, sampling=cfg)
         assert report.sampled_tokens == report.tokens_generated > 0
         assert report.greedy_tokens == 0
         assert report.sampler_seconds > 0.0
-        assert "+sampled(T=0.7)" in point.label
         assert report.wall_seconds >= report.sampler_seconds
-        table = format_sampling([point])
-        assert str(report.sampled_tokens) in table
-        greedy_point = measure_batched_serving(
-            ContinuousBatchingScheduler(build_batched_engine(
-                micro_weights, max_batch_size=2,
-            )),
-            requests,
-        )
-        assert greedy_point.report.greedy_tokens == \
-            greedy_point.report.tokens_generated
-        assert greedy_point.report.sampled_tokens == 0
-        assert "+sampled" not in greedy_point.label
+        _, greedy = run_scheduler(micro_weights, requests, 2)
+        assert greedy.greedy_tokens == greedy.tokens_generated
+        assert greedy.sampled_tokens == 0

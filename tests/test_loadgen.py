@@ -1,12 +1,12 @@
 """Statistical + determinism tests for the seeded load generator.
 
-The arrival processes are the foundation the overload benchmark's
-*strict* (non-statistical) goodput gates stand on: those gates only
-make sense if the same seed always produces the same trace.  So the
-suite locks bit-identical determinism first, then sanity-checks each
-process's statistics (empirical mean rate near the configured rate,
-on/off dwell structure, diurnal rate modulation) with generous
-tolerances -- they guard against "wrong process" bugs (rate inverted,
+The arrival processes are the foundation the *strict*
+(non-statistical) overload goodput gates at the end of this suite stand
+on: those gates only make sense if the same seed always produces the
+same trace.  So the suite locks bit-identical determinism first, then
+sanity-checks each process's statistics (empirical mean rate near the
+configured rate, on/off dwell structure, diurnal rate modulation) with
+generous tolerances -- they guard against "wrong process" bugs (rate inverted,
 thinning backwards), not against sampling noise.
 """
 
@@ -327,6 +327,44 @@ def test_run_trace_submitted_step_matches_virtual_clock():
         # arrival -- never before it.
         assert completion.submitted_step >= arrival - 1
         assert completion.submitted_step <= arrival + 1 + 1
+
+
+@pytest.fixture(scope="module")
+def overload_rate():
+    """1.5x the service rate, in requests per tick, of a 40-request drain."""
+    scheduler = ContinuousBatchingScheduler(_scenario_engine())
+    factory = default_mix().factory()
+    rng = np.random.default_rng(0)
+    for i in range(40):
+        scheduler.submit(factory(rng, i))
+    scheduler.run()
+    return 1.5 * 40 / scheduler.step_count
+
+
+@pytest.mark.parametrize("shape", ["poisson", "onoff"])
+def test_deadline_beats_fifo_on_seeded_overload_traces(overload_rate, shape):
+    """On one seeded scenario-mix trace at 1.5x measured capacity,
+    deadline admission sheds hopeless requests and strictly out-goodputs
+    fifo.  The on/off trace has the Poisson trace's mean rate, delivered
+    in bursts at 6x it (duty cycle 1/6)."""
+    if shape == "poisson":
+        process = PoissonProcess(rate=overload_rate)
+    else:
+        process = OnOffProcess(burst_rate=6 * overload_rate,
+                               mean_on=8.0, mean_off=40.0)
+    trace = LoadGenerator(process, default_mix().factory(), seed=7).trace(60)
+    reports = {}
+    for admission in ("fifo", "deadline"):
+        scheduler = ContinuousBatchingScheduler(_scenario_engine(),
+                                                admission=admission)
+        report = run_trace(scheduler, trace, ticks_per_second=1.0)
+        assert scheduler.engine.cache.n_pages_in_use == 0
+        assert report.slo_met_requests + report.slo_missed_requests \
+            + report.shed_requests == len(report.completions) == 60
+        reports[admission] = report
+    assert reports["fifo"].shed_requests == 0
+    assert reports["deadline"].shed_requests > 0
+    assert reports["deadline"].goodput_tokens > reports["fifo"].goodput_tokens
 
 
 def test_run_trace_max_steps_guard():

@@ -435,6 +435,55 @@ class TestPagedScheduler:
         assert engine.cache.n_pages_in_use == 0      # everything returned
         assert engine.cache.n_free == 6
 
+    def test_equal_budget_paged_doubles_peak_concurrency(
+        self, micro_weights
+    ):
+        """Fixed slots size every sequence for ``max_seq_len``; pages
+        spend the same KV bytes page by page, so short requests pack
+        around the long ones instead of queueing behind them."""
+        max_seq_len = micro_weights.config.max_seq_len
+        fixed = build_batched_engine(
+            micro_weights, max_batch_size=4,
+            page_size=max_seq_len, n_pages=4,
+        )
+        paged = build_batched_engine(
+            micro_weights, max_batch_size=16,
+            page_size=8, n_pages=4 * max_seq_len // 8,
+        )
+        assert paged.cache.kv_bytes == fixed.cache.kv_bytes
+        rng = np.random.default_rng(3)
+        # Two requests whose worst case fills a slot, then twelve whose
+        # worst case fills one page.
+        lengths = [(8, max_seq_len - 7)] * 2 + [(4, 5)] * 12
+        requests = [
+            Request(request_id=i,
+                    prompt_ids=tuple(int(t) for t in rng.integers(1, 18, n)),
+                    max_new_tokens=new)
+            for i, (n, new) in enumerate(lengths)
+        ]
+        reports = []
+        for engine in (fixed, paged):
+            scheduler = ContinuousBatchingScheduler(engine)
+            for request in requests:
+                scheduler.submit(request)
+            reports.append(scheduler.run())
+            assert engine.cache.n_pages_in_use == 0
+        fixed_report, paged_report = reports
+        assert {c.request_id: c.generated_ids
+                for c in fixed_report.completions} == \
+            {c.request_id: c.generated_ids for c in paged_report.completions}
+        assert fixed_report.peak_occupancy <= 4
+        assert paged_report.peak_occupancy >= \
+            2 * fixed_report.peak_occupancy
+        assert paged_report.peak_pages_in_use <= paged_report.n_pages
+
+        def short_admission_tick(report):
+            return np.mean([c.admitted_step for c in report.completions
+                            if c.request_id >= 2])
+
+        assert short_admission_tick(paged_report) < \
+            0.5 * short_admission_tick(fixed_report)
+
     def test_oversized_for_page_budget_rejected_not_deadlocked(
         self, micro_weights
     ):

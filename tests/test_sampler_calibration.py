@@ -44,13 +44,28 @@ class TestSampler:
         s = Sampler(SamplerConfig(temperature=1e-4, seed=0))
         assert all(s.sample(logits) == 1 for _ in range(10))
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(temperature=-1)
-        with pytest.raises(ValueError):
-            SamplerConfig(top_k=-1)
-        with pytest.raises(ValueError):
-            SamplerConfig(top_p=1.5)
+    @pytest.mark.parametrize("field, value", [
+        ("temperature", -1),
+        # nan once served greedy tokens while is_greedy read False, and
+        # inf sampled from a uniform distribution.
+        ("temperature", float("nan")),
+        ("temperature", float("inf")),
+        ("top_k", -1),
+        # Once truncated to 2 by the int64 top-k array.
+        ("top_k", 2.5),
+        ("top_p", 1.5),
+        # Once truncated to seed 1 by derive_stream.
+        ("seed", 1.5),
+    ])
+    def test_validation(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SamplerConfig(**{field: value})
+
+    def test_integral_numpy_values_become_ints(self):
+        config = SamplerConfig(top_k=np.int64(3), seed=np.uint32(7))
+        assert type(config.top_k) is int and type(config.seed) is int
+
+    def test_sample_takes_one_row(self):
         with pytest.raises(ValueError):
             Sampler().sample(np.zeros((2, 2)))
 

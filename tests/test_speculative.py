@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core.engine import build_batched_engine, build_engine
-from repro.eval.latency import measure_batched_serving
-from repro.eval.reporting import format_speculation
 from repro.model.paged_kvcache import PagedKVCache
 from repro.model.sampler import SamplerConfig
 from repro.serving import ContinuousBatchingScheduler, Request, SpecConfig
@@ -391,17 +389,10 @@ class TestTelemetryAndAdaptivity:
         smooth, _ = run_scheduler(micro_weights, [low], 1, speculation=spec)
         assert interrupted[0] == smooth[0]
 
-    def test_measurement_knob_and_label(self, micro_weights):
+    def test_report_carries_speculation_telemetry(self, micro_weights):
         requests = make_requests(n=4, max_new=5)
-        point = measure_batched_serving(
-            ContinuousBatchingScheduler(
-                build_batched_engine(micro_weights, max_batch_size=2),
-                speculation=SPEC,
-            ),
-            requests,
-        )
-        report = point.report
-        assert "+spec(a=0.8,k=3)" in point.label
+        _, report = run_scheduler(micro_weights, requests, 2,
+                                  speculation=SPEC)
         assert 0 < report.accepted_tokens <= report.drafted_tokens
         assert report.acceptance_rate == pytest.approx(
             report.accepted_tokens / report.drafted_tokens
@@ -409,14 +400,6 @@ class TestTelemetryAndAdaptivity:
         assert report.draft_seconds > 0.0 and report.verify_seconds > 0.0
         assert report.wall_seconds >= \
             report.draft_seconds + report.verify_seconds
-        table = format_speculation([point])
-        assert str(report.drafted_tokens) in table
-        plain = measure_batched_serving(
-            ContinuousBatchingScheduler(build_batched_engine(
-                micro_weights, max_batch_size=2,
-            )),
-            requests,
-        )
-        assert "+spec" not in plain.label
-        assert plain.report.drafted_tokens == 0
-        assert report.tokens_generated == plain.report.tokens_generated
+        _, plain = run_scheduler(micro_weights, requests, 2)
+        assert plain.drafted_tokens == 0
+        assert report.tokens_generated == plain.tokens_generated
