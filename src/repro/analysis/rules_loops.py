@@ -100,6 +100,13 @@ HOT_FUNCTIONS: Dict[Tuple[str, str], FrozenSet[str]] = {
         frozenset({"xs", "xs_t", "batch", "prediction", "h", "k"}),
     ("src/repro/model/mlp.py", "DenseMLP.run_tokens"):     # dense prefill
         frozenset({"xs", "xs_t", "h"}),
+    # The row paths' GEMM shape helper: activation rows are the batch
+    # dimension; the lm-head's loop over its few column blocks
+    # (`lm_head`, vocab / 256 of them) is deliberately unguarded, like
+    # the sign lanes above.
+    ("src/repro/model/gemm.py", "as_columns"): frozenset({"xs", "out"}),
+    ("src/repro/model/gemm.py", "lm_head_logits"):
+        frozenset({"x", "rows", "out"}),
     # The scalar token path build_engine and batch-1 serving share: gate
     # rows and cached positions.  The layer loop is not per-element work.
     ("src/repro/core/sparse_mlp.py", "SparseInferMLP.run_with_skip"):

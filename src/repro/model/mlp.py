@@ -20,7 +20,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .config import ModelConfig
+from .gemm import as_columns
 from .weights import ModelWeights
 
 
@@ -95,13 +95,16 @@ class DenseMLP:
 
         The chunked-prefill path: same math as ``run`` row by row, one
         weight read for the whole chunk, in ``run_batch``'s faster
-        ``W @ xs.T`` orientation.  Stats account per token, so chunked
-        and token-by-token prefill report identical work.
+        ``W @ xs.T`` orientation, the token columns zero-padded to the
+        BLAS kernel width (:mod:`repro.model.gemm`; bit-identical).
+        Stats account per token, so chunked and token-by-token prefill
+        report identical work.
         """
         lw = self.weights.layers[layer]
-        xs_t = np.ascontiguousarray(xs.T)                    # (d, T)
-        h = self._act(lw.w_gate_rows @ xs_t)                 # (k, T)
+        n = xs.shape[0]
+        xs_t = as_columns(xs, lw.w_gate_rows)                # (d, T')
+        h = self._act(lw.w_gate_rows @ xs_t)                 # (k, T')
         h *= lw.w_up_rows @ xs_t
-        self.stats.calls += xs.shape[0]
-        self.stats.rows_total += xs.shape[0] * lw.w_gate_rows.shape[0]
-        return (lw.w_down_rows.T @ h).T                      # (T, d)
+        self.stats.calls += n
+        self.stats.rows_total += n * lw.w_gate_rows.shape[0]
+        return (lw.w_down_rows.T @ h)[:, :n].T               # (T, d)

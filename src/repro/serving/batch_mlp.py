@@ -29,6 +29,7 @@ import numpy as np
 
 from ..core.predictor import SparseInferPredictor
 from ..core.sparse_mlp import SparseInferMLP
+from ..model.gemm import as_columns
 from ..model.weights import ModelWeights
 
 
@@ -102,7 +103,12 @@ class BatchedSparseInferMLP:
         return self.run_batch(layer, x[None, :])[0]
 
     def run_batch(self, layer: int, xs: np.ndarray) -> np.ndarray:
-        """One layer's MLP for ``(B, d)`` inputs; returns ``(B, d)``."""
+        """One layer's MLP for ``(B, d)`` inputs; returns ``(B, d)``.
+
+        At batch > 1 the three GEMMs run over the batch columns
+        zero-padded to the BLAS kernel width (:mod:`repro.model.gemm`,
+        bit-identical); batch 1 runs the single-sequence GEMVs.
+        """
         xs = np.asarray(xs, dtype=np.float32)
         if xs.ndim != 2:
             raise ValueError(f"expected (B, d) inputs, got shape {xs.shape}")
@@ -130,13 +136,17 @@ class BatchedSparseInferMLP:
             prediction.intersection_skip.sum()
         )
 
-        xs_t = np.ascontiguousarray(xs.T)                    # (d, B)
-        h = self._act(lw.w_gate_rows @ xs_t)                 # (k, B)
-        # Re-zero each sequence's own predicted-sparse rows (the mask is
-        # laid out like ``h`` first: a strided bool operand is 4x slower).
-        h *= np.logical_not(prediction.skip.T, order="C")
+        xs_t = as_columns(xs, lw.w_gate_rows)                # (d, B')
+        h = self._act(lw.w_gate_rows @ xs_t)                 # (k, B')
+        # Re-zero each sequence's own predicted-sparse rows: AND with
+        # all-ones / all-zero words laid out like ``h`` (a strided operand
+        # is 4x slower) leaves +0.0 whatever the row held, where a
+        # multiply turns inf into NaN; ``np.copyto(where=)`` is 3x slower.
+        keep = as_columns(~prediction.skip, lw.w_gate_rows)
+        bits = h.view(np.int32)
+        bits &= np.negative(keep, dtype=np.int32)
         h *= lw.w_up_rows @ xs_t
-        return (lw.w_down_rows.T @ h).T                      # (B, d)
+        return (lw.w_down_rows.T @ h)[:, :batch].T           # (B, d)
 
     def reset_stats(self) -> None:
         self.stats = BatchedMLPStats()

@@ -54,6 +54,7 @@ from ..core.predictor import SparseInferPredictor
 from ..model.batch_attention import (
     AttentionTelemetry, BatchedAttention, masked_softmax,
 )
+from ..model.gemm import lm_head_logits
 from ..model.inference import forward_token_single
 from ..model.paged_kvcache import (
     DEFAULT_PAGE_SIZE,
@@ -207,7 +208,7 @@ class BatchedEngine:
         if last_rows is not None:
             x = x[last_rows]
         final = rmsnorm(x, self.weights.final_norm, cfg.norm_eps)
-        return final @ self.weights.lm_head
+        return lm_head_logits(final, self.weights.lm_head)
 
     def _forward_chunk(self, segments: Sequence, token_ids: list, mlp_rows,
                        last_only: bool = False) -> np.ndarray:

@@ -1,10 +1,8 @@
-"""Tests for the DSE sweep and reporting helpers."""
+"""Tests for the DSE sweep."""
 
-import numpy as np
 import pytest
 
 from repro.core.dse import DSEPoint, pareto_front, sweep
-from repro.eval.reporting import ascii_curve, ascii_histogram, markdown_table
 from repro.model.config import ModelConfig
 
 
@@ -47,36 +45,3 @@ class TestDSE:
                      speedup_over_dense=2.0, mean_precision=1.0,
                      mean_recall=1.0, mean_predicted_skip=0.9)
         assert p.tokens_per_second == pytest.approx(20.0)
-
-
-class TestReporting:
-    def test_histogram_renders(self, rng):
-        text = ascii_histogram(rng.standard_normal(500), bins=11)
-        assert text.count("\n") == 10
-        assert "#" in text
-
-    def test_histogram_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ascii_histogram(np.array([]))
-
-    def test_curve_renders(self):
-        text = ascii_curve([0, 1, 2], [0.5, 0.9, 1.0], label="precision")
-        assert text.startswith("precision")
-        assert "1.0000" in text
-
-    def test_curve_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ascii_curve([1], [1, 2])
-
-    def test_curve_bad_range(self):
-        with pytest.raises(ValueError):
-            ascii_curve([1], [1], y_min=1.0, y_max=1.0)
-
-    def test_markdown_table(self):
-        text = markdown_table(["a", "b"], [[1, 2], [3, 4]])
-        assert text.splitlines()[0] == "| a | b |"
-        assert "| 3 | 4 |" in text
-
-    def test_markdown_table_empty_headers(self):
-        with pytest.raises(ValueError):
-            markdown_table([], [])

@@ -313,6 +313,29 @@ class TestOneBatchPath:
         np.testing.assert_array_equal(after[0], before[0])
         assert not np.array_equal(after[1], before[1])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_gate_on_a_skipped_row_stays_out(
+        self, micro_weights, rng
+    ):
+        """Batch 1 never computes a predicted-sparse row, so a gate
+        pre-activation that overflows to inf there must not reach the
+        sequence at batch 2 either (re-zeroing by multiply made it NaN)."""
+        xs = _correlated_batch(rng, 2, micro_weights.config.d_model)
+        mlp = BatchedSparseInferMLP(weights=micro_weights)
+        row = np.flatnonzero(mlp.predictor.predict_intersection(0, xs).skip[0])[0]
+        poisoned = copy.deepcopy(micro_weights)
+        gate = poisoned.layers[0].w_gate_rows
+        gate[row] = np.sign(xs[0]) * np.finfo(np.float32).max
+        assert np.isposinf(gate[row] @ xs[0])
+        executor = BatchedSparseInferMLP(
+            weights=poisoned, predictor=mlp.predictor
+        )
+        out = executor.run_batch(0, xs)[0]
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(
+            out, executor.run_batch(0, xs[:1])[0], atol=1e-5
+        )
+
     def test_all_skip_and_no_skip_batches(self, micro_weights, rng):
         cfg = micro_weights.config
         xs = _correlated_batch(rng, 4, cfg.d_model)
