@@ -11,11 +11,14 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q "$@"
 # Serving + paged-KV suites (including the fork/COW/prefix-cache
 # property suite) run explicitly on the default (tier-1) invocation:
 # collection filters or testpath drift must never silently drop the
-# serving layer's coverage.  Skipped when the caller passed their own
-# pytest args (-m slow etc.) to keep those selections exact.
+# serving layer's coverage.  The oracle's suites ride along because
+# build_engine runs the serving layer loop.  Skipped when the caller
+# passed their own pytest args (-m slow etc.) to keep those selections
+# exact.
 if [ "$#" -eq 0 ]; then
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q \
         tests/test_serving.py tests/test_paged_kv.py \
+        tests/test_inference.py tests/test_engine.py \
         tests/test_paged_properties.py tests/test_scheduler_properties.py \
         tests/test_batched_sampling.py tests/test_speculative.py \
         tests/test_loadgen.py tests/test_slo_scheduling.py \
@@ -23,7 +26,7 @@ if [ "$#" -eq 0 ]; then
         tests/test_benchmark_surface.py
     # The e2e benchmark's own self-tests (about 1 s).  The knob-landing
     # test has been red since the engine's knob set changed; re-landing
-    # the benchmark surface is ROADMAP item 2(i), so it is deselected
+    # the benchmark surface is ROADMAP item 1(d), so it is deselected
     # until then rather than left to fail the gate.
     python -m pytest -x -q benchmarks/e2e/tests \
         --deselect "benchmarks/e2e/tests/test_e2e_surface.py::test_every_serve_all_on_knob_is_still_accepted_at_landing"

@@ -43,7 +43,7 @@ HOT_FUNCTIONS: Dict[Tuple[str, str], FrozenSet[str]] = {
     # per-token or per-sequence model compute crept back in.  The packed
     # pass's per-segment attention loop (`attend`, over `blocks`) is the
     # one marked exception: causal blocks of different cache lengths.
-    ("src/repro/serving/engine.py", "BatchedEngine._forward_rows"):
+    ("src/repro/model/inference.py", "forward_rows"):
         frozenset({"token_ids", "x"}),
     ("src/repro/serving/engine.py", "BatchedEngine._forward_chunk"):
         frozenset({"token_ids", "n_tokens", "segments", "blocks"}),
@@ -107,12 +107,12 @@ HOT_FUNCTIONS: Dict[Tuple[str, str], FrozenSet[str]] = {
     ("src/repro/model/gemm.py", "as_columns"): frozenset({"xs", "out"}),
     ("src/repro/model/gemm.py", "lm_head_logits"):
         frozenset({"x", "rows", "out"}),
-    # The scalar token path build_engine and batch-1 serving share: gate
+    # The one-row path build_engine and batch-1 serving share: gate
     # rows and cached positions.  The layer loop is not per-element work.
     ("src/repro/core/sparse_mlp.py", "SparseInferMLP.run_with_skip"):
         frozenset({"skip", "kept", "live", "h1", "h3", "x", "k"}),
     ("src/repro/model/inference.py", "forward_token_single"):
-        frozenset({"token_id", "position", "x"}),
+        frozenset({"token_id", "position"}),
     ("src/repro/model/inference.py", "attend_single"):
         frozenset({"position", "length", "keys", "values", "kh", "vh",
                    "scores", "probs"}),

@@ -38,10 +38,11 @@ def lm_head_logits(x: np.ndarray, lm_head: np.ndarray) -> np.ndarray:
 
     A multi-row product on the packed path whose ``LM_HEAD_BLOCK``
     column blocks fit the small-matrix kernel runs block by block into
-    one output buffer; anything else is the plain product.
+    one output buffer; anything else, a single row included (a GEMV,
+    which blocking only slows), is the plain product.
     """
     rows, d = x.shape
-    if (rows * lm_head.size <= PACKED_MNK
+    if (rows == 1 or rows * lm_head.size <= PACKED_MNK
             or rows * d * LM_HEAD_BLOCK > PACKED_MNK):
         return x @ lm_head
     out = np.empty((rows, lm_head.shape[1]), dtype=np.result_type(x, lm_head))

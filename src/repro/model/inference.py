@@ -3,7 +3,8 @@
 This is the substrate playing llama.cpp's role: a single-token
 autoregressive decoder.  The MLP block is delegated to an executor
 (dense, SparseInfer, DejaVu/PowerInfer, random, threshold), which is how
-every engine comparison in the paper is expressed.
+every engine comparison in the paper is expressed.  Its layer loop,
+:func:`forward_rows`, is the serving engine's too.
 
 ``trace_mlp_inputs=True`` records, per (layer, token), the RMS-normed MLP
 input and the exact gate pre-activation.  Traces drive DejaVu predictor
@@ -13,11 +14,13 @@ training, alpha calibration, and the trained-model versions of Figs. 2-3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import ModelConfig
+from .gemm import lm_head_logits
 from .kvcache import KVCache
 from .mlp import DenseMLP, MLPExecutor
 from .norm import rmsnorm
@@ -76,45 +79,56 @@ class MLPTrace:
     gate_preact: np.ndarray  # (k,) exact x @ Wgate^T
 
 
-def forward_token_single(
-    weights: ModelWeights,
-    token_id: int,
-    position: int,
-    cache,
-    mlp,
-    traces: Optional[list] = None,
-) -> np.ndarray:
-    """One token through the full decoder stack for one sequence.
+def token_ids_in_vocab(config: ModelConfig, token_ids: Sequence[int]) -> list:
+    """``token_ids`` as plain ints, checked before any K/V append: a
+    negative id would silently embed a row from the end of the table."""
+    ids = [int(tok) for tok in token_ids]
+    if ids and (min(ids) < 0 or max(ids) >= config.vocab_size):
+        raise ValueError(f"token ids must lie in [0, {config.vocab_size})")
+    return ids
 
-    The shared op sequence behind both :meth:`InferenceModel.forward_token`
-    and the serving engine's per-slot path -- ``cache`` is anything with
-    the :class:`~repro.model.kvcache.KVCache` interface.  Does **not**
-    advance the cache; the caller owns step accounting.  When ``traces``
-    is a list, an :class:`MLPTrace` is appended per layer.
+
+def forward_rows(weights: ModelWeights, token_ids: Sequence[int], attend,
+                 mlp_rows, last_rows=None) -> np.ndarray:
+    """The one transformer layer loop, over ``(rows, d)`` activations.
+
+    ``attend(layer, q, k, v)`` takes the raw ``(rows, d)`` projections,
+    applies RoPE, appends K/V to the cache and returns the pre-``Wo``
+    context rows; ``mlp_rows(layer, x)`` runs one layer's MLP over the
+    normed rows.  Returns ``(rows, vocab)`` logits, or only the rows
+    indexed by ``last_rows``.  The caller advances the cache.
     """
     cfg = weights.config
-    rope = rope_for_position(position, cfg.head_dim, cfg.rope_theta)
-    x = weights.tok_embed[token_id].astype(np.float32)
+    x = weights.tok_embed[token_ids].astype(np.float32)
     for layer in range(cfg.n_layers):
         lw = weights.layers[layer]
         attn_in = rmsnorm(x, lw.attn_norm, cfg.norm_eps)
-        ctx = attend_single(
-            cfg, attn_in @ lw.wq, attn_in @ lw.wk, attn_in @ lw.wv,
-            position, cache, layer, rope,
-        )
+        ctx = attend(layer, attn_in @ lw.wq, attn_in @ lw.wk, attn_in @ lw.wv)
         x = x + ctx @ lw.wo
-        mlp_in = rmsnorm(x, lw.mlp_norm, cfg.norm_eps)
-        if traces is not None:
-            traces.append(
-                MLPTrace(
-                    layer=layer,
-                    x=mlp_in.copy(),
-                    gate_preact=lw.w_gate_rows @ mlp_in,
-                )
-            )
-        x = x + mlp.run(layer, mlp_in)
+        x = x + mlp_rows(layer, rmsnorm(x, lw.mlp_norm, cfg.norm_eps))
+    if last_rows is not None:
+        x = x[last_rows]
     final = rmsnorm(x, weights.final_norm, cfg.norm_eps)
-    return final @ weights.lm_head
+    return lm_head_logits(final, weights.lm_head)
+
+
+def forward_token_single(weights: ModelWeights, token_id: int, position: int,
+                         cache, mlp_rows) -> np.ndarray:
+    """One token of one sequence: :func:`forward_rows` on one row, which
+    :func:`attend_single` attends against ``cache`` at ``position``.
+
+    Behind :meth:`InferenceModel.forward_token` and the serving engine's
+    batch-1 decode step; returns ``(1, vocab)`` logits.
+    """
+    cfg = weights.config
+    rope = rope_for_position(position, cfg.head_dim, cfg.rope_theta)
+    return forward_rows(
+        weights, [token_id],
+        lambda layer, q, k, v: attend_single(
+            cfg, q[0], k[0], v[0], position, cache, layer, rope,
+        )[None],
+        mlp_rows,
+    )
 
 
 @dataclass
@@ -159,7 +173,6 @@ class InferenceModel:
         self.prefill_mlp: MLPExecutor = (
             prefill_mlp if prefill_mlp is not None else self.mlp
         )
-        self._active_mlp: MLPExecutor = self.mlp
         self.trace_mlp_inputs = trace_mlp_inputs
         self.traces: list = []
         self.cache = KVCache(self.config)
@@ -173,14 +186,17 @@ class InferenceModel:
     def clear_traces(self) -> None:
         self.traces = []
 
+    def _mlp_rows(self, executor: MLPExecutor, layer: int, xs: np.ndarray):
+        """``executor`` as a one-row ``mlp_rows``, tracing its input."""
+        x = xs[0]
+        if self.trace_mlp_inputs:
+            gate_preact = self.weights.layers[layer].w_gate_rows @ x
+            self.traces.append(MLPTrace(layer, x.copy(), gate_preact))
+        return executor.run(layer, x)[None]
+
     def forward_token(self, token_id: int, position: int) -> np.ndarray:
         """One decode step: returns the next-token logits ``(vocab,)``."""
-        logits = forward_token_single(
-            self.weights, token_id, position, self.cache, self._active_mlp,
-            traces=self.traces if self.trace_mlp_inputs else None,
-        )
-        self.cache.advance()
-        return logits
+        return self._forward([token_id], position, self.mlp)
 
     def prefill(self, token_ids: Sequence[int]) -> np.ndarray:
         """Run the prompt through the model; returns last-position logits.
@@ -194,14 +210,17 @@ class InferenceModel:
         # Sequence[int] annotation but raises on bool().
         if len(token_ids) == 0:
             raise ValueError("prefill needs at least one token")
-        self._active_mlp = self.prefill_mlp
-        try:
-            logits = None
-            for tok in token_ids:
-                logits = self.forward_token(int(tok), self.cache.length)
-        finally:
-            self._active_mlp = self.mlp
-        return logits
+        return self._forward(token_ids, self.cache.length, self.prefill_mlp)
+
+    def _forward(self, token_ids, position: int, executor: MLPExecutor):
+        """Feed ``token_ids`` one at a time from ``position``."""
+        mlp_rows = partial(self._mlp_rows, executor)
+        for tok in token_ids_in_vocab(self.config, token_ids):
+            logits = forward_token_single(self.weights, tok, position,
+                                          self.cache, mlp_rows)
+            self.cache.advance()
+            position += 1
+        return logits[0]
 
     def generate(
         self,

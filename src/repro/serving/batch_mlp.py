@@ -98,10 +98,6 @@ class BatchedSparseInferMLP:
         self.predictor = self.single.predictor
         self._act = self.single._act
 
-    def run(self, layer: int, x: np.ndarray) -> np.ndarray:
-        """One layer's MLP for one ``(d,)`` input (``MLPExecutor``)."""
-        return self.run_batch(layer, x[None, :])[0]
-
     def run_batch(self, layer: int, xs: np.ndarray) -> np.ndarray:
         """One layer's MLP for ``(B, d)`` inputs; returns ``(B, d)``.
 

@@ -2,11 +2,10 @@
 
 Mirrors :class:`repro.model.inference.InferenceModel` over a pool of
 paged KV slots (:class:`repro.model.paged_kvcache.PagedKVCache`, the one
-serving store).  :meth:`BatchedEngine._forward_rows` is its transformer
-layer loop over ``(rows, d)`` activations; a batch-1 decode step runs
-the scalar layer loop of :func:`~repro.model.inference.forward_token_single`
-instead (see below).  The row loop's callers differ only in what the
-rows are and which attention strategy and row-MLP they hand it:
+serving store).  Every pass runs the one transformer layer loop,
+:func:`repro.model.inference.forward_rows`, over ``(rows, d)``
+activations; its callers differ only in what the rows are and which
+attention strategy and row-MLP they hand it:
 
 * :meth:`~BatchedEngine.prefill` / :meth:`~BatchedEngine.verify_chunk`
   -- rows are ragged segments of consecutive positions, one segment per
@@ -18,8 +17,9 @@ rows are and which attention strategy and row-MLP they hand it:
 * :meth:`~BatchedEngine.decode_step` / :meth:`~BatchedEngine.draft_step`
   -- rows are the next token of *each* slot, attended as one padded
   K/V stack by :class:`~repro.model.batch_attention.BatchedAttention`
-  and run through the batch-aware sparse MLP.  A batch of one is dispatched to the
-  scalar :func:`~repro.model.inference.forward_token_single` instead
+  and run through the batch-aware sparse MLP.  A batch of one attends
+  through :func:`~repro.model.inference.forward_token_single`'s
+  single-sequence :func:`~repro.model.inference.attend_single` instead
   (measurably faster at that size, and what makes it bit-identical to
   the single-sequence engine).
 
@@ -54,15 +54,15 @@ from ..core.predictor import SparseInferPredictor
 from ..model.batch_attention import (
     AttentionTelemetry, BatchedAttention, masked_softmax,
 )
-from ..model.gemm import lm_head_logits
-from ..model.inference import forward_token_single
+from ..model.inference import (
+    forward_rows, forward_token_single, token_ids_in_vocab,
+)
 from ..model.paged_kvcache import (
     DEFAULT_PAGE_SIZE,
     PagedKVCache,
     PagedKVSlot,
 )
 from ..model.mlp import DenseMLP
-from ..model.norm import rmsnorm
 from ..model.rope import apply_rope, rope_tables
 from ..model.sampler import BatchedSampler, SamplerConfig
 from ..model.weights import ModelWeights
@@ -172,44 +172,6 @@ class BatchedEngine:
 
     # -- forward passes ----------------------------------------------------
 
-    def _token_ids(self, token_ids: Sequence[int]) -> list:
-        """``token_ids`` as plain ints, each checked against the vocabulary.
-
-        Every entry point feeds its ids through here: a negative id
-        would silently embed a row from the end of the table, and one
-        past the end would fail deep in a forward pass.
-        """
-        ids = [int(tok) for tok in token_ids]
-        vocab_size = self.config.vocab_size
-        if ids and (min(ids) < 0 or max(ids) >= vocab_size):
-            raise ValueError(f"token ids must lie in [0, {vocab_size})")
-        return ids
-
-    def _forward_rows(self, token_ids, attend, mlp_rows,
-                      last_rows=None) -> np.ndarray:
-        """The transformer layer loop over ``(rows, d)`` activations.
-
-        ``attend(layer, q, k, v)`` takes the raw ``(rows, d)``
-        projections, applies RoPE, appends K/V to the cache and returns
-        the pre-``Wo`` context rows; ``mlp_rows(layer, x)`` runs one
-        layer's MLP over the normed rows.  Returns ``(rows, vocab)``
-        logits, or only the rows indexed by ``last_rows``.
-        """
-        cfg = self.config
-        x = self.weights.tok_embed[token_ids].astype(np.float32)
-        for layer in range(cfg.n_layers):
-            lw = self.weights.layers[layer]
-            attn_in = rmsnorm(x, lw.attn_norm, cfg.norm_eps)
-            ctx = attend(
-                layer, attn_in @ lw.wq, attn_in @ lw.wk, attn_in @ lw.wv
-            )
-            x = x + ctx @ lw.wo
-            x = x + mlp_rows(layer, rmsnorm(x, lw.mlp_norm, cfg.norm_eps))
-        if last_rows is not None:
-            x = x[last_rows]
-        final = rmsnorm(x, self.weights.final_norm, cfg.norm_eps)
-        return lm_head_logits(final, self.weights.lm_head)
-
     def _forward_chunk(self, segments: Sequence, token_ids: list, mlp_rows,
                        last_only: bool = False) -> np.ndarray:
         """One causal pass over ragged segments of slots' next positions.
@@ -265,8 +227,8 @@ class BatchedEngine:
                 ).transpose(1, 0, 2)                      # (h, T, hd)
             return ctx.reshape(n_tokens, cfg.d_model)
 
-        logits = self._forward_rows(
-            token_ids, attend, mlp_rows,
+        logits = forward_rows(
+            self.weights, token_ids, attend, mlp_rows,
             [end - 1 for end in ends] if last_only else None,
         )
         for slot, n_rows in segments:
@@ -287,22 +249,19 @@ class BatchedEngine:
         if not slots:
             raise ValueError("decode_step needs at least one sequence")
         _require_distinct(slots)
-        ids = self._token_ids(token_ids)
+        ids = token_ids_in_vocab(self.config, token_ids)
         if len(slots) == 1:
-            # Size dispatch, measured: at batch 1 the scalar op sequence
-            # beats the plan path (benchmark workload decode_b1 vs
-            # decode_b8), and it is what keeps a batch-1 step
-            # bit-identical to InferenceModel.forward_token.
-            slot = slots[0]
-            logits = forward_token_single(
-                self.weights, ids[0], slot.length, slot, sparse,
-            )[None, :]
+            # Attention dispatch, measured: at batch 1 the single-sequence
+            # attention beats the plan path (workload decode_b1 vs
+            # decode_b8) and keeps the step bit-identical to the oracle.
+            logits = forward_token_single(self.weights, ids[0], slots[0].length,
+                                          slots[0], sparse.run_batch)
         else:
             plan = self.attention.plan_step(
                 [slot.length for slot in slots], slots
             )
-            logits = self._forward_rows(
-                ids,
+            logits = forward_rows(
+                self.weights, ids,
                 lambda layer, q, k, v: plan.attend_layer(
                     layer, q, k, v, self.cache
                 ),
@@ -347,7 +306,7 @@ class BatchedEngine:
         # Plain ints: numpy scalars would leak into the slots' lengths.
         segments = [(slot, int(n)) for slot, n in zip(slots, lengths)]
         logits = self._forward_chunk(
-            segments, self._token_ids(prompt_ids),
+            segments, token_ids_in_vocab(self.config, prompt_ids),
             self.prefill_mlp.run_tokens, last_only=True,
         )
         return logits[0] if one_piece else logits
@@ -417,7 +376,7 @@ class BatchedEngine:
         """
         if len(token_ids) == 0:
             raise ValueError("verify_chunk needs at least one token")
-        ids = self._token_ids(token_ids)
+        ids = token_ids_in_vocab(self.config, token_ids)
         if self._verify_mlp is None:
             self._verify_mlp = BatchedSparseInferMLP(
                 weights=self.weights,

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.engine import build_batched_engine, build_engine
 from repro.model.batch_attention import AttentionTelemetry, BatchedAttention
-from repro.model.inference import attend_single
+from repro.model.inference import attend_single, forward_rows
 from repro.model.kvcache import KVCache
 from repro.model.rope import apply_rope, rope_for_position, rope_tables
 from repro.serving import ContinuousBatchingScheduler, Request
@@ -387,8 +387,8 @@ def _einsum_forward_chunk(engine, slot, token_ids):
         ctx = np.einsum("hqt,htd->qhd", probs, cv)
         return ctx.reshape(n_tokens, cfg.d_model)
 
-    logits = engine._forward_rows(token_ids, attend,
-                                  engine.prefill_mlp.run_tokens)
+    logits = forward_rows(engine.weights, token_ids, attend,
+                          engine.prefill_mlp.run_tokens)
     slot.advance(n_tokens)
     return logits
 

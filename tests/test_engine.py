@@ -56,6 +56,26 @@ class TestBuildEngine:
             for t in result.generated_ids
         )
 
+    @pytest.mark.parametrize("bad", [-1, 19])
+    @pytest.mark.parametrize("entry", ["generate", "prefill", "forward_token"])
+    def test_out_of_vocab_token_id_raises(self, micro_weights, entry, bad):
+        """The oracle shares the serving engine's vocabulary check: a
+        negative id used to embed a row from the end of the table, and
+        ``vocab_size`` raised a raw ``IndexError`` mid-pass."""
+        assert micro_weights.config.vocab_size == 19
+        engine = build_engine(micro_weights)
+        if entry != "generate":
+            engine.prefill([1, 2, 3])
+        length, calls = engine.cache.length, engine.mlp.stats.calls
+        with pytest.raises(ValueError, match=r"token ids must lie in \[0, 19\)"):
+            {
+                "generate": lambda: engine.generate([bad, 5], 3),
+                "prefill": lambda: engine.prefill([4, bad]),
+                "forward_token": lambda: engine.forward_token(bad, length),
+            }[entry]()
+        assert engine.cache.length == length
+        assert engine.mlp.stats.calls == calls
+
     def test_aggressive_alpha_skips_more_than_conservative(self, micro_weights):
         prompt = [1, 2, 3]
         aggressive = build_engine(micro_weights, SparseInferSettings(alpha=0.9))

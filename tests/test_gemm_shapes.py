@@ -76,6 +76,34 @@ class TestShapeSweep:
         assert mismatched == []
 
 
+class _MatmulSpy(np.ndarray):
+    """An operand that counts the matmul products it enters."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _MatmulSpy.products += 1
+        inputs = [np.asarray(a) if isinstance(a, _MatmulSpy) else a
+                  for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("rows, products", [(1, 1), (2, 2048 // 256)])
+def test_single_row_lm_head_is_one_product(rows, products):
+    """At d 1024 / vocab 2048 a one-row lm-head is a GEMV that column
+    blocking only slows (410 vs 526 us, one BLAS thread on a 2 vCPU
+    Xeon container); two rows still block.  At this width blocking
+    rounds differently from the plain product, hence the tolerance."""
+    lm_head = _rows(1024, 2048, 1)
+    x = _rows(rows, 1024)
+    _MatmulSpy.products = 0
+    logits = lm_head_logits(x, lm_head.view(_MatmulSpy))
+    assert _MatmulSpy.products == products
+    assert type(logits) is np.ndarray
+    np.testing.assert_allclose(logits, x @ lm_head, rtol=1e-5, atol=1e-3)
+
+
 class TestEngineBitIdentity:
     """Packed prefills of 29 and 31 rows and a batch-6 decode step give
     the logits and K/V of the same engine run through plain matmuls."""

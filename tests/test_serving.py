@@ -27,6 +27,7 @@ from repro.serving import (
     RequestQueue,
     SLOSpec,
 )
+from repro.train.lm import TrainableLM
 
 from helpers import (
     assert_batch1_decode_bit_identical,
@@ -109,6 +110,24 @@ class TestBatchedEngineEquivalence:
         assert_batch1_decode_bit_identical(
             engine, slot, sequential, int(np.argmax(ref_logits))
         )
+
+    def test_packed_prefill_matches_training_forward(self, micro_config):
+        """An independent reference for the one layer loop: the oracle
+        and batch-1 serving share ``forward_rows``, so their identity no
+        longer checks it.  A packed two-piece prefill's last rows must
+        reproduce the autograd training forward, as
+        ``test_decode_matches_training_forward`` checks the oracle."""
+        lm = TrainableLM(micro_config, seed=3)
+        pieces = [[1, 4, 7, 2, 9], [3, 8, 0, 5]]
+        engine = build_batched_engine(lm.export_weights(), max_batch_size=2)
+        slots = [engine.cache.allocate() for _ in pieces]
+        logits = engine.prefill(
+            slots, [tok for piece in pieces for tok in piece],
+            [len(piece) for piece in pieces],
+        )
+        for row, piece in zip(logits, pieces):
+            train_logits = lm.forward(np.array([piece])).logits.data[0]
+            np.testing.assert_allclose(row, train_logits[-1], atol=2e-3)
 
     def test_every_forward_path_stays_float32(self, micro_weights):
         """One float64 scalar in the layer loop silently doubles every
