@@ -102,8 +102,8 @@ HOT_FUNCTIONS: Dict[Tuple[str, str], FrozenSet[str]] = {
         frozenset({"xs", "xs_t", "h"}),
     # The row paths' GEMM shape helper: activation rows are the batch
     # dimension; the lm-head's loop over its few column blocks
-    # (`lm_head`, vocab / 256 of them) is deliberately unguarded, like
-    # the sign lanes above.
+    # (`weights.lm_head_blocks`, vocab / 256 of them) is deliberately
+    # unguarded, like the sign lanes above.
     ("src/repro/model/gemm.py", "as_columns"): frozenset({"xs", "out"}),
     ("src/repro/model/gemm.py", "lm_head_logits"):
         frozenset({"x", "rows", "out"}),

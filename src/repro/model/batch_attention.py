@@ -7,15 +7,16 @@ module computes the same attention for a whole decode batch at once:
    with per-position ``(cos, sin)`` tables drawn from the shared memo
    (:func:`repro.model.rope.rope_for_position`) -- co-scheduled
    sequences at the same length share one table instead of B copies.
-2. Each sequence's K/V pages are gathered into **one** padded
-   ``(B, l_max, n_heads, head_dim)`` stack via the cache's
-   ``view_batch`` path (one arena index per layer), and a length mask
-   zeroes the padded positions **exactly** -- masked scores are
-   ``-inf`` before the softmax, so padded K/V can hold arbitrary
-   garbage without perturbing a single output bit.  The ``l_max - l_i``
-   padding per row is counted in :class:`AttentionTelemetry`, not
-   avoided: splitting the batch into length buckets measured no faster
-   end to end.
+2. The batch's K/V is **one** padded ``(B, l_max, n_heads, head_dim)``
+   stack from the cache's ``view_batch`` path: a strided view of the
+   arena when every slot is on its home run (rows in slot order, so the
+   plan permutes its own rows to match), else one arena gather per
+   layer.  A length mask zeroes the padded positions **exactly** --
+   masked scores are ``-inf`` before the softmax, so padded K/V can
+   hold arbitrary finite values without perturbing a single output
+   bit.  The ``l_max - l_i`` padding per row is counted in
+   :class:`AttentionTelemetry`, not avoided: splitting the batch into
+   length buckets measured no faster end to end.
 3. Scores and context reduce as one stacked BLAS matmul per layer, not
    B (2-3x faster than c_einsum's loops); :func:`masked_softmax`, the
    in-place softmax between them, also serves chunked prefill.
@@ -96,7 +97,11 @@ class StepPlan:
 
     RoPE stacks, the length mask and the matmul output buffers depend
     only on the step's positions, so every layer reuses them; the K/V
-    view is built at the first gather and reused likewise.
+    view is built at the first gather and reused likewise.  When that
+    view is an in-place stack in slot order, the mask is permuted to it
+    once, and each layer's queries and context rows are permuted to it
+    and back: every ``(b, h)`` matmul is independent of its row, so this
+    changes no bit.
     """
 
     def __init__(self, config: ModelConfig, positions: Sequence[int],
@@ -106,6 +111,7 @@ class StepPlan:
         self.positions = positions
         self.lengths = np.asarray(positions) + 1
         self.view = None
+        self.unorder = None    # ctx rows of a slot-order stack -> batch order
         batch, l_max = len(positions), int(self.lengths.max())
         # One (cos, sin) build per *distinct* position: equal-length
         # sequences (co-scheduled prefix sharers) share one memo entry
@@ -151,6 +157,11 @@ class StepPlan:
             # claimed any new page, and later layers only rewrite the
             # same position.
             self.view = cache.view_batch(self.slots, self.lengths)
+            if self.view.order is not None:
+                self.neg_mask = self.neg_mask[self.view.order]
+                self.unorder = np.argsort(self.view.order)
+        if self.unorder is not None:
+            qr = qr[self.view.order]
         l_max = self.view.l_max
         keys, values = self.view.gather(layer)            # (B, l_max, d)
         kh = keys.reshape(batch, l_max, n_heads, head_dim).transpose(0, 2, 1, 3)
@@ -162,7 +173,8 @@ class StepPlan:
         masked_softmax(self.scores[..., 0], self.neg_mask, head_dim)
         probs = self.scores.transpose(0, 1, 3, 2)         # (B, h, 1, l_max)
         np.matmul(probs, vh, out=self.ctx)
-        return self.ctx.reshape(batch, cfg.d_model)
+        ctx = self.ctx.reshape(batch, cfg.d_model)
+        return ctx if self.unorder is None else ctx[self.unorder]
 
 
 class BatchedAttention:

@@ -109,7 +109,7 @@ def forward_rows(weights: ModelWeights, token_ids: Sequence[int], attend,
     if last_rows is not None:
         x = x[last_rows]
     final = rmsnorm(x, weights.final_norm, cfg.norm_eps)
-    return lm_head_logits(final, weights.lm_head)
+    return lm_head_logits(final, weights)
 
 
 def forward_token_single(weights: ModelWeights, token_id: int, position: int,

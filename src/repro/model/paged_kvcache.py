@@ -8,29 +8,37 @@ engine accepts and the concurrent-sequence ceiling would be
 ``page_size=max_seq_len, n_pages=n_slots``).  This module shares a page
 arena instead:
 
-* :class:`PagePool` owns the storage -- two ``(n_pages, n_layers,
-  page_size, d_model)`` arenas (keys and values) plus a free-page stack.
-  A *page* is ``page_size`` consecutive sequence positions of **all**
-  layers; keeping the layer axis inside the page means one page claim
-  covers a position range for the whole stack, so pages are claimed once
-  per ``page_size`` tokens rather than once per layer.
+* :class:`PagePool` owns the storage -- two **layer-major** ``(n_layers,
+  n_pages, page_size, d_model)`` arenas (keys and values) plus the free
+  pages.  A *page* is ``page_size`` consecutive sequence positions of
+  **all** layers, so pages are claimed once per ``page_size`` tokens
+  rather than once per layer; within one layer, consecutive pages are
+  consecutive arena rows.
 
 * :class:`PagedKVSlot` is one sequence's handle: a *page table* (list of
   arena page indices, in sequence order) that grows lazily as
   ``append`` touches new positions.  Logical position ``p`` lives at
-  ``arena[page_table[p // page_size], layer, p % page_size]``.
+  ``arena[layer, page_table[p // page_size], p % page_size]``.
+
+* **Home runs.**  Slot ``s`` owns a run of *home pages*, ``[s * R, (s +
+  1) * R)`` with ``R = pages_for(max_seq_len)``, and a lazy claim for
+  table index ``j`` takes home page ``s * R + j`` whenever it is free.
+  Claims with no home (copy-on-write, overflow) take the *spare* pages
+  past the last home run before another slot's home page.  A slot whose
+  table is its home run holds each layer's K/V in one contiguous arena
+  slice.  Homes exist for ``min(n_slots, n_pages // R)`` slots, so a
+  budgeted pool may have fewer homes than slots, or none.
 
 * ``view(layer, length)`` hands the attention kernel a contiguous
-  ``(length, d_model)`` K/V.  Two cases, because the layer axis sits
-  between the page and position axes: positions within **one page**
-  are already contiguous in the arena, so the result is a zero-copy
-  view (start pointer and strides -- and the whole story for the
-  ``page_size = max_seq_len`` fixed-store geometry); anything longer
-  must be materialised, and is, by **one** fancy-index gather of the
-  slot's pages.  :class:`PagedBatchView` is the same gather over a
-  padded ``(B, p_max)`` page matrix.  How a sequence's pages are laid
-  out in the arena never changes a float, so fork / COW / revive /
-  truncate manipulate page tables and never touch the kernel side.
+  ``(length, d_model)`` K/V: a zero-copy arena view (start pointer and
+  strides) when the positions lie within one page or within the slot's
+  home run; otherwise **one** fancy-index gather of the slot's pages.
+  :class:`PagedBatchView` is the batch form: a strided ``(B, l_max,
+  d_model)`` view of the arena when the batch's slots are consecutive
+  and every one is on its home run, else the same gather over a padded
+  ``(B, p_max)`` page matrix.  How a sequence's pages are laid out in
+  the arena never changes a float, so fork / COW / revive / truncate
+  manipulate page tables and never touch the kernel side.
 
 Admission safety uses **worst-case reservation**: the scheduler reserves
 ``ceil(needed_positions / page_size)`` pages when it admits a request
@@ -119,6 +127,8 @@ architecture walkthrough and the full knob / telemetry reference).
 
 from __future__ import annotations
 
+import contextlib
+import mmap
 import weakref
 from collections import OrderedDict
 from typing import NamedTuple, Optional, Sequence
@@ -149,18 +159,37 @@ def chained_prefix_keys(prompt: tuple, page_size: int) -> list:
     return keys
 
 
+def _zeroed_arena(shape: tuple) -> np.ndarray:
+    """A zero-filled float32 array on anonymous small-page memory.
+
+    Home runs spread a few live pages over the whole arena; with
+    transparent hugepages each touched page would make its 2 MB
+    neighbourhood resident, so the arena opts out where the platform
+    allows it and stays resident only where K/V was written.
+    """
+    buf = mmap.mmap(-1, int(np.prod(shape)) * 4)   # anonymous: zero-filled
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        with contextlib.suppress(OSError):   # kernel without hugepages
+            buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float32).reshape(shape)
+
+
 class PagePool:
     """Shared K/V page arena plus free-list and reservation accounting.
 
-    Storage is ``(n_pages, n_layers, page_size, d_model)`` for keys and
-    values.  Pages are claimed and released by :class:`PagedKVSlot`;
-    user code sizes the pool (``n_pages * page_size`` is the total
-    position budget shared by all sequences) and otherwise talks to
-    :class:`PagedKVCache`.
+    Storage is layer-major ``(n_layers, n_pages, page_size, d_model)``
+    for keys and values; ``flat_keys`` / ``flat_values`` are the same
+    memory as ``(n_layers, n_pages * page_size, d_model)`` rows.  The
+    first ``n_homes * home_run`` pages are the slots' home runs (see the
+    module docstring), the rest are spare.  Pages are claimed and
+    released by :class:`PagedKVSlot`; user code sizes the pool
+    (``n_pages * page_size`` is the total position budget shared by all
+    sequences) and otherwise talks to :class:`PagedKVCache`.
     """
 
     def __init__(self, config: ModelConfig, n_pages: int,
-                 page_size: int = DEFAULT_PAGE_SIZE):
+                 page_size: int = DEFAULT_PAGE_SIZE, n_homes: int = 0,
+                 home_run: int = 0):
         if n_pages < 1:
             raise ValueError(f"n_pages must be >= 1, got {n_pages}")
         if page_size < 1:
@@ -168,10 +197,22 @@ class PagePool:
         self.config = config
         self.n_pages = n_pages
         self.page_size = page_size
-        shape = (n_pages, config.n_layers, page_size, config.d_model)
-        self.keys = np.zeros(shape, dtype=np.float32)
-        self.values = np.zeros(shape, dtype=np.float32)
-        self._free = list(range(n_pages - 1, -1, -1))   # pop() -> lowest index
+        self.n_homes = n_homes
+        self.home_run = home_run
+        shape = (config.n_layers, n_pages, page_size, config.d_model)
+        self.keys = _zeroed_arena(shape)
+        self.values = _zeroed_arena(shape)
+        rows = (config.n_layers, n_pages * page_size, config.d_model)
+        self.flat_keys = self.keys.reshape(rows)
+        self.flat_values = self.values.reshape(rows)
+        # Free pages as two LIFO stacks with O(1) removal of a given
+        # page (a home claim): popitem() takes the last one pushed.
+        # Spare pages start lowest-first; foreign home pages are taken
+        # from the last slot's run down, the run least likely in use.
+        n_home_pages = n_homes * home_run
+        self._free_spare = dict.fromkeys(
+            range(n_pages - 1, n_home_pages - 1, -1))
+        self._free_homes = dict.fromkeys(range(n_home_pages))
         self._free_set = set(range(n_pages))
         self._reserved = 0      # worst-case pages promised but not yet claimed
         self._refcount = [0] * n_pages   # page tables mapping each page
@@ -184,7 +225,7 @@ class PagePool:
     @property
     def n_free_pages(self) -> int:
         """Physically unclaimed pages (ignores reservations and cache)."""
-        return len(self._free)
+        return len(self._free_set)
 
     @property
     def n_cached_pages(self) -> int:
@@ -199,7 +240,7 @@ class PagePool:
         allocator evicts them on demand, so a reservation backed by a
         cached page is exactly as safe as one backed by a free page.
         """
-        return len(self._free) + len(self._cached_set) - self._reserved
+        return len(self._free_set) + len(self._cached_set) - self._reserved
 
     @property
     def n_pages_in_use(self) -> int:
@@ -208,7 +249,7 @@ class PagePool:
         Invariant: ``n_free_pages + n_pages_in_use + n_cached_pages ==
         n_pages`` -- every page is exactly one of free, pinned, cached.
         """
-        return self.n_pages - len(self._free) - len(self._cached_set)
+        return self.n_pages - len(self._free_set) - len(self._cached_set)
 
     @property
     def n_shared_pages(self) -> int:
@@ -240,16 +281,21 @@ class PagePool:
 
     # -- page claims (called by PagedKVSlot) -------------------------------
 
-    def _claim_page(self, reserved: bool) -> int:
-        """Pop a free page; unreserved claims cannot eat into reservations.
+    def _claim_page(self, reserved: bool, home: int = -1) -> int:
+        """Claim a free page; unreserved claims cannot eat into reservations.
 
-        Cached (prefix-retained) pages are reclaimable: when the free
-        list is empty but cached pages exist, the LRU cache entry is
+        ``home`` (a page index, or -1 for none) is taken when it is
+        free; otherwise a spare page, and only then another slot's home
+        page.  Cached (prefix-retained) pages are reclaimable: when no
+        page is free but cached pages exist, the LRU cache entry is
         evicted to back the claim -- which is why cached pages may count
         toward :attr:`n_available_pages` without weakening the
-        no-mid-decode-starvation guarantee.
+        no-mid-decode-starvation guarantee.  A cached home page is never
+        evicted for being a home: eviction happens exactly when no page
+        is free, so the prefix cache's LRU order does not depend on
+        where homes lie.
         """
-        claimable = len(self._free) + len(self._cached_set)
+        claimable = len(self._free_set) + len(self._cached_set)
         if claimable == 0:
             raise RuntimeError(
                 f"page pool exhausted ({self.n_pages} pages of "
@@ -259,9 +305,13 @@ class PagePool:
             raise RuntimeError(
                 "all free pages are reserved for admitted sequences"
             )
-        if not self._free:
-            self.prefix_cache.evict_lru()
-        index = self._free.pop()
+        if home in self._free_set:
+            del self._free_homes[home]
+            index = home
+        else:
+            if not self._free_set:
+                self.prefix_cache.evict_lru()
+            index = (self._free_spare or self._free_homes).popitem()[0]
         self._free_set.discard(index)
         self._refcount[index] = 1
         if reserved:
@@ -285,8 +335,7 @@ class PagePool:
         if index not in self._cached_set:
             raise ValueError(f"page {index} is not cached")
         self._cached_set.discard(index)
-        self._free.append(index)
-        self._free_set.add(index)
+        self._push_free(index)
 
     def _pin_page(self, index: int) -> None:
         """Cached page -> claimed (refcount 1) with its K/V intact."""
@@ -312,8 +361,13 @@ class PagePool:
                 self._n_shared -= 1
             self._refcount[index] -= 1
             if self._refcount[index] == 0:
-                self._free.append(index)
-                self._free_set.add(index)
+                self._push_free(index)
+
+    def _push_free(self, index: int) -> None:
+        """Return ``index`` to the free stack its kind is claimed from."""
+        home = index < self.n_homes * self.home_run
+        (self._free_homes if home else self._free_spare)[index] = None
+        self._free_set.add(index)
 
     def _reserve(self, n_pages: int) -> None:
         if n_pages > self.n_available_pages:
@@ -422,6 +476,7 @@ class PrefixCache:
         if n_run < n_full:
             pool._release_pages(slot.page_table[n_run:n_full])
         del slot.page_table[:n_full]
+        slot._home_len = 0
         return parked
 
     def _offer(self, key, prefix: tuple, page: int) -> bool:
@@ -590,10 +645,12 @@ class PagedKVSlot:
     interface of :class:`~repro.model.kvcache.KVCache`, so
     :func:`repro.model.inference.attend_single` runs unchanged on one
     slot of a serving batch.  Pages are claimed lazily: the table
-    grows the first time a write touches a position in a new page.
+    grows the first time a write touches a position in a new page,
+    taking the slot's home page for that table index when it is free.
     ``view`` is the only way its K/V reaches a kernel -- a zero-copy
-    arena view within one page, one gather of the page table beyond --
-    so everything else here edits the table and never the kernel side.
+    arena view within one page or within the home run, one gather of
+    the page table beyond -- so everything else here edits the table
+    and never the kernel side.
     """
 
     def __init__(self, pool: PagePool, index: int, max_seq_len: int):
@@ -603,6 +660,11 @@ class PagedKVSlot:
         self.page_table: list = []
         self.length = 0
         self._reservation_left = 0
+        # First page of the home run, or -1 for none: ``_push`` then
+        # never matches a page, so ``_home_len`` stays 0.
+        self._home_start = (index * pool.home_run if index < pool.n_homes
+                            else -1)
+        self._home_len = 0    # leading table entries that are the home run
 
     @property
     def n_pages(self) -> int:
@@ -620,10 +682,19 @@ class PagedKVSlot:
             self._pool._reserve(extra)
             self._reservation_left += extra
 
+    def _push(self, page: int) -> None:
+        """Append ``page`` to the table, extending the home-run count."""
+        if (self._home_len == len(self.page_table)
+                and page == self._home_start + self._home_len):
+            self._home_len += 1
+        self.page_table.append(page)
+
     def _ensure_page(self, page_index: int) -> None:
         while len(self.page_table) <= page_index:
             reserved = self._reservation_left > 0
-            self.page_table.append(self._pool._claim_page(reserved))
+            home = (self._home_start + len(self.page_table)
+                    if self._home_start >= 0 else -1)
+            self._push(self._pool._claim_page(reserved, home))
             if reserved:
                 self._reservation_left -= 1
 
@@ -639,10 +710,11 @@ class PagedKVSlot:
         pool = self._pool
         old = self.page_table[table_index]
         new = pool._claim_page(reserved=False)
-        pool.keys[new] = pool.keys[old]
-        pool.values[new] = pool.values[old]
+        pool.keys[:, new] = pool.keys[:, old]
+        pool.values[:, new] = pool.values[:, old]
         pool._release_pages([old])
         self.page_table[table_index] = new
+        self._home_len = min(self._home_len, table_index)
         return new
 
     def _writable_page(self, table_index: int) -> int:
@@ -665,8 +737,8 @@ class PagedKVSlot:
             )
         table_index, offset = divmod(position, self._pool.page_size)
         page = self._writable_page(table_index)
-        self._pool.keys[page, layer, offset] = k
-        self._pool.values[page, layer, offset] = v
+        self._pool.keys[layer, page, offset] = k
+        self._pool.values[layer, page, offset] = v
 
     def append_rows(self, layer: int, k_rows: np.ndarray,
                     v_rows: np.ndarray, start: int) -> None:
@@ -688,17 +760,17 @@ class PagedKVSlot:
             table_index, offset = divmod(start + row, page_size)
             n = min(page_size - offset, n_rows - row)
             page = self._writable_page(table_index)
-            self._pool.keys[page, layer, offset:offset + n] = \
+            self._pool.keys[layer, page, offset:offset + n] = \
                 k_rows[row:row + n]
-            self._pool.values[page, layer, offset:offset + n] = \
+            self._pool.values[layer, page, offset:offset + n] = \
                 v_rows[row:row + n]
             row += n
 
     def view(self, layer: int, length: int) -> tuple[np.ndarray, np.ndarray]:
         """K/V for the first ``length`` positions of ``layer``.
 
-        A zero-copy arena view when the positions fit one page; one
-        fancy-index gather of the slot's pages otherwise.
+        A zero-copy arena view when the positions fit one page or the
+        home run; one fancy-index gather of the slot's pages otherwise.
         """
         pool = self._pool
         page_size = pool.page_size
@@ -708,14 +780,14 @@ class PagedKVSlot:
                 f"view of {length} positions but only "
                 f"{len(self.page_table)} pages appended"
             )
-        if n_pages <= 1:
-            page = self.page_table[0] if self.page_table else 0
-            return (pool.keys[page, layer, :length],
-                    pool.values[page, layer, :length])
+        if n_pages <= max(self._home_len, 1):
+            start = self.page_table[0] * page_size if self.page_table else 0
+            return (pool.flat_keys[layer, start:start + length],
+                    pool.flat_values[layer, start:start + length])
         pages = self.page_table[:n_pages]
         d_model = pool.config.d_model
-        keys = pool.keys[pages, layer]                  # (n_pages, ps, d)
-        values = pool.values[pages, layer]
+        keys = pool.keys[layer, pages]                  # (n_pages, ps, d)
+        values = pool.values[layer, pages]
         return (keys.reshape(n_pages * page_size, d_model)[:length],
                 values.reshape(n_pages * page_size, d_model)[:length])
 
@@ -744,6 +816,7 @@ class PagedKVSlot:
                 f"to {n_positions}"
             )
         keep = self._pool.pages_for(n_positions)
+        self._home_len = min(self._home_len, keep)
         dropped = self.page_table[keep:]
         if dropped:
             free_before = self._pool.n_free_pages
@@ -762,6 +835,7 @@ class PagedKVSlot:
         if self.page_table:
             self._pool._release_pages(self.page_table)
             self.page_table = []
+            self._home_len = 0
         if self._reservation_left:
             self._pool._cancel_reservation(self._reservation_left)
             self._reservation_left = 0
@@ -769,42 +843,72 @@ class PagedKVSlot:
 
 
 class PagedBatchView:
-    """Padded batched K/V gather over a :class:`PagePool`.
+    """Padded batched ``(B, l_max, d_model)`` K/V over a :class:`PagePool`.
 
-    The batch form of :meth:`PagedKVSlot.view`'s gather case: a
-    ``(B, p_max)`` page-index matrix read straight from the slots' page
-    tables, rows padded with page 0 (padded positions land at or past
-    each row's length, so callers' length masks hide them -- whatever
-    data page 0 holds never contributes).  ``gather(layer)`` turns it
-    into ``(B, l_max, d_model)`` K/V with **one** arena index per layer
-    instead of B page-table walks.  Build it after the decode step's
-    first appends have claimed any new page; the matrix is then valid
-    for every layer of the step.
+    Two cases, fixed at construction:
+
+    * **In place** (``in_place``): the slots, sorted by index, are
+      consecutive and every one covers its length with its home run.
+      Their home runs are then one arena span, and ``gather(layer)``
+      returns it as a strided view -- no copy.  Its rows are in slot
+      order: ``order`` lists the batch rows in that order (None when the
+      batch already is), and the caller permutes its own rows to match.
+    * **Gather**: otherwise, a ``(B, p_max)`` page-index matrix read
+      straight from the slots' page tables, rows padded with page 0, and
+      ``gather(layer)`` copies it out with **one** arena index per layer;
+      rows stay in batch order.
+
+    Either way, cells at or past a row's length hold other positions'
+    finite K/V (stale home-run rows, or page 0), which the callers'
+    length masks hide -- whatever they hold never contributes.  Build
+    the view after the decode step's first appends have claimed any new
+    page; it is then valid for every layer of the step.
     """
 
     def __init__(self, pool: PagePool, slots, lengths):
         self._pool = pool
         self.lengths = np.asarray(lengths)
         self.l_max = int(self.lengths.max())
+        needed = [pool.pages_for(int(length)) for length in lengths]
+        rows = sorted(range(len(slots)), key=lambda i: slots[i].index)
+        first = slots[rows[0]]
+        # A home run that covers a length also holds its pages.
+        self.in_place = first._home_start >= 0 and all(
+            slots[i].index == first.index + rank
+            and slots[i]._home_len >= needed[i]
+            for rank, i in enumerate(rows)
+        )
+        self.order = None
+        if self.in_place:
+            self._start = first._home_start * pool.page_size
+            if rows != list(range(len(rows))):
+                self.order = np.array(rows)
+            return
         mat = np.zeros((len(slots), pool.pages_for(self.l_max)),
                        dtype=np.intp)
-        for i, (slot, length) in enumerate(zip(slots, lengths)):
-            needed = pool.pages_for(int(length))
-            if needed > len(slot.page_table):
+        for i, (slot, n) in enumerate(zip(slots, needed)):
+            if n > len(slot.page_table):
                 raise ValueError(
-                    f"gather of {needed} pages but only "
+                    f"gather of {n} pages but only "
                     f"{len(slot.page_table)} pages appended"
                 )
-            mat[i, :needed] = slot.page_table[:needed]
+            mat[i, :n] = slot.page_table[:n]
         self._mat = mat
 
     def gather(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         pool = self._pool
+        d_model = pool.config.d_model
+        if self.in_place:
+            batch, run = len(self.lengths), pool.home_run * pool.page_size
+            span = slice(self._start, self._start + batch * run)
+            keys = pool.flat_keys[layer, span]
+            values = pool.flat_values[layer, span]
+            return (keys.reshape(batch, run, d_model)[:, :self.l_max],
+                    values.reshape(batch, run, d_model)[:, :self.l_max])
         B, p_max = self._mat.shape
         width = p_max * pool.page_size
-        d_model = pool.config.d_model
-        keys = pool.keys[self._mat, layer]              # (B, p_max, ps, d)
-        values = pool.values[self._mat, layer]
+        keys = pool.keys[layer, self._mat]              # (B, p_max, ps, d)
+        values = pool.values[layer, self._mat]
         return (keys.reshape(B, width, d_model)[:, :self.l_max],
                 values.reshape(B, width, d_model)[:, :self.l_max])
 
@@ -851,8 +955,9 @@ class PagedKVCache:
         self.n_slots = n_slots
         self.max_seq_len = max_seq_len or config.max_seq_len
         worst_case = -(-self.max_seq_len // page_size)
-        self.pool = PagePool(config, n_pages or n_slots * worst_case,
-                             page_size)
+        n_pages = n_pages or n_slots * worst_case
+        self.pool = PagePool(config, n_pages, page_size,
+                             min(n_slots, n_pages // worst_case), worst_case)
         self.prefix_index = PrefixIndex(page_size)
         self.prefix_cache = (
             PrefixCache(self.pool, cache_pages) if cache_pages else None
@@ -911,7 +1016,8 @@ class PagedKVCache:
         return min(self.max_seq_len, self.pool.n_pages * self.page_size)
 
     def view_batch(self, slots, lengths) -> PagedBatchView:
-        """Padded ``(B, l_max, d_model)`` K/V gather for a decode batch."""
+        """Padded ``(B, l_max, d_model)`` K/V for a decode batch: an
+        in-place arena view or a gather (:class:`PagedBatchView`)."""
         return PagedBatchView(self.pool, slots, lengths)
 
     # -- seat preconditions (each list written once) -----------------------
@@ -1057,15 +1163,15 @@ class PagedKVCache:
         slot = self._take_slot()
         for page in donor.page_table[:full_shared]:
             self.pool._share_page(page)
-            slot.page_table.append(page)
+            slot._push(page)
         if max_positions:
             slot.reserve(max_positions)   # charges only beyond the table
         if partial:
             slot._ensure_page(full_shared)
             new = slot.page_table[full_shared]
             old = donor.page_table[full_shared]
-            self.pool.keys[new] = self.pool.keys[old]
-            self.pool.values[new] = self.pool.values[old]
+            self.pool.keys[:, new] = self.pool.keys[:, old]
+            self.pool.values[:, new] = self.pool.values[:, old]
         slot.length = shared_positions
         return slot
 
@@ -1087,7 +1193,8 @@ class PagedKVCache:
             raise error
         self.prefix_cache.take(pages)
         slot = self._take_slot()
-        slot.page_table.extend(pages)
+        for page in pages:
+            slot._push(page)
         if max_positions:
             slot.reserve(max_positions)   # charges only beyond the chain
         slot.length = len(pages) * self.page_size

@@ -15,11 +15,13 @@ Weights can be saved/loaded as ``.npz`` for caching trained models.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .config import ModelConfig
+from .gemm import column_blocks
 
 
 @dataclass
@@ -80,6 +82,18 @@ class ModelWeights:
         for layer in self.layers:
             layer.validate(cfg)
 
+    @cached_property
+    def lm_head_blocks(self) -> list:
+        """``lm_head`` as contiguous column blocks for small-batch logits.
+
+        Built on the first blocked product (:func:`repro.model.gemm.
+        lm_head_logits`) and kept beside ``lm_head``, whose one-row
+        GEMV and wide products still read the plain matrix: a second
+        copy of the lm-head (2 MB at d 256 / vocab 2048).  Weights are
+        read-only once built, so the copy never goes stale.
+        """
+        return column_blocks(self.lm_head)
+
     def gate_matrices(self) -> list:
         """Per-layer ``(k, d)`` gate matrices, the predictor's input."""
         return [layer.w_gate_rows for layer in self.layers]
@@ -129,14 +143,30 @@ class ModelWeights:
         return weights
 
 
+#: float64 draws per chunk of :func:`random_weights` (128 KB).
+_DRAW_CHUNK = 16_384
+
+
 def random_weights(config: ModelConfig, seed: int = 0,
                    scale: float = 0.02) -> ModelWeights:
-    """Random (untrained) weights, mostly for tests and shape checks."""
+    """Random (untrained) weights, mostly for tests and shape checks.
+
+    Each matrix is ``(rng.standard_normal(shape) * scale)`` rounded to
+    float32, drawn in chunks straight into the float32 result: the same
+    values and RNG stream as one full-size draw, without its two
+    float64 temporaries.
+    """
     rng = np.random.default_rng(seed)
     d, k, v = config.d_model, config.d_ff, config.vocab_size
 
     def mat(*shape):
-        return (rng.standard_normal(shape) * scale).astype(np.float32)
+        out = np.empty(shape, dtype=np.float32)
+        flat = out.reshape(-1)
+        for lo in range(0, flat.size, _DRAW_CHUNK):
+            block = rng.standard_normal(min(_DRAW_CHUNK, flat.size - lo))
+            np.multiply(block, scale, out=flat[lo:lo + block.size],
+                        casting="same_kind")
+        return out
 
     layers = [
         LayerWeights(

@@ -116,21 +116,16 @@ class BatchedSparseInferMLP:
         self.stats.calls += 1
         self.stats.sequences += batch
         self.stats.rows_total += k
+        # Two counts of the (B, k) skip mask: the per-sequence skip
+        # fractions' sum, and the rows outside the batch intersection --
+        # what a row-skipping kernel would still have to read, however
+        # the host executes the GEMMs.
+        skip = prediction.skip
+        self.stats.predicted_skip_seq += np.count_nonzero(skip) / k
+        self.stats.rows_read_gate += k - np.count_nonzero(
+            np.logical_and.reduce(skip))
         if batch == 1:
-            skip = prediction.skip[0]
-            n_skip = np.count_nonzero(skip)
-            self.stats.predicted_skip_seq += n_skip / k
-            self.stats.rows_read_gate += k - n_skip
-            return self.single.run_with_skip(layer, xs[0], skip)[None, :]
-
-        self.stats.predicted_skip_seq += float(
-            prediction.per_sequence_sparsity.sum()
-        )
-        # Rows outside the batch intersection: what a row-skipping kernel
-        # would still have to read, however the host executes the GEMMs.
-        self.stats.rows_read_gate += k - int(
-            prediction.intersection_skip.sum()
-        )
+            return self.single.run_with_skip(layer, xs[0], skip[0])[None, :]
 
         xs_t = as_columns(xs, lw.w_gate_rows)                # (d, B')
         h = self._act(lw.w_gate_rows @ xs_t)                 # (k, B')

@@ -17,8 +17,10 @@ from repro.core.engine import build_batched_engine, build_engine
 from repro.model.batch_attention import AttentionTelemetry, BatchedAttention
 from repro.model.inference import attend_single, forward_rows
 from repro.model.kvcache import KVCache
+from repro.model.paged_kvcache import PagedKVSlot
 from repro.model.rope import apply_rope, rope_for_position, rope_tables
 from repro.serving import ContinuousBatchingScheduler, Request
+from repro.serving.engine import BatchedEngine
 
 from helpers import (
     assert_batch1_decode_bit_identical,
@@ -212,8 +214,8 @@ def _poison_unowned_cells(engine, slots, rng):
                 garbage = rng.standard_normal(
                     (pool.config.n_layers, pool.config.d_model)
                 ).astype(np.float32) * 1e3
-                pool.keys[page, :, offset] = garbage
-                pool.values[page, :, offset] = -garbage
+                pool.keys[:, page, offset] = garbage
+                pool.values[:, page, offset] = -garbage
 
 
 class TestPaddingMaskProperty:
@@ -249,6 +251,66 @@ class TestPaddingMaskProperty:
             tokens = [int(np.argmax(row)) for row in clean]
 
 
+class TestHomeRunStack:
+    """A batch of slots on their home runs attends over an in-place
+    arena view; forcing every step through the gather (home runs never
+    recognised, page layout unchanged) gives the same bits."""
+
+    PROMPTS = [(2, 7, 1, 4, 4, 9, 3, 5, 8, 6, 2, 9, 4, 1, 3),
+               (5, 3, 8, 6, 2, 9, 4, 7),
+               (9, 8, 7, 6, 5, 4, 3, 2, 1, 1, 2, 3, 6, 6, 1, 2, 3, 4, 5, 6)]
+
+    def _serve(self, weights, fork, n_pages=0):
+        engine = BatchedEngine(weights, max_batch_size=4, page_size=4,
+                               n_pages=n_pages)
+        cache = engine.cache
+        slots, tokens = [], []
+        for prompt in self.PROMPTS:
+            slot = cache.allocate()
+            tokens.append(int(np.argmax(engine.prefill(slot, prompt))))
+            slots.append(slot)
+        if fork:
+            # Shares the donor's first 9 positions: two full pages by
+            # reference and a copied partial page, so not a home run.
+            slot = cache.fork(slots[2], 9)
+            tokens.append(int(np.argmax(engine.prefill(slot, (1, 1, 2)))))
+            slots.append(slot)
+        # Batch order differs from slot order: the stack's rows are
+        # permuted to slot order and back.
+        slots, tokens = slots[::-1], tokens[::-1]
+        logits, in_place = [], []
+        for _ in range(20):
+            lengths = [slot.length + 1 for slot in slots]
+            step = engine.decode_step(slots, tokens)
+            in_place.append(cache.view_batch(slots, lengths).in_place)
+            logits.append(step)
+            tokens = [int(np.argmax(row)) for row in step]
+        return logits, cache.pool, in_place
+
+    @pytest.mark.parametrize("fork", [False, True])
+    def test_stack_equals_forced_gather(self, micro_weights, monkeypatch,
+                                        fork):
+        logits, pool, in_place = self._serve(micro_weights, fork)
+        assert all(in_place) != fork
+        monkeypatch.setattr(PagedKVSlot, "_push",
+                            lambda slot, page: slot.page_table.append(page))
+        ref_logits, ref_pool, ref_in_place = self._serve(micro_weights, fork)
+        assert not any(ref_in_place)
+        for got, want in zip(logits, ref_logits):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(pool.keys, ref_pool.keys)
+        np.testing.assert_array_equal(pool.values, ref_pool.values)
+
+    def test_budgeted_pool_serves_identical_logits(self, micro_weights):
+        """40 pages hold two 16-page home runs of four slots' worth."""
+        logits, _, _ = self._serve(micro_weights, fork=True)
+        budget_logits, pool, in_place = self._serve(micro_weights, True, 40)
+        assert (pool.n_homes, pool.home_run) == (2, 16)
+        assert not any(in_place)
+        for got, want in zip(budget_logits, logits):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestGatherPlans:
     def test_recycled_slot_gathers_its_new_pages(self, micro_config):
         from repro.model.paged_kvcache import PagedKVCache
@@ -275,9 +337,10 @@ class TestGatherPlans:
         np.testing.assert_array_equal(keys[0, 0], k * 7)
 
     def test_page_layout_never_changes_a_value(self, micro_config, rng):
-        """One view per case: a consecutive and a deliberately scattered
-        page table holding the same K/V read back equal, through
-        ``view`` and through ``view_batch(...).gather``."""
+        """One view per case: home-run and deliberately scattered page
+        tables holding the same K/V read back equal, through ``view``
+        and through ``view_batch(...).gather`` -- the in-place stack for
+        the home runs, the gather for the scattered tables."""
         from repro.model.paged_kvcache import PagedKVCache
 
         n_layers, d = micro_config.n_layers, micro_config.d_model
@@ -286,9 +349,9 @@ class TestGatherPlans:
             (2, max(lengths), n_layers, 2, d)
         ).astype(np.float32)                  # [slot, pos, layer, k|v]
 
-        def fill(order):
+        def fill(order, n_pages):
             cache = PagedKVCache(micro_config, n_slots=2, max_seq_len=16,
-                                 page_size=2)
+                                 page_size=2, n_pages=n_pages)
             slots = [cache.allocate(), cache.allocate()]
             for i, pos in order:
                 for layer in range(n_layers):
@@ -297,12 +360,15 @@ class TestGatherPlans:
             return cache, slots
 
         writes = [(i, pos) for i in range(2) for pos in range(lengths[i])]
-        run_cache, run_slots = fill(writes)                  # slot by slot
-        mix_cache, mix_slots = fill(sorted(writes, key=lambda w: w[1]))
-        assert [s.page_table for s in run_slots] == [[0, 1, 2, 3], [4, 5, 6]]
+        # Interleaved writes into a pool too small for an 8-page home
+        # run scatter both tables; the full pool keeps each on its home.
+        run_cache, run_slots = fill(sorted(writes, key=lambda w: w[1]), 0)
+        mix_cache, mix_slots = fill(sorted(writes, key=lambda w: w[1]), 7)
+        assert [s.page_table for s in run_slots] == [[0, 1, 2, 3], [8, 9, 10]]
         assert [s.page_table for s in mix_slots] == [[0, 2, 4, 6], [1, 3, 5]]
         run_view = run_cache.view_batch(run_slots, lengths)
         mix_view = mix_cache.view_batch(mix_slots, lengths)
+        assert run_view.in_place and not mix_view.in_place
         for layer in range(n_layers):
             run_kv = run_view.gather(layer)
             mix_kv = mix_view.gather(layer)

@@ -7,6 +7,9 @@ benchmark geometry (d 256, d_ff 1024, vocab 2048), where the helper
 actually engages.
 """
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -69,10 +72,24 @@ class TestShapeSweep:
         mismatched = []
         for rows in ROWS:
             x = _rows(rows, 256, rows)
-            logits = lm_head_logits(x, lm_head)
+            logits = lm_head_logits(x, bench_weights)
             assert logits.dtype == np.float32
             if not np.array_equal(logits, x @ lm_head):
                 mismatched.append(rows)
+        assert mismatched == []
+
+    @pytest.mark.parametrize("d, vocab", [(256, 2048), (512, 4096),
+                                          (1024, 2048)])
+    def test_small_batch_lm_head_equals_plain_matmul(self, d, vocab):
+        """Rows 1-15, where blocking can engage: bit-identical at every
+        width, because widths whose blocked product rounds differently
+        (d 512 and 1024) take the plain product."""
+        lm_head = _rows(d, vocab, d)
+        head = SimpleNamespace(lm_head=lm_head,
+                               lm_head_blocks=gemm.column_blocks(lm_head))
+        mismatched = [rows for rows in range(1, 16) if not np.array_equal(
+            lm_head_logits(_rows(rows, d, rows), head),
+            _rows(rows, d, rows) @ lm_head)]
         assert mismatched == []
 
 
@@ -90,18 +107,31 @@ class _MatmulSpy(np.ndarray):
 
 
 @pytest.mark.parametrize("rows, products", [(1, 1), (2, 2048 // 256)])
-def test_single_row_lm_head_is_one_product(rows, products):
-    """At d 1024 / vocab 2048 a one-row lm-head is a GEMV that column
-    blocking only slows (410 vs 526 us, one BLAS thread on a 2 vCPU
-    Xeon container); two rows still block.  At this width blocking
-    rounds differently from the plain product, hence the tolerance."""
-    lm_head = _rows(1024, 2048, 1)
-    x = _rows(rows, 1024)
+def test_single_row_lm_head_is_one_product(bench_weights, rows, products):
+    """A one-row lm-head is a GEMV that column blocking only slows (410
+    vs 526 us at d 1024 / vocab 2048, one BLAS thread on a 2 vCPU Xeon
+    container); two rows read the cached contiguous column blocks, one
+    product per block.  The blocks copy the spy matrix, so the spy sees
+    both layouts."""
+    lm_head = bench_weights.lm_head
+    spied = dataclasses.replace(bench_weights,
+                                lm_head=lm_head.view(_MatmulSpy))
+    x = _rows(rows, 256)
     _MatmulSpy.products = 0
-    logits = lm_head_logits(x, lm_head.view(_MatmulSpy))
+    logits = lm_head_logits(x, spied)
     assert _MatmulSpy.products == products
     assert type(logits) is np.ndarray
-    np.testing.assert_allclose(logits, x @ lm_head, rtol=1e-5, atol=1e-3)
+    np.testing.assert_array_equal(logits, x @ lm_head)
+
+
+def test_lm_head_blocks_are_built_once(bench_weights):
+    weights = dataclasses.replace(bench_weights)
+    x = _rows(4, 256)
+    first = lm_head_logits(x, weights)
+    blocks = weights.lm_head_blocks
+    assert all(block.flags.c_contiguous for block in blocks)
+    np.testing.assert_array_equal(lm_head_logits(x, weights), first)
+    assert weights.lm_head_blocks is blocks
 
 
 class TestEngineBitIdentity:

@@ -1,5 +1,7 @@
 """Tests for config, tokenizer, norm, rope, KV cache and weights."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -210,9 +212,63 @@ class TestDenseMLP:
             assert (mlp.stats.calls, mlp.stats.rows_total) == (calls, rows)
 
 
+BENCH_CONFIG = ModelConfig(
+    name="bench-256x4", vocab_size=2048, d_model=256, n_layers=4,
+    n_heads=4, d_ff=1024, max_seq_len=256, dtype_bytes=4,
+)
+
+
+def _full_draw_weights(config, seed, scale=0.02):
+    """``random_weights``' matrices as one full-size float64 draw each,
+    in its draw order (per layer wq wk wv wo gate up down, then
+    tok_embed, lm_head)."""
+    rng = np.random.default_rng(seed)
+    d, k, v = config.d_model, config.d_ff, config.vocab_size
+    shapes = [(d, d)] * 4 + [(k, d)] * 3
+    mats = [(rng.standard_normal(shape) * scale).astype(np.float32)
+            for _ in range(config.n_layers) for shape in shapes]
+    mats.append((rng.standard_normal((v, d)) * scale).astype(np.float32))
+    mats.append((rng.standard_normal((d, v)) * scale).astype(np.float32))
+    return mats
+
+
+def _matrices(weights):
+    names = ("wq", "wk", "wv", "wo", "w_gate_rows", "w_up_rows",
+             "w_down_rows")
+    return [getattr(layer, name) for layer in weights.layers
+            for name in names] + [weights.tok_embed, weights.lm_head]
+
+
 class TestWeights:
     def test_random_weights_validate(self, micro_config):
         random_weights(micro_config).validate()
+
+    @pytest.mark.parametrize("seed", [0, 7, 13])
+    @pytest.mark.parametrize("config_name", ["micro", "bench"])
+    def test_random_weights_equal_one_full_draw(self, micro_config, seed,
+                                                config_name):
+        config = micro_config if config_name == "micro" else BENCH_CONFIG
+        got = _matrices(random_weights(config, seed=seed))
+        want = _full_draw_weights(config, seed)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == np.float32
+            np.testing.assert_array_equal(a, b)
+
+    def test_random_weights_peak_memory_is_the_weights(self):
+        """No full-size float64 temporary: the traced peak stays within
+        1 MB of the weights' own bytes."""
+        tracemalloc.start()
+        try:
+            weights = random_weights(BENCH_CONFIG, seed=13)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        final = sum(m.nbytes for m in _matrices(weights))
+        final += sum(layer.attn_norm.nbytes + layer.mlp_norm.nbytes
+                     for layer in weights.layers)
+        final += weights.final_norm.nbytes
+        assert peak <= final + 2 ** 20
 
     def test_save_load_roundtrip(self, micro_config, tmp_path):
         w = random_weights(micro_config, seed=5)

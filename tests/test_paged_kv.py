@@ -92,17 +92,44 @@ class TestPagedKVSlot:
         keys, _ = slot.view(0, 1)
         assert np.shares_memory(keys, cache.pool.keys)
 
-    def test_scattered_pages_gather_correctly(self, micro_config):
-        """Interleaved allocation scatters page tables; view must reorder."""
+    def test_home_run_view_is_zero_copy(self, micro_config, rng):
+        """A slot on its home run views its K/V in place, and the view
+        equals the gather of its page table."""
         cache = PagedKVCache(micro_config, n_slots=2, max_seq_len=16,
                              page_size=2)
+        cache.allocate()
+        slot = cache.allocate()
+        d = micro_config.d_model
+        for pos in range(7):
+            for layer in range(micro_config.n_layers):
+                slot.append(layer, rng.standard_normal(d),
+                            rng.standard_normal(d), pos)
+            slot.advance()
+        assert slot.page_table == [8, 9, 10, 11]          # slot 1's home run
+        pool = cache.pool
+        for layer in range(micro_config.n_layers):
+            keys, values = slot.view(layer, 7)
+            assert np.shares_memory(keys, pool.keys)
+            assert np.shares_memory(values, pool.values)
+            gathered = pool.keys[layer, slot.page_table].reshape(-1, d)
+            np.testing.assert_array_equal(keys, gathered[:7])
+            gathered = pool.values[layer, slot.page_table].reshape(-1, d)
+            np.testing.assert_array_equal(values, gathered[:7])
+
+    def test_scattered_pages_gather_correctly(self, micro_config):
+        """Interleaved allocation scatters page tables; view must reorder.
+
+        Six pages cannot hold one 8-page home run, so the pool has no
+        homes and alternate claims interleave the two tables."""
+        cache = PagedKVCache(micro_config, n_slots=2, max_seq_len=16,
+                             page_size=2, n_pages=6)
+        assert cache.pool.n_homes == 0
         a, b = cache.allocate(), cache.allocate()
         d = micro_config.d_model
         for pos in range(6):                   # alternate claims: a,b,a,b,...
             a.append(0, np.full(d, 10.0 + pos), np.zeros(d), pos)
             b.append(0, np.full(d, 20.0 + pos), np.zeros(d), pos)
-        assert a.page_table != sorted(a.page_table) or \
-            b.page_table != list(range(b.page_table[0], b.page_table[0] + 3))
+        assert (a.page_table, b.page_table) == ([0, 2, 4], [1, 3, 5])
         keys_a, _ = a.view(0, 6)
         keys_b, _ = b.view(0, 6)
         np.testing.assert_array_equal(keys_a[:, 0], 10.0 + np.arange(6))
@@ -222,6 +249,66 @@ class TestPagedKVSlot:
         assert cache.can_admit(4) and not cache.can_admit(5)
         cache.allocate(max_positions=4)
         assert not cache.can_admit(1)
+
+
+class TestHomePages:
+    """Which page a claim takes: the slot's home page when free, else a
+    spare page before another slot's home page; a cached home page is
+    never evicted to serve as a home.  10 pages of 2 positions hold two
+    4-page home runs (pages 0-7) and two spare pages (8, 9)."""
+
+    @staticmethod
+    def _cache(micro_config, cache_pages=0):
+        return PagedKVCache(micro_config, n_slots=2, max_seq_len=8,
+                            page_size=2, n_pages=10, cache_pages=cache_pages)
+
+    @staticmethod
+    def _write(slot, positions, d):
+        for pos in positions:
+            slot.append(0, np.full(d, pos + 1.0), np.zeros(d), pos)
+        slot.length = max(slot.length, positions[-1] + 1)
+
+    def test_copy_on_write_takes_a_spare_page(self, micro_config):
+        cache = self._cache(micro_config)
+        d = micro_config.d_model
+        donor = cache.allocate()
+        self._write(donor, range(4), d)
+        fork = cache.fork(donor, 4)
+        assert (donor.page_table, fork.page_table) == ([0, 1], [0, 1])
+        fork.append(0, np.zeros(d), np.zeros(d), 1)     # COW of page 0
+        assert fork.page_table == [8, 1]
+        self._write(fork, [4], d)                      # its own home page
+        assert fork.page_table == [8, 1, 6]
+        keys, _ = fork.view(0, 5)
+        assert not np.shares_memory(keys, cache.pool.keys)
+        np.testing.assert_array_equal(keys[:, 0], [1.0, 0.0, 3.0, 4.0, 5.0])
+
+    def test_cached_home_page_is_not_evicted(self, micro_config):
+        cache = self._cache(micro_config, cache_pages=4)
+        d = micro_config.d_model
+        first = cache.allocate()
+        self._write(first, range(4), d)
+        cache.release(first, prompt_ids=(1, 2, 3, 4, 5))
+        assert cache.n_cached_pages == 2                # home pages 0, 1
+        again = cache.allocate()
+        assert again.index == first.index
+        self._write(again, range(3), d)
+        assert again.page_table == [8, 9]
+        assert cache.n_cached_pages == 2
+        assert cache.prefix_cache.evictions == 0
+
+    def test_truncate_keeps_the_home_run(self, micro_config):
+        cache = self._cache(micro_config)
+        d = micro_config.d_model
+        slot = cache.allocate()
+        self._write(slot, range(8), d)
+        assert slot.page_table == [0, 1, 2, 3]
+        slot.truncate(3)
+        self._write(slot, range(3, 8), d)
+        assert slot.page_table == [0, 1, 2, 3]
+        keys, _ = slot.view(0, 8)
+        assert np.shares_memory(keys, cache.pool.keys)
+        np.testing.assert_array_equal(keys[:, 0], np.arange(1.0, 9.0))
 
 
 class TestSlotRecycling:

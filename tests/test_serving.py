@@ -398,6 +398,31 @@ class TestOneBatchPath:
             stats.rows_read_gate, round(stats.predicted_skip_seq * cfg.d_ff),
         ) == (2, 16, 128, 108, 406)
 
+    @pytest.mark.parametrize("batch", [2, 3, 8])
+    def test_skip_stats_equal_the_mask_reference(self, micro_weights, rng,
+                                                 batch):
+        """Both skip shares come from counts of the skip mask; they equal
+        the per-row means and the AND-reduce of the masks.  The
+        intersection share is integer-exact; the mean per-sequence share
+        sums fractions in another order, so it may differ by float64
+        rounding: rtol 1e-12."""
+        cfg = micro_weights.config
+        mlp = BatchedSparseInferMLP(weights=micro_weights)
+        seq_skip, rows_read = 0.0, 0
+        for step in range(6):
+            xs = _correlated_batch(rng, batch, cfg.d_model)
+            layer = step % cfg.n_layers
+            skip = mlp.predictor.predict_intersection(layer, xs).skip
+            seq_skip += skip.mean(axis=1).sum()
+            rows_read += cfg.d_ff - skip.all(axis=0).sum()
+            mlp.run_batch(layer, xs)
+        stats = mlp.stats
+        assert stats.rows_read_gate == rows_read
+        assert stats.intersection_skip_fraction == \
+            1.0 - rows_read / (6 * cfg.d_ff)
+        np.testing.assert_allclose(stats.mean_sequence_skip_fraction,
+                                   seq_skip / (6 * batch), rtol=1e-12)
+
     def test_batch1_stats_equal_the_batch_formulas(self, micro_weights, rng):
         """Batch 1 accounts from one count of its skip mask; the totals
         must equal the batch path's ``per_sequence_sparsity`` /
