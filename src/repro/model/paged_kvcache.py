@@ -160,14 +160,18 @@ def chained_prefix_keys(prompt: tuple, page_size: int) -> list:
 
 
 def _zeroed_arena(shape: tuple) -> np.ndarray:
-    """A zero-filled float32 array on anonymous small-page memory.
+    """A zero-filled float32 array on private anonymous small-page memory.
 
     Home runs spread a few live pages over the whole arena; with
     transparent hugepages each touched page would make its 2 MB
     neighbourhood resident, so the arena opts out where the platform
-    allows it and stays resident only where K/V was written.
+    allows it and stays resident only where K/V was written.  The
+    mapping is private (copy-on-write across ``fork()``, like numpy's
+    own allocations) where the platform has the flag.
     """
-    buf = mmap.mmap(-1, int(np.prod(shape)) * 4)   # anonymous: zero-filled
+    private = ({"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE")
+               else {})
+    buf = mmap.mmap(-1, int(np.prod(shape)) * 4, **private)   # zero-filled
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         with contextlib.suppress(OSError):   # kernel without hugepages
             buf.madvise(mmap.MADV_NOHUGEPAGE)
@@ -213,7 +217,6 @@ class PagePool:
         self._free_spare = dict.fromkeys(
             range(n_pages - 1, n_home_pages - 1, -1))
         self._free_homes = dict.fromkeys(range(n_home_pages))
-        self._free_set = set(range(n_pages))
         self._reserved = 0      # worst-case pages promised but not yet claimed
         self._refcount = [0] * n_pages   # page tables mapping each page
         self._n_shared = 0      # pages with refcount > 1 (O(1) telemetry)
@@ -225,7 +228,7 @@ class PagePool:
     @property
     def n_free_pages(self) -> int:
         """Physically unclaimed pages (ignores reservations and cache)."""
-        return len(self._free_set)
+        return len(self._free_spare) + len(self._free_homes)
 
     @property
     def n_cached_pages(self) -> int:
@@ -240,7 +243,7 @@ class PagePool:
         allocator evicts them on demand, so a reservation backed by a
         cached page is exactly as safe as one backed by a free page.
         """
-        return len(self._free_set) + len(self._cached_set) - self._reserved
+        return self.n_free_pages + len(self._cached_set) - self._reserved
 
     @property
     def n_pages_in_use(self) -> int:
@@ -249,7 +252,7 @@ class PagePool:
         Invariant: ``n_free_pages + n_pages_in_use + n_cached_pages ==
         n_pages`` -- every page is exactly one of free, pinned, cached.
         """
-        return self.n_pages - len(self._free_set) - len(self._cached_set)
+        return self.n_pages - self.n_free_pages - len(self._cached_set)
 
     @property
     def n_shared_pages(self) -> int:
@@ -295,7 +298,7 @@ class PagePool:
         is free, so the prefix cache's LRU order does not depend on
         where homes lie.
         """
-        claimable = len(self._free_set) + len(self._cached_set)
+        claimable = self.n_free_pages + len(self._cached_set)
         if claimable == 0:
             raise RuntimeError(
                 f"page pool exhausted ({self.n_pages} pages of "
@@ -305,14 +308,13 @@ class PagePool:
             raise RuntimeError(
                 "all free pages are reserved for admitted sequences"
             )
-        if home in self._free_set:
+        if home in self._free_homes:
             del self._free_homes[home]
             index = home
         else:
-            if not self._free_set:
+            if not (self._free_spare or self._free_homes):
                 self.prefix_cache.evict_lru()
             index = (self._free_spare or self._free_homes).popitem()[0]
-        self._free_set.discard(index)
         self._refcount[index] = 1
         if reserved:
             self._reserved -= 1
@@ -355,7 +357,7 @@ class PagePool:
     def _release_pages(self, pages) -> None:
         """Drop one reference per page; free those that reach zero."""
         for index in pages:
-            if self._refcount[index] < 1 or index in self._free_set:
+            if self._refcount[index] < 1 or self._is_free(index):
                 raise ValueError(f"page {index} released twice")
             if self._refcount[index] == 2:
                 self._n_shared -= 1
@@ -367,7 +369,9 @@ class PagePool:
         """Return ``index`` to the free stack its kind is claimed from."""
         home = index < self.n_homes * self.home_run
         (self._free_homes if home else self._free_spare)[index] = None
-        self._free_set.add(index)
+
+    def _is_free(self, index: int) -> bool:
+        return index in self._free_homes or index in self._free_spare
 
     def _reserve(self, n_pages: int) -> None:
         if n_pages > self.n_available_pages:

@@ -106,19 +106,22 @@ class _MatmulSpy(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
-@pytest.mark.parametrize("rows, products", [(1, 1), (2, 2048 // 256)])
-def test_single_row_lm_head_is_one_product(bench_weights, rows, products):
+@pytest.mark.parametrize("rows, products", [(1, 1), (2, 4096 // 256)])
+def test_single_row_lm_head_is_one_product(rows, products):
     """A one-row lm-head is a GEMV that column blocking only slows (410
     vs 526 us at d 1024 / vocab 2048, one BLAS thread on a 2 vCPU Xeon
-    container); two rows read the cached contiguous column blocks, one
-    product per block.  The blocks copy the spy matrix, so the spy sees
+    container); two rows read the contiguous column blocks, one product
+    per block.  At d 256 / vocab 4096 one row (1 048 576 multiply-adds)
+    is already past ``PACKED_MNK``, so only the one-row rule keeps it a
+    single product.  The blocks copy the spy matrix, so the spy sees
     both layouts."""
-    lm_head = bench_weights.lm_head
-    spied = dataclasses.replace(bench_weights,
-                                lm_head=lm_head.view(_MatmulSpy))
+    lm_head = _rows(256, 4096, 256)
+    spy = lm_head.view(_MatmulSpy)
+    head = SimpleNamespace(lm_head=spy, lm_head_blocks=gemm.column_blocks(spy))
+    assert 256 * 4096 > gemm.PACKED_MNK
     x = _rows(rows, 256)
     _MatmulSpy.products = 0
-    logits = lm_head_logits(x, spied)
+    logits = lm_head_logits(x, head)
     assert _MatmulSpy.products == products
     assert type(logits) is np.ndarray
     np.testing.assert_array_equal(logits, x @ lm_head)

@@ -40,7 +40,7 @@ def check_invariants(cache: PagedKVCache, live: dict) -> None:
     assert pool.n_free_pages + pool.n_pages_in_use + pool.n_cached_pages \
         == pool.n_pages
     assert 0 <= pool._reserved <= pool.n_free_pages + pool.n_cached_pages
-    assert not (pool._free_set & pool._cached_set)
+    assert not any(pool._is_free(page) for page in pool._cached_set)
     refs = Counter()
     for slot, _ in live.values():
         refs.update(slot.page_table)
@@ -49,7 +49,7 @@ def check_invariants(cache: PagedKVCache, live: dict) -> None:
             f"page {page}: refcount {pool.refcount(page)} != "
             f"{refs.get(page, 0)} table references"
         )
-        unmapped = page in pool._free_set or page in pool._cached_set
+        unmapped = pool._is_free(page) or page in pool._cached_set
         assert unmapped == (refs.get(page, 0) == 0)
     shared = sum(1 for page, n in refs.items() if n > 1)
     assert pool.n_shared_pages == shared
@@ -191,7 +191,7 @@ def test_release_of_fork_keeps_donor_pages(micro_config):
     cache.release(fork)
     for page in donor_pages:
         assert cache.pool.refcount(page) == 1
-        assert page not in cache.pool._free_set
+        assert not cache.pool._is_free(page)
     keys, values = donor.view(0, 10)
     np.testing.assert_array_equal(keys[:, 0], np.arange(1.0, 11.0))
     np.testing.assert_array_equal(values[:, 0], -np.arange(1.0, 11.0))
@@ -292,7 +292,7 @@ def test_truncate_never_frees_a_sharers_pages(micro_config):
     assert fork.page_table == []
     for page in donor_pages:
         assert cache.pool.refcount(page) == 1      # unpinned, not freed
-        assert page not in cache.pool._free_set
+        assert not cache.pool._is_free(page)
     assert cache.n_shared_pages == 0
     keys, values = donor.view(0, 8)
     np.testing.assert_array_equal(keys[:, 0], np.arange(1.0, 9.0))
