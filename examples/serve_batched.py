@@ -149,12 +149,6 @@ def main() -> None:
           f"skip {sharing_report.intersection_skip:.3f} vs skip^B "
           f"{sharing_report.expected_uncorrelated_skip:.3f}")
 
-    # Decode attention runs as one padded masked-softmax matmul per
-    # layer, so the report also carries padding-waste telemetry.
-    print(f"\nbatched decode attention: "
-          f"{sharing_report.attention.batched_steps} batched decode steps, "
-          f"{sharing_report.attention.padding_waste_fraction:.0%} padding masked off")
-
     # Cross-request prefix cache: the same few-shot workload, but
     # *bursty* -- each request fully drains before the next arrives, so
     # no donor is ever resident and plain prefix sharing saves nothing.

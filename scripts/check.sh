@@ -27,9 +27,35 @@ if [ "$#" -eq 0 ]; then
     # The e2e benchmark's own self-tests (about 1 s).  The knob-landing
     # test has been red since the engine's knob set changed; re-landing
     # the benchmark surface is ROADMAP item 1(d), so it is deselected
-    # until then rather than left to fail the gate.
+    # until then rather than left to fail the gate.  The two tracing
+    # tests assume every traced function still exists, but three spans
+    # went with the padded decode stack; the benchmark records a missing
+    # target as a zero-call row.  They are deselected, and the step
+    # after this one asserts that exactly those three spans are missing,
+    # so losing any other span still fails the gate.
     python -m pytest -x -q benchmarks/e2e/tests \
-        --deselect "benchmarks/e2e/tests/test_e2e_surface.py::test_every_serve_all_on_knob_is_still_accepted_at_landing"
+        --deselect "benchmarks/e2e/tests/test_e2e_surface.py::test_every_serve_all_on_knob_is_still_accepted_at_landing" \
+        --deselect "benchmarks/e2e/tests/test_e2e_surface.py::test_every_trace_target_resolves_at_landing" \
+        --deselect "benchmarks/e2e/tests/test_e2e_surface.py::test_tracing_tolerates_a_target_that_moved_away"
+    PYTHONPATH=src:benchmarks/e2e${PYTHONPATH:+:$PYTHONPATH} python - <<'EOF'
+import surface
+import tracing
+from repro.model.mlp import DenseMLP
+
+GONE = ["model.batch_attention.plan_step",
+        "model.batch_attention.attend_layer",
+        "model.paged_kvcache.gather"]
+original = DenseMLP.run_tokens
+tracer = tracing.Tracer()
+patches, missing = surface.install_tracing(tracer)
+try:
+    assert missing == GONE, f"untraced spans {missing}, expected {GONE}"
+    assert DenseMLP.run_tokens is not original
+    assert all(name in tracer.names for name in GONE)   # zero-call rows
+finally:
+    patches.remove()
+assert DenseMLP.run_tokens is original
+EOF
     # Invariant linter (rule catalog: docs/analysis.md).  Subsumes the
     # old docs-freshness heredoc: the docs-knobs rule fails the gate if
     # an engine/scheduler knob is missing from docs/serving.md, and the

@@ -17,8 +17,9 @@ comprehensions are not flagged: they build per-sequence *metadata*
 
 Intentional scalar loops stay, visibly: they carry inline
 ``# repro: ignore[scalar-loop]`` markers (today the scheduler's ragged
-verify loop and the packed prefill pass's per-segment attention), and accepted-but-unfixed loops would live in the
-baseline with a justification (today there are none).
+verify loop and the ragged pass's per-segment attention), and
+accepted-but-unfixed loops would live in the baseline with a
+justification (today there are none).
 """
 
 from __future__ import annotations
@@ -36,13 +37,15 @@ HOT_FUNCTIONS: Dict[Tuple[str, str], FrozenSet[str]] = {
         frozenset({"slots", "token_ids"}),
     ("src/repro/serving/engine.py", "BatchedEngine.prefill"):
         frozenset({"prompt_ids", "slots", "lengths"}),
-    # The one layer loop and its two attention strategies: rows are
-    # ragged segments of slots' positions (`_forward_chunk`: packed
-    # prefill, verify) or one token per slot (`_forward_batch`: decode,
-    # draft).  A `for` statement over these identifiers would mean
-    # per-token or per-sequence model compute crept back in.  The packed
-    # pass's per-segment attention loop (`attend`, over `blocks`) is the
-    # one marked exception: causal blocks of different cache lengths.
+    # The one layer loop and its one batch > 1 attention: rows are
+    # ragged segments of slots' positions (`_forward_chunk`), a prompt
+    # piece or verify chunk per slot, or one row per slot for decode
+    # and draft, which `_forward_batch` hands over (batch 1 takes
+    # `forward_token_single`).  A `for` statement over these
+    # identifiers would mean per-token or per-sequence model compute
+    # crept back in.  The per-segment attention loop (`attend`, over
+    # `blocks`) is the one marked exception: causal blocks of different
+    # cache lengths.
     ("src/repro/model/inference.py", "forward_rows"):
         frozenset({"token_ids", "x"}),
     ("src/repro/serving/engine.py", "BatchedEngine._forward_chunk"):

@@ -7,7 +7,6 @@ from .config import (
     tiny_7b_role,
     tiny_13b_role,
 )
-from .batch_attention import AttentionTelemetry, BatchedAttention
 from .inference import InferenceModel, MLPTrace
 from .kvcache import KVCache
 from .mlp import DenseMLP, MLPStats

@@ -61,8 +61,9 @@ def attend_single(
     # float32 scale: a float64 np.sqrt scalar would promote scores --
     # and the residual stream after it -- to float64, silently doubling
     # every downstream GEMM's work (NEP 50 keeps numpy-scalar dtypes).
-    # einsum, not the faster BLAS matmul of StepPlan.attend_layer: matmul
-    # rounds differently, and that drift flips near-zero gate rows.
+    # einsum, not the faster BLAS matmul of the serving engine's ragged
+    # pass: matmul rounds differently, and that drift flips near-zero
+    # gate rows.
     scores = np.einsum("hd,htd->ht", q, kh) / np.float32(np.sqrt(head_dim))
     scores -= scores.max(axis=-1, keepdims=True)
     probs = np.exp(scores)

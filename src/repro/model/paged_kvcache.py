@@ -33,12 +33,10 @@ arena instead:
   ``(length, d_model)`` K/V: a zero-copy arena view (start pointer and
   strides) when the positions lie within one page or within the slot's
   home run; otherwise **one** fancy-index gather of the slot's pages.
-  :class:`PagedBatchView` is the batch form: a strided ``(B, l_max,
-  d_model)`` view of the arena when the batch's slots are consecutive
-  and every one is on its home run, else the same gather over a padded
-  ``(B, p_max)`` page matrix.  How a sequence's pages are laid out in
-  the arena never changes a float, so fork / COW / revive / truncate
-  manipulate page tables and never touch the kernel side.
+  Every attention pass reads each slot through its own ``view``, so
+  how a sequence's pages are laid out in the arena never changes a
+  float: fork / COW / revive / truncate manipulate page tables and
+  never touch the kernel side.
 
 Admission safety uses **worst-case reservation**: the scheduler reserves
 ``ceil(needed_positions / page_size)`` pages when it admits a request
@@ -118,11 +116,11 @@ prefilled the prompt, :meth:`PagedKVCache.register` makes it findable
 as a donor, and :meth:`PagedKVCache.release` retires it -- parking its
 prompt-prefix pages when a prefix cache is configured.
 
-Every path preserves the serving engine's equivalence guarantees: a
-batch-1 decode step over this cache is **bit-identical** to
-``build_engine``'s on the same KV contents, and served tokens are
-**identical** at any batch size (see ``docs/serving.md`` for the
-architecture walkthrough and the full knob / telemetry reference).
+Every path preserves the serving engine's numerical contract (stated in
+``docs/serving.md``, with the architecture walkthrough and the full
+knob / telemetry reference): page layout, sharing and caching never
+change a float, so a batch-1 decode step over this cache is
+**bit-identical** to ``build_engine``'s on the same KV contents.
 """
 
 from __future__ import annotations
@@ -372,6 +370,13 @@ class PagePool:
 
     def _is_free(self, index: int) -> bool:
         return index in self._free_homes or index in self._free_spare
+
+    def write(self, layer: int, cells, k_rows: np.ndarray,
+              v_rows: np.ndarray) -> None:
+        """Store one layer's K/V rows at flat arena rows ``cells`` (from
+        :meth:`PagedKVSlot.cells`)."""
+        self.flat_keys[layer, cells] = k_rows
+        self.flat_values[layer, cells] = v_rows
 
     def _reserve(self, n_pages: int) -> None:
         if n_pages > self.n_available_pages:
@@ -744,31 +749,30 @@ class PagedKVSlot:
         self._pool.keys[layer, page, offset] = k
         self._pool.values[layer, page, offset] = v
 
-    def append_rows(self, layer: int, k_rows: np.ndarray,
-                    v_rows: np.ndarray, start: int) -> None:
-        """Store ``(T, d_model)`` K/V rows at positions ``start..start+T``.
+    def cells(self, start: int, n_rows: int) -> list:
+        """Flat arena rows of positions ``start..start+n_rows``, writable.
 
-        The block form of :meth:`append` for chunked prefill / verify:
-        one page claim, copy-on-write check and slice assignment per
-        *page* touched rather than per position.
+        Indices into ``flat_keys[layer]`` / ``flat_values[layer]`` of the
+        pool, the same for every layer.  Claims the pages they touch and
+        breaks sharing (copy-on-write) first -- one check per *page*, not
+        per position or layer -- so a pass computes them once and writes
+        each layer's rows with one :meth:`PagePool.write`.
         """
-        n_rows = len(k_rows)
-        if start + n_rows > self.max_seq_len:
+        end = start + n_rows
+        if end > self.max_seq_len:
             raise ValueError(
-                f"position {start + n_rows - 1} exceeds slot capacity "
-                f"{self.max_seq_len}"
+                f"position {end - 1} exceeds slot capacity {self.max_seq_len}"
             )
         page_size = self._pool.page_size
-        row = 0
-        while row < n_rows:
-            table_index, offset = divmod(start + row, page_size)
-            n = min(page_size - offset, n_rows - row)
-            page = self._writable_page(table_index)
-            self._pool.keys[layer, page, offset:offset + n] = \
-                k_rows[row:row + n]
-            self._pool.values[layer, page, offset:offset + n] = \
-                v_rows[row:row + n]
-            row += n
+        cells: list = []
+        position = start
+        while position < end:
+            table_index, offset = divmod(position, page_size)
+            n = min(page_size - offset, end - position)
+            first = self._writable_page(table_index) * page_size + offset
+            cells.extend(range(first, first + n))
+            position += n
+        return cells
 
     def view(self, layer: int, length: int) -> tuple[np.ndarray, np.ndarray]:
         """K/V for the first ``length`` positions of ``layer``.
@@ -844,77 +848,6 @@ class PagedKVSlot:
             self._pool._cancel_reservation(self._reservation_left)
             self._reservation_left = 0
         self.length = 0
-
-
-class PagedBatchView:
-    """Padded batched ``(B, l_max, d_model)`` K/V over a :class:`PagePool`.
-
-    Two cases, fixed at construction:
-
-    * **In place** (``in_place``): the slots, sorted by index, are
-      consecutive and every one covers its length with its home run.
-      Their home runs are then one arena span, and ``gather(layer)``
-      returns it as a strided view -- no copy.  Its rows are in slot
-      order: ``order`` lists the batch rows in that order (None when the
-      batch already is), and the caller permutes its own rows to match.
-    * **Gather**: otherwise, a ``(B, p_max)`` page-index matrix read
-      straight from the slots' page tables, rows padded with page 0, and
-      ``gather(layer)`` copies it out with **one** arena index per layer;
-      rows stay in batch order.
-
-    Either way, cells at or past a row's length hold other positions'
-    finite K/V (stale home-run rows, or page 0), which the callers'
-    length masks hide -- whatever they hold never contributes.  Build
-    the view after the decode step's first appends have claimed any new
-    page; it is then valid for every layer of the step.
-    """
-
-    def __init__(self, pool: PagePool, slots, lengths):
-        self._pool = pool
-        self.lengths = np.asarray(lengths)
-        self.l_max = int(self.lengths.max())
-        needed = [pool.pages_for(int(length)) for length in lengths]
-        rows = sorted(range(len(slots)), key=lambda i: slots[i].index)
-        first = slots[rows[0]]
-        # A home run that covers a length also holds its pages.
-        self.in_place = first._home_start >= 0 and all(
-            slots[i].index == first.index + rank
-            and slots[i]._home_len >= needed[i]
-            for rank, i in enumerate(rows)
-        )
-        self.order = None
-        if self.in_place:
-            self._start = first._home_start * pool.page_size
-            if rows != list(range(len(rows))):
-                self.order = np.array(rows)
-            return
-        mat = np.zeros((len(slots), pool.pages_for(self.l_max)),
-                       dtype=np.intp)
-        for i, (slot, n) in enumerate(zip(slots, needed)):
-            if n > len(slot.page_table):
-                raise ValueError(
-                    f"gather of {n} pages but only "
-                    f"{len(slot.page_table)} pages appended"
-                )
-            mat[i, :n] = slot.page_table[:n]
-        self._mat = mat
-
-    def gather(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        pool = self._pool
-        d_model = pool.config.d_model
-        if self.in_place:
-            batch, run = len(self.lengths), pool.home_run * pool.page_size
-            span = slice(self._start, self._start + batch * run)
-            keys = pool.flat_keys[layer, span]
-            values = pool.flat_values[layer, span]
-            return (keys.reshape(batch, run, d_model)[:, :self.l_max],
-                    values.reshape(batch, run, d_model)[:, :self.l_max])
-        B, p_max = self._mat.shape
-        width = p_max * pool.page_size
-        keys = pool.keys[layer, self._mat]              # (B, p_max, ps, d)
-        values = pool.values[layer, self._mat]
-        return (keys.reshape(B, width, d_model)[:, :self.l_max],
-                values.reshape(B, width, d_model)[:, :self.l_max])
 
 
 class SeatPlan(NamedTuple):
@@ -1018,11 +951,6 @@ class PagedKVCache:
     def max_request_positions(self) -> int:
         """Longest sequence any single request could ever store."""
         return min(self.max_seq_len, self.pool.n_pages * self.page_size)
-
-    def view_batch(self, slots, lengths) -> PagedBatchView:
-        """Padded ``(B, l_max, d_model)`` K/V for a decode batch: an
-        in-place arena view or a gather (:class:`PagedBatchView`)."""
-        return PagedBatchView(self.pool, slots, lengths)
 
     # -- seat preconditions (each list written once) -----------------------
 
@@ -1203,6 +1131,10 @@ class PagedKVCache:
             slot.reserve(max_positions)   # charges only beyond the chain
         slot.length = len(pages) * self.page_size
         return slot
+
+    def holds(self, slot: PagedKVSlot) -> bool:
+        """Whether ``slot`` keeps its K/V in this cache's arena."""
+        return slot._pool is self.pool
 
     def release(self, slot: PagedKVSlot, prompt_ids=None) -> None:
         """Return a slot, its pages, and any unused reservation.

@@ -15,13 +15,13 @@ attention strategy and row-MLP they hand it:
   V-C); verify is a one-segment pass through the serving-alpha sparse
   executor.
 * :meth:`~BatchedEngine.decode_step` / :meth:`~BatchedEngine.draft_step`
-  -- rows are the next token of *each* slot, attended as one padded
-  K/V stack by :class:`~repro.model.batch_attention.BatchedAttention`
-  and run through the batch-aware sparse MLP.  A batch of one attends
+  -- rows are the next token of *each* slot, run through the
+  batch-aware sparse MLP.  At batch > 1 each row is a one-row segment
+  of the same ragged pass, attended against its own slot's pages, so a
+  row never sees its partners' lengths.  A batch of one attends
   through :func:`~repro.model.inference.forward_token_single`'s
-  single-sequence :func:`~repro.model.inference.attend_single` instead
-  (measurably faster at that size, and what makes it bit-identical to
-  the single-sequence engine).
+  single-sequence :func:`~repro.model.inference.attend_single` instead,
+  which is what makes it bit-identical to the single-sequence engine.
 
 The engine is the forward pass only.  Which slot a sequence gets, and
 where its prompt-prefix K/V comes from (a fork of a resident sequence,
@@ -32,12 +32,20 @@ business -- callers seat and retire sequences through ``engine.cache``
 and *how much* prefill runs, never what is decoded: causal attention
 makes a shared position's K/V a pure function of the shared tokens.
 
-Equivalence guarantees (unchanged by every knob): served tokens
-are identical to :func:`repro.core.engine.build_engine` ``.generate`` at
-any batch size; a batch-1 :meth:`~BatchedEngine.decode_step` is
-**bit-identical** to ``forward_token`` given the same KV contents;
-prefill logits agree to ``rtol=1e-5`` (chunked-GEMM rounding).  See
-``docs/serving.md`` for the architecture walkthrough, the full knob
+Numerical contract (unchanged by every knob), in three tiers:
+
+* a batch-1 :meth:`~BatchedEngine.decode_step` is **bit-identical** to
+  :func:`repro.core.engine.build_engine`'s ``forward_token`` given the
+  same KV contents -- they share the code;
+* at a fixed batch size >= 2, a row's attention does not depend on its
+  partners (their lengths or tokens): each row attends its own pages.
+  The sparse MLP's GEMM kernel still changes between 2-3 and >= 4 rows,
+  so across batch sizes a row's bits may differ;
+* served tokens equal ``build_engine(...).generate``'s, except at near
+  ties, where batched GEMM rounding can flip an argmax.  Prefill logits
+  agree with the oracle to ``rtol=1e-5`` (chunked-GEMM rounding).
+
+See ``docs/serving.md`` for the architecture walkthrough, the full knob
 table, and the ``ServeReport`` telemetry glossary.
 """
 
@@ -51,9 +59,6 @@ import numpy as np
 from ..core.alpha import AlphaSchedule
 from ..core.engine import SparseInferSettings
 from ..core.predictor import SparseInferPredictor
-from ..model.batch_attention import (
-    AttentionTelemetry, BatchedAttention, masked_softmax,
-)
 from ..model.inference import (
     forward_rows, forward_token_single, token_ids_in_vocab,
 )
@@ -68,6 +73,24 @@ from ..model.sampler import BatchedSampler, SamplerConfig
 from ..model.weights import ModelWeights
 from .batch_mlp import BatchedSparseInferMLP
 from .request import as_integer
+
+
+def masked_softmax(scores: np.ndarray, neg_mask: Optional[np.ndarray],
+                   head_dim: int) -> np.ndarray:
+    """Scaled softmax of float32 ``scores`` over the last axis, in place.
+
+    ``neg_mask`` is additive, 0 where a key is visible and -inf where
+    not: exp(-inf) == 0, so a masked key's weight is exactly 0.  ``None``
+    means every key is visible (a one-row segment sees its whole cache).
+    """
+    scores /= np.float32(np.sqrt(head_dim))   # float32 scale, see inference.py
+    if neg_mask is not None:
+        scores += neg_mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
 
 def _require_distinct(slots: Sequence[PagedKVSlot]) -> None:
     """One row block per slot per pass: a repeated slot would write two
@@ -163,12 +186,6 @@ class BatchedEngine:
         # strictly about committed decode steps.
         self._draft_mlps: dict = {}
         self._verify_mlp = None
-        self.attention = BatchedAttention(self.config)
-
-    @property
-    def attn_telemetry(self) -> AttentionTelemetry:
-        """Padding-waste counters of batched decode attention."""
-        return self.attention.telemetry
 
     # -- forward passes ----------------------------------------------------
 
@@ -176,16 +193,22 @@ class BatchedEngine:
                        last_only: bool = False) -> np.ndarray:
         """One causal pass over ragged segments of slots' next positions.
 
-        The attention strategy of :meth:`prefill` and
-        :meth:`verify_chunk`.  ``segments`` lists ``(slot, n_rows)``,
-        each slot at most once, and ``token_ids`` holds their rows
-        concatenated in that order.  Embed, norms, projections, ``Wo``,
-        ``mlp_rows`` and the lm-head run as one GEMM over all rows;
-        each segment's queries attend, causally masked, against its own
-        slot's cache -- prior positions plus the segment itself,
-        block-written per layer.  Returns every row's logits, or with
-        ``last_only`` the last row of each segment.
+        Every pass but a batch-1 decode step: :meth:`prefill` and
+        :meth:`verify_chunk` segments are prompt pieces and draft
+        chunks, :meth:`decode_step` and :meth:`draft_step` segments at
+        batch > 1 are one row per slot.  ``segments`` lists ``(slot,
+        n_rows)``, each slot at most once, and ``token_ids`` holds their
+        rows concatenated in that order.  Embed, norms, projections,
+        ``Wo``, ``mlp_rows`` and the lm-head run as one GEMM over all
+        rows; each segment's queries attend, causally masked, against
+        its own slot's cache -- prior positions plus the segment itself,
+        whose K/V each layer writes first.  A one-row segment sees its
+        whole cache, so it builds and adds no mask.  Returns every row's
+        logits, or with ``last_only`` the last row of each segment.
         """
+        # The pass writes every row into this engine's arena.
+        if not all(self.cache.holds(slot) for slot, _ in segments):
+            raise ValueError("a slot must be seated in this engine's cache")
         cfg = self.config
         n_heads, head_dim = cfg.n_heads, cfg.head_dim
         n_tokens = len(token_ids)
@@ -195,29 +218,33 @@ class BatchedEngine:
                  for base, (_, n_rows) in zip(bases, segments)]
         cos, sin = rope_tables(np.concatenate(spans), head_dim, cfg.rope_theta)
         cos, sin = cos[:, None, :], sin[:, None, :]      # (T, 1, hd/2)
+        # Every row's arena cell, its pages claimed once for all layers.
+        cells = np.array([cell for (slot, n_rows), base in zip(segments, bases)
+                          for cell in slot.cells(base, n_rows)])
+        pool = self.cache.pool
         # One causal block per segment: rows end - n_rows .. end hold
         # positions base .. base + n_rows of the segment's slot.
         blocks = [
-            (slot, end - n_rows, end, base, np.where(
-                np.arange(base + n_rows)[None, :] <= span[:, None],
-                np.float32(0.0), np.float32(-np.inf),
-            ))
+            (slot, end - n_rows, end, base + n_rows,
+             None if n_rows == 1 else np.where(
+                 np.arange(base + n_rows)[None, :] <= span[:, None],
+                 np.float32(0.0), np.float32(-np.inf),
+             ))
             for (slot, n_rows), base, end, span
             in zip(segments, bases, ends, spans)
         ]
 
         def attend(layer, q, k, v):
-            # RoPE and the stacked head matmuls as in StepPlan.attend_layer.
+            # RoPE and the K/V write once over every row, then one
+            # matmul pair per segment.
             qr = apply_rope(q.reshape(n_tokens, n_heads, head_dim), cos, sin)
             kr = apply_rope(k.reshape(n_tokens, n_heads, head_dim), cos, sin)
-            kr = kr.reshape(n_tokens, cfg.d_model)
+            pool.write(layer, cells, kr.reshape(n_tokens, cfg.d_model), v)
             ctx = np.empty((n_tokens, n_heads, head_dim), dtype=np.float32)
             # Ragged causal blocks: each segment attends against its own
             # slot's cache, of its own length.
             # repro: ignore[scalar-loop] -- one matmul pair per segment
-            for slot, lo, hi, base, neg_mask in blocks:
-                total = base + hi - lo
-                slot.append_rows(layer, kr[lo:hi], v[lo:hi], base)
+            for slot, lo, hi, total, neg_mask in blocks:
                 keys, values = slot.view(layer, total)   # (L, d)
                 ck = keys.reshape(total, n_heads, head_dim).transpose(1, 2, 0)
                 cv = values.reshape(total, n_heads, head_dim).transpose(1, 0, 2)
@@ -241,7 +268,7 @@ class BatchedEngine:
     ) -> np.ndarray:
         """One token per slot through ``sparse``; ``(B, vocab)`` logits.
 
-        The attention strategy of :meth:`decode_step` (serving-alpha
+        The forward pass of :meth:`decode_step` (serving-alpha
         executor) and :meth:`draft_step` (aggressive-alpha executor).
         """
         if len(slots) != len(token_ids):
@@ -250,25 +277,15 @@ class BatchedEngine:
             raise ValueError("decode_step needs at least one sequence")
         _require_distinct(slots)
         ids = token_ids_in_vocab(self.config, token_ids)
-        if len(slots) == 1:
-            # Attention dispatch, measured: at batch 1 the single-sequence
-            # attention beats the plan path (workload decode_b1 vs
-            # decode_b8) and keeps the step bit-identical to the oracle.
-            logits = forward_token_single(self.weights, ids[0], slots[0].length,
-                                          slots[0], sparse.run_batch)
-        else:
-            plan = self.attention.plan_step(
-                [slot.length for slot in slots], slots
-            )
-            logits = forward_rows(
-                self.weights, ids,
-                lambda layer, q, k, v: plan.attend_layer(
-                    layer, q, k, v, self.cache
-                ),
-                sparse.run_batch,
-            )
-        for slot in slots:
-            slot.advance()
+        if len(slots) > 1:
+            return self._forward_chunk([(slot, 1) for slot in slots], ids,
+                                       sparse.run_batch)
+        # Batch 1 attends through the oracle's own attend_single, which
+        # keeps the step bit-identical to build_engine; a one-segment
+        # pass measured no faster at that size.
+        logits = forward_token_single(self.weights, ids[0], slots[0].length,
+                                      slots[0], sparse.run_batch)
+        slots[0].advance()
         return logits
 
     def prefill(

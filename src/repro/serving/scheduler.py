@@ -141,7 +141,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..model.batch_attention import AttentionTelemetry
 from ..model.paged_kvcache import SeatPlan
 from .engine import BatchedEngine
 from .queue import EmptyQueueError, RequestQueue
@@ -316,10 +315,6 @@ class ServeReport:
     intersection_skip: float = 0.0     # realised cross-sequence skip
     mean_sequence_skip: float = 0.0    # per-sequence (batch=1) ceiling
     expected_uncorrelated_skip: float = 0.0   # skip^B at mean occupancy
-    # Batched-attention counters of this run (decode steps of batch >
-    # 1): padded vs useful K/V cells gathered, so the padding the
-    # length masks threw away is visible per run.
-    attention: AttentionTelemetry = field(default_factory=AttentionTelemetry)
     step_budget: int = 0               # scheduler knob (tokens per tick)
     piggybacked_chunks: int = 0        # prefill pieces run inside ticks
     piggybacked_tokens: int = 0        # tokens those pieces fed
@@ -579,9 +574,8 @@ class ContinuousBatchingScheduler:
         self._evictions_baseline = (
             prefix_cache.evictions if prefix_cache is not None else 0
         )
-        # So are its attention and sparse-MLP skip counters (a reused or
-        # pre-warmed engine).
-        self._attention_baseline = replace(engine.attn_telemetry)
+        # So are its sparse-MLP skip counters (a reused or pre-warmed
+        # engine).
         self._skip_baseline = replace(engine.sparse.stats)
 
     @staticmethod
@@ -1283,9 +1277,6 @@ class ContinuousBatchingScheduler:
             self.report.peak_occupancy, len(decoding)
         )
         self._sample_gauges(tick=True)
-        self.report.attention = self.engine.attn_telemetry.since(
-            self._attention_baseline
-        )
 
         if plain:
             next_tokens = self._sample_tokens(plain, logits)

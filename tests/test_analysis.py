@@ -646,7 +646,8 @@ class TestRepoAcceptance:
 
     def test_baseline_is_empty_and_not_stale(self):
         """The last accepted finding (the per-token KV append loop of
-        chunked prefill) was fixed by ``PagedKVSlot.append_rows``, not
+        chunked prefill) was fixed by block K/V writes (today
+        ``PagedKVSlot.cells`` and ``PagePool.write``), not
         re-fingerprinted: the baseline holds no entries."""
         baseline = Baseline.load(REPO_ROOT / "analysis_baseline.txt")
         assert baseline.entries == {}

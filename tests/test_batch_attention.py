@@ -1,24 +1,27 @@
-"""Batched decode attention + chunked and packed prefill: equivalence
-and masking.
+"""Ragged attention for decode and chunked / packed prefill:
+equivalence, composition invariance and masking.
 
-The contract under test: the serving engine's batched attention and
-chunked prefill decode exactly the tokens the scalar oracle
-(``build_engine(...).generate``) does, at any batch size, page size,
-admission order and prefix-cache configuration; a batch-1 ``decode_step`` is bit-identical
-to ``forward_token`` on identical KV.  Plus the supporting pieces: the
-shared RoPE memo, the padded-gather plans, and the padding-mask
-property (garbage in padded K/V cells can never reach a logit).
+The contract under test (the three tiers of ``helpers``): a batch-1
+``decode_step`` is bit-identical to ``forward_token`` on identical KV;
+at a fixed batch size a decode row's logits do not depend on its
+partners' lengths; and the serving engine decodes the tokens the scalar
+oracle (``build_engine(...).generate``) does, at every batch size, page
+size, admission order and prefix-cache configuration here.  Plus the
+supporting pieces: the shared RoPE memo, per-slot views over any page
+layout, and that a K/V cell no live position owns can never reach a
+logit.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.engine import build_batched_engine, build_engine
-from repro.model.batch_attention import AttentionTelemetry, BatchedAttention
+from repro.model.config import ModelConfig
 from repro.model.inference import attend_single, forward_rows
 from repro.model.kvcache import KVCache
-from repro.model.paged_kvcache import PagedKVSlot
+from repro.model.paged_kvcache import PagedKVCache, PagedKVSlot
 from repro.model.rope import apply_rope, rope_for_position, rope_tables
+from repro.model.weights import random_weights
 from repro.serving import ContinuousBatchingScheduler, Request
 from repro.serving.engine import BatchedEngine
 
@@ -147,7 +150,7 @@ class TestOracleEquivalence:
         )
         assert served == oracle_tokens(micro_weights, requests)
         if batch_size > 1:
-            assert report.attention.batched_steps > 0
+            assert report.peak_occupancy > 1      # batch > 1 decode ran
         # Sharers really fork -- except at batch 8, where every prompt
         # is admitted in the first tick, before any donor has finished
         # its prefill and registered.
@@ -185,7 +188,7 @@ class TestOracleEquivalence:
     def test_batch1_decode_bit_identical_on_identical_kv(self,
                                                          micro_weights):
         """The contract that still holds bit for bit: a batch-1
-        ``decode_step`` is the scalar op sequence, never the plan path."""
+        ``decode_step`` is the scalar op sequence, never the ragged pass."""
         prompt = MIXED_PROMPTS[1]
         reference = build_engine(micro_weights)
         reference.reset()
@@ -194,10 +197,90 @@ class TestOracleEquivalence:
         engine = build_batched_engine(micro_weights, max_batch_size=1)
         slot = engine.cache.allocate()
         assert_prefill_logits_match(engine.prefill(slot, prompt), ref_logits)
+
+        def no_ragged_pass(*args, **kwargs):
+            raise AssertionError("batch-1 decode took the ragged pass")
+
+        engine._forward_chunk = no_ragged_pass
         assert_batch1_decode_bit_identical(
             engine, slot, reference, int(np.argmax(ref_logits))
         )
-        assert engine.attn_telemetry.batched_steps == 0
+
+
+BENCH_CONFIG = ModelConfig(
+    name="bench-256x4", vocab_size=2048, d_model=256, n_layers=4,
+    n_heads=4, d_ff=1024, max_seq_len=256, dtype_bytes=4,
+)
+
+
+@pytest.fixture(scope="module")
+def bench_weights():
+    return random_weights(BENCH_CONFIG, seed=13)
+
+
+class TestCompositionInvariance:
+    """At a fixed batch size, a decode row's bits do not depend on its
+    partners: only a partner's length changes, raising the batch's
+    longest length, and slot A's logits stay bit-identical.  A padded
+    ``(B, l_max)`` stack fails this (logits moved by up to 8e-7 at the
+    bench geometry); ragged per-slot attention has no ``l_max``."""
+
+    # geometry -> (page_size, slot A's length, partner lengths): a base
+    # case, then the same with its longest partner raised, then with
+    # its shortest partner raised past the longest.
+    CASES = {
+        "bench": (16, 25, ([20, 30, 35], [20, 30, 120], [100, 30, 35])),
+        "micro-1": (1, 11, ([5, 9, 12], [5, 9, 40], [33, 9, 12])),
+        "micro-3": (3, 11, ([5, 9, 12], [5, 9, 40], [33, 9, 12])),
+        "micro-16": (16, 11, ([5, 9, 12], [5, 9, 40], [33, 9, 12])),
+    }
+
+    @staticmethod
+    def _slot_a_logits(weights, page_size, a_length, partner_lengths,
+                       partner_shift=0):
+        rng = np.random.default_rng(0)
+        vocab = weights.config.vocab_size
+        engine = BatchedEngine(weights, max_batch_size=4, page_size=page_size)
+        slots, tokens = [], []
+        for length in [a_length, *partner_lengths]:
+            # A's prompt is the same in every case; the partners' prompts
+            # differ in length, or with ``partner_shift`` in tokens.
+            prompt = rng.integers(0, vocab, size=length) if not slots \
+                else (np.arange(length) + partner_shift) % vocab
+            slot = engine.cache.allocate()
+            tokens.append(int(np.argmax(engine.prefill(slot, prompt))))
+            slots.append(slot)
+        logits = []
+        for _ in range(3):
+            step = engine.decode_step(slots, tokens)
+            logits.append(step[0])
+            tokens = [int(np.argmax(row)) for row in step]
+        return logits
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_partner_lengths_change_no_bit(self, case, micro_weights,
+                                           bench_weights):
+        page_size, a_length, partner_cases = self.CASES[case]
+        weights = bench_weights if case == "bench" else micro_weights
+        base, *raised = [
+            self._slot_a_logits(weights, page_size, a_length, lengths)
+            for lengths in partner_cases
+        ]
+        for other in raised:
+            for want, got in zip(base, other):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("case", ["bench", "micro-3"])
+    def test_partner_tokens_change_no_bit(self, case, micro_weights,
+                                          bench_weights):
+        page_size, a_length, (lengths, *_) = self.CASES[case]
+        weights = bench_weights if case == "bench" else micro_weights
+        base, other = [
+            self._slot_a_logits(weights, page_size, a_length, lengths, shift)
+            for shift in (0, 5)
+        ]
+        for want, got in zip(base, other):
+            np.testing.assert_array_equal(got, want)
 
 
 def _poison_unowned_cells(engine, slots, rng):
@@ -219,8 +302,9 @@ def _poison_unowned_cells(engine, slots, rng):
 
 
 class TestPaddingMaskProperty:
-    """Masked positions never contribute: perturbing padded K/V entries
-    leaves the decode logits bit-unchanged."""
+    """Ragged views never read a K/V cell that no live position owns:
+    filling every such cell with garbage leaves the decode logits
+    bit-unchanged."""
 
     @pytest.mark.parametrize("page_size", [1, 3, 16])
     def test_poisoned_padding_changes_nothing(self, micro_weights,
@@ -252,8 +336,8 @@ class TestPaddingMaskProperty:
 
 
 class TestHomeRunStack:
-    """A batch of slots on their home runs attends over an in-place
-    arena view; forcing every step through the gather (home runs never
+    """Slots on their home runs attend over zero-copy arena views;
+    forcing every view through the page gather (home runs never
     recognised, page layout unchanged) gives the same bits."""
 
     PROMPTS = [(2, 7, 1, 4, 4, 9, 3, 5, 8, 6, 2, 9, 4, 1, 3),
@@ -275,27 +359,27 @@ class TestHomeRunStack:
             slot = cache.fork(slots[2], 9)
             tokens.append(int(np.argmax(engine.prefill(slot, (1, 1, 2)))))
             slots.append(slot)
-        # Batch order differs from slot order: the stack's rows are
-        # permuted to slot order and back.
-        slots, tokens = slots[::-1], tokens[::-1]
-        logits, in_place = [], []
+        slots, tokens = slots[::-1], tokens[::-1]   # not in slot order
+        logits = []
         for _ in range(20):
-            lengths = [slot.length + 1 for slot in slots]
             step = engine.decode_step(slots, tokens)
-            in_place.append(cache.view_batch(slots, lengths).in_place)
             logits.append(step)
             tokens = [int(np.argmax(row)) for row in step]
-        return logits, cache.pool, in_place
+        # Which slots' views read the arena in place (a home run).
+        zero_copy = [np.shares_memory(slot.view(0, slot.length)[0],
+                                      cache.pool.keys) for slot in slots]
+        return logits, cache.pool, zero_copy
 
     @pytest.mark.parametrize("fork", [False, True])
-    def test_stack_equals_forced_gather(self, micro_weights, monkeypatch,
-                                        fork):
-        logits, pool, in_place = self._serve(micro_weights, fork)
-        assert all(in_place) != fork
+    def test_views_equal_forced_gather(self, micro_weights, monkeypatch,
+                                       fork):
+        logits, pool, zero_copy = self._serve(micro_weights, fork)
+        # The forked slot (first in batch order) is the one gather.
+        assert zero_copy == [not fork] + [True] * (len(zero_copy) - 1)
         monkeypatch.setattr(PagedKVSlot, "_push",
                             lambda slot, page: slot.page_table.append(page))
-        ref_logits, ref_pool, ref_in_place = self._serve(micro_weights, fork)
-        assert not any(ref_in_place)
+        ref_logits, ref_pool, ref_zero_copy = self._serve(micro_weights, fork)
+        assert not any(ref_zero_copy)
         for got, want in zip(logits, ref_logits):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(pool.keys, ref_pool.keys)
@@ -304,17 +388,15 @@ class TestHomeRunStack:
     def test_budgeted_pool_serves_identical_logits(self, micro_weights):
         """40 pages hold two 16-page home runs of four slots' worth."""
         logits, _, _ = self._serve(micro_weights, fork=True)
-        budget_logits, pool, in_place = self._serve(micro_weights, True, 40)
+        budget_logits, pool, zero_copy = self._serve(micro_weights, True, 40)
         assert (pool.n_homes, pool.home_run) == (2, 16)
-        assert not any(in_place)
+        assert any(zero_copy) and not all(zero_copy)
         for got, want in zip(budget_logits, logits):
             np.testing.assert_array_equal(got, want)
 
 
 class TestGatherPlans:
     def test_recycled_slot_gathers_its_new_pages(self, micro_config):
-        from repro.model.paged_kvcache import PagedKVCache
-
         cache = PagedKVCache(micro_config, n_slots=2, max_seq_len=16,
                              page_size=2)
         k = np.ones(micro_config.d_model, dtype=np.float32)
@@ -323,8 +405,8 @@ class TestGatherPlans:
             for layer in range(micro_config.n_layers):
                 slot.append(layer, k * pos, k * pos, pos)
             slot.advance()
-        keys, _ = cache.view_batch([slot], [4]).gather(0)
-        np.testing.assert_array_equal(keys[0, 3], k * 3)
+        keys, _ = slot.view(0, 4)
+        np.testing.assert_array_equal(keys[3], k * 3)
 
         cache.release(slot)
         slot2 = cache.allocate()
@@ -333,16 +415,13 @@ class TestGatherPlans:
             for layer in range(micro_config.n_layers):
                 slot2.append(layer, k * 7, k * 7, pos)
             slot2.advance()
-        keys, _ = cache.view_batch([slot2], [2]).gather(0)
-        np.testing.assert_array_equal(keys[0, 0], k * 7)
+        keys, _ = slot2.view(0, 2)
+        np.testing.assert_array_equal(keys[0], k * 7)
 
     def test_page_layout_never_changes_a_value(self, micro_config, rng):
-        """One view per case: home-run and deliberately scattered page
-        tables holding the same K/V read back equal, through ``view``
-        and through ``view_batch(...).gather`` -- the in-place stack for
-        the home runs, the gather for the scattered tables."""
-        from repro.model.paged_kvcache import PagedKVCache
-
+        """Home-run and deliberately scattered page tables holding the
+        same K/V read back equal through ``view`` -- zero-copy for the
+        home runs, a gather for the scattered tables."""
         n_layers, d = micro_config.n_layers, micro_config.d_model
         lengths = [7, 5]
         kv = rng.standard_normal(
@@ -366,54 +445,16 @@ class TestGatherPlans:
         mix_cache, mix_slots = fill(sorted(writes, key=lambda w: w[1]), 7)
         assert [s.page_table for s in run_slots] == [[0, 1, 2, 3], [8, 9, 10]]
         assert [s.page_table for s in mix_slots] == [[0, 2, 4, 6], [1, 3, 5]]
-        run_view = run_cache.view_batch(run_slots, lengths)
-        mix_view = mix_cache.view_batch(mix_slots, lengths)
-        assert run_view.in_place and not mix_view.in_place
         for layer in range(n_layers):
-            run_kv = run_view.gather(layer)
-            mix_kv = mix_view.gather(layer)
             for i, length in enumerate(lengths):
                 run_one = run_slots[i].view(layer, length)
                 mix_one = mix_slots[i].view(layer, length)
+                assert np.shares_memory(run_one[0], run_cache.pool.keys)
+                assert not np.shares_memory(mix_one[0], mix_cache.pool.keys)
                 for which in range(2):                       # keys, values
                     want = kv[i, :length, layer, which]
                     np.testing.assert_array_equal(run_one[which], want)
                     np.testing.assert_array_equal(mix_one[which], want)
-                    np.testing.assert_array_equal(
-                        run_kv[which][i, :length], want)
-                    np.testing.assert_array_equal(
-                        mix_kv[which][i, :length], want)
-
-    def test_view_batch_matches_per_slot_views(self, micro_config, rng):
-        from repro.model.paged_kvcache import PagedKVCache
-
-        cache = PagedKVCache(micro_config, n_slots=3, max_seq_len=32,
-                             page_size=3)
-        lengths = [7, 3, 12]
-        slots = []
-        for length in lengths:
-            slot = cache.allocate()
-            for pos in range(length):
-                for layer in range(micro_config.n_layers):
-                    slot.append(
-                        layer,
-                        rng.standard_normal(micro_config.d_model)
-                        .astype(np.float32),
-                        rng.standard_normal(micro_config.d_model)
-                        .astype(np.float32),
-                        pos,
-                    )
-                slot.advance()
-            slots.append(slot)
-        view = cache.view_batch(slots, lengths)
-        assert view.l_max == max(lengths)
-        for layer in range(micro_config.n_layers):
-            keys, values = view.gather(layer)
-            assert keys.shape == (3, max(lengths), micro_config.d_model)
-            for i, (slot, length) in enumerate(zip(slots, lengths)):
-                ref_k, ref_v = slot.view(layer, length)
-                np.testing.assert_array_equal(keys[i, :length], ref_k)
-                np.testing.assert_array_equal(values[i, :length], ref_v)
 
 
 def _matmul_forward_chunk(engine, slot, token_ids):
@@ -438,10 +479,9 @@ def _einsum_forward_chunk(engine, slot, token_ids):
                         cos, sin)
         kh = apply_rope(k.reshape(n_tokens, h, hd).transpose(1, 0, 2),
                         cos, sin)
-        slot.append_rows(
-            layer, kh.transpose(1, 0, 2).reshape(n_tokens, cfg.d_model),
-            v, base,
-        )
+        k_rows = kh.transpose(1, 0, 2).reshape(n_tokens, cfg.d_model)
+        for i in range(n_tokens):
+            slot.append(layer, k_rows[i], v[i], base + i)
         keys, values = slot.view(layer, total)
         ck = keys.reshape(total, h, hd).transpose(1, 0, 2)
         cv = values.reshape(total, h, hd).transpose(1, 0, 2)
@@ -688,54 +728,10 @@ class TestPackedPrefill:
                 engine.prefill([a, b], [1, 2, 3], lengths)
         with pytest.raises(ValueError):
             engine.prefill([], [], [])
-        assert a.length == b.length == 0
-
-
-class TestTelemetry:
-    def test_report_populated_by_batched_steps(self, micro_weights):
-        requests = make_requests()
-        _, report = drain(micro_weights, requests, max_batch_size=4)
-        assert report.attention.batched_steps > 0
-        assert 0.0 <= report.attention.padding_waste_fraction < 1.0
-        assert report.attention.mean_buckets_per_step >= 1.0
-        assert report.attention.useful_positions <= \
-            report.attention.padded_positions
-
-    def test_budgeted_report_carries_attention_fields(self, micro_weights):
-        _, report = drain(micro_weights, make_requests(max_new=4),
-                          max_batch_size=4, step_budget=4)
-        assert 0.0 <= report.attention.padding_waste_fraction < 1.0
-        assert report.attention.mean_buckets_per_step >= 1.0
-
-    def test_reused_engine_reports_per_run_telemetry(self, micro_weights):
-        """A second scheduler on the same engine must not inherit the
-        first run's attention counters."""
-        engine = build_batched_engine(micro_weights, max_batch_size=4)
-        first = ContinuousBatchingScheduler(engine)
-        for request in make_requests():
-            first.submit(request)
-        first_report = first.run()
-        assert first_report.attention.batched_steps > 0
-
-        second = ContinuousBatchingScheduler(engine)
-        for request in make_requests(max_new=3):
-            second.submit(request)
-        second_report = second.run()
-        assert 0 < second_report.attention.batched_steps < \
-            engine.attn_telemetry.batched_steps
-        assert second_report.attention.padded_positions < \
-            engine.attn_telemetry.padded_positions
-        assert 0.0 <= second_report.attention.padding_waste_fraction < 1.0
-
-    def test_telemetry_dataclass_edges(self):
-        t = AttentionTelemetry()
-        assert t.padding_waste_fraction == 0.0
-        assert t.mean_buckets_per_step == 0.0
-
-    def test_one_padded_stack_per_step(self, micro_config):
-        """Every row pads to the step's longest post-append length."""
-        attention = BatchedAttention(micro_config)
-        attention.plan_step([99, 9, 40], slots=[None, None, None])
-        assert attention.telemetry.padded_positions == 3 * 100
-        assert attention.telemetry.useful_positions == 100 + 10 + 41
-        assert attention.telemetry.mean_buckets_per_step == 1.0
+        foreign = build_batched_engine(micro_weights).cache.allocate()
+        with pytest.raises(ValueError, match="seated in this engine"):
+            engine.prefill([a, foreign], [1, 2, 3], [2, 1])
+        engine.prefill([a, b], [1, 2], [1, 1])
+        with pytest.raises(ValueError, match="seated in this engine"):
+            engine.decode_step([a, foreign], [3, 4])
+        assert (a.length, b.length, foreign.length) == (1, 1, 0)

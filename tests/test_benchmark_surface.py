@@ -27,6 +27,19 @@ RETIRED_ENGINE_KNOBS = {
     "batched_attention", "paged", "prefill_chunk", "prefix_sharing",
 }
 
+#: Counters and trace targets of the padded batch > 1 decode stack,
+#: deleted when decode began attending each slot as a ragged one-row
+#: segment: the benchmark reads these counters as ``None`` and records
+#: the spans with zero calls.  Exactly these may be missing.
+RETIRED_COUNTERS = [
+    "mean_buckets_per_step", "padded_positions", "padding_waste_share",
+]
+RETIRED_SPANS = [
+    "model.batch_attention.plan_step",
+    "model.batch_attention.attend_layer",
+    "model.paged_kvcache.gather",
+]
+
 
 @pytest.fixture
 def surface(monkeypatch):
@@ -49,13 +62,14 @@ def test_every_counter_path_resolves_on_a_live_run(surface):
     report = scheduler.run()
     assert [c.ok for c in report.completions] == [True]
     values, missing = surface.read_counters(scheduler, engine)
-    assert missing == []
+    assert missing == RETIRED_COUNTERS
     assert set(values) == set(surface.COUNTER_PATHS)
-    assert all(isinstance(v, float) for v in values.values())
+    assert all(isinstance(v, float) for name, v in values.items()
+               if name not in RETIRED_COUNTERS)
 
 
 def test_every_trace_target_still_resolves(surface):
     tracing = importlib.import_module("tracing")
     patches, missing = surface.install_tracing(tracing.Tracer())
     patches.remove()
-    assert missing == []
+    assert missing == RETIRED_SPANS

@@ -157,10 +157,10 @@ class TestPagedKVSlot:
                 np.testing.assert_array_equal(pv, sv)
 
     @pytest.mark.parametrize("page_size", [1, 3, 4, 16])
-    def test_append_rows_matches_per_position_append(self, micro_config,
+    def test_block_write_matches_per_position_append(self, micro_config,
                                                      rng, page_size):
-        """The block write lands every row where ``append`` would, for
-        chunks that start mid-page and straddle page boundaries."""
+        """``pool.write`` at ``cells`` lands every row where ``append``
+        would, for chunks that start mid-page and straddle pages."""
         d = micro_config.d_model
         caches = [PagedKVCache(micro_config, n_slots=1, max_seq_len=16,
                                page_size=page_size) for _ in range(2)]
@@ -172,7 +172,7 @@ class TestPagedKVSlot:
                 v = rng.standard_normal((n, d)).astype(np.float32)
                 for i in range(n):
                     by_row.append(layer, k[i], v[i], start + i)
-                by_block.append_rows(layer, k, v, start)
+                caches[1].pool.write(layer, by_block.cells(start, n), k, v)
             for _ in range(n):
                 by_row.advance()
             by_block.advance(n)
@@ -184,19 +184,37 @@ class TestPagedKVSlot:
                                  by_row.view(layer, 14)):
                 np.testing.assert_array_equal(got, want)
         with pytest.raises(ValueError, match="exceeds slot capacity"):
-            by_block.append_rows(0, np.zeros((3, d)), np.zeros((3, d)), 14)
+            by_block.cells(14, 3)
 
-    def test_append_rows_copies_a_shared_page_before_writing(
+    def test_cells_are_the_page_table_rows(self, micro_config):
+        """``cells`` names position ``p``'s arena row, ``page_table[p //
+        page_size] * page_size + p % page_size``, for a run that starts
+        mid-page and straddles pages, claiming them as it goes."""
+        cache = PagedKVCache(micro_config, n_slots=2, max_seq_len=16,
+                             page_size=3)
+        cache.allocate()
+        slot = cache.allocate()
+        assert slot.cells(0, 2) and slot.n_pages == 1
+        cells = slot.cells(2, 6)
+        assert slot.n_pages == 3
+        assert cells == [slot.page_table[p // 3] * 3 + p % 3
+                         for p in range(2, 8)]
+        with pytest.raises(ValueError, match="exceeds slot capacity"):
+            slot.cells(14, 3)
+
+    def test_cells_copy_a_shared_page_before_writing(
         self, micro_config
     ):
         d = micro_config.d_model
         cache = PagedKVCache(micro_config, n_slots=2, max_seq_len=16,
                              page_size=4)
         donor = cache.allocate()
-        donor.append_rows(0, np.ones((8, d)), np.ones((8, d)), 0)
+        cache.pool.write(0, donor.cells(0, 8), np.ones((8, d)),
+                         np.ones((8, d)))
         donor.advance(8)
         fork = cache.fork(donor, 8)               # both pages shared
-        fork.append_rows(0, np.full((6, d), 7.0), np.full((6, d), 7.0), 2)
+        cache.pool.write(0, fork.cells(2, 6), np.full((6, d), 7.0),
+                         np.full((6, d), 7.0))
         assert fork.page_table[0] != donor.page_table[0]   # COW, per page
         assert fork.page_table[1] != donor.page_table[1]
         assert (donor.view(0, 8)[0] == 1.0).all()          # donor untouched

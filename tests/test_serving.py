@@ -1107,12 +1107,8 @@ class TestServeReportTelemetryContract:
         assert report.mean_cached_pages == pytest.approx(
             report.cached_pages_sum / report.decode_steps
         )
-        # Batched attention ran as one padded stack per step, and its
-        # padding counters are consistent.
-        assert report.attention.batched_steps > 0
-        assert report.attention.mean_buckets_per_step == 1.0
-        assert 0 < report.attention.useful_positions <= \
-            report.attention.padded_positions
+        # Batch > 1 decode ran.
+        assert report.peak_occupancy > 1
 
 
     def test_skip_telemetry_is_per_run_on_a_reused_engine(self, micro_weights):
