@@ -37,11 +37,11 @@ HOT_FUNCTIONS: Dict[Tuple[str, str], FrozenSet[str]] = {
         frozenset({"slots", "token_ids"}),
     ("src/repro/serving/engine.py", "BatchedEngine.prefill"):
         frozenset({"prompt_ids", "slots", "lengths"}),
-    # The one layer loop and its one batch > 1 attention: rows are
-    # ragged segments of slots' positions (`_forward_chunk`), a prompt
-    # piece or verify chunk per slot, or one row per slot for decode
-    # and draft, which `_forward_batch` hands over (batch 1 takes
-    # `forward_token_single`).  A `for` statement over these
+    # The one layer loop and its one attention pass: rows are ragged
+    # segments of slots' positions (`_forward_chunk`), a prompt piece
+    # or verify chunk per slot, or one row per slot for decode and
+    # draft at every batch size, which `_forward_batch` hands over.
+    # A `for` statement over these
     # identifiers would mean per-token or per-sequence model compute
     # crept back in.  The per-segment attention loop (`attend`, over
     # `blocks`) is the one marked exception: causal blocks of different
@@ -100,9 +100,11 @@ HOT_FUNCTIONS: Dict[Tuple[str, str], FrozenSet[str]] = {
     ("src/repro/core/signpack.py", "PackedSigns.negative_counts_packed"):
         frozenset({"packed_x", "px", "self.words", "self.n_rows"}),
     ("src/repro/serving/batch_mlp.py", "BatchedSparseInferMLP.run_batch"):
-        frozenset({"xs", "xs_t", "batch", "prediction", "h", "k"}),
+        frozenset({"xs", "batch", "prediction", "skip", "k"}),
     ("src/repro/model/mlp.py", "DenseMLP.run_tokens"):     # dense prefill
-        frozenset({"xs", "xs_t", "h"}),
+        frozenset({"xs"}),
+    ("src/repro/model/mlp.py", "gated_mlp_rows"):          # both row MLPs
+        frozenset({"xs", "xs_t", "h", "keep", "bits"}),
     # The row paths' GEMM shape helper: activation rows are the batch
     # dimension; the lm-head's loop over its few column blocks
     # (`weights.lm_head_blocks`, vocab / 256 of them) is deliberately
@@ -110,15 +112,15 @@ HOT_FUNCTIONS: Dict[Tuple[str, str], FrozenSet[str]] = {
     ("src/repro/model/gemm.py", "as_columns"): frozenset({"xs", "out"}),
     ("src/repro/model/gemm.py", "lm_head_logits"):
         frozenset({"x", "rows", "out"}),
-    # The one-row path build_engine and batch-1 serving share: gate
-    # rows and cached positions.  The layer loop is not per-element work.
+    # The one-row MLP build_engine and batch-1 serving share (gate
+    # rows), and the one attention kernel every pass and the oracle run
+    # (query rows and cached positions).  The layer loop is not
+    # per-element work.
     ("src/repro/core/sparse_mlp.py", "SparseInferMLP.run_with_skip"):
         frozenset({"skip", "kept", "live", "h1", "h3", "x", "k"}),
-    ("src/repro/model/inference.py", "forward_token_single"):
-        frozenset({"token_id", "position"}),
-    ("src/repro/model/inference.py", "attend_single"):
-        frozenset({"position", "length", "keys", "values", "kh", "vh",
-                   "scores", "probs"}),
+    ("src/repro/model/inference.py", "attend_rows"):
+        frozenset({"q", "keys", "values", "ck", "cv", "scores", "rows",
+                   "length"}),
 }
 
 #: Calls that do not count as per-element work (O(1) bookkeeping).

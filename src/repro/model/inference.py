@@ -24,8 +24,42 @@ from .gemm import lm_head_logits
 from .kvcache import KVCache
 from .mlp import DenseMLP, MLPExecutor
 from .norm import rmsnorm
-from .rope import apply_rope, rope_for_position
+from .rope import apply_rope, rope_tables
 from .weights import ModelWeights
+
+
+def attend_rows(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
+                neg_mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """The attention kernel: one sequence's query rows against its cache.
+
+    ``q`` is the ``(rows, n_heads, head_dim)`` RoPE-rotated queries of
+    one sequence; ``keys`` / ``values`` are its ``(length, d_model)``
+    cache, the rows' own positions included.  ``neg_mask`` is an
+    additive ``(rows, length)`` causal mask, 0 where a key is visible and
+    -inf where not: exp(-inf) == 0, so a masked key's weight is exactly
+    0.  ``None`` means every key is visible (one row sees its whole
+    cache).  Returns the ``(rows, n_heads, head_dim)`` context.
+
+    Every attention in the repo runs here -- the oracle's
+    :func:`attend_single` and each segment of the serving engine's
+    ragged pass -- so a sequence's attention bits depend only on its
+    own query and cache, at every batch size.
+    """
+    rows, n_heads, head_dim = q.shape
+    length = keys.shape[0]
+    ck = keys.reshape(length, n_heads, head_dim).transpose(1, 2, 0)
+    cv = values.reshape(length, n_heads, head_dim).transpose(1, 0, 2)
+    scores = np.matmul(q.transpose(1, 0, 2), ck)           # (h, rows, L)
+    # float32 scale: a float64 np.sqrt scalar would promote scores --
+    # and the residual stream after it -- to float64, silently doubling
+    # every downstream GEMM's work (NEP 50 keeps numpy-scalar dtypes).
+    scores /= np.float32(np.sqrt(head_dim))
+    if neg_mask is not None:
+        scores += neg_mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return np.matmul(scores, cv).transpose(1, 0, 2)        # (rows, h, hd)
 
 
 def attend_single(
@@ -34,41 +68,24 @@ def attend_single(
     k: np.ndarray,
     v: np.ndarray,
     position: int,
-    cache,
+    cache: KVCache,
     layer: int,
     rope: tuple,
 ) -> np.ndarray:
-    """RoPE + cache append + causal attention for one sequence, one token.
+    """RoPE + cache append + :func:`attend_rows` for one token.
 
-    ``q``/``k``/``v`` are the raw ``(d_model,)`` projections; ``cache`` is
-    anything with the :class:`~repro.model.kvcache.KVCache` interface (a
-    standalone cache or one
-    :class:`~repro.model.paged_kvcache.PagedKVSlot` of a serving batch);
-    ``rope`` is the ``(cos, sin)`` pair for ``position``, built once per
-    token by the caller.  Returns the pre-``Wo`` context vector.  Both the
-    single-sequence and the batched engines funnel through this function,
-    which is what makes their outputs bit-identical.
+    ``q``/``k``/``v`` are the raw ``(d_model,)`` projections; ``rope``
+    is the ``(cos, sin)`` pair for ``position``, built once per token by
+    the caller.  Returns the pre-``Wo`` context vector.  The oracle's
+    attention: it runs the serving engine's kernel on its one row.
     """
     n_heads, head_dim = config.n_heads, config.head_dim
     cos, sin = rope
-    q = apply_rope(q.reshape(n_heads, 1, head_dim), cos, sin).reshape(n_heads, head_dim)
+    q = apply_rope(q.reshape(1, n_heads, head_dim), cos, sin)
     k = apply_rope(k.reshape(n_heads, 1, head_dim), cos, sin).reshape(-1)
     cache.append(layer, k, v, position)
-    length = position + 1
-    keys, values = cache.view(layer, length)               # (len, d)
-    kh = keys.reshape(length, n_heads, head_dim).transpose(1, 0, 2)
-    vh = values.reshape(length, n_heads, head_dim).transpose(1, 0, 2)
-    # float32 scale: a float64 np.sqrt scalar would promote scores --
-    # and the residual stream after it -- to float64, silently doubling
-    # every downstream GEMM's work (NEP 50 keeps numpy-scalar dtypes).
-    # einsum, not the faster BLAS matmul of the serving engine's ragged
-    # pass: matmul rounds differently, and that drift flips near-zero
-    # gate rows.
-    scores = np.einsum("hd,htd->ht", q, kh) / np.float32(np.sqrt(head_dim))
-    scores -= scores.max(axis=-1, keepdims=True)
-    probs = np.exp(scores)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return np.einsum("ht,htd->hd", probs, vh).reshape(config.d_model)
+    keys, values = cache.view(layer, position + 1)         # (len, d)
+    return attend_rows(q, keys, values).reshape(config.d_model)
 
 
 @dataclass
@@ -118,11 +135,11 @@ def forward_token_single(weights: ModelWeights, token_id: int, position: int,
     """One token of one sequence: :func:`forward_rows` on one row, which
     :func:`attend_single` attends against ``cache`` at ``position``.
 
-    Behind :meth:`InferenceModel.forward_token` and the serving engine's
-    batch-1 decode step; returns ``(1, vocab)`` logits.
+    Behind :meth:`InferenceModel.forward_token`; returns ``(1, vocab)``
+    logits.
     """
     cfg = weights.config
-    rope = rope_for_position(position, cfg.head_dim, cfg.rope_theta)
+    rope = rope_tables(np.array([position]), cfg.head_dim, cfg.rope_theta)
     return forward_rows(
         weights, [token_id],
         lambda layer, q, k, v: attend_single(

@@ -1,12 +1,11 @@
 """Per-layer key/value cache for single-sequence decoding.
 
 :class:`KVCache` backs :class:`~repro.model.inference.InferenceModel`,
-the scalar engine the serving stack is tested against.  The serving
-engine's one KV store is the page arena of
-:mod:`repro.model.paged_kvcache`, whose
-:class:`~repro.model.paged_kvcache.PagedKVSlot` exposes the same
-``append``/``view``/``advance`` interface, so
-:func:`~repro.model.inference.attend_single` runs on either.
+the scalar engine the serving stack is tested against, and is the only
+store :func:`~repro.model.inference.attend_single` runs on.  The
+serving engine's one KV store is the page arena of
+:mod:`repro.model.paged_kvcache`; both hand their ``(length, d_model)``
+K/V to the same kernel, :func:`~repro.model.inference.attend_rows`.
 """
 
 from __future__ import annotations

@@ -16,12 +16,12 @@ Executors implement :class:`MLPExecutor`; the inference model calls
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Optional, Protocol
 
 import numpy as np
 
 from .gemm import as_columns
-from .weights import ModelWeights
+from .weights import LayerWeights, ModelWeights
 
 
 def activation_fn(kind: str, threshold: float = 0.0):
@@ -33,6 +33,30 @@ def activation_fn(kind: str, threshold: float = 0.0):
     if kind == "fatrelu":
         return lambda z: np.where(z >= threshold, z, 0.0)
     raise ValueError(f"unknown activation {kind!r}")
+
+
+def gated_mlp_rows(lw: LayerWeights, act, xs: np.ndarray,
+                   keep: Optional[np.ndarray] = None) -> np.ndarray:
+    """One layer's gated MLP for ``(T, d)`` rows as three GEMMs.
+
+    The row path of the dense prefill executor and the batched sparse
+    decode executor: the rows run in the ``W @ xs.T`` orientation, the
+    columns zero-padded to the BLAS kernel width
+    (:mod:`repro.model.gemm`; bit-identical).  ``keep``, a ``(T, k)``
+    mask, re-zeroes each row's gate rows it does not keep before the up
+    product: an AND with all-ones / all-zero words laid out like ``h`` (a
+    strided operand is 4x slower) leaves +0.0 whatever the row held,
+    where a multiply turns inf into NaN; ``np.copyto(where=)`` is 3x
+    slower.  Returns ``(T, d)``.
+    """
+    n = xs.shape[0]
+    xs_t = as_columns(xs, lw.w_gate_rows)                # (d, T')
+    h = act(lw.w_gate_rows @ xs_t)                       # (k, T')
+    if keep is not None:
+        bits = h.view(np.int32)
+        bits &= np.negative(as_columns(keep, lw.w_gate_rows), dtype=np.int32)
+    h *= lw.w_up_rows @ xs_t
+    return (lw.w_down_rows.T @ h)[:, :n].T               # (T, d)
 
 
 class MLPExecutor(Protocol):
@@ -94,17 +118,12 @@ class DenseMLP:
         """One layer's MLP for ``(T, d)`` token inputs as three GEMMs.
 
         The chunked-prefill path: same math as ``run`` row by row, one
-        weight read for the whole chunk, in ``run_batch``'s faster
-        ``W @ xs.T`` orientation, the token columns zero-padded to the
-        BLAS kernel width (:mod:`repro.model.gemm`; bit-identical).
-        Stats account per token, so chunked and token-by-token prefill
-        report identical work.
+        weight read for the whole chunk (:func:`gated_mlp_rows`).  Stats
+        account per token, so chunked and token-by-token prefill report
+        identical work.
         """
         lw = self.weights.layers[layer]
         n = xs.shape[0]
-        xs_t = as_columns(xs, lw.w_gate_rows)                # (d, T')
-        h = self._act(lw.w_gate_rows @ xs_t)                 # (k, T')
-        h *= lw.w_up_rows @ xs_t
         self.stats.calls += n
         self.stats.rows_total += n * lw.w_gate_rows.shape[0]
-        return (lw.w_down_rows.T @ h)[:, :n].T               # (T, d)
+        return gated_mlp_rows(lw, self._act, xs)

@@ -651,9 +651,10 @@ class PagedKVSlot:
     """One sequence's K/V storage: a page table over a :class:`PagePool`.
 
     Exposes the ``append`` / ``view`` / ``advance`` / ``reset``
-    interface of :class:`~repro.model.kvcache.KVCache`, so
-    :func:`repro.model.inference.attend_single` runs unchanged on one
-    slot of a serving batch.  Pages are claimed lazily: the table
+    interface of :class:`~repro.model.kvcache.KVCache`.  The serving
+    passes write through :meth:`cells` and :meth:`PagePool.write`;
+    ``append`` stays as the per-position reference those are tested
+    against.  Pages are claimed lazily: the table
     grows the first time a write touches a position in a new page,
     taking the slot's home page for that table index when it is free.
     ``view`` is the only way its K/V reaches a kernel -- a zero-copy

@@ -1,21 +1,15 @@
 """Rotary position embeddings for the numpy inference path.
 
-:func:`rope_tables` builds ``(cos, sin)`` tables for arbitrary position
-vectors; :func:`rope_for_position` is the memoized single-position
-variant every decode path shares -- a decode step needs the table for
-exactly one position per sequence, and co-scheduled sequences (prefix
-sharers especially) sit at the *same* position, so the LRU turns
-``B x n_layers`` rebuilds per step into at most one build per distinct
-position per engine lifetime.
+:func:`rope_tables` builds ``(cos, sin)`` tables for a vector of
+positions, once per forward pass: the serving engine's pass over every
+row's position, and the oracle's per token over its one position.  The
+tables are elementwise in the position, so a position's rows are the
+same bits whichever vector they were built in.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
-
-ROPE_MEMO_SIZE = 4096
 
 
 def rope_tables(
@@ -28,31 +22,6 @@ def rope_tables(
     freqs = theta ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
     angles = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
     return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
-
-
-@lru_cache(maxsize=ROPE_MEMO_SIZE)
-def _rope_for_position_cached(
-    position: int, head_dim: int, theta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    cos, sin = rope_tables(np.array([position]), head_dim, theta)
-    # Cached arrays are shared across callers; freeze them so an
-    # accidental in-place edit cannot corrupt every future lookup.
-    cos.flags.writeable = False
-    sin.flags.writeable = False
-    return cos, sin
-
-
-def rope_for_position(
-    position: int, head_dim: int, theta: float = 10000.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Memoized ``(cos, sin)`` for one position; shape ``(1, head_dim/2)``.
-
-    Bit-identical to ``rope_tables(np.array([position]), ...)`` -- the
-    memo caches that exact call -- so the single-sequence, batched-decode
-    and chunked-prefill paths can all share it without numeric drift.
-    The returned arrays are read-only views of the cache entry.
-    """
-    return _rope_for_position_cached(int(position), head_dim, float(theta))
 
 
 def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:

@@ -2,26 +2,22 @@
 
 Mirrors :class:`repro.model.inference.InferenceModel` over a pool of
 paged KV slots (:class:`repro.model.paged_kvcache.PagedKVCache`, the one
-serving store).  Every pass runs the one transformer layer loop,
-:func:`repro.model.inference.forward_rows`, over ``(rows, d)``
-activations; its callers differ only in what the rows are and which
-attention strategy and row-MLP they hand it:
+serving store).  Every pass is one :meth:`~BatchedEngine._forward_chunk`
+over ragged segments, one segment of consecutive positions per slot:
+the one transformer layer loop,
+:func:`repro.model.inference.forward_rows`, runs over the ``(rows, d)``
+activations, and each segment attends causally against its own slot's
+pages through :func:`repro.model.inference.attend_rows`, the oracle's
+attention kernel.  The callers differ only in what the segments are and
+which row-MLP runs:
 
-* :meth:`~BatchedEngine.prefill` / :meth:`~BatchedEngine.verify_chunk`
-  -- rows are ragged segments of consecutive positions, one segment per
-  slot, each attended causally against its own slot's cache.  Prefill
-  packs one prompt piece per slot into one pass and runs the dense
-  executor (sparsity is a decode-phase optimisation, paper Section
-  V-C); verify is a one-segment pass through the serving-alpha sparse
-  executor.
+* :meth:`~BatchedEngine.prefill` packs one prompt piece per slot and
+  runs the dense executor (sparsity is a decode-phase optimisation,
+  paper Section V-C); :meth:`~BatchedEngine.verify_chunk` is a
+  one-segment pass through the serving-alpha sparse executor.
 * :meth:`~BatchedEngine.decode_step` / :meth:`~BatchedEngine.draft_step`
-  -- rows are the next token of *each* slot, run through the
-  batch-aware sparse MLP.  At batch > 1 each row is a one-row segment
-  of the same ragged pass, attended against its own slot's pages, so a
-  row never sees its partners' lengths.  A batch of one attends
-  through :func:`~repro.model.inference.forward_token_single`'s
-  single-sequence :func:`~repro.model.inference.attend_single` instead,
-  which is what makes it bit-identical to the single-sequence engine.
+  run one one-row segment per slot, at every batch size, through the
+  batch-aware sparse MLP.  A row never sees its partners' lengths.
 
 The engine is the forward pass only.  Which slot a sequence gets, and
 where its prompt-prefix K/V comes from (a fork of a resident sequence,
@@ -37,10 +33,12 @@ Numerical contract (unchanged by every knob), in three tiers:
 * a batch-1 :meth:`~BatchedEngine.decode_step` is **bit-identical** to
   :func:`repro.core.engine.build_engine`'s ``forward_token`` given the
   same KV contents -- they share the code;
-* at a fixed batch size >= 2, a row's attention does not depend on its
-  partners (their lengths or tokens): each row attends its own pages.
-  The sparse MLP's GEMM kernel still changes between 2-3 and >= 4 rows,
-  so across batch sizes a row's bits may differ;
+* a row's attention reads only its own query and pages through the one
+  kernel, so given those its bits do not depend on its partners (their
+  number, lengths or tokens) at any batch size, and at a fixed batch
+  size >= 2 neither do its logits.  The row GEMMs and the sparse MLP
+  still change kernel with the row count (a one-row GEMV, 2-3 rows,
+  >= 4 rows), so across batch sizes a row's bits may differ;
 * served tokens equal ``build_engine(...).generate``'s, except at near
   ties, where batched GEMM rounding can flip an argmax.  Prefill logits
   agree with the oracle to ``rtol=1e-5`` (chunked-GEMM rounding).
@@ -59,9 +57,7 @@ import numpy as np
 from ..core.alpha import AlphaSchedule
 from ..core.engine import SparseInferSettings
 from ..core.predictor import SparseInferPredictor
-from ..model.inference import (
-    forward_rows, forward_token_single, token_ids_in_vocab,
-)
+from ..model.inference import attend_rows, forward_rows, token_ids_in_vocab
 from ..model.paged_kvcache import (
     DEFAULT_PAGE_SIZE,
     PagedKVCache,
@@ -73,23 +69,6 @@ from ..model.sampler import BatchedSampler, SamplerConfig
 from ..model.weights import ModelWeights
 from .batch_mlp import BatchedSparseInferMLP
 from .request import as_integer
-
-
-def masked_softmax(scores: np.ndarray, neg_mask: Optional[np.ndarray],
-                   head_dim: int) -> np.ndarray:
-    """Scaled softmax of float32 ``scores`` over the last axis, in place.
-
-    ``neg_mask`` is additive, 0 where a key is visible and -inf where
-    not: exp(-inf) == 0, so a masked key's weight is exactly 0.  ``None``
-    means every key is visible (a one-row segment sees its whole cache).
-    """
-    scores /= np.float32(np.sqrt(head_dim))   # float32 scale, see inference.py
-    if neg_mask is not None:
-        scores += neg_mask
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return scores
 
 
 def _require_distinct(slots: Sequence[PagedKVSlot]) -> None:
@@ -193,18 +172,19 @@ class BatchedEngine:
                        last_only: bool = False) -> np.ndarray:
         """One causal pass over ragged segments of slots' next positions.
 
-        Every pass but a batch-1 decode step: :meth:`prefill` and
-        :meth:`verify_chunk` segments are prompt pieces and draft
-        chunks, :meth:`decode_step` and :meth:`draft_step` segments at
-        batch > 1 are one row per slot.  ``segments`` lists ``(slot,
-        n_rows)``, each slot at most once, and ``token_ids`` holds their
-        rows concatenated in that order.  Embed, norms, projections,
-        ``Wo``, ``mlp_rows`` and the lm-head run as one GEMM over all
-        rows; each segment's queries attend, causally masked, against
-        its own slot's cache -- prior positions plus the segment itself,
-        whose K/V each layer writes first.  A one-row segment sees its
-        whole cache, so it builds and adds no mask.  Returns every row's
-        logits, or with ``last_only`` the last row of each segment.
+        Every forward pass: :meth:`prefill` and :meth:`verify_chunk`
+        segments are prompt pieces and draft chunks, :meth:`decode_step`
+        and :meth:`draft_step` segments are one row per slot.
+        ``segments`` lists ``(slot, n_rows)``, each slot at most once,
+        and ``token_ids`` holds their rows concatenated in that order.
+        Embed, norms, projections, ``Wo``, ``mlp_rows`` and the lm-head
+        run as one GEMM over all rows; each segment's queries attend,
+        causally masked, against its own slot's cache -- prior positions
+        plus the segment itself, whose K/V each layer writes first --
+        through :func:`~repro.model.inference.attend_rows`, the oracle's
+        kernel.  A one-row segment sees its whole cache, so it builds
+        and adds no mask.  Returns every row's logits, or with
+        ``last_only`` the last row of each segment.
         """
         # The pass writes every row into this engine's arena.
         if not all(self.cache.holds(slot) for slot, _ in segments):
@@ -245,13 +225,8 @@ class BatchedEngine:
             # slot's cache, of its own length.
             # repro: ignore[scalar-loop] -- one matmul pair per segment
             for slot, lo, hi, total, neg_mask in blocks:
-                keys, values = slot.view(layer, total)   # (L, d)
-                ck = keys.reshape(total, n_heads, head_dim).transpose(1, 2, 0)
-                cv = values.reshape(total, n_heads, head_dim).transpose(1, 0, 2)
-                scores = np.matmul(qr[lo:hi].transpose(1, 0, 2), ck)
-                ctx[lo:hi] = np.matmul(
-                    masked_softmax(scores, neg_mask, head_dim), cv
-                ).transpose(1, 0, 2)                      # (h, T, hd)
+                ctx[lo:hi] = attend_rows(qr[lo:hi], *slot.view(layer, total),
+                                         neg_mask)
             return ctx.reshape(n_tokens, cfg.d_model)
 
         logits = forward_rows(
@@ -276,17 +251,10 @@ class BatchedEngine:
         if not slots:
             raise ValueError("decode_step needs at least one sequence")
         _require_distinct(slots)
-        ids = token_ids_in_vocab(self.config, token_ids)
-        if len(slots) > 1:
-            return self._forward_chunk([(slot, 1) for slot in slots], ids,
-                                       sparse.run_batch)
-        # Batch 1 attends through the oracle's own attend_single, which
-        # keeps the step bit-identical to build_engine; a one-segment
-        # pass measured no faster at that size.
-        logits = forward_token_single(self.weights, ids[0], slots[0].length,
-                                      slots[0], sparse.run_batch)
-        slots[0].advance()
-        return logits
+        return self._forward_chunk(
+            [(slot, 1) for slot in slots],
+            token_ids_in_vocab(self.config, token_ids), sparse.run_batch,
+        )
 
     def prefill(
         self, slots, prompt_ids: Sequence[int],

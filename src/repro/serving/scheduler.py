@@ -85,8 +85,14 @@ Resume re-seats that same record: it restores the prompt through the
 normal plan -> seat path and then *replays* the already-generated
 tokens through the decode path (the sparse executor
 -- recomputing them with the dense prefill path would change their K/V
-values, not just their rounding), so the resumed sequence continues
-token-identically.  Already-emitted tokens are kept, never resampled.
+values, not just their rounding).  Replay runs one token at a time, at
+batch 1: its attention is the one kernel every batch size runs, so that
+half is exact, but a sequence that first decoded at batch > 1 had its
+K/V written by the dense-masked GEMM MLP, and replay runs the batch-1
+gather MLP, which rounds differently.  So the resumed sequence
+continues with the tokens it would have produced, except at near ties
+(the third tier of ``serving/engine.py``'s numerical contract).
+Already-emitted tokens are kept, never resampled.
 Equal priorities never preempt each other,
 which rules out eviction ping-pong; every preemption chain strictly
 descends in priority, so it is finite.
@@ -1092,9 +1098,12 @@ class ContinuousBatchingScheduler:
         executor; recomputing it with the dense prefill path would
         change the values themselves, not just their rounding, so a
         restored sequence replays its history token-by-token through
-        ``decode_step`` -- the same op sequence that wrote the evicted
-        state.  The logits are discarded: every replayed token was
-        already emitted.
+        batch-1 ``decode_step``.  That reproduces the evicted state up
+        to rounding: attention is the same kernel at every batch size,
+        but K/V first written at batch > 1 came from the dense-masked
+        GEMM MLP, not the batch-1 gather MLP, so the continuation
+        matches except at near ties.  The logits are discarded: every
+        replayed token was already emitted.
         """
         if not take:
             return

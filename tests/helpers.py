@@ -8,11 +8,14 @@ The serving engine's numerical contract against the scalar oracle
 (``build_engine``), in three tiers, and where each is asserted:
 
 * batch 1 is bit-identical to ``build_engine``
-  (:func:`assert_batch1_decode_bit_identical`);
-* at a fixed batch size >= 2, a row's attention does not depend on its
-  partners (``test_batch_attention.py::TestCompositionInvariance``).
-  The sparse MLP's kernel choice between 2-3 and >= 4 rows is still
-  open, so across batch sizes a row's bits may differ;
+  (:func:`assert_batch1_decode_bit_identical`): both run one code path,
+  the serving pass's attention kernel included;
+* a row's attention depends only on its own query and pages, at every
+  batch size, and at a fixed batch size >= 2 so do its logits
+  (``test_batch_attention.py::TestCompositionInvariance``, batch 1
+  against 4 included).  The row GEMMs and the sparse MLP still change
+  kernel with the row count (one-row GEMV, 2-3 rows, >= 4 rows), so
+  across batch sizes a row's bits may differ;
 * served tokens equal the oracle's (:func:`oracle_tokens`), except at
   near ties, where batched GEMM rounding can flip an argmax.  The
   suites' fixed workloads hold none, so they assert exact tokens; the

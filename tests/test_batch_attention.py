@@ -3,13 +3,14 @@ equivalence, composition invariance and masking.
 
 The contract under test (the three tiers of ``helpers``): a batch-1
 ``decode_step`` is bit-identical to ``forward_token`` on identical KV;
-at a fixed batch size a decode row's logits do not depend on its
-partners' lengths; and the serving engine decodes the tokens the scalar
-oracle (``build_engine(...).generate``) does, at every batch size, page
-size, admission order and prefix-cache configuration here.  Plus the
-supporting pieces: the shared RoPE memo, per-slot views over any page
-layout, and that a K/V cell no live position owns can never reach a
-logit.
+a decode row's attention does not depend on its partners at any batch
+size, and at a fixed batch size neither do its logits; and the serving
+engine decodes the tokens the scalar oracle
+(``build_engine(...).generate``) does, at every batch size, page size,
+admission order and prefix-cache configuration here.  Plus the
+supporting pieces: the one attention kernel against an einsum
+reference, per-slot views over any page layout, and that a K/V cell no
+live position owns can never reach a logit.
 """
 
 import numpy as np
@@ -17,12 +18,13 @@ import pytest
 
 from repro.core.engine import build_batched_engine, build_engine
 from repro.model.config import ModelConfig
-from repro.model.inference import attend_single, forward_rows
+from repro.model.inference import attend_rows, attend_single, forward_rows
 from repro.model.kvcache import KVCache
 from repro.model.paged_kvcache import PagedKVCache, PagedKVSlot
-from repro.model.rope import apply_rope, rope_for_position, rope_tables
+from repro.model.rope import apply_rope, rope_tables
 from repro.model.weights import random_weights
 from repro.serving import ContinuousBatchingScheduler, Request
+from repro.serving import engine as engine_module
 from repro.serving.engine import BatchedEngine
 
 from helpers import (
@@ -68,41 +70,12 @@ def drain(weights, requests, **kwargs):
     return tokens, report
 
 
-class TestRopeMemo:
-    def test_matches_rope_tables_bitwise(self):
-        cos, sin = rope_for_position(7, 8)
-        ref_cos, ref_sin = rope_tables(np.array([7]), 8)
-        np.testing.assert_array_equal(cos, ref_cos)
-        np.testing.assert_array_equal(sin, ref_sin)
-
-    def test_same_position_shares_one_object(self):
-        a = rope_for_position(13, 8)
-        b = rope_for_position(13, 8)
-        assert a[0] is b[0] and a[1] is b[1]
-        # ...including via a numpy integer position (same cache key).
-        c = rope_for_position(np.int64(13), 8)
-        assert c[0] is a[0]
-
-    def test_distinct_geometry_distinct_entries(self):
-        assert rope_for_position(2, 8)[0] is not rope_for_position(3, 8)[0]
-        assert rope_for_position(2, 8)[0] is not rope_for_position(2, 4)[0]
-        assert (rope_for_position(2, 8, 10000.0)[0]
-                is not rope_for_position(2, 8, 500.0)[0])
-
-    def test_cached_tables_are_frozen(self):
-        cos, _ = rope_for_position(21, 8)
-        with pytest.raises(ValueError):
-            cos[0, 0] = 0.0
-
-
 class TestAttendSingle:
-    def test_bit_identical_to_einsum_reference(
-        self, micro_config, rng
-    ):
-        """The scalar path's attention keeps the einsum arithmetic bit for
-        bit at every cache length: a BLAS matmul rewrite rounds
-        differently (max |diff| ~2e-7), which flips near-zero gate rows
-        and moves the sparse MLP's skip counts."""
+    def test_kernel_matches_einsum_reference(self, micro_config, rng):
+        """The oracle's attention is the shared matmul kernel, bit for bit,
+        and agrees with an independent einsum spelling of the same math
+        at every cache length to the prefill tolerance (the two round
+        differently, by ~2e-7)."""
         cfg = micro_config
         h, hd = cfg.n_heads, cfg.head_dim
         cache = KVCache(cfg)
@@ -114,13 +87,15 @@ class TestAttendSingle:
             assert got.dtype == np.float32
             qr = apply_rope(q.reshape(h, 1, hd), *rope).reshape(h, hd)
             keys, values = cache.view(0, pos + 1)
+            np.testing.assert_array_equal(
+                got, attend_rows(qr[None], keys, values).reshape(cfg.d_model))
             kh = keys.reshape(pos + 1, h, hd).transpose(1, 0, 2)
             vh = values.reshape(pos + 1, h, hd).transpose(1, 0, 2)
             scores = np.einsum("hd,htd->ht", qr, kh) / np.float32(np.sqrt(hd))
             probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
             probs /= probs.sum(axis=-1, keepdims=True)
             ref = np.einsum("ht,htd->hd", probs, vh).reshape(cfg.d_model)
-            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-6)
 
 
 SHARING_MODES = {
@@ -187,8 +162,8 @@ class TestOracleEquivalence:
 
     def test_batch1_decode_bit_identical_on_identical_kv(self,
                                                          micro_weights):
-        """The contract that still holds bit for bit: a batch-1
-        ``decode_step`` is the scalar op sequence, never the ragged pass."""
+        """The contract that holds bit for bit: a batch-1 ``decode_step``
+        equals the oracle's ``forward_token`` on identical K/V."""
         prompt = MIXED_PROMPTS[1]
         reference = build_engine(micro_weights)
         reference.reset()
@@ -197,11 +172,6 @@ class TestOracleEquivalence:
         engine = build_batched_engine(micro_weights, max_batch_size=1)
         slot = engine.cache.allocate()
         assert_prefill_logits_match(engine.prefill(slot, prompt), ref_logits)
-
-        def no_ragged_pass(*args, **kwargs):
-            raise AssertionError("batch-1 decode took the ragged pass")
-
-        engine._forward_chunk = no_ragged_pass
         assert_batch1_decode_bit_identical(
             engine, slot, reference, int(np.argmax(ref_logits))
         )
@@ -280,6 +250,74 @@ class TestCompositionInvariance:
             for shift in (0, 5)
         ]
         for want, got in zip(base, other):
+            np.testing.assert_array_equal(got, want)
+
+
+    @staticmethod
+    def _slot_a_contexts(weights, page_size, lengths, monkeypatch,
+                         fed=None):
+        """Slot A's context row per (decode step, layer), spied on the
+        shared kernel, over three decode steps of slot A beside
+        ``lengths[1:]``, and the raw ``(q, k, v)`` rows of slot A that
+        the layer loop handed attention.  With ``fed``, those rows are
+        replaced by ``fed``'s (step, layer) entries first."""
+        rng = np.random.default_rng(0)
+        vocab = weights.config.vocab_size
+        engine = BatchedEngine(weights, max_batch_size=len(lengths),
+                               page_size=page_size)
+        slots = []
+        for i, length in enumerate(lengths):
+            prompt = rng.integers(0, vocab, size=length) if i == 0 \
+                else np.arange(length) % vocab
+            slot = engine.cache.allocate()
+            engine.prefill(slot, prompt)
+            slots.append(slot)
+
+        contexts, inputs, segments = [], [], []
+        kernel, layer_loop = engine_module.attend_rows, engine_module.forward_rows
+
+        def spy(q, keys, values, neg_mask=None):
+            segments.append(kernel(q, keys, values, neg_mask))
+            return segments[-1]
+
+        def feeding_loop(weights, token_ids, attend, mlp_rows, last_rows=None):
+            def fed_attend(layer, q, k, v):
+                if fed is not None:
+                    q, k, v = q.copy(), k.copy(), v.copy()
+                    q[0], k[0], v[0] = fed[len(inputs)]
+                inputs.append((q[0].copy(), k[0].copy(), v[0].copy()))
+                segments.clear()
+                ctx = attend(layer, q, k, v)
+                assert len(segments) == len(slots)   # one call per slot
+                contexts.append(segments[0][0].copy())   # slot A's row
+                return ctx
+            return layer_loop(weights, token_ids, fed_attend, mlp_rows,
+                              last_rows)
+
+        monkeypatch.setattr(engine_module, "attend_rows", spy)
+        monkeypatch.setattr(engine_module, "forward_rows", feeding_loop)
+        for step in range(3):
+            engine.decode_step(slots, [7 * step + 1] * len(slots))
+        monkeypatch.undo()
+        return contexts, inputs
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_batch1_attention_equals_batch4(self, case, micro_weights,
+                                            bench_weights, monkeypatch):
+        """Batch 1 runs the kernel every other batch size runs: fed the
+        q/k/v rows slot A had beside three partners (B 4), slot A
+        decoding alone (B 1) gets bit-identical context rows at every
+        layer and step.  The row GEMMs before attention differ between
+        one row and four, hence the feeding; the einsum batch-1 path
+        this replaced failed it by up to 1.8e-7."""
+        page_size, a_length, (partners, *_) = self.CASES[case]
+        weights = bench_weights if case == "bench" else micro_weights
+        beside, fed = self._slot_a_contexts(
+            weights, page_size, [a_length, *partners], monkeypatch)
+        alone, _ = self._slot_a_contexts(
+            weights, page_size, [a_length], monkeypatch, fed=fed)
+        assert len(alone) == len(beside) == 3 * weights.config.n_layers
+        for got, want in zip(alone, beside):
             np.testing.assert_array_equal(got, want)
 
 

@@ -29,12 +29,15 @@ RETIRED_ENGINE_KNOBS = {
 
 #: Counters and trace targets of the padded batch > 1 decode stack,
 #: deleted when decode began attending each slot as a ragged one-row
-#: segment: the benchmark reads these counters as ``None`` and records
-#: the spans with zero calls.  Exactly these may be missing.
+#: segment, and of the batch-1 decode fork (``forward_token_single``,
+#: which the engine no longer imports) that went when batch 1 joined
+#: the same pass: the benchmark reads these counters as ``None`` and
+#: records the spans with zero calls.  Exactly these may be missing.
 RETIRED_COUNTERS = [
     "mean_buckets_per_step", "padded_positions", "padding_waste_share",
 ]
 RETIRED_SPANS = [
+    "model.inference.forward_token_single",
     "model.batch_attention.plan_step",
     "model.batch_attention.attend_layer",
     "model.paged_kvcache.gather",
