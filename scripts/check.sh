@@ -29,12 +29,13 @@ if [ "$#" -eq 0 ]; then
     # the benchmark surface is ROADMAP item 1(d), so it is deselected
     # until then rather than left to fail the gate.  The two tracing
     # tests assume every traced function still exists, but three spans
-    # went with the padded decode stack and a fourth with the batch-1
-    # decode fork (the engine no longer imports forward_token_single);
-    # the benchmark records a missing target as a zero-call row.  They
-    # are deselected, and the step after this one asserts that exactly
-    # those four spans are missing, so losing any other span still
-    # fails the gate.
+    # went with the padded decode stack, a fourth with the batch-1
+    # decode fork (the engine no longer imports forward_token_single),
+    # and PagedKVCache.fork / .revive when the prefix table's one seat
+    # replaced them; the benchmark records a missing target as a
+    # zero-call row.  They are deselected, and the step after this one
+    # asserts that exactly those six spans are missing, so losing any
+    # other span still fails the gate.
     python -m pytest -x -q benchmarks/e2e/tests \
         --deselect "benchmarks/e2e/tests/test_e2e_surface.py::test_every_serve_all_on_knob_is_still_accepted_at_landing" \
         --deselect "benchmarks/e2e/tests/test_e2e_surface.py::test_every_trace_target_resolves_at_landing" \
@@ -47,7 +48,9 @@ from repro.model.mlp import DenseMLP
 GONE = ["model.inference.forward_token_single",
         "model.batch_attention.plan_step",
         "model.batch_attention.attend_layer",
-        "model.paged_kvcache.gather"]
+        "model.paged_kvcache.gather",
+        "model.paged_kvcache.fork",
+        "model.paged_kvcache.revive"]
 original = DenseMLP.run_tokens
 tracer = tracing.Tracer()
 patches, missing = surface.install_tracing(tracer)

@@ -10,7 +10,7 @@ rule id                   guards
 ``rng-purity``            bit-identity: no unseeded RNG anywhere, no
                           wall-clock reads in engine paths
 ``slot-pairing``          ``free + in_use + cached == n_pages``: every
-                          allocate/fork/revive reaches a release on normal
+                          seat/allocate reaches a release on normal
                           and exception paths; double releases flagged
 ``scalar-loop``           vectorised hot paths: no per-sequence Python
                           loops in registered decode/prefill functions

@@ -3,8 +3,8 @@
 The page-pool invariant ``free + in_use + cached == n_pages`` is
 enforced at runtime by the property suites, but the *source-level* rule
 that keeps it true is ownership discipline in the serving layer: every
-``seat`` (and the ``allocate``/``fork``/``revive`` it dispatches to)
-hands back an owned slot that must end in exactly one ``release`` -- on
+``seat`` (and the ``allocate`` a cold seat dispatches to) hands back
+an owned slot that must end in exactly one ``release`` -- on
 the normal path *and* when a compute call in between raises.  This rule machine-checks that discipline with
 a small flow-sensitive abstract interpreter per function:
 
@@ -39,7 +39,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .core import Finding, Project, Rule
 
-ACQUIRE_METHODS = frozenset({"allocate", "fork", "revive", "seat"})
+ACQUIRE_METHODS = frozenset({"allocate", "seat"})
 RELEASE_METHODS = frozenset({"release"})
 #: Engine/model entry points assumed to raise (shape/validation errors).
 COMPUTE_METHODS = frozenset({
@@ -385,11 +385,11 @@ class _FuncAnalysis:
 
 
 class SlotPairingRule(Rule):
-    """Flow-sensitive seat/allocate/fork/revive vs release pairing."""
+    """Flow-sensitive seat/allocate vs release pairing."""
 
     rule_id = "slot-pairing"
     description = (
-        "every cache seat/allocate/fork/revive in serving code must "
+        "every cache seat/allocate in serving code must "
         "reach a release on normal and exception paths; double releases "
         "are flagged"
     )

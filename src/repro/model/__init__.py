@@ -14,7 +14,7 @@ from .paged_kvcache import (
     PagedKVCache,
     PagedKVSlot,
     PagePool,
-    PrefixCache,
+    SeatPlan,
     chained_prefix_keys,
 )
 from .synthetic import SyntheticActivationModel

@@ -35,8 +35,8 @@ arena instead:
   home run; otherwise **one** fancy-index gather of the slot's pages.
   Every attention pass reads each slot through its own ``view``, so
   how a sequence's pages are laid out in the arena never changes a
-  float: fork / COW / revive / truncate manipulate page tables and
-  never touch the kernel side.
+  float: seat / COW / truncate manipulate page tables and never touch
+  the kernel side.
 
 Admission safety uses **worst-case reservation**: the scheduler reserves
 ``ceil(needed_positions / page_size)`` pages when it admits a request
@@ -47,74 +47,57 @@ against it can never starve mid-decode, while memory *occupancy* (what
 :attr:`n_pages_in_use` reports) still tracks actual, not worst-case,
 lengths.
 
-**Prefix sharing (refcount / copy-on-write lifecycle).**  Sequences with
-a common prompt prefix can map the *same* physical pages
-(:meth:`PagedKVCache.fork`):
+**Prefix sharing: one prefix table (refcount / copy-on-write).**
+Sequences with a common prompt prefix map the *same* physical pages:
 
 * Every claimed page carries a **refcount** -- the number of page tables
   mapping it.  ``_claim_page`` starts it at 1, ``_share_page`` increments
-  it, and releasing a page decrements it; the page returns to the free
-  list only when the count reaches 0, so releasing a forked slot can
-  never free a page its donor still maps.
+  it, and releasing a page decrements it, so releasing one sharer can
+  never free a page another still maps.
 
-* ``fork(donor, shared_positions)`` maps the donor's **full** prefix
-  pages into the new slot's table by reference and **eagerly copies the
-  partial trailing page** (if ``shared_positions`` is not page-aligned).
-  Shared pages are therefore always full, and decode-phase appends --
-  which only ever write at ``position == length >= shared_positions`` --
-  land on exclusively-owned pages, keeping shared pages immutable.
+* The pool's **prefix table** indexes full prompt pages by the chained
+  per-page hash of the tokens up to their end
+  (:func:`chained_prefix_keys`, vLLM block-hash style) and lists each
+  key's child pages under it: a radix tree with page-sized edges, as in
+  SGLang's RadixAttention.  Causal attention makes a full prompt page's
+  K/V a pure function of those tokens, so an indexed page is valid for
+  *any* prompt that shares them.  A page enters at
+  :meth:`PagedKVCache.register` (or at ``release`` with ``prompt_ids``,
+  for a sequence preempted mid-prefill) and leaves only when it is
+  freed.
+
+* A page's refcount alone says whether an indexed page is *resident*
+  (> 0) or *parked* (0: off the free list, in the pool's LRU, which
+  holds at most ``cache_pages`` pages).  Parked pages are reclaimable:
+  they count toward :attr:`PagePool.n_available_pages`, and a claim
+  that finds no free page evicts the LRU head, so reservations still
+  hold.  A parked page's parked ancestors are always more recent, so
+  eviction breaks a chain tail first.  ``cache_pages = 0`` (the default)
+  frees a page when its refcount reaches 0, which keeps resident
+  matching only.  The pool-level invariant is ``free + in_use + cached
+  == n_pages``.
+
+* **Seating (plan -> seat -> register -> release).**
+  :meth:`PagedKVCache.plan` walks the prompt's chain once and takes the
+  longest token match over every indexed page, whatever its refcount:
+  full pages by key, then the child page that shares the most further
+  tokens.  It returns a :class:`SeatPlan` saying how many prompt
+  positions the seat will already hold and whether the pool can back
+  the rest.  :meth:`PagedKVCache.seat` maps each full matched page (a
+  share if resident, a pin if parked) and **eagerly copies** the page
+  where the match ends mid-page, pinning the source across the copy so
+  that claiming the destination cannot evict it.  Shared pages are
+  therefore always full, and the new sequence's writes -- which only
+  ever land at ``position >= shared`` -- go to pages it owns.  The seat
+  reserves only the worst case beyond its full shared pages, so
+  admission of correlated requests gets strictly cheaper.
 
 * ``append`` still guards with **copy-on-write**: a write landing on a
-  page with refcount > 1 first claims a fresh page, memcpys the shared
-  page's contents, drops one reference on the shared page, and retargets
-  the slot's table entry.  The engine path never triggers it (see
-  above); it exists so direct cache users rewriting history cannot
-  corrupt a sibling sequence.
-
-* Reservation accounting composes: a forked slot's worst case is charged
-  only for its *unshared* pages (the shared full pages are already
-  resident), so admission of correlated requests gets strictly cheaper.
-
-**Cross-request prefix cache (LRU page retention).**  Forking only helps
-while the donor is *resident*; bursty traffic whose same-prefix requests
-never overlap in time would re-prefill the shared prefix every burst.
-With ``cache_pages > 0`` a :class:`PrefixCache` keeps retired prompt
-prefixes alive:
-
-* When a sequence is released **with its prompt**
-  (:meth:`PagedKVCache.release` with ``prompt_ids``), its page-aligned
-  prompt-prefix pages whose refcount would drop to 0 are *parked* --
-  refcount 0, off the free list, indexed by the same chained per-page
-  hash :class:`PrefixIndex` uses (:func:`chained_prefix_keys`).  Causal
-  attention makes a full page's K/V a pure function of the tokens up to
-  its end, so a parked page is valid for *any* future prompt sharing
-  those tokens.
-
-* A later request *revives* the longest cached chain of its prompt's
-  aligned prefix pages (:meth:`PagedKVCache.revive`): the pages are
-  pinned back into the new slot's table (refcount 0 -> 1) and only the
-  prompt suffix needs prefill -- bit-for-bit the K/V the original
-  prefill produced, so revived decode matches cold prefill exactly.
-
-* Cached pages are **reclaimable**: they count toward
-  :attr:`PagePool.n_available_pages`, and a claim that finds the free
-  list empty evicts LRU cache entries on demand -- so admission
-  reservations still hold, and ``cache_pages = 0`` (the default) is
-  bit-identical to no cache at all.  The pool-level invariant becomes
-  ``free + in_use + cached == n_pages``.
-
-**Seating (plan -> seat -> register -> release).**  Where a new
-sequence's prefix K/V comes from is decided here, once:
-:meth:`PagedKVCache.plan` walks **resident-donor fork -> prefix-cache
-revive -> cold allocation** (a live donor is cheapest: no pinning, and
-the :class:`PrefixIndex` matches past page alignment; a cached chain
-still skips its prefill) and returns a :class:`SeatPlan` saying how many
-prompt positions the seat will already hold and whether the pool can
-back the rest; :meth:`PagedKVCache.seat` turns a plan into a slot with
-exactly one ``fork`` / ``revive`` / ``allocate``.  Once the caller has
-prefilled the prompt, :meth:`PagedKVCache.register` makes it findable
-as a donor, and :meth:`PagedKVCache.release` retires it -- parking its
-prompt-prefix pages when a prefix cache is configured.
+  shared or indexed page first claims a fresh page, memcpys the old
+  page's contents, drops one reference on it, and retargets the slot's
+  table entry.  The engine path never triggers it (see above); it exists
+  so direct cache users rewriting history cannot corrupt a sibling
+  sequence or the table.
 
 Every path preserves the serving engine's numerical contract (stated in
 ``docs/serving.md``, with the architecture walkthrough and the full
@@ -127,9 +110,8 @@ from __future__ import annotations
 
 import contextlib
 import mmap
-import weakref
 from collections import OrderedDict
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -143,10 +125,8 @@ def chained_prefix_keys(prompt: tuple, page_size: int) -> list:
 
     ``keys[i]`` covers ``prompt[:(i + 1) * page_size]`` and is computed
     as ``hash((keys[i - 1], page_tokens))`` -- vLLM block-hash style, so
-    all of a prompt's keys come from one O(len) pass.  This is the
-    shared key scheme of the resident :class:`PrefixIndex` and the
-    retired-page :class:`PrefixCache`: a prefix parked by one is found
-    by the other's walk.  Keys can collide, so users must verify token
+    all of a prompt's keys come from one O(len) pass.  These are the
+    prefix table's keys.  Keys can collide, so users must verify token
     equality on a hit.
     """
     keys = []
@@ -177,7 +157,7 @@ def _zeroed_arena(shape: tuple) -> np.ndarray:
 
 
 class PagePool:
-    """Shared K/V page arena plus free-list and reservation accounting.
+    """Shared K/V page arena plus free-list, reservation and prefix table.
 
     Storage is layer-major ``(n_layers, n_pages, page_size, d_model)``
     for keys and values; ``flat_keys`` / ``flat_values`` are the same
@@ -187,20 +167,28 @@ class PagePool:
     released by :class:`PagedKVSlot`; user code sizes the pool
     (``n_pages * page_size`` is the total position budget shared by all
     sequences) and otherwise talks to :class:`PagedKVCache`.
+
+    The pool also owns the prefix table and its LRU of parked pages, so
+    every page transition -- claim, share, pin, park, evict, free --
+    happens in this one class, which keeps ``free + in_use + cached ==
+    n_pages``.
     """
 
     def __init__(self, config: ModelConfig, n_pages: int,
                  page_size: int = DEFAULT_PAGE_SIZE, n_homes: int = 0,
-                 home_run: int = 0):
+                 home_run: int = 0, cache_pages: int = 0):
         if n_pages < 1:
             raise ValueError(f"n_pages must be >= 1, got {n_pages}")
         if page_size < 1:
             raise ValueError(f"page_size must be >= 1, got {page_size}")
+        if cache_pages < 0:
+            raise ValueError(f"cache_pages must be >= 0, got {cache_pages}")
         self.config = config
         self.n_pages = n_pages
         self.page_size = page_size
         self.n_homes = n_homes
         self.home_run = home_run
+        self.cache_pages = cache_pages
         shape = (config.n_layers, n_pages, page_size, config.d_model)
         self.keys = _zeroed_arena(shape)
         self.values = _zeroed_arena(shape)
@@ -218,8 +206,12 @@ class PagePool:
         self._reserved = 0      # worst-case pages promised but not yet claimed
         self._refcount = [0] * n_pages   # page tables mapping each page
         self._n_shared = 0      # pages with refcount > 1 (O(1) telemetry)
-        self._cached_set = set()   # refcount-0 pages parked in a PrefixCache
-        self.prefix_cache = None   # set by PagedKVCache when cache_pages > 0
+        # The prefix table: a radix tree with page-sized edges.
+        self._table: dict = {}      # key -> (page, prefix tokens, parent key)
+        self._key_of: dict = {}     # indexed page -> its key
+        self._children: dict = {}   # parent key -> {child key: None}
+        self._parked = OrderedDict()   # refcount-0 indexed pages, LRU first
+        self.evictions = 0      # parked pages freed (budget or demand)
 
     # -- accounting --------------------------------------------------------
 
@@ -230,27 +222,27 @@ class PagePool:
 
     @property
     def n_cached_pages(self) -> int:
-        """Refcount-0 pages retained by the prefix cache (reclaimable)."""
-        return len(self._cached_set)
+        """Parked pages: indexed, refcount 0, reclaimable."""
+        return len(self._parked)
 
     @property
     def n_available_pages(self) -> int:
         """Pages neither claimed nor reserved -- what admission can promise.
 
-        Cached pages count: they hold no live reference and the
+        Parked pages count: they hold no live reference and the
         allocator evicts them on demand, so a reservation backed by a
-        cached page is exactly as safe as one backed by a free page.
+        parked page is exactly as safe as one backed by a free page.
         """
-        return self.n_free_pages + len(self._cached_set) - self._reserved
+        return self.n_free_pages + len(self._parked) - self._reserved
 
     @property
     def n_pages_in_use(self) -> int:
         """Pages mapped by at least one live page table.
 
         Invariant: ``n_free_pages + n_pages_in_use + n_cached_pages ==
-        n_pages`` -- every page is exactly one of free, pinned, cached.
+        n_pages`` -- every page is exactly one of free, mapped, parked.
         """
-        return self.n_pages - self.n_free_pages - len(self._cached_set)
+        return self.n_pages - self.n_free_pages - len(self._parked)
 
     @property
     def n_shared_pages(self) -> int:
@@ -263,7 +255,7 @@ class PagePool:
         return self._n_shared
 
     def refcount(self, index: int) -> int:
-        """Number of page tables mapping page ``index`` (0 = free)."""
+        """Number of page tables mapping page ``index`` (0 = free or parked)."""
         return self._refcount[index]
 
     @property
@@ -280,23 +272,22 @@ class PagePool:
     def can_reserve(self, n_positions: int) -> bool:
         return self.pages_for(n_positions) <= self.n_available_pages
 
-    # -- page claims (called by PagedKVSlot) -------------------------------
+    # -- page transitions --------------------------------------------------
 
     def _claim_page(self, reserved: bool, home: int = -1) -> int:
         """Claim a free page; unreserved claims cannot eat into reservations.
 
         ``home`` (a page index, or -1 for none) is taken when it is
         free; otherwise a spare page, and only then another slot's home
-        page.  Cached (prefix-retained) pages are reclaimable: when no
-        page is free but cached pages exist, the LRU cache entry is
-        evicted to back the claim -- which is why cached pages may count
-        toward :attr:`n_available_pages` without weakening the
-        no-mid-decode-starvation guarantee.  A cached home page is never
-        evicted for being a home: eviction happens exactly when no page
-        is free, so the prefix cache's LRU order does not depend on
-        where homes lie.
+        page.  Parked pages are reclaimable: when no page is free, the
+        LRU head is evicted to back the claim -- which is why parked
+        pages may count toward :attr:`n_available_pages` without
+        weakening the no-mid-decode-starvation guarantee.  A parked home
+        page is never evicted for being a home: eviction happens exactly
+        when no page is free, so the LRU order does not depend on where
+        homes lie.
         """
-        claimable = self.n_free_pages + len(self._cached_set)
+        claimable = self.n_free_pages + len(self._parked)
         if claimable == 0:
             raise RuntimeError(
                 f"page pool exhausted ({self.n_pages} pages of "
@@ -311,60 +302,69 @@ class PagePool:
             index = home
         else:
             if not (self._free_spare or self._free_homes):
-                self.prefix_cache.evict_lru()
+                self._evict()
             index = (self._free_spare or self._free_homes).popitem()[0]
         self._refcount[index] = 1
         if reserved:
             self._reserved -= 1
         return index
 
-    # -- cached-page transitions (called by PrefixCache) --------------------
-
-    def _park_page(self, index: int) -> None:
-        """Sole-reference page -> cached: off the free list, refcount 0."""
-        if self._refcount[index] != 1:
-            raise ValueError(
-                f"cannot park page {index} with refcount "
-                f"{self._refcount[index]} (must be the sole reference)"
-            )
-        self._refcount[index] = 0
-        self._cached_set.add(index)
-
-    def _evict_page(self, index: int) -> None:
-        """Cached page -> free list (its K/V is forgotten)."""
-        if index not in self._cached_set:
-            raise ValueError(f"page {index} is not cached")
-        self._cached_set.discard(index)
-        self._push_free(index)
-
-    def _pin_page(self, index: int) -> None:
-        """Cached page -> claimed (refcount 1) with its K/V intact."""
-        if index not in self._cached_set:
-            raise ValueError(f"page {index} is not cached")
-        self._cached_set.discard(index)
-        self._refcount[index] = 1
-
     def _share_page(self, index: int) -> None:
-        """Add one page-table reference to an already-claimed page."""
-        if self._refcount[index] < 1:
+        """Add one page-table reference: shares a mapped page, pins a
+        parked one back to refcount 1 with its K/V intact."""
+        if index in self._parked:
+            del self._parked[index]
+        elif self._refcount[index] < 1:
             raise ValueError(f"cannot share free page {index}")
-        if self._refcount[index] == 1:
+        elif self._refcount[index] == 1:
             self._n_shared += 1
         self._refcount[index] += 1
 
     def _release_pages(self, pages) -> None:
-        """Drop one reference per page; free those that reach zero."""
+        """Drop one reference per page; a page reaching zero is parked
+        when indexed and the cache has a budget, else freed."""
         for index in pages:
-            if self._refcount[index] < 1 or self._is_free(index):
+            if self._refcount[index] < 1:
                 raise ValueError(f"page {index} released twice")
             if self._refcount[index] == 2:
                 self._n_shared -= 1
             self._refcount[index] -= 1
             if self._refcount[index] == 0:
-                self._push_free(index)
+                if self.cache_pages and index in self._key_of:
+                    self._park(index)
+                else:
+                    self._free_page(index)
 
-    def _push_free(self, index: int) -> None:
-        """Return ``index`` to the free stack its kind is claimed from."""
+    def _park(self, index: int) -> None:
+        """Mapped -> parked, as the LRU's newest entry.
+
+        Its parked ancestors are touched after it, so a chain's head is
+        always more recent than its tail and eviction breaks chains
+        tail-first instead of stranding a tail behind an aged-out head.
+        """
+        self._parked[index] = None
+        key = self._table[self._key_of[index]][2]
+        while key in self._table:
+            page, _, key = self._table[key]
+            if page in self._parked:
+                self._parked.move_to_end(page)
+        while len(self._parked) > self.cache_pages:
+            self._evict()
+
+    def _evict(self) -> None:
+        """Free the least-recently-parked page (its K/V is forgotten)."""
+        self._free_page(self._parked.popitem(last=False)[0])
+        self.evictions += 1
+
+    def _free_page(self, index: int) -> None:
+        """Unindex ``index`` and return it to the free stack of its kind."""
+        key = self._key_of.pop(index, None)
+        if key is not None:
+            parent = self._table.pop(key)[2]
+            siblings = self._children[parent]
+            del siblings[key]
+            if not siblings:
+                del self._children[parent]
         home = index < self.n_homes * self.home_run
         (self._free_homes if home else self._free_spare)[index] = None
 
@@ -389,262 +389,76 @@ class PagePool:
     def _cancel_reservation(self, n_pages: int) -> None:
         self._reserved -= n_pages
 
+    # -- the prefix table --------------------------------------------------
 
-class PrefixCache:
-    """LRU index of retired prompt-prefix pages, keyed by chained hash.
+    def _index(self, prefix: tuple, slot: "PagedKVSlot") -> None:
+        """Index the full pages of ``prefix``, which ``slot`` holds.
 
-    One entry per cached **page**: key ``i`` covers the page-aligned
-    prefix ``prompt[:(i + 1) * page_size]`` (:func:`chained_prefix_keys`,
-    the same scheme the resident ``PrefixIndex`` uses), and the entry
-    stores that full prefix tuple so hash collisions can never revive
-    the wrong K/V.  Per-page granularity is what makes the few-shot
-    workload work: a retired prompt's trailing pages mix shared-prefix
-    and request-specific tokens, and a later prompt matches exactly the
-    pages whose token history it shares -- the lookup walk stops at the
-    first divergence.
-
-    Lifecycle (all state transitions go through the pool, which owns the
-    ``free + in_use + cached == n_pages`` invariant):
-
-    * :meth:`park` -- at release, each full prompt-prefix page whose
-      refcount would drop to 0 is retained instead of freed.  Pages
-      still mapped by a resident sharer are released normally (the
-      resident is itself discoverable as a fork donor, and parking only
-      sole-reference pages keeps cached pages strictly refcount 0).
-    * :meth:`lookup` / :meth:`take` -- admission revives the longest
-      cached chain: entries are removed and their pages pinned back to
-      refcount 1.  Retirement re-parks them, so a hot prefix cycles
-      between pinned and cached without ever being re-prefilled.
-    * :meth:`evict_lru` -- drops the least-recently-parked entry, either
-      to honour the ``cache_pages`` budget or on demand when the pool's
-      free list runs dry.  Runs of one retirement are parked deepest
-      page first, so eviction sheds the request-specific tail of a
-      prefix family before the widely-shared head.
-    """
-
-    def __init__(self, pool: PagePool, cache_pages: int):
-        if cache_pages < 1:
-            raise ValueError(f"cache_pages must be >= 1, got {cache_pages}")
-        self.pool = pool
-        self.cache_pages = cache_pages
-        self._entries: OrderedDict = OrderedDict()  # key -> (page, prefix)
-        self._key_by_page: dict = {}                # page -> key
-        self.hits = 0            # lookups that matched >= 1 page
-        self.misses = 0          # lookups that matched nothing
-        self.evictions = 0       # pages dropped (budget or demand)
-        self.pages_parked = 0    # pages ever retained at release
-        self.pages_revived = 0   # pages ever pinned back into a slot
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    # -- park (release path) -----------------------------------------------
-
-    def park(self, slot: "PagedKVSlot", prompt_ids) -> int:
-        """Retain ``slot``'s full prompt-prefix pages; returns how many.
-
-        Every offered page is consumed -- parked, or released to the
-        free list when ineligible (still shared, duplicate key, or
-        budget-evicted) -- and removed from the slot's table, so the
-        caller's ``reset`` only returns the remaining tail.  Offered
-        deepest-first: under a tight budget the shallow pages every
-        prefix sibling shares displace this request's specific tail.
-
-        Only a **prefix-closed** run is offered: :meth:`lookup` walks
-        from page 0 and stops at the first missing entry, so a page
-        that can be neither parked (a resident sharer still maps it --
-        that sharer is the better, fork-able source anyway) nor is
-        already cached ends the run, and everything past it is released
-        outright rather than parked unreachable.
+        Walks the chain from page 0.  Where another page already holds
+        the same tokens, the slot maps that page and frees its own copy
+        (vLLM's block deduplication), so the chain stays findable for as
+        long as any sequence holding it lives.  The walk stops at a hash
+        collision (a key held for other tokens) or at a page already
+        indexed under another key, so every page it indexes hangs off an
+        indexed parent.
         """
-        prompt = tuple(int(t) for t in prompt_ids)
-        # Cap by the slot's *advanced* length, not just its table: a
-        # preempted sequence can retire mid-prefill with a trailing page
-        # claimed but only partially written, and a partial page parked
-        # under a full-page key would revive garbage positions.
-        n_full = min(len(prompt) // self.pool.page_size,
-                     len(slot.page_table),
-                     slot.length // self.pool.page_size)
-        if n_full == 0:
-            return 0
-        pool = self.pool
-        page_size = pool.page_size
-        keys = chained_prefix_keys(prompt[:n_full * page_size], page_size)
-        n_run = 0
-        for i in range(n_full):
-            if pool._refcount[slot.page_table[i]] == 1 or \
-                    keys[i] in self._entries:
-                n_run = i + 1
-            else:
-                break
-        parked = 0
-        for i in reversed(range(n_run)):
-            parked += self._offer(
-                keys[i], prompt[:(i + 1) * page_size], slot.page_table[i]
-            )
-        if n_run < n_full:
-            pool._release_pages(slot.page_table[n_run:n_full])
-        del slot.page_table[:n_full]
-        slot._home_len = 0
-        return parked
+        page_size = self.page_size
+        pages = slot.page_table
+        parent = 0
+        for i, key in enumerate(chained_prefix_keys(prefix, page_size)):
+            end = (i + 1) * page_size
+            entry = self._table.get(key)
+            if entry is None:
+                if pages[i] in self._key_of:
+                    return
+                self._table[key] = (pages[i], prefix[:end], parent)
+                self._key_of[pages[i]] = key
+                self._children.setdefault(parent, {})[key] = None
+            elif entry[1] != prefix[:end]:
+                return
+            elif entry[0] != pages[i]:
+                self._share_page(entry[0])
+                self._release_pages([pages[i]])
+                pages[i] = entry[0]
+                slot._home_len = min(slot._home_len, i)
+            parent = key
 
-    def _offer(self, key, prefix: tuple, page: int) -> bool:
-        """Drop one reference on ``page``; park it if it reaches zero."""
-        pool = self.pool
-        if key in self._entries:
-            # Already cached from another retirement: keep that entry,
-            # but refresh its recency -- offers run deepest-first, so
-            # the touch keeps a chain's head at least as recent as the
-            # deeper entries just parked behind it, and LRU eviction
-            # breaks chains tail-first instead of stranding a tail
-            # behind an aged-out head.
-            self._entries.move_to_end(key)
-            pool._release_pages([page])
-            return False
-        if pool._refcount[page] > 1:
-            # Still mapped by a resident sharer -- which the PrefixIndex
-            # already exposes as the better, fork-able source.
-            pool._release_pages([page])
-            return False
-        while len(self._entries) >= self.cache_pages:
-            self.evict_lru()
-        pool._park_page(page)
-        self._entries[key] = (page, prefix)
-        self._key_by_page[page] = key
-        self.pages_parked += 1
-        return True
+    def _match(self, prompt: tuple) -> tuple:
+        """Pages of the longest indexed prefix of ``prompt``, and its length.
 
-    # -- revive (admission path) -------------------------------------------
-
-    def lookup(self, prompt_ids) -> list:
-        """Cached pages of the longest aligned prefix of ``prompt_ids``.
-
-        Walks pages 0, 1, ... while the chained key hits and the stored
-        prefix tuple matches (collision guard); stops one page short of
-        covering the whole prompt so at least one token is left to
-        prefill for last-position logits.  Returns the page-index chain
-        (possibly empty); pass it unmodified to
-        :meth:`PagedKVCache.revive`.
+        Full pages by chained key while the stored tokens equal the
+        prompt's (the hash-collision guard), then the child page of the
+        last one that shares the most further tokens -- the source a
+        seat copies, a resident one on a tie.  The match covers at most
+        ``len(prompt) - 1`` tokens, so one is left to prefill for
+        last-position logits, and at least one full page, so a prompt no
+        longer than a page never matches.  Returns ``(pages, shared)``.
         """
-        prompt = tuple(int(t) for t in prompt_ids)
-        page_size = self.pool.page_size
-        cap = (len(prompt) - 1) // page_size
-        pages = []
-        key = 0
-        for i in range(cap):
-            key = hash((key, prompt[i * page_size:(i + 1) * page_size]))
-            entry = self._entries.get(key)
+        page_size = self.page_size
+        cap = len(prompt) - 1
+        pages, parent = [], 0
+        for i, key in enumerate(chained_prefix_keys(prompt[:cap], page_size)):
+            entry = self._table.get(key)
             if entry is None or entry[1] != prompt[:(i + 1) * page_size]:
                 break
             pages.append(entry[0])
-        if pages:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return pages
-
-    def take(self, pages) -> None:
-        """Remove ``pages`` from the cache and pin them (refcount 1)."""
-        for page in pages:
-            key = self._key_by_page.pop(page)
-            del self._entries[key]
-            self.pool._pin_page(page)
-            self.pages_revived += 1
-
-    # -- eviction ------------------------------------------------------------
-
-    def evict_lru(self) -> int:
-        """Free the least-recently-parked page; returns its index."""
-        if not self._entries:
-            raise RuntimeError("prefix cache is empty; nothing to evict")
-        key, (page, _) = self._entries.popitem(last=False)
-        del self._key_by_page[page]
-        self.pool._evict_page(page)
-        self.evictions += 1
-        return page
-
-
-class PrefixIndex:
-    """Hash index from page-aligned prompt prefixes to resident slots.
-
-    For every resident sequence the index stores one bucket per
-    page-aligned prefix of its prompt (``prompt[:k * page_size]``),
-    keyed by a **chained** per-page hash -- ``hash((prev_key,
-    page_tokens))``, vLLM block-hash style -- so all of a prompt's
-    bucket keys are computed in one O(len) pass rather than re-hashing
-    each prefix slice from scratch.  Lookup walks a new prompt's aligned
-    prefixes longest-first, verifies token equality on a hit (hashes can
-    collide), and then extends the match token by token past the last
-    aligned boundary -- the eager partial-page copy in
-    :meth:`PagedKVCache.fork` makes non-aligned share lengths safe.
-
-    Prompts shorter than one page are never matched: there is no aligned
-    prefix to bucket, and sub-page sharing would save neither a page nor
-    enough prefill to matter.
-    """
-
-    def __init__(self, page_size: int):
-        if page_size < 1:
-            raise ValueError(f"page_size must be >= 1, got {page_size}")
-        self.page_size = page_size
-        self._prompts: dict = {}    # slot index -> prompt tuple
-        self._buckets: dict = {}    # hash(aligned prefix) -> set of slots
-
-    def __len__(self) -> int:
-        return len(self._prompts)
-
-    def insert(self, slot_index: int, prompt_ids) -> None:
-        if slot_index in self._prompts:
-            raise ValueError(f"slot {slot_index} already indexed")
-        prompt = tuple(int(t) for t in prompt_ids)
-        self._prompts[slot_index] = prompt
-        for key in chained_prefix_keys(prompt, self.page_size):
-            self._buckets.setdefault(key, set()).add(slot_index)
-
-    def remove(self, slot_index: int):
-        """Forget ``slot_index``; returns its prompt tuple (None if absent)."""
-        prompt = self._prompts.pop(slot_index, None)
-        if prompt is None:
-            return None
-        for key in chained_prefix_keys(prompt, self.page_size):
-            bucket = self._buckets.get(key)
-            if bucket is not None:
-                bucket.discard(slot_index)
-                if not bucket:
-                    del self._buckets[key]
-        return prompt
-
-    def lookup(self, prompt_ids) -> tuple:
-        """``(slot_index, shared_len)`` of the longest shareable prefix.
-
-        ``shared_len`` is capped at ``len(prompt) - 1``: at least one
-        prompt token must be prefilled so the admission has last-position
-        logits to sample from.  Returns ``(None, 0)`` when no resident
-        prompt shares at least one full page.
-        """
-        prompt = tuple(int(t) for t in prompt_ids)
-        cap = len(prompt) - 1
-        keys = chained_prefix_keys(prompt, self.page_size)
-        keys = keys[:cap // self.page_size]
-        for i in range(len(keys) - 1, -1, -1):
-            end = (i + 1) * self.page_size
-            bucket = self._buckets.get(keys[i])
-            if not bucket:
-                continue
-            best_slot, best_shared = None, 0
-            for slot_index in bucket:
-                donor = self._prompts[slot_index]
-                if donor[:end] != prompt[:end]:     # hash-collision guard
-                    continue
-                shared = end
-                limit = min(cap, len(donor))
-                while shared < limit and donor[shared] == prompt[shared]:
-                    shared += 1
-                if shared > best_shared:
-                    best_slot, best_shared = slot_index, shared
-            if best_slot is not None:
-                return best_slot, best_shared
-        return None, 0
+            parent = key
+        shared = len(pages) * page_size
+        if not pages:
+            return pages, 0
+        limit = min(page_size, cap - shared)
+        source, best = -1, (0, False)   # (tokens matched, resident)
+        for key in self._children.get(parent, ()):
+            page, prefix, _ = self._table[key]
+            n = 0
+            while n < limit and prefix[shared + n] == prompt[shared + n]:
+                n += 1
+            rank = (n, self._refcount[page] > 0)
+            if n and rank > best and prefix[:shared] == prompt[:shared]:
+                source, best = page, rank
+        if source >= 0:
+            pages.append(source)
+        return pages, shared + best[0]
 
 
 class PagedKVSlot:
@@ -709,13 +523,13 @@ class PagedKVSlot:
                 self._reservation_left -= 1
 
     def _materialise_page(self, table_index: int) -> int:
-        """Copy-on-write: replace a shared page with an exclusive copy.
+        """Copy-on-write: replace a shared or indexed page with a copy.
 
         Claims an *unreserved* page (COW demand is beyond the slot's
         worst case, which charges only unshared pages; drawing the
         reservation down here would starve this slot's own future
-        appends), memcpys the shared page, and drops one reference on
-        it -- the other mappers keep their data untouched.
+        appends), memcpys the page, and drops one reference on it -- the
+        other mappers, and the prefix table, keep their data untouched.
         """
         pool = self._pool
         old = self.page_table[table_index]
@@ -731,11 +545,13 @@ class PagedKVSlot:
         """The exclusively-owned arena page behind ``table_index``.
 
         Claims pages up to ``table_index`` and breaks sharing
-        (copy-on-write) first, so the caller may write into it.
+        (copy-on-write) first, so the caller may write into it.  An
+        indexed page is copied too, even unshared: the prefix table
+        hands its K/V to any later prompt with the same tokens.
         """
         self._ensure_page(table_index)
         page = self.page_table[table_index]
-        if self._pool._refcount[page] > 1:
+        if self._pool._refcount[page] > 1 or page in self._pool._key_of:
             page = self._materialise_page(table_index)
         return page
 
@@ -814,10 +630,11 @@ class PagedKVSlot:
         ``pages_for(n_positions)`` drop one reference each -- a page a
         sharer still maps survives untouched (its refcount just
         decrements), so truncate can never free a forked sibling's
-        prefix.  Pages that *do* come free are re-credited to this
-        slot's reservation: the worst case the scheduler admitted
-        against still covers the rewound positions, so the slot must be
-        able to re-claim them without competing with other admissions.
+        prefix.  Pages that *do* come unmapped (freed or parked) are
+        re-credited to this slot's reservation: the worst case the
+        scheduler admitted against still covers the rewound positions,
+        so the slot must be able to re-claim them without competing with
+        other admissions.
         """
         if not 0 <= n_positions <= self.length:
             raise ValueError(
@@ -828,12 +645,12 @@ class PagedKVSlot:
         self._home_len = min(self._home_len, keep)
         dropped = self.page_table[keep:]
         if dropped:
-            free_before = self._pool.n_free_pages
+            in_use_before = self._pool.n_pages_in_use
             self._pool._release_pages(dropped)
-            freed = self._pool.n_free_pages - free_before
+            freed = in_use_before - self._pool.n_pages_in_use
             del self.page_table[keep:]
             if freed:
-                # The pages just joined the free list, so the reserve
+                # The pages just became reclaimable, so the reserve
                 # cannot fail; the credit keeps admission math exact.
                 self._pool._reserve(freed)
                 self._reservation_left += freed
@@ -854,16 +671,17 @@ class PagedKVSlot:
 class SeatPlan(NamedTuple):
     """Where a new sequence's prefix K/V will come from.
 
-    Built by :meth:`PagedKVCache.plan` / :meth:`PagedKVCache.fork_plan`
-    and consumed by :meth:`PagedKVCache.seat` in the same admission (a
-    revive plan's ``pages`` leave the prefix cache when seated).
+    Built by :meth:`PagedKVCache.plan` and consumed by
+    :meth:`PagedKVCache.seat` in the same admission.  ``pages`` is the
+    match: the full shared pages, then -- when ``shared`` ends mid-page
+    -- the page the seat copies that partial page from.
     """
 
     needed: int                   # worst-case positions the seat must back
     fits: bool                    # whether ``seat`` would succeed right now
     shared: int = 0               # prompt positions the seat already holds
-    donor: Optional[PagedKVSlot] = None    # resident slot to fork
-    pages: Sequence[int] = ()     # cached page chain to revive
+    resident: int = 0             # leading shared positions a live sequence maps
+    pages: Sequence[int] = ()     # matched pages (full ones, then a copy source)
 
 
 class PagedKVCache:
@@ -875,9 +693,9 @@ class PagedKVCache:
     ``n_slots * ceil(max_seq_len / page_size)``).  Pass a smaller
     ``n_pages`` to run under a memory budget: short sequences then leave
     pages for extra concurrent sequences instead of padding out unused
-    slot tails.  A :class:`PrefixIndex` over :meth:`register`-ed
-    prompts lets :meth:`plan` find fork donors; ``cache_pages`` sizes
-    the :class:`PrefixCache` it can revive from.
+    slot tails.  The pool's prefix table holds the :meth:`register`-ed
+    prompt pages that :meth:`plan` matches; ``cache_pages`` caps how
+    many of them stay parked once no sequence maps them.
     """
 
     def __init__(self, config: ModelConfig, n_slots: int,
@@ -887,25 +705,14 @@ class PagedKVCache:
             raise ValueError(f"n_slots must be >= 1, got {n_slots}")
         if page_size < 1:    # checked here: the division below comes first
             raise ValueError(f"page_size must be >= 1, got {page_size}")
-        if cache_pages < 0:
-            raise ValueError(f"cache_pages must be >= 0, got {cache_pages}")
         self.config = config
         self.n_slots = n_slots
         self.max_seq_len = max_seq_len or config.max_seq_len
         worst_case = -(-self.max_seq_len // page_size)
         n_pages = n_pages or n_slots * worst_case
         self.pool = PagePool(config, n_pages, page_size,
-                             min(n_slots, n_pages // worst_case), worst_case)
-        self.prefix_index = PrefixIndex(page_size)
-        self.prefix_cache = (
-            PrefixCache(self.pool, cache_pages) if cache_pages else None
-        )
-        if self.prefix_cache is not None:
-            # Weak back-reference (the pool only needs it to evict on
-            # demand): a strong one closes a pool <-> cache cycle that
-            # keeps both K/V arenas of a dropped cache alive until the
-            # next full garbage collection.
-            self.pool.prefix_cache = weakref.proxy(self.prefix_cache)
+                             min(n_slots, n_pages // worst_case), worst_case,
+                             cache_pages)
         self._slots = [PagedKVSlot(self.pool, i, self.max_seq_len)
                        for i in range(n_slots)]
         self._free = list(range(n_slots - 1, -1, -1))   # pop() -> lowest index
@@ -953,15 +760,14 @@ class PagedKVCache:
         """Longest sequence any single request could ever store."""
         return min(self.max_seq_len, self.pool.n_pages * self.page_size)
 
-    # -- seat preconditions (each list written once) -----------------------
+    # -- seat preconditions (written once) ---------------------------------
 
     def unshared_page_demand(self, shared_positions: int,
                              max_positions: int) -> int:
         """Pages a seat must be able to claim or reserve right now.
 
-        The full pages of a shared prefix come free -- a fork maps the
-        donor's by reference, a revive's are already resident in the
-        cache -- so everything else (the eager copy of a fork's partial
+        The full pages of a shared prefix come free -- they are already
+        mapped or parked -- so everything else (the copy of a partial
         trailing page plus the unshared worst case) must be backed by
         available pages.
         """
@@ -969,81 +775,39 @@ class PagedKVCache:
         total = min(max_positions or shared_positions, self.max_seq_len)
         return max(self.pool.pages_for(total) - full_shared, 0)
 
-    def _seat_error(self, max_positions: int, available: int,
-                    shared_positions: int = 0, kind: str = "shared"):
-        """Why a sequence holding ``shared_positions`` cannot be seated now.
+    def _seat_error(self, plan: SeatPlan):
+        """Why ``plan`` cannot be seated now; the exception, or None.
 
-        The preconditions all three seats share (a cold seat shares 0
-        positions); returns the exception to raise, or None.
+        Pinning takes a plan's parked pages -- the copy source too, for
+        the length of the copy -- out of the reclaimable set, so the
+        unshared demand is checked against what remains after the pins.
         """
-        if max_positions and max_positions < shared_positions:
+        pool = self.pool
+        if plan.needed and plan.needed < plan.shared:
             return ValueError(
-                f"max_positions {max_positions} is below the {kind} "
-                f"prefix length {shared_positions}"
+                f"max_positions {plan.needed} is below the shared prefix "
+                f"length {plan.shared}"
             )
         if not self._free:
             return RuntimeError("no free KV slots")
-        demand = self.unshared_page_demand(shared_positions, max_positions)
+        if len(plan.pages) != pool.pages_for(plan.shared) or \
+                any(pool._is_free(page) for page in plan.pages):
+            return ValueError("stale plan: its pages no longer hold the "
+                              f"{plan.shared} shared positions")
+        available = pool.n_available_pages - sum(
+            1 for page in plan.pages if page in pool._parked)
+        demand = self.unshared_page_demand(plan.shared, plan.needed)
         if demand > available:
             return RuntimeError(
-                f"cannot seat a {max_positions or shared_positions}-position "
-                f"sequence: needs {demand} pages beyond its "
-                f"{shared_positions} {kind} positions, {available} "
-                f"available of {self.pool.n_pages}"
+                f"cannot seat a {plan.needed or plan.shared}-position "
+                f"sequence: needs {demand} pages beyond its {plan.shared} "
+                f"shared positions, {available} available of {pool.n_pages}"
             )
         return None
 
-    def _fork_error(self, donor: PagedKVSlot, shared_positions: int,
-                    max_positions: int):
-        if donor._pool is not self.pool:
-            return ValueError("donor slot belongs to a different cache")
-        if donor.index in self._free_set:
-            return ValueError(f"donor slot {donor.index} is not allocated")
-        if not 0 < shared_positions <= donor.length:
-            return ValueError(
-                f"shared_positions must be in [1, {donor.length}] "
-                f"(donor length), got {shared_positions}"
-            )
-        return self._seat_error(max_positions, self.pool.n_available_pages,
-                                shared_positions)
-
-    def _revive_error(self, n_cached_pages: int, max_positions: int):
-        if self.prefix_cache is None:
-            return RuntimeError(
-                "cache built without cache_pages > 0 cannot revive"
-            )
-        if n_cached_pages < 1:
-            return ValueError("revive needs at least one cached page")
-        revived = n_cached_pages * self.page_size
-        if revived > self.max_seq_len:
-            return ValueError(
-                f"revived prefix length {revived} exceeds max_seq_len "
-                f"{self.max_seq_len}"
-            )
-        # Pinning removes the revived pages from the reclaimable set, so
-        # the unshared demand is checked against the availability that
-        # remains *after* the pin.
-        return self._seat_error(
-            max_positions, self.pool.n_available_pages - n_cached_pages,
-            revived, kind="revived",
-        )
-
     def can_admit(self, n_positions: int) -> bool:
         """Whether a worst-case ``n_positions`` request fits right now."""
-        return self._seat_error(
-            n_positions, self.pool.n_available_pages
-        ) is None
-
-    def can_fork(self, donor: PagedKVSlot, shared_positions: int,
-                 max_positions: int = 0) -> bool:
-        """Whether :meth:`fork` with these arguments would succeed now."""
-        return self._fork_error(
-            donor, shared_positions, max_positions
-        ) is None
-
-    def can_revive(self, n_cached_pages: int, max_positions: int = 0) -> bool:
-        """Whether :meth:`revive` of that many cached pages fits now."""
-        return self._revive_error(n_cached_pages, max_positions) is None
+        return self._seat_error(SeatPlan(n_positions, True)) is None
 
     # -- slot management ---------------------------------------------------
 
@@ -1065,72 +829,12 @@ class PagedKVCache:
         purely lazily, which is fine for direct engine use but forfeits
         the no-mid-decode-starvation guarantee the scheduler relies on.
         """
-        error = self._seat_error(max_positions, self.pool.n_available_pages)
+        error = self._seat_error(SeatPlan(max_positions, True))
         if error is not None:
             raise error
         slot = self._take_slot()
         if max_positions:
             slot.reserve(max_positions)
-        return slot
-
-    def fork(self, donor: PagedKVSlot, shared_positions: int,
-             max_positions: int = 0) -> PagedKVSlot:
-        """Map a new slot onto the donor's first ``shared_positions``.
-
-        Full pages of the shared prefix are mapped **by reference**
-        (refcount bumped); a partial trailing page is **copied eagerly**
-        so every shared page stays full and immutable.  The new slot
-        starts at ``length == shared_positions`` -- its K/V for those
-        positions is the donor's, bit for bit -- and ``max_positions``
-        reserves only the *unshared* worst case (shared full pages are
-        already resident).
-
-        Raises rather than partially forking when the donor is stale,
-        the geometry is inconsistent, or the pool cannot back the
-        unshared demand.
-        """
-        error = self._fork_error(donor, shared_positions, max_positions)
-        if error is not None:
-            raise error
-        full_shared, partial = divmod(shared_positions, self.page_size)
-        slot = self._take_slot()
-        for page in donor.page_table[:full_shared]:
-            self.pool._share_page(page)
-            slot._push(page)
-        if max_positions:
-            slot.reserve(max_positions)   # charges only beyond the table
-        if partial:
-            slot._ensure_page(full_shared)
-            new = slot.page_table[full_shared]
-            old = donor.page_table[full_shared]
-            self.pool.keys[:, new] = self.pool.keys[:, old]
-            self.pool.values[:, new] = self.pool.values[:, old]
-        slot.length = shared_positions
-        return slot
-
-    def revive(self, pages, max_positions: int = 0) -> PagedKVSlot:
-        """Re-pin a cached prefix chain into a fresh slot.
-
-        ``pages`` must come from :meth:`plan` (or
-        :meth:`PrefixCache.lookup`) in the same admission -- the chain
-        is consumed: entries leave the cache, each page's refcount goes
-        0 -> 1 in the new slot's table, and the slot starts at ``length
-        == len(pages) * page_size`` holding the exact K/V the original
-        prefill wrote (cached sharing is page-granular -- unlike a fork
-        there is no donor to copy a partial trailing page from).
-        ``max_positions`` reserves only the worst case beyond the
-        revived pages, like a fork.
-        """
-        error = self._revive_error(len(pages), max_positions)
-        if error is not None:
-            raise error
-        self.prefix_cache.take(pages)
-        slot = self._take_slot()
-        for page in pages:
-            slot._push(page)
-        if max_positions:
-            slot.reserve(max_positions)   # charges only beyond the chain
-        slot.length = len(pages) * self.page_size
         return slot
 
     def holds(self, slot: PagedKVSlot) -> bool:
@@ -1140,27 +844,22 @@ class PagedKVCache:
     def release(self, slot: PagedKVSlot, prompt_ids=None) -> None:
         """Return a slot, its pages, and any unused reservation.
 
-        With an active prefix cache, the slot's full prompt-prefix pages
-        are *parked* (:meth:`PrefixCache.park`) instead of freed, so a
-        later request sharing the prefix can revive them.  The parking
-        key is the prompt :meth:`register` recorded, unless the caller
-        names one: a preempting scheduler passes the *prefilled prompt
-        prefix* (possibly shorter than the prompt when a sequence is
-        evicted mid-prefill, before it was registered).  Only
-        prefill-path positions may be parked -- decode positions go
-        through the sparse executor, so their K/V is not the pure
-        function of the tokens that revival assumes.  With neither a
-        prompt nor a prefix cache this is a plain release.
+        Indexed pages the slot was the last to map are parked, not
+        freed, while ``cache_pages`` allows.  A preempting scheduler
+        passes the *prefilled prompt prefix* as ``prompt_ids`` (possibly
+        shorter than the prompt when a sequence is evicted mid-prefill,
+        before it was registered), which indexes its full pages first,
+        as :meth:`register` does.  Only prefill-path positions may be
+        indexed -- decode positions go through the sparse executor, so
+        their K/V is not the pure function of the tokens that sharing
+        assumes.
         """
         if slot._pool is not self.pool:
             raise ValueError("slot belongs to a different cache")
         if slot.index in self._free_set:
             raise ValueError(f"slot {slot.index} released twice")
-        registered = self.prefix_index.remove(slot.index)
-        if prompt_ids is None:
-            prompt_ids = registered
-        if prompt_ids is not None and self.prefix_cache is not None:
-            self.prefix_cache.park(slot, prompt_ids)
+        if prompt_ids is not None:
+            self.register(slot, prompt_ids)
         slot.reset()
         self._free.append(slot.index)
         self._free_set.add(slot.index)
@@ -1168,48 +867,71 @@ class PagedKVCache:
     # -- seating: where a new sequence's prefix comes from -----------------
 
     def register(self, slot: PagedKVSlot, prompt_ids) -> None:
-        """Make a just-prefilled sequence's prompt findable as a donor."""
-        self.prefix_index.insert(slot.index, prompt_ids)
+        """Index a just-prefilled prompt's full pages for later matches.
 
-    def fork_plan(self, prompt_ids, needed: int = 0) -> SeatPlan:
-        """The resident-donor stage of :meth:`plan`, on its own.
-
-        The donor is the registered sequence whose prompt shares the
-        longest prefix with ``prompt_ids`` (at least one full page, at
-        most ``len(prompt_ids) - 1`` so one token is left to prefill
-        for last-position logits); ``donor is None`` when there is
-        none, and ``fits`` says whether forking it can be backed now.
+        Capped by the slot's *advanced* length: a preempted sequence can
+        retire mid-prefill with a trailing page claimed but only
+        partially written, and a partial page indexed under a full-page
+        key would share garbage positions.
         """
-        if len(prompt_ids) < 2:
-            return SeatPlan(needed, False)
-        index, shared = self.prefix_index.lookup(prompt_ids)
-        if index is None:
-            return SeatPlan(needed, False)
-        donor = self._slots[index]
-        return SeatPlan(needed, self.can_fork(donor, shared, needed),
-                        shared, donor)
+        prompt = tuple(int(t) for t in prompt_ids)
+        n_full = min(len(prompt), slot.length) // self.page_size
+        self.pool._index(prompt[:n_full * self.page_size], slot)
 
     def plan(self, prompt_ids, needed: int = 0) -> SeatPlan:
         """How to seat a ``needed``-position sequence with this prompt.
 
-        The cascade, cheapest first: fork a resident donor, else revive
-        the longest cached chain, else allocate cold (``shared == 0``;
-        the only plan that can come back with ``fits=False``).
+        One lookup: the longest token match over every indexed page,
+        resident or parked (:meth:`PagePool._match`); ``shared == 0``
+        means a cold seat.
         """
-        fork = self.fork_plan(prompt_ids, needed)
-        if fork.fits:
-            return fork
-        if self.prefix_cache is not None and len(prompt_ids) >= 2:
-            pages = self.prefix_cache.lookup(prompt_ids)
-            if self.can_revive(len(pages), needed):
-                return SeatPlan(needed, True, len(pages) * self.page_size,
-                                None, pages)
-        return SeatPlan(needed, self.can_admit(needed))
+        pool, page_size = self.pool, self.page_size
+        pages, shared = pool._match(tuple(int(t) for t in prompt_ids))
+        plan = SeatPlan(needed, True, shared, 0, tuple(pages))
+        error = self._seat_error(plan)
+        if error is not None and shared % page_size and \
+                pages[-1] in pool._parked:
+            # A parked copy source that is the last claimable page
+            # cannot also back its copy: seat the full pages only.
+            plan = plan._replace(shared=shared - shared % page_size,
+                                 pages=plan.pages[:-1])
+            error = self._seat_error(plan)
+        resident = 0
+        for page in plan.pages:
+            if not pool._refcount[page]:
+                break
+            resident = min(resident + page_size, plan.shared)
+        return plan._replace(fits=error is None, resident=resident)
 
     def seat(self, plan: SeatPlan) -> PagedKVSlot:
-        """Claim the slot ``plan`` describes; ``length == plan.shared``."""
-        if plan.donor is not None:
-            return self.fork(plan.donor, plan.shared, plan.needed)
-        if plan.pages:
-            return self.revive(plan.pages, plan.needed)
-        return self.allocate(plan.needed)
+        """Claim the slot ``plan`` describes; ``length == plan.shared``.
+
+        Maps each full matched page -- a share if resident, a pin if
+        parked -- and eagerly copies the partial trailing page, so every
+        shared page stays full and immutable.  The copy source is pinned
+        across the claim of its destination, which may evict the LRU
+        head.  ``plan.needed`` reserves only the worst case beyond the
+        full shared pages.
+        """
+        if not plan.pages:
+            return self.allocate(plan.needed)
+        error = self._seat_error(plan)
+        if error is not None:
+            raise error
+        pool = self.pool
+        full, partial = divmod(plan.shared, self.page_size)
+        slot = self._take_slot()
+        for page in plan.pages:
+            pool._share_page(page)
+        for page in plan.pages[:full]:
+            slot._push(page)
+        if plan.needed:
+            slot.reserve(plan.needed)   # charges only beyond the table
+        if partial:
+            slot._ensure_page(full)
+            new, old = slot.page_table[full], plan.pages[full]
+            pool.keys[:, new] = pool.keys[:, old]
+            pool.values[:, new] = pool.values[:, old]
+            pool._release_pages([old])
+        slot.length = plan.shared
+        return slot

@@ -45,7 +45,7 @@ Pieces:
   prefill and keep the decode batch's sign patterns correlated so the
   intersection decays slower than the independent ``skip^B``;
   ``cache_pages > 0`` extends sharing across non-overlapping lifetimes
-  (both mechanisms are the KV store's, see
+  (both are the KV store's one prefix table, see
   :mod:`repro.model.paged_kvcache`).
 * :mod:`repro.serving.speculative` -- :class:`SpecConfig`: speculative
   self-drafting (``speculation=...`` on the scheduler).  The
@@ -67,7 +67,6 @@ Pieces:
 knob and every ``ServeReport`` telemetry field.
 """
 
-from ..model.paged_kvcache import PrefixIndex
 from ..model.sampler import BatchedSampler, Sampler, SamplerConfig
 from .batch_mlp import BatchedMLPStats, BatchedSparseInferMLP
 from .engine import BatchedEngine
@@ -96,7 +95,6 @@ __all__ = [
     "LoadGenerator",
     "OnOffProcess",
     "PoissonProcess",
-    "PrefixIndex",
     "Request",
     "RequestQueue",
     "Sampler",

@@ -20,8 +20,9 @@ which row-MLP runs:
   batch-aware sparse MLP.  A row never sees its partners' lengths.
 
 The engine is the forward pass only.  Which slot a sequence gets, and
-where its prompt-prefix K/V comes from (a fork of a resident sequence,
-or a revive from the ``cache_pages`` prefix cache), is the KV store's
+where its prompt-prefix K/V comes from (the longest match in the
+prefix table, over pages live sequences map and pages parked under
+``cache_pages``), is the KV store's
 business -- callers seat and retire sequences through ``engine.cache``
 (``plan`` / ``seat`` / ``register`` / ``release``, see
 :mod:`repro.model.paged_kvcache`).  That changes *where* K/V comes from
@@ -102,14 +103,14 @@ class BatchedEngine:
         worst case at once).  Short requests hold only the pages they
         touch, so a smaller budget still co-schedules many of them.
     cache_pages:
-        Forwarded to the KV store: when > 0, keep up to this many
-        retired prompt-prefix pages alive in an LRU
-        :class:`~repro.model.paged_kvcache.PrefixCache` (carved out of
-        ``n_pages``, reclaimable on demand) so same-prefix requests
-        whose lifetimes never overlap can still share; 0 (the default)
-        is bit-identical to no cache.  Resident prompts are always
-        indexed, so an admission can fork a resident sequence's KV
-        pages (copy-on-write) instead of re-prefilling a shared prefix.
+        Forwarded to the KV store: caps the parked pages of its prefix
+        table -- indexed prompt pages no live sequence maps, kept in an
+        LRU (carved out of ``n_pages``, reclaimable on demand) so
+        same-prefix requests whose lifetimes never overlap can still
+        share.  0 (the default) frees them at once and keeps resident
+        matching only: prompts are always indexed, so an admission can
+        map a live sequence's prefix pages (copy-on-write) instead of
+        re-prefilling them.
     sampling:
         Default :class:`~repro.model.sampler.SamplerConfig` for
         requests that do not carry their own ``Request.sampling``.

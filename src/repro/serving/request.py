@@ -160,10 +160,10 @@ class Request:
 
         Positions inside the common prefix attend over identical token
         context, so their cached K/V is bit-identical across the two
-        requests and shareable via ``PagedKVCache.fork``.  Convenience
-        for workload analysis and tests; the KV store's
-        :class:`~repro.model.paged_kvcache.PrefixIndex` performs the
-        equivalent matching inline over its page-aligned hash buckets.
+        requests and shareable through ``PagedKVCache.seat``.
+        Convenience for workload analysis and tests; the KV store's
+        ``PagedKVCache.plan`` performs the equivalent matching inline
+        over its prefix table, page by page.
         """
         n = 0
         for a, b in zip(self.prompt_ids, other_prompt_ids):

@@ -16,9 +16,9 @@ Each scheduler tick:
    or a prefill.  Planning and seating are the KV store's
    (:meth:`~repro.model.paged_kvcache.PagedKVCache.plan` /
    :meth:`~repro.model.paged_kvcache.PagedKVCache.seat`): the plan says
-   how many prompt positions the seat already holds (forked from a
-   resident donor, revived from the prefix cache, or none) and the
-   scheduler prefills only the rest;
+   how many prompt positions the seat already holds (the longest match
+   in the prefix table, resident or parked, or none) and the scheduler
+   prefills only the rest;
 3. run one batched decode step over all active sequences and sample
    every sequence's next token in **one** vectorised
    :class:`~repro.model.sampler.BatchedSampler` call over the stacked
@@ -43,11 +43,12 @@ queue head; ``"prefix"`` and ``"deadline"`` re-order the first
 the head has been bypassed ``admission_window - 1`` admissions in a row
 it *must* be the next admission (a window of 1 is FIFO order).
 *Prefix* (correlation-aware) admission may prefer a request sharing a
-*live* prompt prefix with a resident: its seat is a fork (charged only
-its unshared worst case, its shared prefill skipped) and keeps the
-decode batch's sign patterns correlated, which slows the ``skip^B``
-intersection decay (:func:`repro.gpu.batching.batch_skip_fraction` with
-``correlation > 0``).  *Deadline* admission picks the earliest TTFT
+*live* prompt prefix with a resident: its seat shares the resident's
+pages (charged only its unshared worst case, its shared prefill
+skipped) and keeps the decode batch's sign patterns correlated, which
+slows the ``skip^B`` intersection decay
+(:func:`repro.gpu.batching.batch_skip_fraction` with ``correlation >
+0``).  *Deadline* admission picks the earliest TTFT
 deadline (``submit tick + slo.ttft_steps``; a resumed evictee that
 already emitted is ranked by its next ITL deadline, and requests
 without an :class:`~repro.serving.request.SLOSpec` rank last at
@@ -70,17 +71,18 @@ by the budget, not by the longest queued prompt.  Splitting prefill at
 scheduler-chosen boundaries and packing the pieces reuse the engine's
 prefill guarantee (token-identical at any chunk boundaries and pack
 composition) -- so every budget produces the same tokens per request.
-A prompt is registered as a fork donor only once its prefill is done,
-so requests admitted in the same tick never fork from each other.
+A prompt's pages enter the prefix table only once its prefill is done,
+so requests admitted in the same tick never share with each other.
 
 **Preemption.**  With ``preemption=True``, a page- or slot-starved
 admission whose head outranks a resident (strictly greater
 :attr:`~repro.serving.request.Request.priority`) evicts the
-lowest-priority resident: the victim's KV pages are released (its
-*prefilled prompt prefix* is parked in the engine's prefix cache when
-one is configured, so restoration is usually a revive), its sequence
-record is parked slot-less, and the request is re-enqueued **ahead of
-FIFO order** via :meth:`~repro.serving.queue.RequestQueue.push_front`.
+lowest-priority resident: the victim's KV pages are released (the
+full pages of its *prefilled prompt prefix* enter the prefix table and
+stay parked when ``cache_pages`` allows, so restoration is usually a
+revive), its sequence record is parked slot-less, and the request is
+re-enqueued **ahead of FIFO order** via
+:meth:`~repro.serving.queue.RequestQueue.push_front`.
 Resume re-seats that same record: it restores the prompt through the
 normal plan -> seat path and then *replays* the already-generated
 tokens through the decode path (the sparse executor
@@ -227,15 +229,15 @@ class ServeReport:
     ``peak_pages_in_use`` bounds the budget a replay would need.
 
     Prefix-sharing telemetry: ``forked_admissions`` counts requests
-    admitted by forking a resident donor, ``prefill_tokens_saved`` sums
-    the shared positions whose prefill those forks skipped, and the
-    ``shared_pages`` fields track physical pages mapped by more than one
-    sequence.
+    whose prefix-table match lies on resident pages only (a *fork*),
+    ``prefill_tokens_saved`` sums the shared positions whose prefill
+    those forks skipped, and the ``shared_pages`` fields track physical
+    pages mapped by more than one sequence.
 
     Prefix-cache telemetry (engine runs ``cache_pages > 0``):
-    ``revived_admissions`` counts admissions served by re-pinning
-    retired prefix pages, ``revived_tokens`` sums the prompt positions
-    those revives did not re-prefill, ``cache_evictions`` counts cached
+    ``revived_admissions`` counts admissions whose match pins at least
+    one parked page, ``revived_tokens`` sums the prompt positions
+    those revives did not re-prefill, ``cache_evictions`` counts parked
     pages reclaimed (LRU budget or on-demand by the allocator), and the
     ``cached_pages`` fields track how much of the cache budget actually
     held pages per tick.  ``intersection_skip`` is the realised cross-sequence skip
@@ -308,14 +310,14 @@ class ServeReport:
     n_pages: int = 0                   # KV page-arena budget
     page_occupancy_sum: int = 0        # sum of pages in use over decode steps
     peak_pages_in_use: int = 0
-    forked_admissions: int = 0         # admissions served by a KV fork
+    forked_admissions: int = 0         # admissions sharing resident pages
     prefill_tokens_saved: int = 0      # prompt positions reused, not re-run
     shared_pages_sum: int = 0          # sum of shared pages over decode steps
     peak_shared_pages: int = 0
-    cache_pages: int = 0               # prefix-cache budget (0 = disabled)
-    revived_admissions: int = 0        # admissions served from the cache
+    cache_pages: int = 0               # parked-page budget (0 = none kept)
+    revived_admissions: int = 0        # admissions pinning parked pages
     revived_tokens: int = 0            # prompt positions revived, not re-run
-    cache_evictions: int = 0           # cached pages reclaimed (LRU/demand)
+    cache_evictions: int = 0           # parked pages reclaimed (LRU/demand)
     cached_pages_sum: int = 0          # sum of cached pages over decode steps
     peak_cached_pages: int = 0
     intersection_skip: float = 0.0     # realised cross-sequence skip
@@ -382,7 +384,7 @@ class ServeReport:
 
     @property
     def prefill_cache_fraction(self) -> float:
-        """Fraction of prompt positions revived from the prefix cache."""
+        """Fraction of prompt positions revived from parked pages."""
         total = self.total_prompt_tokens
         return self.revived_tokens / total if total else 0.0
 
@@ -573,13 +575,10 @@ class ContinuousBatchingScheduler:
             step_budget=step_budget,
             admission=admission,
         )
-        # The prefix cache's eviction counter is cumulative across the
-        # engine's lifetime; snapshot it so a reused engine still yields
-        # per-run telemetry.
-        prefix_cache = engine.cache.prefix_cache
-        self._evictions_baseline = (
-            prefix_cache.evictions if prefix_cache is not None else 0
-        )
+        # The pool's eviction counter is cumulative across the engine's
+        # lifetime; snapshot it so a reused engine still yields per-run
+        # telemetry.
+        self._evictions_baseline = engine.cache.pool.evictions
         # So are its sparse-MLP skip counters (a reused or pre-warmed
         # engine).
         self._skip_baseline = replace(engine.sparse.stats)
@@ -803,12 +802,12 @@ class ContinuousBatchingScheduler:
         nothing can be admitted this tick.  Under ``admission="prefix"``
         a request later in the window is chosen only when it shares a
         live prefix *longer* than whatever the head's plan already
-        skips (fork or revive), its fork fits, and the head has not yet
-        been bypassed ``admission_window - 1`` times in a row -- after
-        that the head is guaranteed to be the next admission, bounding
-        starvation.  Window jumps stay donor-based: their
-        point is co-scheduling correlated sign patterns with a *live*
-        sharer, which a cached (retired) prefix cannot offer.
+        skips, its plan fits, and the head has not yet been bypassed
+        ``admission_window - 1`` times in a row -- after that the head is
+        guaranteed to be the next admission, bounding starvation.  Only
+        a plan's *resident* positions count for a jump: its point is
+        co-scheduling correlated sign patterns with a live sharer, which
+        a parked prefix cannot offer.
         """
         cache = self.engine.cache
         plan = cache.plan(head.prompt_ids, self._worst_case_positions(head))
@@ -822,12 +821,12 @@ class ContinuousBatchingScheduler:
                 if request.max_new_tokens == 0 or \
                         self._capacity_error(request) is not None:
                     continue   # handled (cheaply) when it reaches the head
-                fork = cache.fork_plan(
+                jump = cache.plan(
                     request.prompt_ids, self._worst_case_positions(request)
                 )
-                if fork.fits and fork.shared > best_shared:
-                    best = (i, request, fork)
-                    best_shared = fork.shared
+                if jump.fits and jump.resident > best_shared:
+                    best = (i, request, jump)
+                    best_shared = jump.resident
         return best
 
     # -- deadlines (admission="deadline") ----------------------------------
@@ -1028,10 +1027,10 @@ class ContinuousBatchingScheduler:
         per-tick pieces in :meth:`_run_restoration`.
         """
         slot = self.engine.cache.seat(plan)
-        if plan.donor is not None:
+        if plan.shared and plan.resident == plan.shared:
             self.report.forked_admissions += 1
             self.report.prefill_tokens_saved += plan.shared
-        elif plan.pages:
+        elif plan.shared:
             # A preempted sequence's parked prompt usually resumes here.
             self.report.revived_admissions += 1
             self.report.revived_tokens += plan.shared
@@ -1150,9 +1149,9 @@ class ContinuousBatchingScheduler:
 
         Only the *prefilled prompt prefix* (``prompt_ids[:slot.length]``
         -- the whole prompt for a decoding resident, a prefix for one
-        caught mid-restoration) is offered for parking: generated
-        positions carry decode-path K/V that must never be shared or
-        revived through prompt hashing.  The request itself goes back to
+        caught mid-restoration) is indexed for sharing: generated
+        positions carry decode-path K/V that must never be shared
+        through prompt hashing.  The request itself goes back to
         the queue via the caller; the slot-less sequence waits in
         ``_resume_state`` with its emitted tokens and telemetry.  The
         request's sampler RNG stream is deliberately **kept**:
@@ -1238,7 +1237,7 @@ class ContinuousBatchingScheduler:
         if tick:
             report.cached_pages_sum += cached
         report.cache_evictions = (
-            cache.prefix_cache.evictions - self._evictions_baseline
+            cache.pool.evictions - self._evictions_baseline
         )
 
     def step(self) -> List[Completion]:

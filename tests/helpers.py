@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.core.engine import build_engine
+from repro.model.paged_kvcache import SeatPlan
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
@@ -102,3 +103,15 @@ def assert_batch1_decode_bit_identical(engine, slot, oracle, token,
         ref_step = oracle.forward_token(token, oracle.cache.length)
         np.testing.assert_array_equal(step[0], ref_step)
         token = int(np.argmax(ref_step))
+
+
+def fork_from(cache, donor, shared, max_positions=0):
+    """Seat a new slot on ``donor``'s first ``shared`` positions.
+
+    The plan :meth:`~repro.model.paged_kvcache.PagedKVCache.plan` would
+    build had the prefix table matched the donor: its full pages are
+    mapped by reference, and a partial trailing page is copied.
+    """
+    assert 0 < shared <= donor.length
+    pages = tuple(donor.page_table[:cache.pages_for(shared)])
+    return cache.seat(SeatPlan(max_positions, True, shared, shared, pages))

@@ -176,7 +176,7 @@ class TestSlotPairingRule:
                         return self.pool.allocate(n)
 
                     def finally_guard(self):
-                        slot = self.engine.cache.fork(donor, 4)
+                        slot = self.engine.cache.seat(plan)
                         try:
                             out = self.engine.decode_step([slot], [1])
                         finally:
@@ -184,7 +184,7 @@ class TestSlotPairingRule:
                         return out
 
                     def branchy_release(self, keep):
-                        slot = self.engine.cache.revive(pages)
+                        slot = self.engine.cache.allocate(n)
                         if keep:
                             self.residents.append(slot)
                         else:

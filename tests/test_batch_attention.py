@@ -30,11 +30,12 @@ from repro.serving.engine import BatchedEngine
 from helpers import (
     assert_batch1_decode_bit_identical,
     assert_prefill_logits_match,
+    fork_from,
     oracle_tokens,
 )
 
 # 17 tokens: spans at least one full page at every page_size <= 16 in
-# the sweep, so the prefix index can match it.
+# the sweep, so the prefix table can match it.
 SHARED_PREFIX = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2)
 MIXED_PROMPTS = [
     (2, 7, 1),
@@ -141,7 +142,7 @@ class TestOracleEquivalence:
             )
         slot_a = engine.cache.allocate()
         logits_a = engine.prefill(slot_a, prompts[0])
-        slot_b = engine.cache.fork(slot_a, len(SHARED_PREFIX))
+        slot_b = fork_from(engine.cache, slot_a, len(SHARED_PREFIX))
         logits_b = engine.prefill(slot_b, prompts[1][len(SHARED_PREFIX):])
 
         oracles = [build_engine(micro_weights) for _ in prompts]
@@ -394,7 +395,7 @@ class TestHomeRunStack:
         if fork:
             # Shares the donor's first 9 positions: two full pages by
             # reference and a copied partial page, so not a home run.
-            slot = cache.fork(slots[2], 9)
+            slot = fork_from(cache, slots[2], 9)
             tokens.append(int(np.argmax(engine.prefill(slot, (1, 1, 2)))))
             slots.append(slot)
         slots, tokens = slots[::-1], tokens[::-1]   # not in slot order
@@ -652,7 +653,7 @@ class TestChunkedPrefill:
                                           page_size=3)
             donor = engine.cache.allocate()
             forward(engine, donor, donor_prompt)
-            slot = engine.cache.fork(donor, len(SHARED_PREFIX))
+            slot = fork_from(engine.cache, donor, len(SHARED_PREFIX))
             # Positions 17..19: the copied partial page, then a new one.
             results.append((slot, forward(engine, slot, [7, 1, 4])))
         _assert_chunks_close(*results, n_layers=micro_weights.config.n_layers)
@@ -682,7 +683,7 @@ def _pack_scenario(engine, scenario):
     else:
         donor = alloc()
         engine.prefill(donor, SHARED_PREFIX + (8, 2))
-        slots = [alloc(), engine.cache.fork(donor, len(SHARED_PREFIX)),
+        slots = [alloc(), fork_from(engine.cache, donor, len(SHARED_PREFIX)),
                  donor]
         pieces = [MIXED_PROMPTS[4], (7, 1, 4, 9), (6, 5, 3)]
     return slots, [list(piece) for piece in pieces]

@@ -29,10 +29,12 @@ RETIRED_ENGINE_KNOBS = {
 
 #: Counters and trace targets of the padded batch > 1 decode stack,
 #: deleted when decode began attending each slot as a ragged one-row
-#: segment, and of the batch-1 decode fork (``forward_token_single``,
-#: which the engine no longer imports) that went when batch 1 joined
-#: the same pass: the benchmark reads these counters as ``None`` and
-#: records the spans with zero calls.  Exactly these may be missing.
+#: segment, of the batch-1 decode fork (``forward_token_single``, which
+#: the engine no longer imports) that went when batch 1 joined the same
+#: pass, and of ``PagedKVCache.fork`` / ``.revive``, which became the
+#: one ``seat`` of a prefix-table match: the benchmark reads these
+#: counters as ``None`` and records the spans with zero calls.  Exactly
+#: these may be missing.
 RETIRED_COUNTERS = [
     "mean_buckets_per_step", "padded_positions", "padding_waste_share",
 ]
@@ -41,6 +43,8 @@ RETIRED_SPANS = [
     "model.batch_attention.plan_step",
     "model.batch_attention.attend_layer",
     "model.paged_kvcache.gather",
+    "model.paged_kvcache.fork",
+    "model.paged_kvcache.revive",
 ]
 
 

@@ -18,6 +18,7 @@ from repro.serving import ContinuousBatchingScheduler, Request
 from helpers import (
     assert_batch1_decode_bit_identical,
     assert_prefill_logits_match,
+    fork_from,
     oracle_tokens,
 )
 
@@ -212,7 +213,7 @@ class TestPagedKVSlot:
         cache.pool.write(0, donor.cells(0, 8), np.ones((8, d)),
                          np.ones((8, d)))
         donor.advance(8)
-        fork = cache.fork(donor, 8)               # both pages shared
+        fork = fork_from(cache, donor, 8)               # both pages shared
         cache.pool.write(0, fork.cells(2, 6), np.full((6, d), 7.0),
                          np.full((6, d), 7.0))
         assert fork.page_table[0] != donor.page_table[0]   # COW, per page
@@ -291,7 +292,7 @@ class TestHomePages:
         d = micro_config.d_model
         donor = cache.allocate()
         self._write(donor, range(4), d)
-        fork = cache.fork(donor, 4)
+        fork = fork_from(cache, donor, 4)
         assert (donor.page_table, fork.page_table) == ([0, 1], [0, 1])
         fork.append(0, np.zeros(d), np.zeros(d), 1)     # COW of page 0
         assert fork.page_table == [8, 1]
@@ -313,7 +314,7 @@ class TestHomePages:
         self._write(again, range(3), d)
         assert again.page_table == [8, 9]
         assert cache.n_cached_pages == 2
-        assert cache.prefix_cache.evictions == 0
+        assert cache.pool.evictions == 0
 
     def test_truncate_keeps_the_home_run(self, micro_config):
         cache = self._cache(micro_config)
@@ -426,7 +427,7 @@ class TestPrefixSharingEquivalence:
                                           page_size=page_size)
             slot_a = forked.cache.allocate()
             logits_a = forked.prefill(slot_a, self.PROMPT_A)
-            slot_b = forked.cache.fork(slot_a, shared, worst)
+            slot_b = fork_from(forked.cache, slot_a, shared, worst)
             assert slot_b.length == shared
             # The shared positions are the donor's K/V, bit for bit.
             for layer in range(micro_weights.config.n_layers):
@@ -466,7 +467,7 @@ class TestPrefixSharingEquivalence:
                                       page_size=4)
         slot_a = engine.cache.allocate()
         engine.prefill(slot_a, self.PROMPT_A)
-        slot_b = engine.cache.fork(slot_a, 8)          # 2 full pages shared
+        slot_b = fork_from(engine.cache, slot_a, 8)          # 2 full pages shared
         assert engine.cache.n_shared_pages == 2
         assert slot_b.page_table[:2] == slot_a.page_table[:2]
         engine.prefill(slot_b, self.SUFFIX)           # appends past prefix
@@ -504,7 +505,7 @@ class TestSharedPrefixFootprint:
             for layer in range(micro_config.n_layers):
                 donor.append(layer, np.zeros(d), np.zeros(d), pos)
             donor.advance()
-        forks = [cache.fork(donor, 10) for _ in range(2)]
+        forks = [fork_from(cache, donor, 10) for _ in range(2)]
         for slot in forks:
             for pos in range(10, 22):
                 for layer in range(micro_config.n_layers):

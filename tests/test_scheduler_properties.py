@@ -62,7 +62,7 @@ def check_pool_invariants(engine, scheduler) -> None:
     assert pool.n_free_pages + pool.n_pages_in_use + pool.n_cached_pages \
         == pool.n_pages
     assert 0 <= pool._reserved <= pool.n_free_pages + pool.n_cached_pages
-    assert not any(pool._is_free(page) for page in pool._cached_set)
+    assert not any(pool._is_free(page) for page in pool._parked)
     refs = Counter()
     for seq in scheduler.active:
         refs.update(seq.slot.page_table)
@@ -71,7 +71,7 @@ def check_pool_invariants(engine, scheduler) -> None:
             f"page {page}: refcount {pool.refcount(page)} != "
             f"{refs.get(page, 0)} live table references"
         )
-        unmapped = pool._is_free(page) or page in pool._cached_set
+        unmapped = pool._is_free(page) or page in pool._parked
         # A page a live sequence still maps must never be freed or
         # parked -- the preemption-vs-sharer property.
         assert unmapped == (refs.get(page, 0) == 0)

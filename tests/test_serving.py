@@ -16,7 +16,6 @@ from repro.core.predictor import SparseInferPredictor
 from repro.core.signpack import pack_signs, xor_popcount
 from repro.gpu.batching import batch_skip_fraction
 from repro.model.mlp import DenseMLP
-from repro.model.paged_kvcache import PrefixIndex
 from repro.model.weights import random_weights
 from repro.serving import (
     BatchedEngine,
@@ -217,9 +216,11 @@ class TestBatchedEngineEquivalence:
             "revive_slot", "_resident", "_prefix_index",
         )
         assert [name for name in removed if hasattr(BatchedEngine, name)] == []
-        assert not hasattr(engine_module, "PrefixIndex")
         assert not hasattr(engine_module, "_SingleView")
-        assert serving.PrefixIndex is paged_kvcache.PrefixIndex
+        # One prefix table, owned by the KV store's pool.
+        assert not hasattr(serving, "PrefixIndex")
+        assert [name for name in ("PrefixIndex", "PrefixCache")
+                if hasattr(paged_kvcache, name)] == []
 
 
 class TestEngineFrontDoor:
@@ -810,42 +811,6 @@ class TestEmptyQueueError:
         assert scheduler.idle
 
 
-class TestPrefixIndex:
-    def test_insert_lookup_longest_and_cap(self):
-        index = PrefixIndex(page_size=4)
-        index.insert(0, (1, 2, 3, 4, 5, 6, 7, 8))
-        index.insert(1, (1, 2, 3, 4, 9, 9, 9, 9))
-        # Longest sharer wins; extension runs past the aligned boundary.
-        slot, shared = index.lookup((1, 2, 3, 4, 5, 6, 7, 8, 7))
-        assert (slot, shared) == (0, 8)
-        # The last prompt token is never shared (logits must come from
-        # a real prefill).
-        slot, shared = index.lookup((1, 2, 3, 4, 5, 6, 7, 8))
-        assert (slot, shared) == (0, 7)
-        slot, shared = index.lookup((1, 2, 3, 4, 9, 9, 2))
-        assert (slot, shared) == (1, 6)
-
-    def test_sub_page_prompts_never_match(self):
-        index = PrefixIndex(page_size=8)
-        index.insert(0, (1, 2, 3, 4, 5, 6, 7, 8))
-        assert index.lookup((1, 2, 3, 4)) == (None, 0)
-        index_small = PrefixIndex(page_size=8)
-        index_small.insert(1, (1, 2, 3))       # prompt shorter than a page
-        assert index_small.lookup((1, 2, 3, 4, 5, 6, 7, 8, 9)) == (None, 0)
-
-    def test_remove_unregisters_all_buckets(self):
-        index = PrefixIndex(page_size=2)
-        index.insert(0, (1, 2, 3, 4, 5, 6))
-        index.remove(0)
-        assert index.lookup((1, 2, 3, 4, 5, 6, 7)) == (None, 0)
-        assert len(index) == 0
-        assert index._buckets == {}
-        index.remove(0)                        # idempotent
-        index.insert(0, (1, 2, 3, 4))
-        with pytest.raises(ValueError, match="already indexed"):
-            index.insert(0, (9, 9))
-
-
 def shared_prefix_requests(base, n, prefix_len, suffix_len=1,
                            max_new_tokens=4, start_id=0):
     """Requests whose prompts all share ``base[:prefix_len]``."""
@@ -986,10 +951,11 @@ class TestCorrelationAwareScheduler:
         slot = engine.cache.allocate()
         engine.prefill(slot, self.BASE[:8])
         engine.cache.register(slot, self.BASE[:8])
-        plan = engine.cache.fork_plan(self.BASE[:8] + (5,))
-        assert plan.donor is slot and plan.shared == 8 and plan.fits
+        plan = engine.cache.plan(self.BASE[:8] + (5,))
+        assert plan.pages == tuple(slot.page_table[:2])
+        assert plan.shared == plan.resident == 8 and plan.fits
         engine.cache.release(slot)
-        assert engine.cache.fork_plan(self.BASE[:8] + (5,)).donor is None
+        assert engine.cache.plan(self.BASE[:8] + (5,)).shared == 0
 
     def test_admission_window_validation(self, micro_weights):
         engine = build_batched_engine(micro_weights, max_batch_size=1)
@@ -1347,9 +1313,9 @@ def drain_bursty(engine, requests):
     """Drain requests one at a time (non-overlapping lifetimes).
 
     Each request is fully decoded before the next is submitted, so no
-    sequence is ever resident when its successor is admitted -- the
-    resident ``PrefixIndex`` can never match, and only the cross-request
-    prefix cache can save prefill.  One scheduler accumulates the report
+    sequence is ever resident when its successor is admitted -- only
+    pages parked in the prefix table (``cache_pages > 0``) can save
+    prefill.  One scheduler accumulates the report
     across bursts.
     """
     scheduler = ContinuousBatchingScheduler(engine)
@@ -1425,8 +1391,8 @@ class TestPrefixCache:
             assert got[request.request_id] == expect
 
     def test_resident_donor_preferred_over_cache(self, micro_weights):
-        """Lookup order: a live donor forks even when the cache holds
-        the same prefix."""
+        """A revived prefix is mapped by a live sequence from then on, so
+        the next admission sharing it is a fork, not a second revive."""
         requests = shared_prefix_requests(self.BASE, 3, 8, suffix_len=2,
                                           max_new_tokens=6)
         engine = self._engine(micro_weights, 8, max_batch_size=2)
@@ -1464,8 +1430,8 @@ class TestPrefixCache:
         engine = self._engine(micro_weights, 8)
         report = drain_bursty(engine, [request])
         plan = engine.cache.plan(prompt)
-        assert plan.shared == 4                  # 1 page, not 2
-        assert len(plan.pages) == 1
+        assert plan.shared == 7                  # 1 page + a 3-token copy
+        assert len(plan.pages) == 2
         ref = build_engine(micro_weights)
         engine2 = self._engine(micro_weights, 8)
         rep = drain_bursty(engine2, [
@@ -1476,5 +1442,5 @@ class TestPrefixCache:
         for completion in rep.completions:
             assert completion.generated_ids == expect
         assert rep.revived_admissions == 1
-        assert rep.revived_tokens == 4
+        assert rep.revived_tokens == 7
 
