@@ -55,37 +55,39 @@ Sequences with a common prompt prefix map the *same* physical pages:
   it, and releasing a page decrements it, so releasing one sharer can
   never free a page another still maps.
 
-* The pool's **prefix table** indexes full prompt pages by the chained
-  per-page hash of the tokens up to their end
-  (:func:`chained_prefix_keys`, vLLM block-hash style) and lists each
-  key's child pages under it: a radix tree with page-sized edges, as in
-  SGLang's RadixAttention.  Causal attention makes a full prompt page's
-  K/V a pure function of those tokens, so an indexed page is valid for
-  *any* prompt that shares them.  A page enters at
-  :meth:`PagedKVCache.register` (or at ``release`` with ``prompt_ids``,
-  for a sequence preempted mid-prefill) and leaves only when it is
-  freed.
+* The pool's **prefix table** indexes prompt pages by the chained
+  per-page hash of the tokens up to their end (:func:`chained_prefix_keys`,
+  vLLM block-hash style) and lists each key's child pages under it: a
+  radix tree with page-sized edges, as in SGLang's RadixAttention.  An
+  entry stores the page, its own tokens and its parent's key.  Causal
+  attention makes a prompt page's K/V a pure function of the tokens up
+  to it, so an indexed page is valid for *any* prompt that shares them.
+  A live prompt's partial last page is indexed too, as a leaf holding
+  only its prompt tokens.  A page enters at :meth:`PagedKVCache.register`
+  (or at ``release`` with ``prompt_ids``, for a sequence preempted
+  mid-prefill) and leaves when it is freed.
 
 * A page's refcount alone says whether an indexed page is *resident*
   (> 0) or *parked* (0: off the free list, in the pool's LRU, which
-  holds at most ``cache_pages`` pages).  Parked pages are reclaimable:
-  they count toward :attr:`PagePool.n_available_pages`, and a claim
-  that finds no free page evicts the LRU head, so reservations still
-  hold.  A parked page's parked ancestors are always more recent, so
-  eviction breaks a chain tail first.  ``cache_pages = 0`` (the default)
-  frees a page when its refcount reaches 0, which keeps resident
-  matching only.  The pool-level invariant is ``free + in_use + cached
-  == n_pages``.
+  holds at most ``cache_pages`` full pages; a partial page is freed).
+  Parked pages are reclaimable: they count toward
+  :attr:`PagePool.n_available_pages`, and a claim that finds no free
+  page evicts the LRU head, so reservations still hold.  A parked
+  page's parked ancestors are always more recent, so eviction breaks a
+  chain tail first.  ``cache_pages = 0`` (the default) frees a page
+  when its refcount reaches 0, which keeps resident matching only.
+  The pool-level invariant is ``free + in_use + cached == n_pages``.
 
 * **Seating (plan -> seat -> register -> release).**
   :meth:`PagedKVCache.plan` walks the prompt's chain once and takes the
   longest token match over every indexed page, whatever its refcount:
-  full pages by key, then the child page that shares the most further
-  tokens.  It returns a :class:`SeatPlan` saying how many prompt
-  positions the seat will already hold and whether the pool can back
-  the rest.  :meth:`PagedKVCache.seat` maps each full matched page (a
-  share if resident, a pin if parked) and **eagerly copies** the page
-  where the match ends mid-page, pinning the source across the copy so
+  full pages by key, then the child page (full, or a live prompt's
+  partial last page) that shares the most further tokens.  It returns
+  a :class:`SeatPlan` saying how many prompt positions the seat will
+  already hold and whether the pool can back the rest.
+  :meth:`PagedKVCache.seat` maps each full matched page (a share if
+  resident, a pin if parked) and **eagerly copies** the page where the
+  match ends mid-page, pinning the source across the copy so
   that claiming the destination cannot evict it.  Shared pages are
   therefore always full, and the new sequence's writes -- which only
   ever land at ``position >= shared`` -- go to pages it owns.  The seat
@@ -93,11 +95,11 @@ Sequences with a common prompt prefix map the *same* physical pages:
   admission of correlated requests gets strictly cheaper.
 
 * ``append`` still guards with **copy-on-write**: a write landing on a
-  shared or indexed page first claims a fresh page, memcpys the old
-  page's contents, drops one reference on it, and retargets the slot's
-  table entry.  The engine path never triggers it (see above); it exists
-  so direct cache users rewriting history cannot corrupt a sibling
-  sequence or the table.
+  shared page, or on an indexed page's tokens, first claims a fresh
+  page, memcpys the old page's contents, drops one reference on it,
+  and retargets the slot's table entry.  The engine path never
+  triggers it (see above); it exists so direct cache users rewriting
+  history cannot corrupt a sibling sequence or the table.
 
 Every path preserves the serving engine's numerical contract (stated in
 ``docs/serving.md``, with the architecture walkthrough and the full
@@ -207,7 +209,7 @@ class PagePool:
         self._refcount = [0] * n_pages   # page tables mapping each page
         self._n_shared = 0      # pages with refcount > 1 (O(1) telemetry)
         # The prefix table: a radix tree with page-sized edges.
-        self._table: dict = {}      # key -> (page, prefix tokens, parent key)
+        self._table: dict = {}      # key -> (page, its tokens, parent key)
         self._key_of: dict = {}     # indexed page -> its key
         self._children: dict = {}   # parent key -> {child key: None}
         self._parked = OrderedDict()   # refcount-0 indexed pages, LRU first
@@ -322,7 +324,9 @@ class PagePool:
 
     def _release_pages(self, pages) -> None:
         """Drop one reference per page; a page reaching zero is parked
-        when indexed and the cache has a budget, else freed."""
+        when it is an indexed full page and the cache has a budget, else
+        freed: a prompt's partial last page is matched only while its
+        sequence lives."""
         for index in pages:
             if self._refcount[index] < 1:
                 raise ValueError(f"page {index} released twice")
@@ -330,7 +334,9 @@ class PagePool:
                 self._n_shared -= 1
             self._refcount[index] -= 1
             if self._refcount[index] == 0:
-                if self.cache_pages and index in self._key_of:
+                key = self._key_of.get(index)
+                if self.cache_pages and key is not None and \
+                        len(self._table[key][1]) == self.page_size:
                     self._park(index)
                 else:
                     self._free_page(index)
@@ -357,16 +363,34 @@ class PagePool:
         self.evictions += 1
 
     def _free_page(self, index: int) -> None:
-        """Unindex ``index`` and return it to the free stack of its kind."""
-        key = self._key_of.pop(index, None)
+        """Return ``index`` to the free stack of its kind, unindexed.
+
+        Every entry below it leaves the table too, and parked pages
+        among them are freed: a lookup reaches a page only through its
+        parent.  This keeps every indexed page hanging off an indexed
+        parent, which is what lets a lookup verify a page by its own
+        tokens and its parent key.
+        """
+        freed = [index]
+        key = self._key_of.get(index)
         if key is not None:
-            parent = self._table.pop(key)[2]
+            parent = self._table[key][2]
             siblings = self._children[parent]
             del siblings[key]
             if not siblings:
                 del self._children[parent]
-        home = index < self.n_homes * self.home_run
-        (self._free_homes if home else self._free_spare)[index] = None
+            below = [key]
+            while below:
+                key = below.pop()
+                page = self._table.pop(key)[0]
+                del self._key_of[page]
+                below.extend(self._children.pop(key, ()))
+                if page in self._parked:
+                    del self._parked[page]
+                    freed.append(page)
+        for page in freed:
+            home = page < self.n_homes * self.home_run
+            (self._free_homes if home else self._free_spare)[page] = None
 
     def _is_free(self, index: int) -> bool:
         return index in self._free_homes or index in self._free_spare
@@ -391,30 +415,35 @@ class PagePool:
 
     # -- the prefix table --------------------------------------------------
 
-    def _index(self, prefix: tuple, slot: "PagedKVSlot") -> None:
-        """Index the full pages of ``prefix``, which ``slot`` holds.
+    def _add_entry(self, key, page: int, tokens: tuple, parent) -> None:
+        self._table[key] = (page, tokens, parent)
+        self._key_of[page] = key
+        self._children.setdefault(parent, {})[key] = None
+
+    def _index(self, prompt: tuple, slot: "PagedKVSlot") -> None:
+        """Index ``prompt``'s pages, which ``slot`` holds.
 
         Walks the chain from page 0.  Where another page already holds
         the same tokens, the slot maps that page and frees its own copy
         (vLLM's block deduplication), so the chain stays findable for as
         long as any sequence holding it lives.  The walk stops at a hash
-        collision (a key held for other tokens) or at a page already
-        indexed under another key, so every page it indexes hangs off an
-        indexed parent.
+        collision (a key held for other tokens or under another parent)
+        or at a page already indexed under another key.  A partial last
+        page is indexed as a leaf holding only the prompt's tokens in
+        it, for matches that end inside it.
         """
         page_size = self.page_size
         pages = slot.page_table
         parent = 0
-        for i, key in enumerate(chained_prefix_keys(prefix, page_size)):
-            end = (i + 1) * page_size
+        n_full = len(prompt) // page_size
+        for i, key in enumerate(chained_prefix_keys(prompt, page_size)):
+            tokens = prompt[i * page_size:(i + 1) * page_size]
             entry = self._table.get(key)
             if entry is None:
                 if pages[i] in self._key_of:
                     return
-                self._table[key] = (pages[i], prefix[:end], parent)
-                self._key_of[pages[i]] = key
-                self._children.setdefault(parent, {})[key] = None
-            elif entry[1] != prefix[:end]:
+                self._add_entry(key, pages[i], tokens, parent)
+            elif entry[1:] != (tokens, parent):
                 return
             elif entry[0] != pages[i]:
                 self._share_page(entry[0])
@@ -422,39 +451,50 @@ class PagePool:
                 pages[i] = entry[0]
                 slot._home_len = min(slot._home_len, i)
             parent = key
+        tokens = prompt[n_full * page_size:]
+        if n_full and tokens:
+            key = hash((parent, tokens))
+            if key not in self._table and pages[n_full] not in self._key_of:
+                self._add_entry(key, pages[n_full], tokens, parent)
 
     def _match(self, prompt: tuple) -> tuple:
         """Pages of the longest indexed prefix of ``prompt``, and its length.
 
-        Full pages by chained key while the stored tokens equal the
-        prompt's (the hash-collision guard), then the child page of the
-        last one that shares the most further tokens -- the source a
-        seat copies, a resident one on a tie.  The match covers at most
-        ``len(prompt) - 1`` tokens, so one is left to prefill for
-        last-position logits, and at least one full page, so a prompt no
-        longer than a page never matches.  Returns ``(pages, shared)``.
+        Full pages by chained key while each entry holds the prompt's
+        tokens under the page matched before it (the hash-collision
+        guard), then the child of the last one -- a full page or a live
+        prompt's partial last page -- that shares the most further
+        tokens: the source a seat copies, a resident one on a tie.  The
+        match covers at most ``len(prompt) - 1`` tokens, so one is left
+        to prefill for last-position logits, and at least one full page,
+        so a prompt no longer than a page never matches.  Returns
+        ``(pages, shared)``.
         """
         page_size = self.page_size
         cap = len(prompt) - 1
         pages, parent = [], 0
         for i, key in enumerate(chained_prefix_keys(prompt[:cap], page_size)):
             entry = self._table.get(key)
-            if entry is None or entry[1] != prompt[:(i + 1) * page_size]:
+            if entry is None or \
+                    entry[1:] != (prompt[i * page_size:(i + 1) * page_size],
+                                  parent):
                 break
             pages.append(entry[0])
             parent = key
-        shared = len(pages) * page_size
         if not pages:
             return pages, 0
-        limit = min(page_size, cap - shared)
+        shared = len(pages) * page_size
+        rest = prompt[shared:min(cap, shared + page_size)]
         source, best = -1, (0, False)   # (tokens matched, resident)
         for key in self._children.get(parent, ()):
-            page, prefix, _ = self._table[key]
+            page, tokens, _ = self._table[key]
             n = 0
-            while n < limit and prefix[shared + n] == prompt[shared + n]:
+            for have, want in zip(tokens, rest):
+                if have != want:
+                    break
                 n += 1
             rank = (n, self._refcount[page] > 0)
-            if n and rank > best and prefix[:shared] == prompt[:shared]:
+            if n and rank > best:
                 source, best = page, rank
         if source >= 0:
             pages.append(source)
@@ -541,17 +581,23 @@ class PagedKVSlot:
         self._home_len = min(self._home_len, table_index)
         return new
 
-    def _writable_page(self, table_index: int) -> int:
+    def _writable_page(self, table_index: int, offset: int) -> int:
         """The exclusively-owned arena page behind ``table_index``.
 
         Claims pages up to ``table_index`` and breaks sharing
-        (copy-on-write) first, so the caller may write into it.  An
-        indexed page is copied too, even unshared: the prefix table
-        hands its K/V to any later prompt with the same tokens.
+        (copy-on-write) first, so the caller may write into it from
+        ``offset`` on.  An indexed page is copied too, even unshared,
+        when ``offset`` lies among its indexed tokens: the prefix table
+        hands their K/V to any later prompt with the same tokens.  A
+        live prompt's partial last page is indexed for its prompt
+        positions only, so decoding past them writes in place.
         """
         self._ensure_page(table_index)
+        pool = self._pool
         page = self.page_table[table_index]
-        if self._pool._refcount[page] > 1 or page in self._pool._key_of:
+        key = pool._key_of.get(page)
+        if pool._refcount[page] > 1 or \
+                (key is not None and offset < len(pool._table[key][1])):
             page = self._materialise_page(table_index)
         return page
 
@@ -562,7 +608,7 @@ class PagedKVSlot:
                 f"position {position} exceeds slot capacity {self.max_seq_len}"
             )
         table_index, offset = divmod(position, self._pool.page_size)
-        page = self._writable_page(table_index)
+        page = self._writable_page(table_index, offset)
         self._pool.keys[layer, page, offset] = k
         self._pool.values[layer, page, offset] = v
 
@@ -586,7 +632,8 @@ class PagedKVSlot:
         while position < end:
             table_index, offset = divmod(position, page_size)
             n = min(page_size - offset, end - position)
-            first = self._writable_page(table_index) * page_size + offset
+            first = (self._writable_page(table_index, offset) * page_size
+                     + offset)
             cells.extend(range(first, first + n))
             position += n
         return cells
@@ -867,16 +914,15 @@ class PagedKVCache:
     # -- seating: where a new sequence's prefix comes from -----------------
 
     def register(self, slot: PagedKVSlot, prompt_ids) -> None:
-        """Index a just-prefilled prompt's full pages for later matches.
+        """Index a just-prefilled prompt's pages for later matches.
 
         Capped by the slot's *advanced* length: a preempted sequence can
         retire mid-prefill with a trailing page claimed but only
-        partially written, and a partial page indexed under a full-page
-        key would share garbage positions.
+        partially written, and indexing unwritten positions would share
+        garbage.
         """
         prompt = tuple(int(t) for t in prompt_ids)
-        n_full = min(len(prompt), slot.length) // self.page_size
-        self.pool._index(prompt[:n_full * self.page_size], slot)
+        self.pool._index(prompt[:slot.length], slot)
 
     def plan(self, prompt_ids, needed: int = 0) -> SeatPlan:
         """How to seat a ``needed``-position sequence with this prompt.

@@ -105,8 +105,8 @@ def assert_batch1_decode_bit_identical(engine, slot, oracle, token,
         token = int(np.argmax(ref_step))
 
 
-def fork_from(cache, donor, shared, max_positions=0):
-    """Seat a new slot on ``donor``'s first ``shared`` positions.
+def donor_plan(cache, donor, shared, max_positions=0):
+    """The plan seating a new slot on ``donor``'s first ``shared`` positions.
 
     The plan :meth:`~repro.model.paged_kvcache.PagedKVCache.plan` would
     build had the prefix table matched the donor: its full pages are
@@ -114,4 +114,10 @@ def fork_from(cache, donor, shared, max_positions=0):
     """
     assert 0 < shared <= donor.length
     pages = tuple(donor.page_table[:cache.pages_for(shared)])
-    return cache.seat(SeatPlan(max_positions, True, shared, shared, pages))
+    return SeatPlan(max_positions, True, shared, shared, pages)
+
+
+def fork_from(cache, donor, shared, max_positions=0):
+    """Seat :func:`donor_plan`: a new slot on ``donor``'s first ``shared``
+    positions."""
+    return cache.seat(donor_plan(cache, donor, shared, max_positions))

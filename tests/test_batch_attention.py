@@ -133,6 +133,16 @@ class TestOracleEquivalence:
         if 1 < batch_size < len(requests) and page_size <= 16:
             assert report.forked_admissions > 0
 
+    def test_sharer_seats_a_live_prompts_partial_last_page(self,
+                                                          micro_weights):
+        """Request 6 (``SHARED_PREFIX + (4,)``) shares all 17 positions
+        of ``SHARED_PREFIX`` with a live donor even though, at page size
+        16, the last of them lies in the donor's partial last page."""
+        _, report = drain(micro_weights, make_requests(), max_batch_size=4,
+                          page_size=16)
+        assert report.forked_admissions == 1
+        assert report.prefill_tokens_saved == len(SHARED_PREFIX)
+
     def test_just_forked_sharer_in_decode_batch(self, micro_weights):
         """Donor + fresh fork decode together: each row matches the
         oracle fed the same tokens."""

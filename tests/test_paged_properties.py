@@ -12,8 +12,9 @@ of the expected contents, asserting after every operation:
 * every page's refcount equals the number of live page tables mapping
   it; exactly the refcount-0 pages are free or parked;
 * the prefix table holds one page per key and one key per page, only
-  pages that are not free, and each indexed page's K/V is its tokens;
-  the LRU holds only refcount-0 indexed pages, at most ``cache_pages``;
+  pages that are not free, every entry under the root or an entry
+  holding a full page, and each indexed page's K/V is its tokens; the
+  LRU holds only refcount-0 indexed pages, at most ``cache_pages``;
 * releasing a forked slot never frees (or corrupts) a page its donor
   still maps, and LRU eviction under page pressure never touches a
   mapped page -- every surviving slot's K/V always matches the model;
@@ -35,7 +36,7 @@ import pytest
 import repro.model.paged_kvcache as paged_kvcache
 from repro.model.paged_kvcache import PagedKVCache, SeatPlan
 
-from helpers import fork_from
+from helpers import donor_plan, fork_from
 
 N_SLOTS = 4
 N_PAGES = 10
@@ -67,6 +68,11 @@ def check_invariants(cache: PagedKVCache, live: dict) -> None:
     assert {(parent, key) for key, (_, _, parent) in table.items()} == \
         {(parent, key) for parent, children in pool._children.items()
          for key in children}
+    # Closed under parents: every entry hangs off the root or an entry
+    # holding a full page, and only leaves hold partial pages.
+    for page, tokens, parent in table.values():
+        assert parent == 0 or len(table[parent][1]) == pool.page_size
+        assert 0 < len(tokens) <= pool.page_size
     # The LRU holds only refcount-0 indexed pages, within its budget.
     assert all(pool.refcount(page) == 0 and page in pool._key_of
                for page in pool._parked)
@@ -84,12 +90,13 @@ def check_contents(cache: PagedKVCache, live: dict, n_layers: int) -> None:
             np.testing.assert_array_equal(keys[:, 0], np.array(stamps))
             np.testing.assert_array_equal(values[:, 0], -np.array(stamps))
     pool = cache.pool
-    for page, prefix, _ in pool._table.values():
-        tokens = np.array(prefix[-pool.page_size:], dtype=float)
+    for page, tokens, _ in pool._table.values():
+        n = len(tokens)
+        tokens = np.array(tokens, dtype=float)
         for layer in range(n_layers):
-            np.testing.assert_array_equal(pool.keys[layer, page, :, 0],
+            np.testing.assert_array_equal(pool.keys[layer, page, :n, 0],
                                           tokens)
-            np.testing.assert_array_equal(pool.values[layer, page, :, 0],
+            np.testing.assert_array_equal(pool.values[layer, page, :n, 0],
                                           -tokens)
 
 
@@ -131,13 +138,14 @@ def test_random_interleavings_hold_invariants(micro_config, page_size, seed):
             donor, donor_stamps = donors[int(rng.integers(len(donors)))]
             shared = int(rng.integers(1, donor.length + 1))
             max_positions = int(rng.choice([0, shared, max_seq_len]))
-            try:
-                slot = fork_from(cache, donor, shared, max_positions)
-            except RuntimeError:
-                pass      # no free slot or pages; the failed seat is a no-op
-            else:
-                assert slot.length == shared
-                live[slot.index] = (slot, list(donor_stamps[:shared]))
+            plan = donor_plan(cache, donor, shared, max_positions)
+            if cache._seat_error(plan) is not None:
+                with pytest.raises((RuntimeError, ValueError)):
+                    cache.seat(plan)
+                continue
+            slot = cache.seat(plan)
+            assert slot.length == shared
+            live[slot.index] = (slot, list(donor_stamps[:shared]))
         elif op == "append":
             growable = [(s, st) for s, st in live.values()
                         if s.length < max_seq_len]
@@ -450,12 +458,13 @@ def test_random_interleavings_with_prefix_table(micro_config, page_size,
             donor, donor_stamps = donors[int(rng.integers(len(donors)))]
             shared = int(rng.integers(1, donor.length + 1))
             max_positions = int(rng.choice([0, shared, max_seq_len]))
-            try:
-                slot = fork_from(cache, donor, shared, max_positions)
-            except RuntimeError:
-                pass      # no free slot or pages; the failed seat is a no-op
-            else:
-                live[slot.index] = (slot, list(donor_stamps[:shared]))
+            plan = donor_plan(cache, donor, shared, max_positions)
+            if cache._seat_error(plan) is not None:
+                with pytest.raises((RuntimeError, ValueError)):
+                    cache.seat(plan)
+                continue
+            slot = cache.seat(plan)
+            live[slot.index] = (slot, list(donor_stamps[:shared]))
         elif op == "append":
             growable = [(s, st) for s, st in live.values()
                         if s.length < max_seq_len]
@@ -659,12 +668,77 @@ def test_hash_collisions_never_share_other_tokens(micro_config, monkeypatch):
     assert cache.plan((9,) * 9).shared == 0
     second = _registered(cache, micro_config, other)
     assert second.page_table[0] == first.page_table[0]   # same tokens
-    assert len(cache.pool._table) == 2
+    # first's two full pages and its partial last page; none of other's
+    assert len(cache.pool._table) == 3
     cache.release(second, prompt_ids=other)
     assert cache.n_cached_pages == 0         # page 0 is still first's
     cache.release(first)
     assert cache.n_cached_pages == 2
     check_invariants(cache, {})
+
+
+def test_a_live_prompts_partial_last_page_is_matched(micro_config):
+    """A prompt that extends a live prompt by less than a page shares
+    the live prompt's partial last page too: 17 positions of an 18-token
+    prompt over a 19-token live one at page size 16, the last one
+    copied, and all of it resident."""
+    cache = PagedKVCache(micro_config, n_slots=2, max_seq_len=32,
+                         page_size=16, n_pages=4)
+    prefix = tuple(range(1, 18))
+    live = _registered(cache, micro_config, prefix + (8, 2))
+    plan = cache.plan(prefix + (4,), 32)
+    assert plan.fits and plan.shared == plan.resident == 17
+    assert plan.pages == tuple(live.page_table)
+    slot = cache.seat(plan)
+    assert slot.page_table[0] == live.page_table[0]
+    assert slot.page_table[1] != live.page_table[1]      # the copy
+    _assert_holds(slot, micro_config, prefix)
+    assert cache.plan(prefix[:16] + (0, 0)).shared == 16
+    check_invariants(cache, {live.index: (live, []), slot.index: (slot, [])})
+
+
+def test_partial_page_leaf_lives_with_its_prompt_positions(micro_config):
+    """Decoding past a live prompt's indexed tokens writes its partial
+    last page in place; rewriting one of those tokens copies the page
+    and drops the leaf; and a released leaf is freed, never parked."""
+    cache = PagedKVCache(micro_config, n_slots=2, max_seq_len=16,
+                         page_size=4, n_pages=8, cache_pages=8)
+    prompt = (1, 2, 3, 4, 5, 6)
+    slot = _registered(cache, micro_config, prompt)
+    leaf = slot.page_table[1]
+    assert cache.plan(prompt[:5] + (0,)).shared == 5
+    _write_prompt(slot, micro_config, prompt + (7, 8))   # decode, in place
+    assert slot.page_table[1] == leaf
+    assert cache.plan(prompt + (0,)).shared == 6
+    write_position(slot, micro_config.n_layers, micro_config.d_model, 5, 9.0)
+    assert slot.page_table[1] != leaf                    # copy-on-write
+    assert cache.plan(prompt + (0,)).shared == 4
+    cache.release(slot)
+    assert cache.n_cached_pages == 1                     # the full page
+    other = _registered(cache, micro_config, prompt)
+    cache.release(other)
+    assert cache.n_cached_pages == 1 and len(cache.pool._table) == 1
+    check_invariants(cache, {})
+
+
+def test_an_unreachable_subtree_leaves_the_table(micro_config):
+    """Freeing an indexed page unindexes every entry below it -- the
+    lookup can no longer reach them -- and frees the parked ones, so
+    every entry always hangs off an indexed parent."""
+    cache = PagedKVCache(micro_config, n_slots=2, max_seq_len=16,
+                         page_size=4, n_pages=8, cache_pages=8)
+    prompt = tuple(range(1, 14))
+    slot = _registered(cache, micro_config, prompt)
+    tail = slot.page_table[2]
+    slot.truncate(8)                     # page 2 parked; page 3, the leaf,
+    assert cache.n_cached_pages == 1     # freed
+    write_position(slot, micro_config.n_layers, micro_config.d_model, 0, 0.0)
+    assert cache.n_cached_pages == 2     # the rewritten head, parked
+    cache.pool._evict()                  # the tail page, least recent
+    assert cache.pool._is_free(tail)
+    cache.pool._evict()                  # the head: page 1 is unreachable
+    assert cache.pool._table == {} and cache.n_cached_pages == 0
+    check_invariants(cache, {slot.index: (slot, [])})
 
 
 def test_a_page_leaves_the_table_only_when_freed(micro_config):
