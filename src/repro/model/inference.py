@@ -110,22 +110,34 @@ def forward_rows(weights: ModelWeights, token_ids: Sequence[int], attend,
                  mlp_rows, last_rows=None) -> np.ndarray:
     """The one transformer layer loop, over ``(rows, d)`` activations.
 
-    ``attend(layer, q, k, v)`` takes the raw ``(rows, d)`` projections,
+    ``attend(layer, q, k, v)`` takes the raw projections -- ``k`` and
+    ``v`` ``(rows, d)``, ``q`` the rows whose context is wanted --
     applies RoPE, appends K/V to the cache and returns the pre-``Wo``
-    context rows; ``mlp_rows(layer, x)`` runs one layer's MLP over the
-    normed rows.  Returns ``(rows, vocab)`` logits, or only the rows
-    indexed by ``last_rows``.  The caller advances the cache.
+    context rows of ``q``; ``mlp_rows(layer, x)`` runs one layer's MLP
+    over the normed rows.  Returns ``(rows, vocab)`` logits.
+
+    ``last_rows`` indexes the only rows whose logits the caller reads.
+    The last layer then still projects K and V for every row (the cache
+    needs them, from GEMMs of the full row count, so the cache holds
+    the bits an unpruned pass writes), but its ``attend`` gets only
+    those rows' queries, and ``Wo``, the MLP, the final norm and the
+    lm-head run on those rows alone: ``(len(last_rows), vocab)`` logits,
+    and an empty ``last_rows`` returns ``(0, vocab)`` once the K/V is
+    written.  The caller advances the cache.
     """
     cfg = weights.config
     x = weights.tok_embed[token_ids].astype(np.float32)
     for layer in range(cfg.n_layers):
         lw = weights.layers[layer]
         attn_in = rmsnorm(x, lw.attn_norm, cfg.norm_eps)
-        ctx = attend(layer, attn_in @ lw.wq, attn_in @ lw.wk, attn_in @ lw.wv)
+        k, v = attn_in @ lw.wk, attn_in @ lw.wv
+        if last_rows is not None and layer == cfg.n_layers - 1:
+            x, attn_in = x[last_rows], attn_in[last_rows]
+        ctx = attend(layer, attn_in @ lw.wq, k, v)
+        if not len(x):
+            return np.zeros((0, cfg.vocab_size), dtype=np.float32)
         x = x + ctx @ lw.wo
         x = x + mlp_rows(layer, rmsnorm(x, lw.mlp_norm, cfg.norm_eps))
-    if last_rows is not None:
-        x = x[last_rows]
     final = rmsnorm(x, weights.final_norm, cfg.norm_eps)
     return lm_head_logits(final, weights)
 

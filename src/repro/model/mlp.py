@@ -119,8 +119,11 @@ class DenseMLP:
 
         The chunked-prefill path: same math as ``run`` row by row, one
         weight read for the whole chunk (:func:`gated_mlp_rows`).  Stats
-        account per token, so chunked and token-by-token prefill report
-        identical work.
+        count each row it is given as one ``run`` call.  The serving
+        engine's prefill gives the last layer only the rows whose logits
+        are read, so for the same prompt it reports ``n_layers - 1``
+        layers of every token plus one row per sampled piece, where
+        token-by-token prefill reports every layer of every token.
         """
         lw = self.weights.layers[layer]
         n = xs.shape[0]

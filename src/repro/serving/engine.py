@@ -13,8 +13,10 @@ which row-MLP runs:
 
 * :meth:`~BatchedEngine.prefill` packs one prompt piece per slot and
   runs the dense executor (sparsity is a decode-phase optimisation,
-  paper Section V-C); :meth:`~BatchedEngine.verify_chunk` is a
-  one-segment pass through the serving-alpha sparse executor.
+  paper Section V-C), its last layer past the K/V write only on the
+  last rows of the pieces whose logits are read;
+  :meth:`~BatchedEngine.verify_chunk` is a one-segment pass through
+  the serving-alpha sparse executor.
 * :meth:`~BatchedEngine.decode_step` / :meth:`~BatchedEngine.draft_step`
   run one one-row segment per slot, at every batch size, through the
   batch-aware sparse MLP.  A row never sees its partners' lengths.
@@ -170,7 +172,7 @@ class BatchedEngine:
     # -- forward passes ----------------------------------------------------
 
     def _forward_chunk(self, segments: Sequence, token_ids: list, mlp_rows,
-                       last_only: bool = False) -> np.ndarray:
+                       last_only=False) -> np.ndarray:
         """One causal pass over ragged segments of slots' next positions.
 
         Every forward pass: :meth:`prefill` and :meth:`verify_chunk`
@@ -184,8 +186,16 @@ class BatchedEngine:
         plus the segment itself, whose K/V each layer writes first --
         through :func:`~repro.model.inference.attend_rows`, the oracle's
         kernel.  A one-row segment sees its whole cache, so it builds
-        and adds no mask.  Returns every row's logits, or with
-        ``last_only`` the last row of each segment.
+        and adds no mask.  Returns every row's logits.
+
+        ``last_only``, one flag per segment, prunes the pass to the last
+        row of each flagged segment, whose ``(kept, vocab)`` logits it
+        returns in segment order: every layer still writes every row's
+        K/V, but the last layer's queries, attention, ``Wo``, MLP and
+        lm-head run on the kept rows only
+        (:func:`~repro.model.inference.forward_rows`' ``last_rows``).
+        A kept row is its segment's last position, so it attends
+        unmasked, as a one-row segment over its whole slot.
         """
         # The pass writes every row into this engine's arena.
         if not all(self.cache.holds(slot) for slot, _ in segments):
@@ -204,8 +214,9 @@ class BatchedEngine:
                           for cell in slot.cells(base, n_rows)])
         pool = self.cache.pool
         # One causal block per segment: rows end - n_rows .. end hold
-        # positions base .. base + n_rows of the segment's slot.
-        blocks = [
+        # positions base .. base + n_rows of the segment's slot.  Each
+        # layer's queries come with their RoPE rows and blocks.
+        queries = [(cos, sin, [
             (slot, end - n_rows, end, base + n_rows,
              None if n_rows == 1 else np.where(
                  np.arange(base + n_rows)[None, :] <= span[:, None],
@@ -213,27 +224,40 @@ class BatchedEngine:
              ))
             for (slot, n_rows), base, end, span
             in zip(segments, bases, ends, spans)
-        ]
+        ])] * cfg.n_layers
+        last_rows = None
+        if last_only is not False:
+            # The last layer queries only the kept rows, one one-row
+            # block each over its slot's whole cache.
+            kept = [(slot, base + n_rows, end - 1)
+                    for (slot, n_rows), base, end, keep
+                    in zip(segments, bases, ends, last_only) if keep]
+            last_rows = [row for _, _, row in kept]
+            queries[-1] = (cos[last_rows], sin[last_rows], [
+                (slot, i, i + 1, total, None)
+                for i, (slot, total, _) in enumerate(kept)
+            ])
 
         def attend(layer, q, k, v):
             # RoPE and the K/V write once over every row, then one
             # matmul pair per segment.
-            qr = apply_rope(q.reshape(n_tokens, n_heads, head_dim), cos, sin)
+            q_cos, q_sin, blocks = queries[layer]
+            n_queries = len(q)
+            qr = apply_rope(q.reshape(n_queries, n_heads, head_dim),
+                            q_cos, q_sin)
             kr = apply_rope(k.reshape(n_tokens, n_heads, head_dim), cos, sin)
             pool.write(layer, cells, kr.reshape(n_tokens, cfg.d_model), v)
-            ctx = np.empty((n_tokens, n_heads, head_dim), dtype=np.float32)
+            ctx = np.empty((n_queries, n_heads, head_dim), dtype=np.float32)
             # Ragged causal blocks: each segment attends against its own
             # slot's cache, of its own length.
             # repro: ignore[scalar-loop] -- one matmul pair per segment
             for slot, lo, hi, total, neg_mask in blocks:
                 ctx[lo:hi] = attend_rows(qr[lo:hi], *slot.view(layer, total),
                                          neg_mask)
-            return ctx.reshape(n_tokens, cfg.d_model)
+            return ctx.reshape(n_queries, cfg.d_model)
 
-        logits = forward_rows(
-            self.weights, token_ids, attend, mlp_rows,
-            [end - 1 for end in ends] if last_only else None,
-        )
+        logits = forward_rows(self.weights, token_ids, attend, mlp_rows,
+                              last_rows)
         for slot, n_rows in segments:
             slot.advance(n_rows)
         return logits
@@ -260,30 +284,42 @@ class BatchedEngine:
     def prefill(
         self, slots, prompt_ids: Sequence[int],
         lengths: Optional[Sequence[int]] = None,
+        sample: Optional[Sequence[bool]] = None,
     ) -> np.ndarray:
         """Run one prompt piece per slot as one packed causal pass.
 
         ``prompt_ids`` is the flat concatenation of the pieces: piece
         ``i`` is the next ``lengths[i]`` tokens of ``slots[i]``, fed at
-        its current length; each slot appears at most once.  Returns
-        ``(len(slots), vocab)`` logits, row ``i`` from piece ``i``'s
-        last position.  ``prefill(slot, ids)``, without ``lengths``, is
-        the one-piece pack and returns that piece's ``(vocab,)`` row.
+        its current length; each slot appears at most once.  ``sample``
+        flags the pieces whose logits the caller reads (default all):
+        returns ``(sum(sample), vocab)`` logits, one row per flagged
+        piece in piece order, from its last position.  ``prefill(slot,
+        ids)``, without ``lengths``, is the one-piece pack and returns
+        that piece's ``(vocab,)`` row.
 
         The pack runs through the dense prefill executor as one
         :meth:`_forward_chunk` pass: its rows share every GEMM and
-        attend per piece.  The caller sizes the pack (the scheduler's
+        attend per piece, except in the last layer, which runs Q,
+        attention, ``Wo``, the MLP and the lm-head on the flagged
+        pieces' last rows only (every row's K/V is still written, with
+        the same bits).  So a piece that leaves prompt pending, or
+        restores a sequence that already emitted, costs its K/V and no
+        last-layer row.  The caller sizes the pack (the scheduler's
         ``step_budget``).
         """
         one_piece = lengths is None
         if one_piece:
+            if sample is not None:
+                raise ValueError("sample flags need lengths")
             slots, lengths = [slots], [len(prompt_ids)]
         # len(), not truthiness: a numpy-array prompt satisfies the
         # Sequence[int] annotation but raises on bool().
         if len(prompt_ids) == 0:
             raise ValueError("prefill needs at least one token")
-        if len(slots) != len(lengths):
-            raise ValueError("slots and lengths must align")
+        sample = ([True] * len(slots) if sample is None
+                  else [bool(flag) for flag in sample])
+        if not len(slots) == len(lengths) == len(sample):
+            raise ValueError("slots, lengths and sample must align")
         if min(lengths) < 1 or sum(lengths) != len(prompt_ids):
             raise ValueError(
                 "lengths must be >= 1 and sum to len(prompt_ids)"
@@ -293,7 +329,7 @@ class BatchedEngine:
         segments = [(slot, int(n)) for slot, n in zip(slots, lengths)]
         logits = self._forward_chunk(
             segments, token_ids_in_vocab(self.config, prompt_ids),
-            self.prefill_mlp.run_tokens, last_only=True,
+            self.prefill_mlp.run_tokens, last_only=sample,
         )
         return logits[0] if one_piece else logits
 

@@ -61,13 +61,23 @@ costs one (its decode token) and the *leftover* budget is planned,
 oldest admission first, over the pending prompt pieces, which then run
 as **one** packed ``engine.prefill`` pass (Sarathi-Serve's
 chunked-prefill batching: the pieces share every GEMM and attend per
-sequence) -- an admitted
-sequence carries its un-prefilled prompt suffix across ticks and only
-joins the decode batch once the suffix is done and its first token is
-sampled.  A tick with pending prefill always advances it by at
-least one token, so admissions finish even when residents alone exceed
-the budget.  Residents' inter-token stall per tick is therefore bounded
-by the budget, not by the longest queued prompt.  Splitting prefill at
+sequence) -- an admitted sequence carries its un-prefilled prompt
+suffix across ticks and only joins the decode batch once the suffix is
+done and its first token is sampled.  Only the piece that finishes a
+fresh prompt asks for logits, so the pass runs its last layer past the
+K/V write on those pieces' last rows alone.  Unlike Sarathi-Serve's
+hybrid batch, decode rows do not ride the prefill GEMMs: the tick's
+decode step is a second pass.  A prototype that let already-decoding
+rows ride the pack raised ``prefill_unshared`` throughput 7-14 % (3
+pairs of 10 s benchmark runs) but took ``prefill_shared``'s median
+TTFT 5.0 -> 7.4 ms (+47 %) and ``mix_open``'s p95 inter-token latency
+up 21-43 %: a sequence prefilled this tick needs its first token
+before it can feed its second, so the second pass stays anyway, and a
+rider in a pack loses the batch-1 gather (GEMV) sparse MLP.  A tick
+with pending prefill always advances it by at least one token, so
+admissions finish even when residents alone exceed the budget.
+Residents' inter-token stall per tick is therefore bounded by the
+budget, not by the longest queued prompt.  Splitting prefill at
 scheduler-chosen boundaries and packing the pieces reuse the engine's
 prefill guarantee (token-identical at any chunk boundaries and pack
 composition) -- so every budget produces the same tokens per request.
@@ -1048,30 +1058,35 @@ class ContinuousBatchingScheduler:
         seq.pending_replay = tuple(seq.generated_ids[:-1])
         self.active.append(seq)
 
-    def _feed_prefill(self, pieces: list) -> np.ndarray:
+    def _feed_prefill(self, pieces: list) -> list:
         """Prefill ``(seq, take)`` pieces -- the next ``take`` pending
         prompt tokens of each ``seq`` -- as one packed ``engine.prefill``.
 
         The only ``engine.prefill`` call site: restoration passes every
-        piece the tick can afford.  Returns ``(len(pieces), vocab)``
-        logits, row ``i`` from piece ``i``'s last fed position.
+        piece the tick can afford.  Only a piece that finishes a fresh
+        sequence's prompt asks for logits: a piece that leaves prompt
+        pending has nothing to sample, and a resumed sequence emitted
+        its first token before eviction.  Returns one entry per piece,
+        its last fed position's ``(vocab,)`` logits or ``None``.
         """
-        flat, lengths = [], []
+        flat, lengths, sample = [], [], []
         for seq, take in pieces:
             flat.extend(seq.pending_prefill[:take])
             lengths.append(take)
+            sample.append(take == len(seq.pending_prefill)
+                          and not seq.generated_ids)
             seq.pending_prefill = seq.pending_prefill[take:]
         t0 = time.perf_counter()
-        logits = self.engine.prefill(
-            [seq.slot for seq, _ in pieces], flat, lengths
-        )
+        logits = iter(self.engine.prefill(
+            [seq.slot for seq, _ in pieces], flat, lengths, sample=sample,
+        ))
         self.report.prefill_seconds += time.perf_counter() - t0
         self.report.prefill_tokens += len(flat)
         self._tick_prefill_tokens += len(flat)
-        return logits
+        return [next(logits) if flag else None for flag in sample]
 
     def _finish_prompt(
-        self, seq: _ActiveSequence, logits: np.ndarray,
+        self, seq: _ActiveSequence, logits: Optional[np.ndarray],
         finished: List[Completion],
     ) -> bool:
         """Wrap up a completed prompt prefill; True if ``seq`` stays live.
@@ -1081,7 +1096,8 @@ class ContinuousBatchingScheduler:
         finishing right at admission would otherwise never be counted),
         and -- for a fresh sequence only -- samples the first token from
         the prefill logits.  A resumed sequence already emitted its
-        first token before eviction; it is kept, never resampled.
+        first token before eviction; it is kept, never resampled, and
+        its last piece computed no logits (``None``).
         """
         self.engine.cache.register(seq.slot, seq.request.prompt_ids)
         self._sample_gauges(tick=False)
@@ -1178,9 +1194,10 @@ class ContinuousBatchingScheduler:
         tokens (decode path).  Every prefill piece of the tick runs in
         one packed ``engine.prefill``; then, in admission order, a
         sequence whose prompt completed samples its first token from
-        its piece's logits and, once any replay drains, joins the same
-        tick's decode batch.  Only a resumed sequence replays, and it
-        never finishes at its prompt, so replays can be planned up front.
+        its piece's logits if it is fresh (the only pieces that compute
+        any) and, once any replay drains, joins the same tick's decode
+        batch.  Only a resumed sequence replays, and it never finishes
+        at its prompt, so replays can be planned up front.
         """
         if not any(seq.restoring for seq in self.active):
             return

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import build_batched_engine, build_engine
+from repro.model import inference as inference_module
 from repro.model.config import ModelConfig
 from repro.model.inference import attend_rows, attend_single, forward_rows
 from repro.model.kvcache import KVCache
@@ -767,11 +768,90 @@ class TestPackedPrefill:
                                   ref_slot.view(layer, ref_slot.length)):
                 np.testing.assert_array_equal(kv, ref_kv)
 
+    SAMPLINGS = {"all": [True, True, True], "one": [False, True, False],
+                 "none": [False, False, False]}
+
+    @pytest.mark.parametrize("geometry", ["micro", "bench"])
+    @pytest.mark.parametrize("page_size", [1, 3, 16])
+    @pytest.mark.parametrize("sampling", sorted(SAMPLINGS))
+    def test_pruned_pack_keeps_cache_bits_and_sampled_logits(
+        self, micro_weights, bench_weights, geometry, page_size, sampling
+    ):
+        """A pack that samples only some pieces writes the arena an
+        unpruned pass writes, bit for bit, and returns the sampled
+        pieces' last rows of that pass to ``rtol=1e-5``, same argmax."""
+        weights = bench_weights if geometry == "bench" else micro_weights
+        sample = self.SAMPLINGS[sampling]
+        runs = []
+        for pruned in (True, False):
+            engine = BatchedEngine(weights, max_batch_size=4,
+                                   page_size=page_size)
+            slots, pieces = _pack_scenario(engine, "fork")
+            lengths = [len(piece) for piece in pieces]
+            if pruned:
+                logits = engine.prefill(slots, sum(pieces, []), lengths,
+                                        sample=sample)
+            else:
+                every_row = engine._forward_chunk(
+                    list(zip(slots, lengths)), sum(pieces, []),
+                    engine.prefill_mlp.run_tokens, last_only=False,
+                )
+                ends = np.cumsum(lengths) - 1
+                logits = every_row[[end for end, keep in zip(ends, sample)
+                                    if keep]]
+            runs.append((engine.cache.pool, logits))
+        (pool, logits), (ref_pool, ref_logits) = runs
+        assert logits.shape == (sum(sample), weights.config.vocab_size)
+        assert logits.dtype == np.float32
+        np.testing.assert_array_equal(pool.keys, ref_pool.keys)
+        np.testing.assert_array_equal(pool.values, ref_pool.values)
+        np.testing.assert_allclose(logits, ref_logits, rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(logits.argmax(axis=-1),
+                                      ref_logits.argmax(axis=-1))
+
+    @pytest.mark.parametrize("sampling", sorted(SAMPLINGS))
+    def test_last_layer_runs_only_the_sampled_rows(self, micro_weights,
+                                                   monkeypatch, sampling):
+        """Through a 12-row, 3-piece pack the last layer's MLP sees one
+        row per sampled piece (no call when none is), earlier layers see
+        all 12, and the lm-head runs only if a piece is sampled."""
+        sample = self.SAMPLINGS[sampling]
+        engine = build_batched_engine(micro_weights, max_batch_size=3)
+        slots = [engine.cache.allocate() for _ in range(3)]
+        mlp_rows, heads = [], []
+        run_tokens = engine.prefill_mlp.run_tokens
+        head = inference_module.lm_head_logits
+
+        def spied_mlp(layer, xs):
+            mlp_rows.append((layer, len(xs)))
+            return run_tokens(layer, xs)
+
+        def spied_head(x, weights):
+            heads.append(len(x))
+            return head(x, weights)
+
+        monkeypatch.setattr(engine.prefill_mlp, "run_tokens", spied_mlp)
+        monkeypatch.setattr(inference_module, "lm_head_logits", spied_head)
+        engine.prefill(slots, list(MIXED_PROMPTS[5]), [4, 4, 4],
+                       sample=sample)
+        last = micro_weights.config.n_layers - 1
+        kept = sum(sample)
+        assert [rows for layer, rows in mlp_rows if layer < last] == \
+            [12] * last
+        assert [rows for layer, rows in mlp_rows if layer == last] == \
+            ([kept] if kept else [])
+        assert heads == ([kept] if kept else [])
+        assert [slot.length for slot in slots] == [4, 4, 4]
+
     def test_validation(self, micro_weights):
         engine = build_batched_engine(micro_weights, max_batch_size=2)
         a, b = engine.cache.allocate(), engine.cache.allocate()
         with pytest.raises(ValueError, match="align"):
             engine.prefill([a, b], [1, 2, 3], [3])
+        with pytest.raises(ValueError, match="align"):
+            engine.prefill([a, b], [1, 2, 3], [2, 1], sample=[True])
+        with pytest.raises(ValueError, match="sample"):
+            engine.prefill(a, [1, 2, 3], sample=[True])
         for lengths in ([3, 0], [1, 1], [2, 2]):
             with pytest.raises(ValueError, match="lengths"):
                 engine.prefill([a, b], [1, 2, 3], lengths)

@@ -1264,10 +1264,10 @@ class TestBudgetedScheduling:
             calls = []          # (tick, pieces, tokens) per engine.prefill
             prefill = engine.prefill
 
-            def counted(slots, prompt_ids, lengths=None):
+            def counted(slots, prompt_ids, lengths=None, sample=None):
                 calls.append((scheduler.step_count, len(slots),
                               len(prompt_ids)))
-                return prefill(slots, prompt_ids, lengths)
+                return prefill(slots, prompt_ids, lengths, sample)
 
             engine.prefill = counted
             for request in requests:
@@ -1288,6 +1288,60 @@ class TestBudgetedScheduling:
             sum(n for _, _, n in calls)
         assert report.peak_tick_prefill_tokens == \
             max(n for _, _, n in calls) <= 20
+
+    def test_prefill_samples_only_a_fresh_prompts_last_piece(
+        self, micro_weights
+    ):
+        """``engine.prefill`` asks for a piece's logits exactly when the
+        piece finishes the prompt of a sequence that has emitted nothing:
+        never for a piece that leaves prompt pending, nor for a resumed
+        sequence's restoration, whose first token came before eviction."""
+        requests = [
+            Request(request_id=0, prompt_ids=(2, 7, 1, 8, 2, 8, 1, 8),
+                    max_new_tokens=12, priority=0),
+            Request(request_id=1, prompt_ids=(3, 1, 4, 1, 5, 9, 2),
+                    max_new_tokens=4, priority=5),
+        ]
+        engine = build_batched_engine(micro_weights, max_batch_size=1,
+                                      page_size=4)
+        emitted = set()
+        scheduler = ContinuousBatchingScheduler(
+            engine, step_budget=3, preemption=True,
+            on_token=lambda request_id, token, step: emitted.add(request_id),
+        )
+        pieces = []     # (request id, had emitted, ends its prompt, flag)
+        prefill = engine.prefill
+
+        def recorded(slots, prompt_ids, lengths=None, sample=None):
+            seqs = {id(seq.slot): seq for seq in scheduler.active}
+            for slot, take, flag in zip(slots, lengths, sample):
+                request = seqs[id(slot)].request
+                pieces.append((
+                    request.request_id, request.request_id in emitted,
+                    slot.length + take == len(request.prompt_ids), flag,
+                ))
+            return prefill(slots, prompt_ids, lengths, sample)
+
+        engine.prefill = recorded
+        scheduler.submit(requests[0])
+        while len(emitted) == 0 or scheduler.step_count < 6:
+            scheduler.step()
+        # Slot-starved and outranking the resident: evicts it.
+        scheduler.submit(requests[1])
+        report = scheduler.run()
+
+        assert report.preemptions == report.resumed_admissions == 1
+        served = {c.request_id: c.generated_ids for c in report.completions}
+        assert served == oracle_tokens(micro_weights, requests)
+        assert all(flag is (ends and not restoring)
+                   for _, restoring, ends, flag in pieces)
+        assert [rid for rid, *_, flag in pieces if flag] == [0, 1]
+        assert any(not ends for _, _, ends, _ in pieces)      # spans ticks
+        # Request 0's whole prompt was restored, over several pieces.
+        restored = [(rid, ends) for rid, restoring, ends, _ in pieces
+                    if restoring]
+        assert len(restored) > 1 and restored[-1] == (0, True)
+        assert {rid for rid, _ in restored} == {0}
 
     def test_budget_knobs_reach_the_report(self, micro_weights):
         requests = make_requests(3)
